@@ -35,7 +35,6 @@ from .layerpot import (
     normal_derivative_coupling,
     single_layer_grad_near,
     single_layer_grad_off,
-    single_layer_near,
     single_layer_off,
     single_layer_on_boundary,
 )
@@ -57,7 +56,6 @@ from .designer import (
     DesignResult,
     check_area_relation,
     confocal_design,
-    design_profile,
     disk_matrix_conductivity,
     reciprocal_dual,
     sigma_from_mu,
@@ -107,7 +105,6 @@ __all__ = [
     "feature_size",
     "min_target_distance",
     "single_layer_off",
-    "single_layer_near",
     "single_layer_on_boundary",
     "single_layer_grad_off",
     "single_layer_grad_near",
@@ -131,7 +128,6 @@ __all__ = [
     "sigma_from_mu",
     "reciprocal_dual",
     "check_area_relation",
-    "design_profile",
     "QuadraticFit",
     "CombinedIdentityReport",
     "fit_quadratic",

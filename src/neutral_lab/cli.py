@@ -35,6 +35,7 @@ from . import designer, laurent, newtonian, shapesearch
 from .geometry import (
     CoatedInclusion,
     LaurentMap,
+    area,
     confocal_pair,
     discretize,
     laurent_domain,
@@ -61,11 +62,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fail(code: int, message: str) -> int:
-    print(message, file=sys.stderr)
-    return code
-
-
 # ---------------------------------------------------------------------------
 # config schema (hand-rolled: flat sections, unknown keys rejected with paths)
 
@@ -84,6 +80,13 @@ def _is_sigma(v) -> bool:
 
 def _sigma_value(v) -> float:
     return math.inf if isinstance(v, str) else float(v)
+
+
+def _sigma_pair(v) -> tuple[float, float]:
+    """A diagonal matrix conductivity given as SIGMA or [S1, S2]."""
+    if isinstance(v, list):
+        return (_sigma_value(v[0]), _sigma_value(v[1]))
+    return (_sigma_value(v), _sigma_value(v))
 
 
 def _check_keys(section: dict, allowed: dict, path: str):
@@ -216,10 +219,7 @@ def build_geometry(g: dict) -> CoatedInclusion:
     if t == "confocal":
         return confocal_pair(float(g["a1"]), float(g["am1"]), float(g["r0"]))
     if t == "laurent":
-        coeffs = {}
-        for k, v in g["coeffs"].items():
-            coeffs[int(k)] = complex(v[0], v[1]) if isinstance(v, list) else float(v)
-        return laurent_domain(LaurentMap(coeffs=coeffs, r0=float(g["r0"])))
+        return laurent_domain(LaurentMap.from_json(g))
     inner_d, outer_d = g["inner"], g["outer"]
 
     def _mk(d):
@@ -235,16 +235,29 @@ def build_profile(p: dict) -> ConductivityProfile:
     for k in ("sigma_c", "sigma_s", "sigma_m"):
         if k not in p:
             raise ValidationError(f"profile requires '{k}'")
-    sm = p["sigma_m"]
-    if isinstance(sm, list):
-        sigma_m = (_sigma_value(sm[0]), _sigma_value(sm[1]))
-    else:
-        sigma_m = (_sigma_value(sm), _sigma_value(sm))
     return ConductivityProfile(
         sigma_c=_sigma_value(p["sigma_c"]),
         sigma_s=float(p["sigma_s"]),
-        sigma_m=sigma_m,
+        sigma_m=_sigma_pair(p["sigma_m"]),
     )
+
+
+def _core_shell(cfg: dict, command: str) -> tuple[float, float]:
+    """(sigma_c, sigma_s) of the profile section; refuses a profile without them."""
+    p = cfg.get("profile", {})
+    for k in ("sigma_c", "sigma_s"):
+        if k not in p:
+            raise ValidationError(f"{command} requires profile.{k}")
+    return _sigma_value(p["sigma_c"]), float(p["sigma_s"])
+
+
+def _laurent_map(g: dict, command: str) -> LaurentMap:
+    """The annulus map of a laurent or confocal geometry section."""
+    if g["type"] == "laurent":
+        return LaurentMap.from_json(g)
+    if g["type"] == "confocal":
+        return LaurentMap({1: float(g["a1"]), -1: float(g["am1"])}, float(g["r0"]))
+    raise ValidationError(f"{command} requires a laurent or confocal geometry")
 
 
 _H_CHOICES = {
@@ -259,28 +272,23 @@ _H_CHOICES = {
 # artifact helpers
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _emit(report: dict, out_dir: str | None, csv_files: dict | None = None) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    print(text)
     if out_dir is None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out / "report.json").write_text(text + "\n", encoding="utf-8")
     for name, (header, rows) in (csv_files or {}).items():
-        _write_csv(out / name, header, rows)
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\r\n")
+            w.writerow(header)
+            w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (result_dict, csv_files)
+# command handlers: each takes (cfg, seed) and returns (result_dict, csv_files)
 
 
 def _numerics(cfg: dict) -> dict:
@@ -289,7 +297,7 @@ def _numerics(cfg: dict) -> dict:
     return base
 
 
-def cmd_solve(cfg):
+def cmd_solve(cfg, seed):
     inc = build_geometry(cfg["geometry"])
     prof = build_profile(cfg["profile"])
     num = _numerics(cfg)
@@ -299,7 +307,6 @@ def cmd_solve(cfg):
     probe = _probe_circle(radius, num["probe_points"])
     vals, grads = eval_u(inc, pair, prof, probe)
     resid = float(np.max(np.abs(vals - probe[:, axis - 1])))
-    t = pair.disc_inner.t
     result = {
         "axis": axis,
         "probe_radius": radius,
@@ -307,23 +314,16 @@ def cmd_solve(cfg):
         "phi": pair.phi.tolist(),
         "psi": pair.psi.tolist(),
     }
-    rows = [
-        (t[i],
-         pair.disc_inner.nodes[i, 0], pair.disc_inner.nodes[i, 1], pair.phi[i],
-         pair.disc_outer.nodes[i, 0], pair.disc_outer.nodes[i, 1], pair.psi[i])
-        for i in range(len(t))
-    ]
-    samples = [
-        (probe[i, 0], probe[i, 1], vals[i], grads[i, 0], grads[i, 1])
-        for i in range(len(vals))
-    ]
+    d_in, d_out = pair.disc_inner, pair.disc_outer
+    rows = zip(d_in.t, *d_in.nodes.T, pair.phi, *d_out.nodes.T, pair.psi)
+    samples = zip(*probe.T, vals, *grads.T)
     return result, {
         "densities.csv": (["t", "x_in", "y_in", "phi", "x_out", "y_out", "psi"], rows),
         "samples.csv": (["x", "y", "u", "ux", "uy"], samples),
     }
 
 
-def cmd_neutrality(cfg):
+def cmd_neutrality(cfg, seed):
     inc = build_geometry(cfg["geometry"])
     prof = build_profile(cfg["profile"])
     num = _numerics(cfg)
@@ -334,39 +334,25 @@ def cmd_neutrality(cfg):
     return rep.as_dict(), None
 
 
-def cmd_design(cfg):
+def cmd_design(cfg, seed):
     g = cfg["geometry"]
     if g["type"] != "confocal":
         raise ValidationError("design requires geometry.type == 'confocal'")
-    p = cfg.get("profile", {})
-    for k in ("sigma_c", "sigma_s"):
-        if k not in p:
-            raise ValidationError(f"design requires profile.{k}")
-    dr = designer.confocal_design(
-        float(g["a1"]), float(g["am1"]), float(g["r0"]),
-        _sigma_value(p["sigma_c"]), float(p["sigma_s"]),
-    )
+    sc, ss = _core_shell(cfg, "design")
+    dr = designer.confocal_design(float(g["a1"]), float(g["am1"]), float(g["r0"]), sc, ss)
     result = dr.as_dict()
     if cfg.get("design", {}).get("verify", False):
-        num = _numerics(cfg)
-        inc = confocal_pair(float(g["a1"]), float(g["am1"]), float(g["r0"]))
-        rep = neutrality_report(inc, dr.profile(_sigma_value(p["sigma_c"]),
-                                                float(p["sigma_s"])), n=num["nodes"])
+        rep = neutrality_report(build_geometry(g), dr.profile(sc, ss), n=_numerics(cfg)["nodes"])
         result["neutrality"] = rep.as_dict()
     return result, None
 
 
-def cmd_disk(cfg):
-    p = cfg.get("profile", {})
+def cmd_disk(cfg, seed):
     d = cfg.get("disk", {})
-    for k in ("sigma_c", "sigma_s"):
-        if k not in p:
-            raise ValidationError(f"disk requires profile.{k}")
+    sc, ss = _core_shell(cfg, "disk")
     if "f" not in d:
         raise ValidationError("disk requires disk.f")
-    sm = designer.disk_matrix_conductivity(
-        _sigma_value(p["sigma_c"]), float(p["sigma_s"]), float(d["f"])
-    )
+    sm = designer.disk_matrix_conductivity(sc, ss, float(d["f"]))
     return {"sigma_m": sm, "f": float(d["f"])}, None
 
 
@@ -381,20 +367,14 @@ def _design_for_geometry(cfg, section):
             f"{section} needs explicit '{section}.f' and '{section}.shear' "
             "unless geometry.type == 'confocal'"
         )
-    p = cfg.get("profile", {})
-    for k in ("sigma_c", "sigma_s"):
-        if k not in p:
-            raise ValidationError(f"{section} requires profile.{k} to derive the design")
-    dr = designer.confocal_design(
-        float(g["a1"]), float(g["am1"]), float(g["r0"]),
-        _sigma_value(p["sigma_c"]), float(p["sigma_s"]),
-    )
+    sc, ss = _core_shell(cfg, section)
+    dr = designer.confocal_design(float(g["a1"]), float(g["am1"]), float(g["r0"]), sc, ss)
     f = float(sect.get("f", dr.f))
     shear = float(sect.get("shear", dr.shear))
     return f, shear, dr
 
 
-def cmd_newtonian(cfg):
+def cmd_newtonian(cfg, seed):
     inc = build_geometry(cfg["geometry"])
     num = _numerics(cfg)
     f, shear, dr = _design_for_geometry(cfg, "newtonian")
@@ -414,7 +394,7 @@ def cmd_newtonian(cfg):
     return result, {"fit.csv": (["quantity", "value", "expected", "mismatch"], rows)}
 
 
-def cmd_freebvp(cfg):
+def cmd_freebvp(cfg, seed):
     inc = build_geometry(cfg["geometry"])
     num = _numerics(cfg)
     f, shear, _ = _design_for_geometry(cfg, "freebvp")
@@ -424,24 +404,14 @@ def cmd_freebvp(cfg):
     return result, None
 
 
-def cmd_laurent_classify(cfg):
-    g = cfg["geometry"]
-    if g["type"] == "laurent":
-        coeffs = {}
-        for k, v in g["coeffs"].items():
-            coeffs[int(k)] = complex(v[0], v[1]) if isinstance(v, list) else float(v)
-        m = LaurentMap(coeffs=coeffs, r0=float(g["r0"]))
-    elif g["type"] == "confocal":
-        m = LaurentMap(coeffs={1: float(g["a1"]), -1: float(g["am1"])}, r0=float(g["r0"]))
-    else:
-        raise ValidationError("laurent-classify requires a laurent or confocal geometry")
+def cmd_laurent_classify(cfg, seed):
+    m = _laurent_map(cfg["geometry"], "laurent-classify")
     num = _numerics(cfg)
     sect = cfg.get("laurent", {})
     if "f" in sect and "shear" in sect:
         f, shear = float(sect["f"]), float(sect["shear"])
     else:
         inc = laurent_domain(m)
-        from .geometry import area
         f = area(discretize(inc.inner, 256)) / area(discretize(inc.outer, 256))
         shear = float(sect.get("shear", 0.0))
     cls = laurent.classify(
@@ -455,49 +425,33 @@ def cmd_laurent_classify(cfg):
     return result, {"factors.csv": (["n", "factor", "admissible", "in_support"], rows)}
 
 
-def cmd_search(cfg, seed=None):
-    g = cfg["geometry"]
-    p = cfg.get("profile", {})
-    for k in ("sigma_c", "sigma_s"):
-        if k not in p:
-            raise ValidationError(f"search requires profile.{k}")
+def cmd_search(cfg, seed):
+    sc, ss = _core_shell(cfg, "search")
     sect = cfg.get("search", {})
+    perturb = float(sect.get("perturb", 0.0))
+    if perturb and seed is None:
+        raise ValidationError("search.perturb needs --seed so that the start is reproducible")
     num = _numerics(cfg)
     scfg = shapesearch.SearchConfig(
-        sigma_c=_sigma_value(p["sigma_c"]),
-        sigma_s=float(p["sigma_s"]),
+        sigma_c=sc,
+        sigma_s=ss,
         max_order=sect.get("max_order", 2),
         nodes=num["nodes"],
         probe_points=num["probe_points"],
     )
-    if g["type"] == "confocal":
-        coeffs = {k: 0.0 for k in scfg.coeff_orders}
-        coeffs[-1] = float(g["am1"])
-        r0 = float(g["r0"])
-    elif g["type"] == "laurent":
-        coeffs = {k: 0.0 for k in scfg.coeff_orders}
-        for k, v in g["coeffs"].items():
-            k = int(k)
-            if k == 1:
-                if float(v) != 1.0:
-                    raise ValidationError("search uses the gauge a_1 = 1")
-                continue
-            if k not in coeffs:
-                raise ValidationError(f"coefficient order {k} exceeds search.max_order")
-            coeffs[k] = float(v)
-        r0 = float(g["r0"])
-    else:
-        raise ValidationError("search requires a confocal or laurent geometry")
-    if "sigma_m" in sect:
-        sigma_m = (float(sect["sigma_m"][0]), float(sect["sigma_m"][1]))
-    else:
-        sm = p.get("sigma_m")
-        if sm is None:
-            raise ValidationError("search requires profile.sigma_m or search.sigma_m")
-        sigma_m = ((_sigma_value(sm[0]), _sigma_value(sm[1])) if isinstance(sm, list)
-                   else (_sigma_value(sm), _sigma_value(sm)))
-    start = shapesearch.ShapeParams(coeffs=coeffs, r0=r0, sigma_m=sigma_m)
-    perturb = float(sect.get("perturb", 0.0))
+    m = _laurent_map(cfg["geometry"], "search")
+    if any(a.imag != 0 for a in m.coeffs.values()):
+        raise ValidationError("search needs real Laurent coefficients")
+    if m.coeffs[1] != 1:
+        raise ValidationError("search uses the gauge a_1 = 1")
+    beyond = set(m.coeffs) - {1, *scfg.coeff_orders}
+    if beyond:
+        raise ValidationError(f"coefficient order {max(beyond, key=abs)} exceeds search.max_order")
+    coeffs = {k: m.coeffs.get(k, 0j).real for k in scfg.coeff_orders}
+    sm = sect.get("sigma_m", cfg.get("profile", {}).get("sigma_m"))
+    if sm is None:
+        raise ValidationError("search requires profile.sigma_m or search.sigma_m")
+    start = shapesearch.ShapeParams(coeffs=coeffs, r0=m.r0, sigma_m=_sigma_pair(sm))
     if perturb:
         rng = np.random.default_rng(seed)
         x = shapesearch.encode(start, scfg)
@@ -510,17 +464,16 @@ def cmd_search(cfg, seed=None):
         target=sect.get("target", 1e-12),
         run_budget=sect.get("run_budget", 1500),
     )
-    rows = [(i, f, gap) for (i, f, gap) in res.improvements]
     result = res.as_dict()
     if not res.converged:
         raise SolverError(
             "search did not reach the target objective: "
             + json.dumps(result, sort_keys=True)
         )
-    return result, {"history.csv": (["iteration", "objective", "gap"], rows)}
+    return result, {"history.csv": (["iteration", "objective", "gap"], res.improvements)}
 
 
-def cmd_decay(cfg):
+def cmd_decay(cfg, seed):
     inc = build_geometry(cfg["geometry"])
     prof = build_profile(cfg["profile"])
     num = _numerics(cfg)
@@ -536,17 +489,32 @@ def cmd_decay(cfg):
 # argument parsing
 
 
-def _add_geometry_flags(sp):
-    sp.add_argument("--a1", type=float, help="confocal a_1 coefficient")
-    sp.add_argument("--am1", type=float, help="confocal a_-1 coefficient")
-    sp.add_argument("--r0", type=float, help="conformal modulus of the shell")
-    sp.add_argument("--map", help="LaurentMap as JSON text or @file path")
-
-
-def _add_profile_flags(sp):
-    sp.add_argument("--sc", help="core conductivity (number or 'inf')")
-    sp.add_argument("--ss", type=float, help="shell conductivity")
-    sp.add_argument("--sm", help="matrix conductivity: SIGMA or S1,S2")
+_SHELL_FLAGS = {
+    "f": {"type": float, "help": "volume fraction override"},
+    "shear": {"type": float, "help": "inner shear coefficient"},
+}
+# each command's handler and own flags; a flag --some-key sets some_key in the
+# command's config section (laurent-classify's section is "laurent")
+_COMMANDS = {
+    "solve": (cmd_solve, {"axis": {"type": int, "choices": (1, 2)}}),
+    "neutrality": (cmd_neutrality, {}),
+    "design": (cmd_design,
+               {"verify": {"action": "store_true", "help": "attach a BIE neutrality report"}}),
+    "disk": (cmd_disk, {"f": {"type": float, "help": "volume fraction"}}),
+    "newtonian": (cmd_newtonian, _SHELL_FLAGS),
+    "freebvp": (cmd_freebvp, _SHELL_FLAGS),
+    "laurent-classify": (cmd_laurent_classify, {**_SHELL_FLAGS, "coeff_tol": {"type": float}}),
+    "search": (cmd_search, {
+        "max_evals": {"type": int},
+        "target": {"type": float},
+        "max_order": {"type": int},
+        "perturb": {"type": float, "help": "uniform start perturbation amplitude (needs --seed)"},
+    }),
+    "decay": (cmd_decay, {
+        "h": {"choices": sorted(_H_CHOICES)},
+        "radii": {"nargs": 2, "type": float, "metavar": ("R1", "R2")},
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -559,34 +527,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--tol", type=float, help="admissibility tolerance")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name in ("solve", "neutrality", "design", "disk", "newtonian",
-                 "freebvp", "laurent-classify", "search", "decay"):
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        _add_geometry_flags(sp)
-        _add_profile_flags(sp)
+        sp.add_argument("--a1", type=float, help="confocal a_1 coefficient")
+        sp.add_argument("--am1", type=float, help="confocal a_-1 coefficient")
+        sp.add_argument("--r0", type=float, help="conformal modulus of the shell")
+        sp.add_argument("--map", help="LaurentMap as JSON text or @file path")
+        sp.add_argument("--sc", help="core conductivity (number or 'inf')")
+        sp.add_argument("--ss", type=float, help="shell conductivity")
+        sp.add_argument("--sm", help="matrix conductivity: SIGMA or S1,S2")
         sp.add_argument("--probe-radius", type=float)
-        if name == "solve":
-            sp.add_argument("--axis", type=int, choices=(1, 2))
-        if name == "design":
-            sp.add_argument("--verify", action="store_true",
-                            help="attach a BIE neutrality report")
-        if name == "disk":
-            sp.add_argument("--f", type=float, help="volume fraction")
-        if name in ("freebvp", "newtonian", "laurent-classify"):
-            sp.add_argument("--f", type=float, help="volume fraction override")
-            sp.add_argument("--shear", type=float, help="inner shear coefficient")
-        if name == "laurent-classify":
-            sp.add_argument("--coeff-tol", type=float)
-        if name == "search":
-            sp.add_argument("--max-evals", type=int)
-            sp.add_argument("--target", type=float)
-            sp.add_argument("--max-order", type=int)
-            sp.add_argument("--perturb", type=float,
-                            help="uniform start perturbation amplitude")
-        if name == "decay":
-            sp.add_argument("--h", choices=sorted(_H_CHOICES))
-            sp.add_argument("--radii", nargs=2, type=float,
-                            metavar=("R1", "R2"))
+        for key, kwargs in flags.items():
+            sp.add_argument("--" + key.replace("_", "-"), **kwargs)
     return ap
 
 
@@ -597,6 +549,23 @@ def _parse_sigma_flag(text: str) -> float | str:
         return float(text)
     except ValueError:
         raise ValidationError(f"conductivity flag must be a number or 'inf', got {text!r}")
+
+
+def _parse_sm_flag(text: str) -> float | str | list:
+    parts = text.split(",")
+    if len(parts) == 1:
+        return _parse_sigma_flag(parts[0])
+    if len(parts) == 2:
+        return [_parse_sigma_flag(p) for p in parts]
+    raise ValidationError("--sm takes SIGMA or S1,S2")
+
+
+# flag attribute -> config key, per config section
+_SECTION_FLAGS = {
+    "profile": {"sc": "sigma_c", "ss": "sigma_s", "sm": "sigma_m"},
+    "numerics": {"nodes": "nodes", "probe_radius": "probe_radius", "tol": "tol"},
+}
+_FLAG_PARSERS = {"sc": _parse_sigma_flag, "sm": _parse_sm_flag}
 
 
 def _merge_flags(cfg: dict, args) -> dict:
@@ -614,76 +583,29 @@ def _merge_flags(cfg: dict, args) -> dict:
             raise ValidationError(f"--map is not valid JSON: {e}")
         geo.clear()
         geo.update({"type": "laurent", "coeffs": m.get("coeffs", {}), "r0": m.get("r0")})
-    if getattr(args, "a1", None) is not None or getattr(args, "am1", None) is not None \
-            or getattr(args, "r0", None) is not None:
+    confocal = {k: getattr(args, k, None) for k in ("a1", "am1", "r0")}
+    if any(v is not None for v in confocal.values()):
         if geo.get("type") not in (None, "confocal"):
             raise ValidationError("--a1/--am1/--r0 conflict with a non-confocal geometry")
         geo["type"] = "confocal"
-        if args.a1 is not None:
-            geo["a1"] = args.a1
-        if args.am1 is not None:
-            geo["am1"] = args.am1
-        if args.r0 is not None:
-            geo["r0"] = args.r0
+        geo.update({k: v for k, v in confocal.items() if v is not None})
         geo.setdefault("am1", 0.0)
     if not geo:
         cfg.pop("geometry")
 
-    prof = cfg.setdefault("profile", {})
-    if getattr(args, "sc", None) is not None:
-        prof["sigma_c"] = _parse_sigma_flag(args.sc)
-    if getattr(args, "ss", None) is not None:
-        prof["sigma_s"] = args.ss
-    if getattr(args, "sm", None) is not None:
-        parts = args.sm.split(",")
-        if len(parts) == 1:
-            prof["sigma_m"] = _parse_sigma_flag(parts[0])
-        elif len(parts) == 2:
-            prof["sigma_m"] = [_parse_sigma_flag(p) for p in parts]
-        else:
-            raise ValidationError("--sm takes SIGMA or S1,S2")
-    if not prof:
-        cfg.pop("profile")
-
-    num = cfg.setdefault("numerics", {})
-    if args.nodes is not None:
-        num["nodes"] = args.nodes
-    if getattr(args, "probe_radius", None) is not None:
-        num["probe_radius"] = args.probe_radius
-    if args.tol is not None:
-        num["tol"] = args.tol
-    if not num:
-        cfg.pop("numerics")
-
-    cmd_key = args.command.replace("-", "_")
-    section_name = {"laurent_classify": "laurent"}.get(cmd_key, cmd_key)
-    sect = cfg.setdefault(section_name, {})
-    for flag, key in (
-        ("axis", "axis"), ("verify", "verify"), ("f", "f"), ("shear", "shear"),
-        ("coeff_tol", "coeff_tol"), ("max_evals", "max_evals"),
-        ("target", "target"), ("max_order", "max_order"),
-        ("perturb", "perturb"), ("h", "h"), ("radii", "radii"),
-    ):
-        v = getattr(args, flag, None)
-        if v is not None and v is not False:
-            sect[key] = list(v) if isinstance(v, tuple) else v
-    if not sect:
-        cfg.pop(section_name)
+    own = {"laurent-classify": "laurent"}.get(args.command, args.command)
+    sections = dict(_SECTION_FLAGS, **{own: {k: k for k in _COMMANDS[args.command][1]}})
+    for name, flags in sections.items():
+        sect = cfg.setdefault(name, {})
+        for flag, key in flags.items():
+            v = getattr(args, flag)
+            if v is not None and v is not False:
+                sect[key] = _FLAG_PARSERS[flag](v) if flag in _FLAG_PARSERS else v
+        if not sect:
+            cfg.pop(name)
 
     validate_config(cfg)
     return cfg
-
-
-_HANDLERS = {
-    "solve": cmd_solve,
-    "neutrality": cmd_neutrality,
-    "design": cmd_design,
-    "disk": cmd_disk,
-    "newtonian": cmd_newtonian,
-    "freebvp": cmd_freebvp,
-    "laurent-classify": cmd_laurent_classify,
-    "decay": cmd_decay,
-}
 
 
 def main(argv=None) -> int:
@@ -692,14 +614,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _merge_flags(cfg, args)
-        if args.command == "search":
-            result, csv_files = cmd_search(cfg, seed=args.seed)
-        else:
-            result, csv_files = _HANDLERS[args.command](cfg)
+        result, csv_files = _COMMANDS[args.command][0](cfg, args.seed)
     except (ValidationError, GeometryError, UnsupportedConfigurationError) as e:
-        return _fail(1, f"error: {e}")
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     except (SolverError, DesignError, NearEvaluationError) as e:
-        return _fail(2, f"numerical failure: {e}")
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 2
 
     report = {
         "command": args.command,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DesignError, ValidationError
 from .geometry import CoatedInclusion, _validate_confocal_params, area, discretize
-from .transmission import ConductivityProfile
+from .transmission import ConductivityProfile, _core_contrast
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ class DesignResult:
             "smu": self.smu,
             "shear": self.shear,
         }
-
-
-def _lam(sigma_c: float, sigma_s: float) -> float:
-    if sigma_c == sigma_s:
-        raise ValidationError("core and shell conductivities must differ")
-    if math.isinf(sigma_c):
-        return 0.5
-    return (sigma_c + sigma_s) / (2.0 * (sigma_c - sigma_s))
 
 
 def sigma_from_mu(mu: float, sigma_s: float) -> float:
@@ -114,7 +106,7 @@ def confocal_design(
     if math.isnan(sigma_c) or sigma_c < 0:
         raise ValidationError(f"core conductivity must be >= 0 (inf allowed), got {sigma_c}")
 
-    lam = _lam(sigma_c, sigma_s)
+    lam = _core_contrast(sigma_c, sigma_s)
     f = (a1**2 - am1**2) / (a1**2 * r0**2 - am1**2 / r0**2)
     shear = am1 * (f / r0**2 - 1.0) / a1
     dmu = -shear / f
@@ -154,19 +146,3 @@ def check_area_relation(dr: DesignResult, inc: CoatedInclusion, n: int = 256) ->
     """
     f_quad = area(discretize(inc.inner, n)) / area(discretize(inc.outer, n))
     return abs(2.0 * dr.lam / dr.smu + f_quad)
-
-
-def design_profile(
-    a1: float, am1: float, r0: float, sigma_c: float, sigma_s: float
-) -> tuple[DesignResult, ConductivityProfile]:
-    """Convenience: design and bundle the profile in one call."""
-    dr = confocal_design(a1, am1, r0, sigma_c, sigma_s)
-    return dr, dr.profile(sigma_c, sigma_s)
-
-
-def verify_design(dr: DesignResult, inc: CoatedInclusion, sigma_c: float, sigma_s: float,
-                  n: int = 256):
-    """Neutrality report for a designed configuration (BIE cross-check)."""
-    from .transmission import neutrality_report
-
-    return neutrality_report(inc, dr.profile(sigma_c, sigma_s), n)

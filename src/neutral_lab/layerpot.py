@@ -174,10 +174,13 @@ def resample_periodic(values: np.ndarray, m: int) -> np.ndarray:
     return fine.real if np.isrealobj(values) else fine
 
 
-def _refined_source(src: Discretization, density, targets):
-    """Upsample source and density until the trapezoid tail is negligible."""
-    pts = _targets_xy(targets)
-    dist = min_target_distance(src, pts)
+def _refined_grid(src: Discretization, targets) -> Discretization:
+    """Upsample the source grid until the trapezoid tail is negligible at targets.
+
+    The one refinement rule of the package: the near layer potentials here
+    and the near Newtonian potentials both use it.
+    """
+    dist = min_target_distance(src, targets)
     if dist <= 0:
         raise NearEvaluationError("target lies on the source curve", distance=dist, limit=0.0)
     smax = float(np.max(src.speed))
@@ -188,27 +191,14 @@ def _refined_source(src: Discretization, density, targets):
             f"target at distance {dist:.3e} needs {m} nodes (> cap {_REFINE_CAP})",
             distance=dist,
         )
-    fine = discretize(src.curve, m)
-    return fine, resample_periodic(np.asarray(density), m), pts
-
-
-def single_layer_near(src: Discretization, density, targets) -> np.ndarray:
-    """S[density] at targets arbitrarily close to (but not on) the curve."""
-    fine, rho, pts = _refined_source(src, density, targets)
-    out = np.empty(len(pts), dtype=rho.dtype if np.iscomplexobj(rho) else float)
-    block = max(1, int(4e6) // fine.n)
-    rw = rho * fine.weights
-    for lo in range(0, len(pts), block):
-        s = slice(lo, lo + block)
-        dx = pts[s, None, 0] - fine.nodes[None, :, 0]
-        dy = pts[s, None, 1] - fine.nodes[None, :, 1]
-        out[s] = (0.5 * np.log(dx * dx + dy * dy)) @ rw / (2 * math.pi)
-    return out
+    return discretize(src.curve, m)
 
 
 def single_layer_grad_near(src: Discretization, density, targets) -> np.ndarray:
     """grad S[density] at targets arbitrarily close to (but not on) the curve."""
-    fine, rho, pts = _refined_source(src, density, targets)
+    pts = _targets_xy(targets)
+    fine = _refined_grid(src, pts)
+    rho = resample_periodic(np.asarray(density), fine.n)
     out = np.empty((len(pts), 2))
     block = max(1, int(4e6) // fine.n)
     rw = rho * fine.weights

@@ -26,14 +26,12 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import CoatedInclusion, Discretization, discretize
 from .layerpot import (
-    _targets_xy,
     _near_guard,
-    min_target_distance,
+    _refined_grid,
+    _targets_xy,
+    single_layer_off,
     single_layer_on_boundary,
-    _REFINE_CAP,
-    _REFINE_DECADES,
 )
-from .errors import NearEvaluationError
 
 
 def _boundary_reduction(src: Discretization, pts: np.ndarray) -> np.ndarray:
@@ -54,40 +52,22 @@ def newtonian_potential(src: Discretization, targets, min_distance=None) -> np.n
 
 def newtonian_gradient(src: Discretization, targets, min_distance=None) -> np.ndarray:
     """grad N_D at off-curve targets, via -(S[n_1], S[n_2])."""
-    from .layerpot import single_layer_off
-
     pts = _targets_xy(targets)
     gx = single_layer_off(src, src.normals[:, 0], pts, min_distance)
     gy = single_layer_off(src, src.normals[:, 1], pts, min_distance)
     return -np.column_stack([gx, gy])
 
 
-def _fine_for(src: Discretization, pts: np.ndarray) -> Discretization:
-    """Refined copy of the source grid adequate for arbitrarily close targets."""
-    dist = min_target_distance(src, pts)
-    if dist <= 0:
-        raise NearEvaluationError("target lies on the source curve", distance=dist)
-    smax = float(np.max(src.speed))
-    need = max(2 * src.n, int(math.ceil(_REFINE_DECADES * smax / dist)))
-    m = 1 << int(math.ceil(math.log2(need)))
-    if m > _REFINE_CAP:
-        raise NearEvaluationError(
-            f"target at distance {dist:.3e} needs {m} quadrature nodes (> cap)",
-            distance=dist,
-        )
-    return discretize(src.curve, m) if m != src.n else src
-
-
 def newtonian_potential_near(src: Discretization, targets) -> np.ndarray:
     """N_D at targets that may sit close to the curve (adaptive upsampling)."""
     pts = _targets_xy(targets)
-    return _boundary_reduction(_fine_for(src, pts), pts)
+    return _boundary_reduction(_refined_grid(src, pts), pts)
 
 
 def newtonian_gradient_near(src: Discretization, targets) -> np.ndarray:
     """grad N_D near the curve (adaptive upsampling; never on it)."""
     pts = _targets_xy(targets)
-    fine = _fine_for(src, pts)
+    fine = _refined_grid(src, pts)
     dx = pts[:, None, 0] - fine.nodes[None, :, 0]
     dy = pts[:, None, 1] - fine.nodes[None, :, 1]
     logr = 0.5 * np.log(dx * dx + dy * dy)

@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
+from .designer import confocal_design
 from .errors import (
     GeometryError,
     NearEvaluationError,
@@ -203,6 +203,8 @@ def search(
     converged means the target objective was reached; the incumbent best
     point and the best-so-far history are returned either way.
     """
+    import scipy.optimize  # deferred: it costs more to import than the whole package
+
     if max_evals < 1 or run_budget < 1:
         raise ValidationError("evaluation budgets must be positive")
     if target <= 0:
@@ -306,7 +308,7 @@ def perturbation_study(
     (Nelder-Mead, reopt_budget evaluations). Amplitudes that break the
     geometry are reported with valid=False and NaN objectives.
     """
-    from .designer import confocal_design
+    import scipy.optimize
 
     dr = confocal_design(1.0, am1, r0, sigma_c, sigma_s)
     cfg = SearchConfig(sigma_c=sigma_c, sigma_s=sigma_s, max_order=2, nodes=nodes)

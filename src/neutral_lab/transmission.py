@@ -96,16 +96,24 @@ class ContrastParams:
     mu: tuple[float, float]
 
 
+def _core_contrast(sigma_c: float, sigma_s: float) -> float:
+    """lam = (sc+ss)/(2(sc-ss)); sigma_c = 0 and inf give exactly -1/2 and +1/2."""
+    if sigma_c == sigma_s:
+        raise ValidationError("core and shell conductivities must differ")
+    if math.isinf(sigma_c):
+        return 0.5
+    return (sigma_c + sigma_s) / (2.0 * (sigma_c - sigma_s))
+
+
 def contrasts(p: ConductivityProfile) -> ContrastParams:
     """lam = (sc+ss)/(2(sc-ss)), mu_j = (ss+sm_j)/(2(ss-sm_j)).
 
     sigma_c = 0 and inf land exactly on lam = -1/2 and +1/2. Physical
     profiles always give |mu_j| > 1/2.
     """
-    sc, ss = p.sigma_c, p.sigma_s
-    lam = 0.5 if math.isinf(sc) else (sc + ss) / (2.0 * (sc - ss))
+    ss = p.sigma_s
     mu = tuple((ss + sm) / (2.0 * (ss - sm)) for sm in p.sigma_m)
-    return ContrastParams(lam, mu)
+    return ContrastParams(_core_contrast(p.sigma_c, ss), mu)
 
 
 @dataclass(frozen=True)
@@ -325,14 +333,6 @@ def _core_grid(inc: CoatedInclusion, count: int = 16) -> np.ndarray:
     return np.vstack([pts, [c0.real, c0.imag]])
 
 
-def _interior_gradient(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
-    return (
-        pair.h.gradient(pts)
-        + single_layer_grad_off(pair.disc_inner, pair.phi, pts)
-        + single_layer_grad_off(pair.disc_outer, pair.psi, pts)
-    )
-
-
 def _inner_flux(pair: DensityPair, eps: float = OFFSET_EPS) -> np.ndarray:
     """Interior normal derivative of u on the core boundary.
 
@@ -428,8 +428,8 @@ def neutrality_report(
         probe_radius = 3.0 * r_out
     if probe_radius < 2.0 * r_out:
         raise ValidationError(
-            f"probe radius {probe_radius} too tight; needs margin of at least "
-            f"the outer max radius ({r_out:.4f})"
+            f"probe radius {probe_radius} too tight; needs at least twice "
+            f"the outer max radius ({2 * r_out:.4f})"
         )
     probe = _probe_circle(probe_radius, probe_points)
     core = _core_grid(inc)
@@ -446,7 +446,7 @@ def neutrality_report(
             + pair.disc_outer.nodes.T @ (pair.psi * pair.disc_outer.weights)
         )
 
-        grads = _interior_gradient(pair, core)
+        _, grads = eval_u(inc, pair, p, core)
         gmean = grads.mean(axis=0)
         gdev = float(np.max(np.linalg.norm(grads - gmean, axis=1)))
         slope_measured = float(gmean[j])

@@ -127,6 +127,31 @@ def test_search_nonconvergence_exits_two(tmp_path):
     assert "converge" in proc.stderr.lower() or "objective" in proc.stderr.lower()
 
 
+def test_search_perturb_requires_seed():
+    # an unseeded random start could not be reproduced from the report
+    proc = run_cli("search", "--a1", "1", "--am1", "0.2", "--r0", "1.5",
+                   "--sc", "5", "--ss", "1", "--sm", "1.9471087969306659,1.6983228935138412",
+                   "--perturb", "0.05", "--max-evals", "25")
+    assert proc.returncode == 1
+    assert "--seed" in proc.stderr
+
+
+def test_search_map_coefficients():
+    args = ("search", "--sc", "5", "--ss", "1",
+            "--sm", "1.9471087969306659,1.6983228935138412",
+            "--target", "1e-10", "--max-evals", "50", "--map")
+    # a real coefficient may be written as an [re, im] pair
+    proc = run_cli(*args, '{"coeffs": {"1": [1, 0], "-1": 0.2}, "r0": 1.5}')
+    rep = report_of(proc)
+    assert rep["result"]["converged"] is True
+    assert rep["result"]["params"]["coeffs"]["-1"] == 0.2
+    # complex coefficients and a_1 != 1 leave the search space
+    for coeffs in ('{"1": 1, "-1": [0.2, 0.1]}', '{"1": 2, "-1": 0.2}'):
+        proc = run_cli(*args, f'{{"coeffs": {coeffs}, "r0": 1.5}}')
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+
+
 def test_search_at_design_converges(tmp_path):
     out = tmp_path / "search"
     proc = run_cli("--out", str(out), "search", "--a1", "1", "--am1", "0.2",

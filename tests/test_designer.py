@@ -10,13 +10,11 @@ from neutral_lab.geometry import confocal_pair
 from neutral_lab.designer import (
     check_area_relation,
     confocal_design,
-    design_profile,
     disk_matrix_conductivity,
     reciprocal_dual,
     sigma_from_mu,
-    verify_design,
 )
-from neutral_lab.transmission import ConductivityProfile
+from neutral_lab.transmission import ConductivityProfile, neutrality_report
 
 # reference design, (a1, a_-1, r0, sigma_c, sigma_s) = (1, 0.2, 1.5, 5, 1);
 # f and the slopes are exact rationals, the rest closed-form evaluations
@@ -144,9 +142,10 @@ def test_area_relation_quadrature_crosscheck():
 
 
 def test_design_profile_and_verify():
-    dr, p = design_profile(1.0, 0.2, 1.5, 5.0, 1.0)
+    dr = confocal_design(1.0, 0.2, 1.5, 5.0, 1.0)
+    p = dr.profile(5.0, 1.0)
     assert p.sigma_m == dr.sigma_m
-    rep = verify_design(dr, confocal_pair(1.0, 0.2, 1.5), 5.0, 1.0, n=128)
+    rep = neutrality_report(confocal_pair(1.0, 0.2, 1.5), p, n=128)
     assert max(rep.residuals) < 1e-12
 
 
@@ -158,5 +157,5 @@ def test_extreme_contrast_designs_verify(sigma_c):
         math.inf: (3.107317073170732, 2.1755102040816325),
     }[sigma_c]
     assert dr.sigma_m == pytest.approx(expected, rel=1e-12)
-    rep = verify_design(dr, confocal_pair(1.0, 0.2, 1.5), sigma_c, 1.0, n=128)
+    rep = neutrality_report(confocal_pair(1.0, 0.2, 1.5), dr.profile(sigma_c, 1.0), n=128)
     assert max(rep.residuals) < 1e-12

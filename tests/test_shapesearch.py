@@ -1,6 +1,8 @@
 """Derivative-free neutrality search over Laurent shapes and coatings."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -130,3 +132,12 @@ def test_perturbation_study_monotone():
     reopts = [r.objective_reopt for r in rows]
     assert all(b > a for a, b in zip(reopts, reopts[1:]))
     assert all(r.objective_reopt <= r.objective_fixed for r in rows)
+
+
+def test_package_import_defers_scipy_optimize():
+    # scipy.optimize is the slowest import; only the shapesearch optimizers need it
+    code = "import sys, neutral_lab; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

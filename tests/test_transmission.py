@@ -166,7 +166,7 @@ def test_constant_background_rejected():
 def test_probe_radius_precondition():
     inc = disks()
     p = ConductivityProfile.isotropic(5.0, 1.0, 2.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="twice the outer max radius"):
         neutrality_report(inc, p, n=64, probe_radius=1.5)
 
 

@@ -158,13 +158,12 @@ _SCHEMA = {
     "neutrality": {},
     "design": {"verify": lambda v: isinstance(v, bool)},
     "disk": {"f": _is_num},
-    "newtonian": {},
+    "newtonian": {"f": _is_num, "shear": _is_num},
     "freebvp": {"f": _is_num, "shear": _is_num},
     "laurent": {"f": _is_num, "shear": _is_num, "coeff_tol": _is_num},
     "search": {
         "max_evals": lambda v: isinstance(v, int) and not isinstance(v, bool),
         "target": _is_num,
-        "run_budget": lambda v: isinstance(v, int) and not isinstance(v, bool),
         "max_order": lambda v: isinstance(v, int) and not isinstance(v, bool),
         "perturb": _is_num,
         "sigma_m": lambda v: isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v),
@@ -289,6 +288,13 @@ def _emit(report: dict, out_dir: str | None, csv_files: dict | None = None) -> N
 
 # ---------------------------------------------------------------------------
 # command handlers: each takes (cfg, seed) and returns (result_dict, csv_files)
+
+
+class _Sections(dict):
+    """The merged config; indexing a missing section raises ValidationError."""
+
+    def __missing__(self, key):
+        raise ValidationError(f"config has no '{key}' section")
 
 
 def _numerics(cfg: dict) -> dict:
@@ -462,7 +468,6 @@ def cmd_search(cfg, seed):
         start, scfg,
         max_evals=sect.get("max_evals", 5000),
         target=sect.get("target", 1e-12),
-        run_budget=sect.get("run_budget", 1500),
     )
     result = res.as_dict()
     if not res.converged:
@@ -581,6 +586,8 @@ def _merge_flags(cfg: dict, args) -> dict:
             m = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValidationError(f"--map is not valid JSON: {e}")
+        if not isinstance(m, dict):
+            raise ValidationError("--map must be a JSON object")
         geo.clear()
         geo.update({"type": "laurent", "coeffs": m.get("coeffs", {}), "r0": m.get("r0")})
     confocal = {k: getattr(args, k, None) for k in ("a1", "am1", "r0")}
@@ -614,7 +621,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _merge_flags(cfg, args)
-        result, csv_files = _COMMANDS[args.command][0](cfg, args.seed)
+        result, csv_files = _COMMANDS[args.command][0](_Sections(cfg), args.seed)
     except (ValidationError, GeometryError, UnsupportedConfigurationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -1,17 +1,19 @@
-"""Derivative-free search for neutral coated shapes.
+"""Bounded least-squares search for neutral coated shapes.
 
 The shape space is a truncated Laurent map with the gauge a_1 = 1: the free
 unknowns are the real coefficients a_n for -M <= n <= -1 and 2 <= n <= M,
 the modulus r0 of the outer circle, and the two (log-parametrized) coating
-conductivities. The objective is the summed squared exterior residual of
-the two uniform-gradient transmission solves, so it vanishes exactly on
-neutral configurations. Invalid geometry or out-of-bound parameters earn a
-large penalty plus the violation magnitude, which keeps the simplex moving
-back toward the feasible set.
+conductivities, inside the box that SearchConfig defines. The residual is
+the stacked exterior deviation u - x_j of the two uniform-gradient
+transmission solves on a probe circle, so it vanishes exactly on neutral
+configurations; the reported objective is the summed squared maximum
+deviation of the two axes.
 
-The optimizer is restarted Nelder-Mead (scipy); restarts re-seed the
-simplex at the incumbent best point, which recovers from premature simplex
-collapse. Everything is deterministic: no randomness enters the search.
+The optimizer is scipy's bounded trust-region reflective least squares
+(method "trf") with finite-difference Jacobians. A point whose geometry or
+solve fails gets a constant residual larger than any feasible one, so the
+trust region rejects the step. Everything is deterministic: no randomness
+enters the search.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .transmission import ConductivityProfile, _probe_circle, eval_u, solve_both
 
 PENALTY = 1.0e6
 _CHECK_SAMPLES = 128  # angular resolution of validity checks inside the objective
+_FAILURES = (GeometryError, ValidationError, SolverError, NearEvaluationError)
+_TOL = 1e-15  # least_squares ftol/xtol/gtol: the target or max_evals ends a run
 
 
 @dataclass(frozen=True)
@@ -116,21 +120,22 @@ def decode(x: np.ndarray, cfg: SearchConfig) -> ShapeParams:
     return ShapeParams(coeffs=coeffs, r0=r0, sigma_m=sigma_m)
 
 
-def _bound_violation(x: np.ndarray, cfg: SearchConfig) -> float:
+def _box(cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds of the search space, in encode() coordinates."""
     k = len(cfg.coeff_orders)
-    v = 0.0
-    for c in x[:k]:
-        v += max(0.0, abs(c) - cfg.coeff_bound)
-    lo, hi = cfg.r0_bounds
-    v += max(0.0, lo - x[k]) + max(0.0, x[k] - hi)
-    llo, lhi = math.log(cfg.sigma_bounds[0]), math.log(cfg.sigma_bounds[1])
-    for s in x[k + 1 :]:
-        v += max(0.0, llo - s) + max(0.0, s - lhi)
-    return v
+    llo, lhi = (math.log(s) for s in cfg.sigma_bounds)
+    lo = np.array([-cfg.coeff_bound] * k + [cfg.r0_bounds[0], llo, llo])
+    hi = np.array([cfg.coeff_bound] * k + [cfg.r0_bounds[1], lhi, lhi])
+    return lo, hi
 
 
-def residuals(params: ShapeParams, cfg: SearchConfig) -> tuple[float, float]:
-    """Max exterior deviation |u - x_j| per axis on the standard probe circle."""
+def _in_box(x: np.ndarray, cfg: SearchConfig) -> bool:
+    lo, hi = _box(cfg)
+    return x.shape == lo.shape and bool(np.all((lo <= x) & (x <= hi)))
+
+
+def _deviations(params: ShapeParams, cfg: SearchConfig) -> list[np.ndarray]:
+    """Exterior deviation u - x_j per axis on the standard probe circle; finite."""
     inc = laurent_domain(params.laurent_map(), samples=_CHECK_SAMPLES)
     profile = ConductivityProfile(
         sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s, sigma_m=params.sigma_m
@@ -140,35 +145,42 @@ def residuals(params: ShapeParams, cfg: SearchConfig) -> tuple[float, float]:
     out = []
     for pair in solve_both_axes(inc, profile, n=cfg.nodes):
         vals, _ = eval_u(inc, pair, profile, probe)
-        out.append(float(np.max(np.abs(vals - probe[:, pair.axis - 1]))))
-    return out[0], out[1]
+        out.append(vals - probe[:, pair.axis - 1])
+    if not all(np.all(np.isfinite(d)) for d in out):
+        raise SolverError("non-finite field on the probe circle")
+    return out
+
+
+def residuals(params: ShapeParams, cfg: SearchConfig) -> tuple[float, float]:
+    """Max exterior deviation |u - x_j| per axis on the standard probe circle."""
+    r1, r2 = (float(np.max(np.abs(d))) for d in _deviations(params, cfg))
+    return r1, r2
 
 
 def objective(x: np.ndarray, cfg: SearchConfig) -> float:
-    """Penalized summed squared residual; zero exactly at neutrality."""
+    """Summed squared residual; zero exactly at neutrality.
+
+    Points outside the search box, or whose geometry or solve fails, score
+    PENALTY + 1.
+    """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        return PENALTY + float(np.sum(~np.isfinite(x)))
-    viol = _bound_violation(x, cfg)
-    if viol > 0.0:
-        return PENALTY + viol
-    try:
-        params = decode(x, cfg)
-        r1, r2 = residuals(params, cfg)
-    except (GeometryError, ValidationError, SolverError, NearEvaluationError):
-        return PENALTY + 1.0
-    if not (math.isfinite(r1) and math.isfinite(r2)):
-        return PENALTY + 1.0
-    return r1 * r1 + r2 * r2
+    if _in_box(x, cfg):
+        try:
+            r1, r2 = residuals(decode(x, cfg), cfg)
+            return r1 * r1 + r2 * r2
+        except _FAILURES:
+            pass
+    return PENALTY + 1.0
 
 
 @dataclass
 class SearchResult:
-    """Outcome of a restarted Nelder-Mead run.
+    """Outcome of a bounded least-squares search.
 
-    history holds the best objective so far after every evaluation;
-    improvements records (evaluation index, objective, confocality gap) at
-    each point where the incumbent improved.
+    history holds the best objective so far after every evaluation,
+    finite-difference Jacobian evaluations included; improvements records
+    (evaluation index, objective, confocality gap) at each point where the
+    incumbent improved.
     """
 
     params: ShapeParams
@@ -189,87 +201,81 @@ class SearchResult:
         }
 
 
+def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
+    """Bounded trust-region least squares on the stacked probe deviations.
+
+    params_of maps an unknown vector to ShapeParams. A point whose geometry
+    or solve fails gets a constant residual larger than any feasible one.
+    Every evaluation counts against max_evals, and the run stops once the
+    objective reaches target. Returns the best-so-far history and the
+    improvements as (evaluation index, objective, params).
+    """
+    import scipy.optimize  # deferred: it costs more to import than the whole package
+
+    if max_evals < 1:
+        raise ValidationError("the evaluation budget must be positive")
+    failed = np.full(2 * cfg.probe_points, math.sqrt(PENALTY))
+    history: list[float] = []
+    improvements: list[tuple[int, float, ShapeParams]] = []
+
+    class _Stop(Exception):
+        pass
+
+    def fun(x):
+        params = params_of(x)
+        try:
+            devs = _deviations(params, cfg)
+            r1, r2 = (float(np.max(np.abs(d))) for d in devs)
+            f, r = r1 * r1 + r2 * r2, np.concatenate(devs)
+        except _FAILURES:
+            f, r = PENALTY + 1.0, failed
+        if not history or f < history[-1]:
+            improvements.append((len(history) + 1, f, params))
+        history.append(improvements[-1][1])
+        if history[-1] <= target or len(history) >= max_evals:
+            raise _Stop
+        return r
+
+    try:
+        scipy.optimize.least_squares(
+            fun, x0, bounds=bounds, method="trf", x_scale="jac",
+            ftol=_TOL, xtol=_TOL, gtol=_TOL, max_nfev=max_evals,
+        )
+    except _Stop:
+        pass
+    return history, improvements
+
+
 def search(
     start: ShapeParams,
     cfg: SearchConfig,
     max_evals: int = 5000,
     target: float = 1e-12,
-    run_budget: int = 1500,
-    xatol: float = 1e-12,
-    fatol: float = 1e-12,
 ) -> SearchResult:
     """Minimize the neutrality objective from a given starting shape.
 
-    converged means the target objective was reached; the incumbent best
-    point and the best-so-far history are returned either way.
+    The start must lie inside the search box. converged means the target
+    objective was reached; the incumbent best point and the best-so-far
+    history are returned either way.
     """
-    import scipy.optimize  # deferred: it costs more to import than the whole package
-
-    if max_evals < 1 or run_budget < 1:
-        raise ValidationError("evaluation budgets must be positive")
     if target <= 0:
         raise ValidationError("target must be positive")
+    x0 = encode(start, cfg)
+    if not _in_box(x0, cfg):
+        raise ValidationError(f"the start lies outside the search box of {cfg}")
 
-    state = {"evals": 0, "best_f": math.inf, "best_x": None}
-    history: list[float] = []
-    improvements: list[tuple[int, float, float]] = []
-
-    class _TargetReached(Exception):
-        pass
-
-    def fun(x):
-        f = objective(x, cfg)
-        state["evals"] += 1
-        if f < state["best_f"]:
-            state["best_f"] = f
-            state["best_x"] = np.array(x, dtype=float)
-            gap = max(
-                (abs(float(v)) for v, k in zip(state["best_x"], cfg.coeff_orders)
-                 if abs(k) >= 2),
-                default=0.0,
-            )
-            improvements.append((state["evals"], f, gap))
-        history.append(state["best_f"])
-        if f <= target:
-            raise _TargetReached
-        return f
-
-    try:
-        fun(encode(start, cfg))
-        stale = 0
-        while state["best_f"] > target and state["evals"] < max_evals and stale < 2:
-            before = state["best_f"]
-            budget = min(run_budget, max_evals - state["evals"])
-            if budget < cfg.dim + 2:
-                break
-            scipy.optimize.minimize(
-                fun,
-                state["best_x"],
-                method="Nelder-Mead",
-                options={
-                    "maxfev": budget,
-                    "xatol": xatol,
-                    "fatol": fatol,
-                    "disp": False,
-                },
-            )
-            improved = state["best_f"] < before * (1.0 - 1e-3) or state["best_f"] < before - 1e-15
-            stale = 0 if improved else stale + 1
-    except _TargetReached:
-        pass
-
-    try:
-        best = decode(state["best_x"], cfg)
-    except OverflowError as exc:
-        raise SolverError("search never reached the feasible region") from exc
+    history, improvements = _least_squares(
+        lambda x: decode(x, cfg), x0, _box(cfg), cfg, max_evals, target
+    )
+    _, best_f, best = improvements[-1]
     return SearchResult(
         params=best,
-        objective=state["best_f"],
-        evals=state["evals"],
+        objective=best_f,
+        evals=len(history),
         history=history,
-        improvements=improvements,
+        improvements=[(e, f, p.confocality_gap()) for e, f, p in improvements],
         confocality_gap=best.confocality_gap(),
-        converged=state["best_f"] <= target,
+        converged=best_f <= target,
     )
 
 
@@ -305,11 +311,10 @@ def perturbation_study(
     For each amplitude eps the inner/outer pair of the confocal design gets
     an a_2 = eps Laurent term. objective_fixed keeps the designed coating
     conductivities; objective_reopt re-optimizes only the two conductivities
-    (Nelder-Mead, reopt_budget evaluations). Amplitudes that break the
-    geometry are reported with valid=False and NaN objectives.
+    (least squares as in search, without bounds, reopt_budget evaluations).
+    Amplitudes that break the geometry are reported with valid=False and NaN
+    objectives.
     """
-    import scipy.optimize
-
     dr = confocal_design(1.0, am1, r0, sigma_c, sigma_s)
     cfg = SearchConfig(sigma_c=sigma_c, sigma_s=sigma_s, max_order=2, nodes=nodes)
     rows = []
@@ -318,29 +323,15 @@ def perturbation_study(
         params = ShapeParams(coeffs=coeffs, r0=r0, sigma_m=dr.sigma_m)
         try:
             r1, r2 = residuals(params, cfg)
-        except (GeometryError, ValidationError, SolverError, NearEvaluationError):
+        except _FAILURES:
             rows.append(PerturbationRow(float(eps), False, math.nan, math.nan))
             continue
         fixed = r1 * r1 + r2 * r2
 
-        def fun(ls, _coeffs=coeffs):
-            p = ShapeParams(
-                coeffs=_coeffs,
-                r0=r0,
-                sigma_m=(math.exp(float(ls[0])), math.exp(float(ls[1]))),
-            )
-            try:
-                a, b = residuals(p, cfg)
-            except (GeometryError, ValidationError, SolverError, NearEvaluationError):
-                return PENALTY
-            return a * a + b * b
-
-        res = scipy.optimize.minimize(
-            fun,
-            np.log(np.asarray(dr.sigma_m)),
-            method="Nelder-Mead",
-            options={"maxfev": reopt_budget, "xatol": 1e-12, "fatol": 1e-14, "disp": False},
+        x = encode(params, cfg)
+        history, _ = _least_squares(
+            lambda ls, x=x: decode(np.concatenate([x[:-2], ls]), cfg),
+            x[-2:], (-np.inf, np.inf), cfg, reopt_budget, 0.0,
         )
-        reopt = min(fixed, float(res.fun))
-        rows.append(PerturbationRow(float(eps), True, fixed, reopt))
+        rows.append(PerturbationRow(float(eps), True, fixed, min(fixed, history[-1])))
     return rows

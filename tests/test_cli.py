@@ -122,7 +122,7 @@ def test_search_nonconvergence_exits_two(tmp_path):
     proc = run_cli("--seed", "3", "search", "--a1", "1", "--am1", "0.2",
                    "--r0", "1.5", "--sc", "5", "--ss", "1",
                    "--sm", "1.9471087969306659,1.6983228935138412",
-                   "--perturb", "0.05", "--max-evals", "25", "--target", "1e-12")
+                   "--perturb", "0.05", "--max-evals", "5", "--target", "1e-12")
     assert proc.returncode == 2
     assert "converge" in proc.stderr.lower() or "objective" in proc.stderr.lower()
 
@@ -197,3 +197,28 @@ def test_freebvp_command():
     assert res["harmonicity_residual"] < 1e-5
     assert res["outer_bc_residual"] < 1e-8
     assert res["inner_bc_residual"] < 1e-8
+
+
+def test_missing_section_exits_one():
+    # no geometry flags: the handler finds no geometry section
+    proc = run_cli("neutrality", "--sc", "5", "--ss", "1", "--sm", "2")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: config has no 'geometry' section\n"
+    proc = run_cli("solve", "--a1", "1", "--am1", "0.2", "--r0", "1.5")
+    assert proc.returncode == 1
+    assert "'profile'" in proc.stderr
+
+
+def test_newtonian_explicit_shell_parameters():
+    # a non-confocal shape has no design, so f and shear come from the flags
+    proc = run_cli("newtonian", "--map", '{"coeffs": {"1": 1, "2": 0.05}, "r0": 1.5}',
+                   "--f", "0.4", "--shear", "0.1")
+    rep = report_of(proc)
+    assert rep["config"]["newtonian"] == {"f": 0.4, "shear": 0.1}
+    assert rep["result"]["d_expected"] == pytest.approx([0.175, 0.125])
+
+
+def test_map_must_be_object():
+    proc = run_cli("laurent-classify", "--map", "[1]")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --map must be a JSON object\n"

@@ -88,17 +88,20 @@ def test_search_returns_immediately_at_optimum(cfg, design):
 
 
 def test_search_recovers_confocal_shape(cfg, design):
-    start = ShapeParams(coeffs={-2: 0.04, -1: 0.2, 2: -0.03}, r0=1.5, sigma_m=design.sigma_m)
-    res = search(start, cfg, max_evals=4000, target=1e-10)
-    assert res.converged
-    assert res.objective <= 1e-10
-    assert res.confocality_gap <= 1e-3
-    # best-so-far history never increases; improvements are strictly better
-    assert all(b <= a for a, b in zip(res.history, res.history[1:]))
-    objs = [f for _, f, _ in res.improvements]
-    assert all(b < a for a, b in zip(objs, objs[1:]))
-    evals = [e for e, _, _ in res.improvements]
-    assert all(b > a for a, b in zip(evals, evals[1:]))
+    # (a_-2, a_2); the second start, the first draw of default_rng(15) in +-0.05,
+    # once stalled at objective 4.9e-9 after 5000 evaluations
+    for am2, a2 in [(0.04, -0.03), (0.03158171113360575, 0.019274336796515232)]:
+        start = ShapeParams(coeffs={-2: am2, -1: 0.2, 2: a2}, r0=1.5, sigma_m=design.sigma_m)
+        res = search(start, cfg, max_evals=4000, target=1e-10)
+        assert res.converged
+        assert res.objective <= 1e-10
+        assert res.confocality_gap <= 1e-3
+        # best-so-far history never increases; improvements are strictly better
+        assert all(b <= a for a, b in zip(res.history, res.history[1:]))
+        objs = [f for _, f, _ in res.improvements]
+        assert all(b < a for a, b in zip(objs, objs[1:]))
+        evals = [e for e, _, _ in res.improvements]
+        assert all(b > a for a, b in zip(evals, evals[1:]))
 
 
 def test_search_is_deterministic(cfg, design):
@@ -112,9 +115,9 @@ def test_search_is_deterministic(cfg, design):
 
 def test_search_reports_nonconvergence(cfg, design):
     start = ShapeParams(coeffs={-2: 0.05, -1: 0.2, 2: 0.05}, r0=1.5, sigma_m=design.sigma_m)
-    res = search(start, cfg, max_evals=30, target=1e-10)
+    res = search(start, cfg, max_evals=5, target=1e-10)
     assert not res.converged
-    assert res.evals <= 30
+    assert res.evals <= 5
     with pytest.raises(ValidationError):
         search(start, cfg, max_evals=0)
     with pytest.raises(ValidationError):
@@ -141,3 +144,9 @@ def test_package_import_defers_scipy_optimize():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_search_refuses_start_outside_box(cfg, design):
+    start = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: 0.0}, r0=5.0, sigma_m=design.sigma_m)
+    with pytest.raises(ValidationError, match="search box"):
+        search(start, cfg)

@@ -48,7 +48,7 @@ from .transmission import (
     eval_u,
     neutrality_report,
     solve_uniform,
-    _probe_circle,
+    _far_probe,
 )
 
 _INF_TOKENS = {"inf", "Infinity", "infinity"}
@@ -308,9 +308,8 @@ def cmd_solve(cfg, seed):
     prof = build_profile(cfg["profile"])
     num = _numerics(cfg)
     axis = cfg.get("solve", {}).get("axis", 1)
+    radius, probe = _far_probe(inc, num["probe_radius"], num["probe_points"])
     pair = solve_uniform(inc, prof, axis, n=num["nodes"])
-    radius = num["probe_radius"] or 3.0 * inc.outer.max_radius()
-    probe = _probe_circle(radius, num["probe_points"])
     vals, grads = eval_u(inc, pair, prof, probe)
     resid = float(np.max(np.abs(vals - probe[:, axis - 1])))
     result = {
@@ -581,7 +580,10 @@ def _merge_flags(cfg: dict, args) -> dict:
     if getattr(args, "map", None):
         text = args.map
         if text.startswith("@"):
-            text = Path(text[1:]).read_text(encoding="utf-8")
+            try:
+                text = Path(text[1:]).read_text(encoding="utf-8")
+            except OSError as e:
+                raise ValidationError(f"cannot read --map {text[1:]}: {e}")
         try:
             m = json.loads(text)
         except json.JSONDecodeError as e:

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 from .errors import DesignError, ValidationError
 from .geometry import CoatedInclusion, _validate_confocal_params, area, discretize
-from .transmission import ConductivityProfile, _core_contrast
+from .report import Report
+from .transmission import ConductivityProfile, _check_core_shell, _core_contrast
 
 
 @dataclass(frozen=True)
-class DesignResult:
+class DesignResult(Report):
     """Conductivities and contrast bookkeeping for a designed neutral coating."""
 
     sigma_m: tuple[float, float]
@@ -43,18 +44,6 @@ class DesignResult:
 
     def profile(self, sigma_c: float, sigma_s: float) -> ConductivityProfile:
         return ConductivityProfile(sigma_c, sigma_s, self.sigma_m)
-
-    def as_dict(self) -> dict:
-        return {
-            "sigma_m": list(self.sigma_m),
-            "f": self.f,
-            "lambda": self.lam,
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "dmu": self.dmu,
-            "smu": self.smu,
-            "shear": self.shear,
-        }
 
 
 def sigma_from_mu(mu: float, sigma_s: float) -> float:
@@ -74,10 +63,7 @@ def disk_matrix_conductivity(sigma_c: float, sigma_s: float, f: float) -> float:
     """Isotropic matrix value neutralizing concentric disks of area fraction f."""
     if not (0.0 < f < 1.0):
         raise ValidationError(f"area fraction must lie in (0, 1), got {f}")
-    if not (math.isfinite(sigma_s) and sigma_s > 0):
-        raise ValidationError(f"shell conductivity must be positive finite, got {sigma_s}")
-    if math.isnan(sigma_c) or sigma_c < 0:
-        raise ValidationError(f"core conductivity must be >= 0 (inf allowed), got {sigma_c}")
+    _check_core_shell(sigma_c, sigma_s)
     if math.isinf(sigma_c):
         sm = sigma_s * (1.0 + f) / (1.0 - f)
     else:
@@ -101,10 +87,7 @@ def confocal_design(
     conductivity realizes it).
     """
     _validate_confocal_params(a1, am1, r0)
-    if not (math.isfinite(sigma_s) and sigma_s > 0):
-        raise ValidationError(f"shell conductivity must be positive finite, got {sigma_s}")
-    if math.isnan(sigma_c) or sigma_c < 0:
-        raise ValidationError(f"core conductivity must be >= 0 (inf allowed), got {sigma_c}")
+    _check_core_shell(sigma_c, sigma_s)
 
     lam = _core_contrast(sigma_c, sigma_s)
     f = (a1**2 - am1**2) / (a1**2 * r0**2 - am1**2 / r0**2)

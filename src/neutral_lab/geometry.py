@@ -111,21 +111,6 @@ class Curve:
                 f"curve self-intersects near t = {t[hit[0]]:.6f} and t = {t[hit[1]]:.6f}"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "fourier": [[float(c.real), float(c.imag)] for c in self.coeffs],
-            "k_min": int(self.k_min),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Curve":
-        try:
-            coeffs = np.array([complex(re, im) for re, im in data["fourier"]])
-            k_min = int(data["k_min"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed curve record: {exc}") from exc
-        return cls.from_coeffs(coeffs, k_min)
-
 
 def _first_self_intersection(z: np.ndarray):
     """Index pair of the first properly crossing segment pair, else None.
@@ -299,12 +284,6 @@ class LaurentMap:
         for n, a in self.coeffs.items():
             coeffs[n - n_lo] = a * rho**n
         return Curve.from_coeffs(coeffs, k_min=n_lo, check=False)
-
-    def to_json(self) -> dict:
-        out = {}
-        for n, a in sorted(self.coeffs.items()):
-            out[str(n)] = a.real if a.imag == 0 else [a.real, a.imag]
-        return {"coeffs": out, "r0": float(self.r0)}
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentMap":

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .geometry import LaurentMap
+from .report import Report
 
 VERDICT_COMPATIBLE = "confocal_compatible"
 VERDICT_INCOMPATIBLE = "incompatible"
@@ -45,7 +46,7 @@ def neutrality_factor(n: int, f: float, r0: float, shear: float) -> float:
 
 
 @dataclass(frozen=True)
-class LaurentClassification:
+class LaurentClassification(Report):
     """Per-mode factors and the resulting compatibility verdict."""
 
     factors: dict[int, float]
@@ -56,14 +57,6 @@ class LaurentClassification:
     @property
     def is_compatible(self) -> bool:
         return self.verdict == VERDICT_COMPATIBLE
-
-    def as_dict(self) -> dict:
-        return {
-            "factors": {str(k): v for k, v in self.factors.items()},
-            "support": list(self.support),
-            "admissible": list(self.admissible),
-            "verdict": self.verdict,
-        }
 
 
 def classify(

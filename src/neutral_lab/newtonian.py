@@ -32,6 +32,7 @@ from .layerpot import (
     single_layer_off,
     single_layer_on_boundary,
 )
+from .report import Report
 
 
 def _boundary_reduction(src: Discretization, pts: np.ndarray) -> np.ndarray:
@@ -97,28 +98,13 @@ class QuadraticFit:
 
 
 @dataclass(frozen=True)
-class CombinedIdentityReport:
+class CombinedIdentityReport(Report):
     """Interior quadratic structure and exterior constancy of N_D - f N_Omega."""
 
     fit: QuadraticFit
     exterior_residual: float
     d_expected: tuple[float, float]
     d_mismatch: tuple[float, float]
-
-    def as_dict(self) -> dict:
-        return {
-            "fit": {
-                "d1": self.fit.d1,
-                "d2": self.fit.d2,
-                "c1": self.fit.c1,
-                "c2": self.fit.c2,
-                "const": self.fit.const,
-                "rms_residual": self.fit.rms_residual,
-            },
-            "exterior_residual": self.exterior_residual,
-            "d_expected": list(self.d_expected),
-            "d_mismatch": list(self.d_mismatch),
-        }
 
 
 def _interior_grid(inc: CoatedInclusion, factors=(0.2, 0.4, 0.6), count: int = 16) -> np.ndarray:
@@ -169,7 +155,7 @@ def combined_identity_check(inc: CoatedInclusion, dr, n: int = 256) -> CombinedI
 
 
 @dataclass(frozen=True)
-class FreeBvpReport:
+class FreeBvpReport(Report):
     """Residuals of the shell free boundary problem for w."""
 
     harmonicity_residual: float
@@ -179,13 +165,6 @@ class FreeBvpReport:
     @property
     def max_residual(self) -> float:
         return max(self.harmonicity_residual, self.outer_bc_residual, self.inner_bc_residual)
-
-    def as_dict(self) -> dict:
-        return {
-            "harmonicity_residual": self.harmonicity_residual,
-            "outer_bc_residual": self.outer_bc_residual,
-            "inner_bc_residual": self.inner_bc_residual,
-        }
 
 
 def _shell_midpoints(inc: CoatedInclusion, count: int) -> np.ndarray:

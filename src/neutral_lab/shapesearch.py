@@ -31,7 +31,8 @@ from .errors import (
     ValidationError,
 )
 from .geometry import LaurentMap, laurent_domain
-from .transmission import ConductivityProfile, _probe_circle, eval_u, solve_both_axes
+from .report import OMIT, Report
+from .transmission import ConductivityProfile, _far_probe, eval_u, solve_both_axes
 
 PENALTY = 1.0e6
 _CHECK_SAMPLES = 128  # angular resolution of validity checks inside the objective
@@ -57,6 +58,8 @@ class SearchConfig:
             raise ValidationError("max_order must be at least 1")
         if self.nodes < 16 or self.nodes % 2:
             raise ValidationError("nodes must be an even integer >= 16")
+        if self.probe_points < 1:
+            raise ValidationError("probe_points must be at least 1")
         lo, hi = self.r0_bounds
         if not (1.0 < lo < hi):
             raise ValidationError(f"r0 bounds must satisfy 1 < lo < hi, got {self.r0_bounds}")
@@ -78,7 +81,7 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class ShapeParams:
+class ShapeParams(Report):
     """One point of the search space (gauge a_1 = 1)."""
 
     coeffs: dict[int, float]
@@ -94,18 +97,14 @@ class ShapeParams:
         gaps = [abs(v) for k, v in self.coeffs.items() if abs(k) >= 2]
         return max(gaps, default=0.0)
 
-    def as_dict(self) -> dict:
-        return {
-            "coeffs": {str(k): v for k, v in sorted(self.coeffs.items())},
-            "r0": self.r0,
-            "sigma_m": list(self.sigma_m),
-        }
-
 
 def encode(params: ShapeParams, cfg: SearchConfig) -> np.ndarray:
     x = [params.coeffs.get(k, 0.0) for k in cfg.coeff_orders]
     x.append(params.r0)
-    x.extend(math.log(s) for s in params.sigma_m)
+    for s in params.sigma_m:
+        if not (math.isfinite(s) and s > 0):
+            raise ValidationError(f"sigma_m must be positive and finite, got {s}")
+        x.append(math.log(s))
     return np.asarray(x, dtype=float)
 
 
@@ -140,8 +139,7 @@ def _deviations(params: ShapeParams, cfg: SearchConfig) -> list[np.ndarray]:
     profile = ConductivityProfile(
         sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s, sigma_m=params.sigma_m
     )
-    radius = 3.0 * inc.outer.max_radius()
-    probe = _probe_circle(radius, cfg.probe_points)
+    _, probe = _far_probe(inc, None, cfg.probe_points)
     out = []
     for pair in solve_both_axes(inc, profile, n=cfg.nodes):
         vals, _ = eval_u(inc, pair, profile, probe)
@@ -174,7 +172,7 @@ def objective(x: np.ndarray, cfg: SearchConfig) -> float:
 
 
 @dataclass
-class SearchResult:
+class SearchResult(Report):
     """Outcome of a bounded least-squares search.
 
     history holds the best objective so far after every evaluation,
@@ -186,19 +184,12 @@ class SearchResult:
     params: ShapeParams
     objective: float
     evals: int
-    history: list[float] = field(repr=False)
-    improvements: list[tuple[int, float, float]] = field(repr=False, default_factory=list)
+    history: list[float] = field(repr=False, metadata=OMIT)
+    improvements: list[tuple[int, float, float]] = field(
+        repr=False, default_factory=list, metadata=OMIT
+    )
     confocality_gap: float = 0.0
     converged: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "params": self.params.as_dict(),
-            "objective": self.objective,
-            "evals": self.evals,
-            "confocality_gap": self.confocality_gap,
-            "converged": self.converged,
-        }
 
 
 def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
@@ -280,21 +271,13 @@ def search(
 
 
 @dataclass(frozen=True)
-class PerturbationRow:
+class PerturbationRow(Report):
     """One amplitude of the shape perturbation study."""
 
     amplitude: float
     valid: bool
     objective_fixed: float
     objective_reopt: float
-
-    def as_dict(self) -> dict:
-        return {
-            "amplitude": self.amplitude,
-            "valid": self.valid,
-            "objective_fixed": self.objective_fixed,
-            "objective_reopt": self.objective_reopt,
-        }
 
 
 def perturbation_study(

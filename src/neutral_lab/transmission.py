@@ -39,10 +39,18 @@ from .layerpot import (
     single_layer_grad_off,
     single_layer_off,
 )
+from .report import Report
 
 DEFAULT_NODES = 256
 PROBE_POINTS = 64
 OFFSET_EPS = 1e-2  # boundary offset for one-sided flux recovery (Richardson halved)
+
+
+def _check_core_shell(sigma_c: float, sigma_s: float) -> None:
+    if not (math.isfinite(sigma_s) and sigma_s > 0):
+        raise ValidationError(f"shell conductivity must be positive finite, got {sigma_s}")
+    if math.isnan(sigma_c) or sigma_c < 0:
+        raise ValidationError(f"core conductivity must be >= 0 (inf allowed), got {sigma_c}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +72,7 @@ class ConductivityProfile:
         sm = tuple(float(v) for v in self.sigma_m)
         if len(sm) != 2:
             raise ValidationError("sigma_m must be a pair (diagonal tensor)")
-        if not (math.isfinite(ss) and ss > 0):
-            raise ValidationError(f"shell conductivity must be positive finite, got {ss}")
-        if math.isnan(sc) or sc < 0:
-            raise ValidationError(f"core conductivity must be >= 0 (inf allowed), got {sc}")
+        _check_core_shell(sc, ss)
         if sc == ss:
             raise ValidationError("core and shell conductivities must differ")
         for j, v in enumerate(sm, start=1):
@@ -313,8 +318,23 @@ def eval_u(
 
 
 def _probe_circle(radius: float, m: int) -> np.ndarray:
+    if m < 1:
+        raise ValidationError(f"a probe circle needs at least one point, got {m}")
     t = 2 * math.pi * np.arange(m) / m
     return radius * np.column_stack([np.cos(t), np.sin(t)])
+
+
+def _far_probe(inc: CoatedInclusion, radius: float | None, m: int) -> tuple[float, np.ndarray]:
+    """(radius, points) of a probe circle: radius 3 outer max radii by default, at least 2."""
+    r_out = inc.outer.max_radius()
+    if radius is None:
+        radius = 3.0 * r_out
+    if radius < 2.0 * r_out:
+        raise ValidationError(
+            f"probe radius {radius} too tight; needs at least twice "
+            f"the outer max radius ({2 * r_out:.4f})"
+        )
+    return radius, _probe_circle(radius, m)
 
 
 def _scattered_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
@@ -371,7 +391,7 @@ class AxisReport:
 
 
 @dataclass(frozen=True)
-class NeutralityReport:
+class NeutralityReport(Report):
     """Per-axis neutrality diagnostics on a far probe circle.
 
     residual is max |u - x_j| over the probe. flux_identity_residual compares
@@ -391,29 +411,6 @@ class NeutralityReport:
     def residuals(self) -> tuple[float, float]:
         return (self.axes[0].residual, self.axes[1].residual)
 
-    def as_dict(self) -> dict:
-        return {
-            "probe_radius": self.probe_radius,
-            "nodes": self.nodes,
-            "lambda": self.lam,
-            "mu": list(self.mu),
-            "axes": [
-                {
-                    "axis": ax.axis,
-                    "residual": ax.residual,
-                    "first_moment": list(ax.first_moment),
-                    "core_gradient_mean": list(ax.core_gradient_mean),
-                    "core_gradient_deviation": ax.core_gradient_deviation,
-                    "core_slope_measured": ax.core_slope_measured,
-                    "core_slope_predicted": ax.core_slope_predicted,
-                    "flux_identity_residual": ax.flux_identity_residual,
-                    "coating_identity_residual": ax.coating_identity_residual,
-                    "density_means": list(ax.density_means),
-                }
-                for ax in self.axes
-            ],
-        }
-
 
 def neutrality_report(
     inc: CoatedInclusion,
@@ -423,15 +420,7 @@ def neutrality_report(
     probe_points: int = PROBE_POINTS,
 ) -> NeutralityReport:
     """Solve both axes and measure how invisible the inclusion is."""
-    r_out = inc.outer.max_radius()
-    if probe_radius is None:
-        probe_radius = 3.0 * r_out
-    if probe_radius < 2.0 * r_out:
-        raise ValidationError(
-            f"probe radius {probe_radius} too tight; needs at least twice "
-            f"the outer max radius ({2 * r_out:.4f})"
-        )
-    probe = _probe_circle(probe_radius, probe_points)
+    probe_radius, probe = _far_probe(inc, probe_radius, probe_points)
     core = _core_grid(inc)
     cp = contrasts(p)
     axes = []

@@ -222,3 +222,38 @@ def test_map_must_be_object():
     proc = run_cli("laurent-classify", "--map", "[1]")
     assert proc.returncode == 1
     assert proc.stderr == "error: --map must be a JSON object\n"
+
+
+REFERENCE = ["--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "5", "--ss", "1"]
+
+
+@pytest.mark.parametrize("command", ["neutrality", "decay", "solve"])
+def test_probe_points_must_be_positive(tmp_path, command):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"numerics": {"nodes": 64, "probe_points": 0}}))
+    proc = run_cli("--config", str(cfgfile), command, *REFERENCE, "--sm", "2")
+    assert proc.returncode == 1
+    assert "at least one point" in proc.stderr
+
+
+def test_solve_probe_radius_precondition():
+    proc = run_cli("--nodes", "64", "solve", *REFERENCE, "--sm", "2", "--probe-radius", "0")
+    assert proc.returncode == 1
+    assert "twice the outer max radius" in proc.stderr
+
+
+def test_search_nonpositive_matrix_conductivity_exits_one(tmp_path):
+    proc = run_cli("search", *REFERENCE, "--sm", "0")
+    assert proc.returncode == 1
+    assert "sigma_m must be positive and finite" in proc.stderr
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"search": {"sigma_m": [0, 1]}}))
+    proc = run_cli("--config", str(cfgfile), "search", *REFERENCE)
+    assert proc.returncode == 1
+    assert "sigma_m must be positive and finite" in proc.stderr
+
+
+def test_unreadable_map_file_exits_one(tmp_path):
+    proc = run_cli("laurent-classify", "--map", "@" + str(tmp_path / "missing.json"))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot read --map ")

@@ -150,3 +150,16 @@ def test_search_refuses_start_outside_box(cfg, design):
     start = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: 0.0}, r0=5.0, sigma_m=design.sigma_m)
     with pytest.raises(ValidationError, match="search box"):
         search(start, cfg)
+
+
+@pytest.mark.parametrize("sigma_m", [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (math.nan, 1.0)])
+def test_search_refuses_nonpositive_matrix_conductivity(cfg, sigma_m):
+    start = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: 0.0}, r0=1.5, sigma_m=sigma_m)
+    with pytest.raises(ValidationError, match="sigma_m must be positive and finite"):
+        search(start, cfg)
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_config_refuses_probe_points_below_one(points):
+    with pytest.raises(ValidationError, match="probe_points"):
+        SearchConfig(sigma_c=5.0, sigma_s=1.0, probe_points=points)

@@ -170,6 +170,16 @@ def test_probe_radius_precondition():
         neutrality_report(inc, p, n=64, probe_radius=1.5)
 
 
+@pytest.mark.parametrize("points", [0, -3])
+def test_probe_points_must_be_positive(points):
+    inc = disks()
+    p = ConductivityProfile.isotropic(5.0, 1.0, 2.0)
+    with pytest.raises(ValidationError, match="at least one point"):
+        neutrality_report(inc, p, n=64, probe_points=points)
+    with pytest.raises(ValidationError, match="at least one point"):
+        decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5.0, 10.0), n=64, probe_points=points)
+
+
 def test_harmonic_poly_gradient_consistency():
     h = HarmonicPoly(c0=0.3, cx=1.0, cy=-2.0, cq=0.7, cxy=0.4)
     pts = np.array([[0.3, -0.8], [1.1, 0.2]])

@@ -366,7 +366,7 @@ def _design_for_geometry(cfg, section):
     g = cfg["geometry"]
     sect = cfg.get(section, {})
     if "f" in sect and "shear" in sect:
-        return float(sect["f"]), float(sect["shear"]), None
+        return float(sect["f"]), float(sect["shear"])
     if g["type"] != "confocal":
         raise ValidationError(
             f"{section} needs explicit '{section}.f' and '{section}.shear' "
@@ -374,18 +374,16 @@ def _design_for_geometry(cfg, section):
         )
     sc, ss = _core_shell(cfg, section)
     dr = designer.confocal_design(float(g["a1"]), float(g["am1"]), float(g["r0"]), sc, ss)
-    f = float(sect.get("f", dr.f))
-    shear = float(sect.get("shear", dr.shear))
-    return f, shear, dr
+    return float(sect.get("f", dr.f)), float(sect.get("shear", dr.shear))
 
 
 def cmd_newtonian(cfg, seed):
     inc = build_geometry(cfg["geometry"])
     num = _numerics(cfg)
-    f, shear, dr = _design_for_geometry(cfg, "newtonian")
-    if dr is None:
-        dr = SimpleNamespace(f=f, dmu=-shear / f)
-    rep = newtonian.combined_identity_check(inc, dr, n=num["nodes"])
+    f, shear = _design_for_geometry(cfg, "newtonian")
+    rep = newtonian.combined_identity_check(
+        inc, SimpleNamespace(f=f, dmu=-shear / f), n=num["nodes"]
+    )
     result = rep.as_dict()
     fit = rep.fit
     rows = [
@@ -402,7 +400,7 @@ def cmd_newtonian(cfg, seed):
 def cmd_freebvp(cfg, seed):
     inc = build_geometry(cfg["geometry"])
     num = _numerics(cfg)
-    f, shear, _ = _design_for_geometry(cfg, "freebvp")
+    f, shear = _design_for_geometry(cfg, "freebvp")
     rep = newtonian.free_bvp_residual(inc, f, shear, n=num["nodes"])
     result = rep.as_dict()
     result.update({"f": f, "shear": shear})

@@ -54,10 +54,19 @@ def min_target_distance(src: Discretization, targets) -> float:
     return float(np.sqrt(d2.min()))
 
 
+def _near_limit(src: Discretization, min_distance: float | None = None) -> float:
+    return NEAR_FACTOR * feature_size(src) if min_distance is None else min_distance
+
+
+def _in_near_zone(src: Discretization, targets, min_distance: float | None = None) -> bool:
+    """The one near-zone test: a target nearer the source nodes than the limit."""
+    return min_target_distance(src, targets) < _near_limit(src, min_distance)
+
+
 def _near_guard(src: Discretization, targets, min_distance: float | None) -> None:
-    limit = NEAR_FACTOR * feature_size(src) if min_distance is None else min_distance
-    dist = min_target_distance(src, targets)
-    if dist < limit:
+    if _in_near_zone(src, targets, min_distance):
+        dist = min_target_distance(src, targets)
+        limit = _near_limit(src, min_distance)
         raise NearEvaluationError(
             f"target at distance {dist:.3e} from the source curve is inside the "
             f"near zone ({limit:.3e}); evaluate farther away or use the refined path",
@@ -109,8 +118,8 @@ def kstar_matrix(src: Discretization) -> np.ndarray:
 def normal_derivative_coupling(src: Discretization, tgt: Discretization) -> np.ndarray:
     """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes.
 
-    Source and target must be disjoint curves; the kernel is then smooth and
-    plain trapezoid weights are spectrally accurate.
+    Plain trapezoid weights: spectrally accurate only for target nodes outside
+    the source's near zone (`_in_near_zone`), so not for a thin shell.
     """
     dx = tgt.nodes[:, None, 0] - src.nodes[None, :, 0]
     dy = tgt.nodes[:, None, 1] - src.nodes[None, :, 1]
@@ -154,15 +163,15 @@ def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
 
 
 def resample_periodic(values: np.ndarray, m: int) -> np.ndarray:
-    """Trigonometric interpolation of periodic nodal data from n to m nodes."""
+    """Trigonometric interpolation of periodic nodal data (axis 0) from n to m nodes."""
     values = np.asarray(values)
     n = len(values)
     if m == n:
         return values.copy()
     if m < n:
         raise ValidationError("resample target must not be coarser than the data")
-    spec = np.fft.fft(values)
-    out = np.zeros(m, dtype=complex)
+    spec = np.fft.fft(values, axis=0)
+    out = np.zeros((m,) + values.shape[1:], dtype=complex)
     half = n // 2
     out[:half] = spec[:half]
     out[m - half + 1 :] = spec[half + 1 :]
@@ -170,7 +179,7 @@ def resample_periodic(values: np.ndarray, m: int) -> np.ndarray:
     out[half] = 0.5 * spec[half]
     out[m - half] += 0.5 * spec[half]
     out *= m / n
-    fine = np.fft.ifft(out)
+    fine = np.fft.ifft(out, axis=0)
     return fine.real if np.isrealobj(values) else fine
 
 
@@ -195,18 +204,25 @@ def _refined_grid(src: Discretization, targets) -> Discretization:
 
 
 def single_layer_grad_near(src: Discretization, density, targets) -> np.ndarray:
-    """grad S[density] at targets arbitrarily close to (but not on) the curve."""
+    """grad S[density] at targets arbitrarily close to (but not on) the curve.
+
+    Shape (m, 2), or (m, 2, k) for a density matrix of shape (n, k); targets
+    and columns go in blocks of about 4e6 fine-grid entries.
+    """
     pts = _targets_xy(targets)
     fine = _refined_grid(src, pts)
-    rho = resample_periodic(np.asarray(density), fine.n)
-    out = np.empty((len(pts), 2))
+    dens = np.asarray(density)
+    cols = dens.reshape(len(dens), -1)
+    out = np.empty((len(pts), 2, cols.shape[1]))
     block = max(1, int(4e6) // fine.n)
-    rw = rho * fine.weights
-    for lo in range(0, len(pts), block):
-        s = slice(lo, lo + block)
-        dx = pts[s, None, 0] - fine.nodes[None, :, 0]
-        dy = pts[s, None, 1] - fine.nodes[None, :, 1]
-        r2 = dx * dx + dy * dy
-        out[s, 0] = (dx / r2) @ rw
-        out[s, 1] = (dy / r2) @ rw
-    return out / (2 * math.pi)
+    for c in range(0, cols.shape[1], block):
+        cs = slice(c, c + block)
+        rw = resample_periodic(cols[:, cs], fine.n) * fine.weights[:, None]
+        for lo in range(0, len(pts), block):
+            s = slice(lo, lo + block)
+            dx = pts[s, None, 0] - fine.nodes[None, :, 0]
+            dy = pts[s, None, 1] - fine.nodes[None, :, 1]
+            r2 = dx * dx + dy * dy
+            out[s, 0, cs] = (dx / r2) @ rw
+            out[s, 1, cs] = (dy / r2) @ rw
+    return out.reshape((len(pts), 2) + dens.shape[1:]) / (2 * math.pi)

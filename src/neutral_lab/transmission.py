@@ -6,8 +6,12 @@ with densities solving the block system
     (lam I - K*_inner) phi -  dnu S_outer[psi]          = dh/dnu   on the core boundary
     -dnu S_inner[phi]      + (mu I - K*_outer) psi      = dh/dnu   on the coating boundary
 
-where lam, mu are the core/shell and shell/matrix contrast parameters. The
-representation stays valid in the perfectly insulating (sigma_c = 0) and
+where lam, mu are the core/shell and shell/matrix contrast parameters. A
+coupling block dnu S is built on the refined source grid (times trigonometric
+interpolation, so the system stays N x N) when the curves lie in each other's
+near zone, as in a thin shell. The same blocks give the interior flux on the
+core boundary, dnu u|- = dnu h + (-1/2 I + K*_inner) phi + dnu S_outer[psi].
+The representation stays valid in the perfectly insulating (sigma_c = 0) and
 perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
@@ -33,6 +37,7 @@ from .errors import (
 )
 from .geometry import CoatedInclusion, Discretization, discretize
 from .layerpot import (
+    _in_near_zone,
     kstar_matrix,
     normal_derivative_coupling,
     single_layer_grad_near,
@@ -43,7 +48,6 @@ from .report import Report
 
 DEFAULT_NODES = 256
 PROBE_POINTS = 64
-OFFSET_EPS = 1e-2  # boundary offset for one-sided flux recovery (Richardson halved)
 
 
 def _check_core_shell(sigma_c: float, sigma_s: float) -> None:
@@ -162,7 +166,7 @@ class HarmonicPoly:
 
 @dataclass(frozen=True, eq=False)
 class DensityPair:
-    """Solution densities on the two boundaries, plus the grids they live on."""
+    """Solution densities, the grids they live on, and du/dnu|- at the core nodes."""
 
     phi: np.ndarray
     psi: np.ndarray
@@ -170,10 +174,19 @@ class DensityPair:
     h: HarmonicPoly
     disc_inner: Discretization
     disc_outer: Discretization
+    core_flux: np.ndarray
 
 
 def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
     return float(np.dot(values, weights) / np.sum(weights))
+
+
+def _coupling(src: Discretization, tgt: Discretization) -> np.ndarray:
+    """d/dnu_tgt S_src at the target nodes; refined when the curves are near."""
+    if not _in_near_zone(src, tgt.nodes):
+        return normal_derivative_coupling(src, tgt)
+    grad = single_layer_grad_near(src, np.eye(src.n), tgt.nodes)
+    return tgt.normals[:, 0, None] * grad[:, 0] + tgt.normals[:, 1, None] * grad[:, 1]
 
 
 def _operator_parts(d_in, d_out):
@@ -181,16 +194,21 @@ def _operator_parts(d_in, d_out):
     return (
         kstar_matrix(d_in),
         kstar_matrix(d_out),
-        normal_derivative_coupling(d_out, d_in),
-        normal_derivative_coupling(d_in, d_out),
+        _coupling(d_out, d_in),
+        _coupling(d_in, d_out),
     )
 
 
-def _solve_blocks(d_in, d_out, lam, mu, rhs_in, rhs_out, parts=None):
+def _solve_pair(d_in, d_out, parts, lam, mu, h, axis) -> DensityPair:
+    """Densities for background h; the core flux comes from the same blocks."""
     n1, n2 = d_in.n, d_out.n
     per_in = float(np.sum(d_in.weights))
     per_out = float(np.sum(d_out.weights))
-    k_in, k_out, c_oi, c_io = parts if parts is not None else _operator_parts(d_in, d_out)
+    k_in, k_out, c_oi, c_io = parts
+    if axis is None:
+        rhs_in, rhs_out = (np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
+    else:
+        rhs_in, rhs_out = d_in.normals[:, axis - 1], d_out.normals[:, axis - 1]
 
     a = np.zeros((n1 + n2, n1 + n2))
     a[:n1, :n1] = lam * np.eye(n1) - k_in
@@ -224,7 +242,16 @@ def _solve_blocks(d_in, d_out, lam, mu, rhs_in, rhs_out, parts=None):
         ) from exc
     if not np.all(np.isfinite(x)):
         raise SolverError("transmission solve produced non-finite densities")
-    return x[:n1], x[n1:]
+    phi, psi = x[:n1], x[n1:]
+    flux = rhs_in + (k_in @ phi - 0.5 * phi) + c_oi @ psi
+    return DensityPair(phi, psi, axis, h, d_in, d_out, flux)
+
+
+def _assembled(inc: CoatedInclusion, n: int):
+    """Both grids and the operator blocks they share."""
+    d_in = discretize(inc.inner, n)
+    d_out = discretize(inc.outer, n)
+    return d_in, d_out, _operator_parts(d_in, d_out)
 
 
 def solve_uniform(
@@ -234,16 +261,9 @@ def solve_uniform(
 
     The axis-j solve uses the matrix component sigma_m^j.
     """
-    if axis not in (1, 2):
-        raise ValidationError(f"axis must be 1 or 2, got {axis}")
+    h = HarmonicPoly.coordinate(axis)
     cp = contrasts(p)
-    d_in = discretize(inc.inner, n)
-    d_out = discretize(inc.outer, n)
-    j = axis - 1
-    phi, psi = _solve_blocks(
-        d_in, d_out, cp.lam, cp.mu[j], d_in.normals[:, j], d_out.normals[:, j]
-    )
-    return DensityPair(phi, psi, axis, HarmonicPoly.coordinate(axis), d_in, d_out)
+    return _solve_pair(*_assembled(inc, n), cp.lam, cp.mu[axis - 1], h, axis)
 
 
 def solve_both_axes(
@@ -255,18 +275,11 @@ def solve_both_axes(
     the operator blocks are built once.
     """
     cp = contrasts(p)
-    d_in = discretize(inc.inner, n)
-    d_out = discretize(inc.outer, n)
-    parts = _operator_parts(d_in, d_out)
-    pairs = []
-    for axis in (1, 2):
-        j = axis - 1
-        phi, psi = _solve_blocks(
-            d_in, d_out, cp.lam, cp.mu[j],
-            d_in.normals[:, j], d_out.normals[:, j], parts=parts,
-        )
-        pairs.append(DensityPair(phi, psi, axis, HarmonicPoly.coordinate(axis), d_in, d_out))
-    return pairs[0], pairs[1]
+    system = _assembled(inc, n)
+    return tuple(
+        _solve_pair(*system, cp.lam, cp.mu[axis - 1], HarmonicPoly.coordinate(axis), axis)
+        for axis in (1, 2)
+    )
 
 
 def solve_harmonic(
@@ -284,17 +297,7 @@ def solve_harmonic(
     if h.is_constant:
         raise ValidationError("background is constant; nothing to solve")
     cp = contrasts(p)
-    d_in = discretize(inc.inner, n)
-    d_out = discretize(inc.outer, n)
-    phi, psi = _solve_blocks(
-        d_in,
-        d_out,
-        cp.lam,
-        cp.mu[0],
-        np.sum(h.gradient(d_in.nodes) * d_in.normals, axis=1),
-        np.sum(h.gradient(d_out.nodes) * d_out.normals, axis=1),
-    )
-    return DensityPair(phi, psi, None, h, d_in, d_out)
+    return _solve_pair(*_assembled(inc, n), cp.lam, cp.mu[0], h, None)
 
 
 def eval_u(
@@ -353,27 +356,6 @@ def _core_grid(inc: CoatedInclusion, count: int = 16) -> np.ndarray:
     return np.vstack([pts, [c0.real, c0.imag]])
 
 
-def _inner_flux(pair: DensityPair, eps: float = OFFSET_EPS) -> np.ndarray:
-    """Interior normal derivative of u on the core boundary.
-
-    One-sided offsets x - eps nu with two-point Richardson in eps; the
-    inner-curve contribution is evaluated on an upsampled grid because the
-    offsets sit deep inside the plain-quadrature near zone.
-    """
-    d_in = pair.disc_inner
-    out = []
-    for e in (eps, 0.5 * eps):
-        pts = d_in.nodes - e * d_in.normals
-        grad = (
-            pair.h.gradient(pts)
-            + single_layer_grad_near(d_in, pair.phi, pts)
-            + single_layer_grad_off(pair.disc_outer, pair.psi, pts)
-        )
-        out.append(np.sum(grad * d_in.normals, axis=1))
-    g_e, g_half = out
-    return 2.0 * g_half - g_e
-
-
 @dataclass(frozen=True)
 class AxisReport:
     """Diagnostics for one uniform-field solve."""
@@ -397,6 +379,9 @@ class NeutralityReport(Report):
     residual is max |u - x_j| over the probe. flux_identity_residual compares
     phi with (2/(2 lam - 1)) du/dnu|- (for lam = 1/2 the rearranged residual
     ((2 lam - 1)/2) phi - du/dnu|- is reported, both sides vanishing there).
+    The flux is `core_flux`, from the solve's own blocks, so this is the
+    algebraic residual of the first block row: it checks the linear solve, not
+    the discretisation (the probe residual and core slope check accuracy).
     coating_identity_residual compares psi with (2/(2 mu_j + 1)) n_j, which is
     an identity only for neutral configurations.
     """
@@ -442,7 +427,7 @@ def neutrality_report(
         denom = 2.0 * cp.lam * (2.0 * cp.mu[j] + 1.0)
         slope_predicted = (2.0 * cp.lam - 1.0) * (cp.mu[0] + cp.mu[1]) / denom
 
-        flux = _inner_flux(pair)
+        flux = pair.core_flux
         if abs(2.0 * cp.lam - 1.0) > 1e-9:
             flux_resid = float(np.max(np.abs(pair.phi - 2.0 / (2.0 * cp.lam - 1.0) * flux)))
         else:

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from neutral_lab.designer import confocal_design
+
 CLI = [sys.executable, "-m", "neutral_lab.cli"]
 
 
@@ -225,6 +227,17 @@ def test_map_must_be_object():
 
 
 REFERENCE = ["--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "5", "--ss", "1"]
+
+
+def test_newtonian_f_alone_overrides_design():
+    # the shear keeps its designed value; d_j = (1 - f -/+ shear)/4
+    base = report_of(run_cli("--nodes", "64", "newtonian", *REFERENCE))["result"]
+    shear = confocal_design(1.0, 0.2, 1.5, 5.0, 1.0).shear
+    rep = report_of(run_cli("--nodes", "64", "newtonian", *REFERENCE, "--f", "0.3"))
+    assert rep["config"]["newtonian"] == {"f": 0.3}
+    d_expected = rep["result"]["d_expected"]
+    assert d_expected == pytest.approx([(0.7 + shear) / 4, (0.7 - shear) / 4], abs=1e-15)
+    assert d_expected != pytest.approx(base["d_expected"], abs=1e-3)
 
 
 @pytest.mark.parametrize("command", ["neutrality", "decay", "solve"])

@@ -13,6 +13,7 @@ from neutral_lab.layerpot import (
     min_target_distance,
     normal_derivative_coupling,
     resample_periodic,
+    single_layer_grad_near,
     single_layer_grad_off,
     single_layer_off,
     single_layer_on_boundary,
@@ -167,6 +168,18 @@ def test_resample_periodic_band_limited():
     assert np.array_equal(same, data)
     with pytest.raises(ValidationError):
         resample_periodic(up, 64)  # refinement helper never coarsens
+
+
+def test_single_layer_grad_near_density_columns(circle):
+    # inside the circle S[cos] = -x/2 and S[sin] = -y/2, right up to the curve
+    _, pts = probe_ring(RADIUS - 1e-2, 16)
+    dens = np.column_stack([np.cos(circle.t), np.sin(circle.t)])
+    grads = single_layer_grad_near(circle, dens, pts)
+    assert grads.shape == (16, 2, 2)
+    assert np.max(np.abs(grads + 0.5 * np.eye(2))) < 1e-12
+    for col in range(2):
+        single = single_layer_grad_near(circle, dens[:, col], pts)
+        assert np.max(np.abs(single - grads[:, :, col])) < 1e-14
 
 
 def test_feature_size_and_target_distance(circle):

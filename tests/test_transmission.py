@@ -1,6 +1,9 @@
 """Two-interface transmission solves and neutrality diagnostics."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,19 @@ from neutral_lab.transmission import (
     solve_harmonic,
     solve_uniform,
 )
+
+
+def _load_oracles():
+    """The benchmark's exact coated-disk and confocal-ellipse fields, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+oracles = _load_oracles()
 
 
 def disks(r_in=1.0, r_out=math.sqrt(2.0)):
@@ -218,3 +234,57 @@ def test_principal_profile_diagonalizes():
     assert back @ np.diag(prof.sigma_m) @ back.T == pytest.approx(sig, abs=1e-12)
     with pytest.raises(ValidationError):
         principal_profile([[2.0, 0.5], [0.1, 3.0]], 5.0, 1.0)
+
+
+# thin shells: each curve's nodes lie inside the other's near zone, so the
+# coupling blocks are built on the refined grid
+THIN = [(0.0, 1.05), (0.2, 1.03), (0.2, 1.01)]
+
+
+def _oracle(am1, r0, sigma_c, sigma_m, axis):
+    if am1 == 0.0:
+        return oracles.disk(1.0, r0, sigma_c, 1.0, sigma_m, axis)
+    inner = (1.0 + am1, 1.0 - am1)
+    outer = (r0 + am1 / r0, r0 - am1 / r0)
+    return oracles.confocal(inner, outer, sigma_c, 1.0, sigma_m, axis)
+
+
+@pytest.mark.parametrize("sigma_c", [0.0, 5.0, math.inf])
+@pytest.mark.parametrize("am1, r0", THIN)
+def test_thin_shell_fields_match_exact(am1, r0, sigma_c):
+    inc = confocal_pair(1.0, am1, r0)
+    p = ConductivityProfile(sigma_c, 1.0, (2.0, 3.0))
+    t = 2 * math.pi * np.arange(32) / 32
+    a_out = r0 + am1 / r0
+    exterior = 2.0 * a_out * np.column_stack([np.cos(t), np.sin(t)])
+    core = 0.5 * np.column_stack([(1.0 + am1) * np.cos(t), (1.0 - am1) * np.sin(t)])
+    for pair in solve_both_axes(inc, p, n=128):
+        sol = _oracle(am1, r0, sigma_c, p.sigma_m[pair.axis - 1], pair.axis)
+        for exact, pts in ((oracles.exterior, exterior), (oracles.core, core)):
+            u, g = eval_u(inc, pair, p, pts)
+            u_exact, g_exact = exact(sol, pts)
+            assert np.max(np.abs(u - u_exact)) < 1e-12
+            assert np.max(np.abs(g - g_exact)) < 1e-12
+
+
+@pytest.mark.parametrize("r0", [1.1, 1.03, 1.01])
+def test_thin_confocal_designs_are_neutral(r0):
+    inc = confocal_pair(1.0, 0.2, r0)
+    for sigma_c in (0.0, 5.0, math.inf):
+        dr = confocal_design(1.0, 0.2, r0, sigma_c, 1.0)
+        rep = neutrality_report(inc, dr.profile(sigma_c, 1.0), n=128)
+        assert max(rep.residuals) < 1e-12
+        for ax in rep.axes:
+            assert abs(ax.core_slope_measured - ax.core_slope_predicted) < 1e-12
+
+
+@pytest.mark.parametrize("am1, r0", [(0.2, 1.5)] + THIN)
+def test_core_flux_is_interior_normal_derivative(am1, r0):
+    # the jump-relation flux against the exact uniform core field
+    inc = confocal_pair(1.0, am1, r0)
+    p = ConductivityProfile(5.0, 1.0, (2.0, 3.0))
+    for pair in solve_both_axes(inc, p, n=128):
+        sol = _oracle(am1, r0, 5.0, p.sigma_m[pair.axis - 1], pair.axis)
+        d_in = pair.disc_inner
+        _, g_exact = oracles.core(sol, d_in.nodes)
+        assert np.max(np.abs(pair.core_flux - np.sum(g_exact * d_in.normals, axis=1))) < 1e-12

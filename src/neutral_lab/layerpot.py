@@ -47,11 +47,15 @@ def _check_density(src: Discretization, density) -> np.ndarray:
 
 
 def min_target_distance(src: Discretization, targets) -> float:
+    """Smallest target-to-node distance; targets go in cache-sized blocks."""
     pts = _targets_xy(targets)
-    d2 = (pts[:, None, 0] - src.nodes[None, :, 0]) ** 2 + (
-        pts[:, None, 1] - src.nodes[None, :, 1]
-    ) ** 2
-    return float(np.sqrt(d2.min()))
+    x, y = src.nodes[:, 0], src.nodes[:, 1]
+    step = max(1, 2**14 // src.n)
+    best = math.inf
+    for lo in range(0, len(pts), step):
+        p = pts[lo : lo + step]
+        best = min(best, float(((p[:, None, 0] - x) ** 2 + (p[:, None, 1] - y) ** 2).min()))
+    return math.sqrt(best)
 
 
 def _near_limit(src: Discretization, min_distance: float | None = None) -> float:
@@ -162,27 +166,6 @@ def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
     return smooth_part + log_part
 
 
-def resample_periodic(values: np.ndarray, m: int) -> np.ndarray:
-    """Trigonometric interpolation of periodic nodal data (axis 0) from n to m nodes."""
-    values = np.asarray(values)
-    n = len(values)
-    if m == n:
-        return values.copy()
-    if m < n:
-        raise ValidationError("resample target must not be coarser than the data")
-    spec = np.fft.fft(values, axis=0)
-    out = np.zeros((m,) + values.shape[1:], dtype=complex)
-    half = n // 2
-    out[:half] = spec[:half]
-    out[m - half + 1 :] = spec[half + 1 :]
-    # split the Nyquist bin symmetrically (n even throughout this package)
-    out[half] = 0.5 * spec[half]
-    out[m - half] += 0.5 * spec[half]
-    out *= m / n
-    fine = np.fft.ifft(out, axis=0)
-    return fine.real if np.isrealobj(values) else fine
-
-
 def _refined_grid(src: Discretization, targets) -> Discretization:
     """Upsample the source grid until the trapezoid tail is negligible at targets.
 
@@ -206,8 +189,11 @@ def _refined_grid(src: Discretization, targets) -> Discretization:
 def single_layer_grad_near(src: Discretization, density, targets) -> np.ndarray:
     """grad S[density] at targets arbitrarily close to (but not on) the curve.
 
-    Shape (m, 2), or (m, 2, k) for a density matrix of shape (n, k); targets
-    and columns go in blocks of about 4e6 fine-grid entries.
+    The density is the trigonometric interpolant of the nodal values on the
+    refined grid. Shape (m, 2), or (m, 2, k) for a density matrix of shape
+    (n, k). Each block of about 4e6 fine-grid kernel entries is built once and
+    reduced to the n coarse columns by the transpose of that interpolation:
+    keep the n lowest modes, the Nyquist bin split symmetrically (its real part).
     """
     pts = _targets_xy(targets)
     fine = _refined_grid(src, pts)
@@ -215,14 +201,16 @@ def single_layer_grad_near(src: Discretization, density, targets) -> np.ndarray:
     cols = dens.reshape(len(dens), -1)
     out = np.empty((len(pts), 2, cols.shape[1]))
     block = max(1, int(4e6) // fine.n)
-    for c in range(0, cols.shape[1], block):
-        cs = slice(c, c + block)
-        rw = resample_periodic(cols[:, cs], fine.n) * fine.weights[:, None]
-        for lo in range(0, len(pts), block):
-            s = slice(lo, lo + block)
-            dx = pts[s, None, 0] - fine.nodes[None, :, 0]
-            dy = pts[s, None, 1] - fine.nodes[None, :, 1]
-            r2 = dx * dx + dy * dy
-            out[s, 0, cs] = (dx / r2) @ rw
-            out[s, 1, cs] = (dy / r2) @ rw
+    for lo in range(0, len(pts), block):
+        s = slice(lo, lo + block)
+        dx = pts[s, None, 0] - fine.nodes[None, :, 0]
+        dy = pts[s, None, 1] - fine.nodes[None, :, 1]
+        # in place, so a block holds three fine-grid arrays at a time
+        w = dx * dx
+        w += dy * dy
+        np.divide(fine.weights, w, out=w)
+        for k, d in enumerate((dx, dy)):
+            d *= w
+            spec = np.fft.rfft(d, axis=1)[:, : src.n // 2 + 1]
+            out[s, k] = np.fft.irfft(spec, n=src.n, axis=1) @ cols
     return out.reshape((len(pts), 2) + dens.shape[1:]) / (2 * math.pi)

@@ -15,7 +15,9 @@ The representation stays valid in the perfectly insulating (sigma_c = 0) and
 perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
-at the extreme contrasts.
+at the extreme contrasts. The system is solved by eliminating the core block,
+which does not depend on mu, once; each axis then solves only the N x N
+coating Schur complement with its own mu.
 
 A diagonal anisotropic matrix conductivity diag(sigma_m^1, sigma_m^2) is
 handled by giving the axis-j solve the isotropic value sigma_m^j; a general
@@ -199,52 +201,54 @@ def _operator_parts(d_in, d_out):
     )
 
 
-def _solve_pair(d_in, d_out, parts, lam, mu, h, axis) -> DensityPair:
-    """Densities for background h; the core flux comes from the same blocks."""
-    n1, n2 = d_in.n, d_out.n
-    per_in = float(np.sum(d_in.weights))
-    per_out = float(np.sum(d_out.weights))
-    k_in, k_out, c_oi, c_io = parts
-    if axis is None:
-        rhs_in, rhs_out = (np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
-    else:
-        rhs_in, rhs_out = d_in.normals[:, axis - 1], d_out.normals[:, axis - 1]
+def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"{what} singular", cond=float(np.linalg.cond(a))) from exc
 
-    a = np.zeros((n1 + n2, n1 + n2))
-    a[:n1, :n1] = lam * np.eye(n1) - k_in
-    a[:n1, n1:] = -c_oi
-    a[n1:, :n1] = -c_io
-    a[n1:, n1:] = mu * np.eye(n2) - k_out
+
+def _solve_pairs(d_in, d_out, parts, lam, cases) -> list[DensityPair]:
+    """Densities for each case (mu, h, axis), by eliminating the core block once.
+
+    The core row gives phi = A11^-1 (b1 + C_oi psi) with A11 = lam I - K*_in,
+    so psi solves the coating Schur complement mu I - K*_out - C_io A11^-1 C_oi,
+    whose mu-free part is formed once for all cases. The core flux comes from
+    the same blocks.
+    """
+    n1, n2 = d_in.n, d_out.n
+    k_in, k_out, c_oi, c_io = parts
+    rhs = [
+        tuple(np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
+        for _, h, _ in cases
+    ]
+    a11 = lam * np.eye(n1) - k_in
     # the weights are a left eigenvector of the discrete K* with eigenvalue
     # 1/2, so the weighted-mean term turns the block row functional into
     # (contrast + 1/2) w^T: required at +1/2 (conducting core), harmless for
     # contrast >= 0, and singular at -1/2 (insulating core) where the
     # unaugmented block is already invertible. Augment only when safe.
     if lam >= 0.0:
-        a[:n1, :n1] += np.outer(np.ones(n1), d_in.weights) / per_in
-    if mu >= 0.0:
-        a[n1:, n1:] += np.outer(np.ones(n2), d_out.weights) / per_out
-
+        a11 += d_in.weights / np.sum(d_in.weights)
     # the continuous right sides have exact mean zero; project off the
     # quadrature-level remainder so the rank-one terms see clean data
-    b = np.concatenate(
-        [
-            rhs_in - _weighted_mean(rhs_in, d_in.weights),
-            rhs_out - _weighted_mean(rhs_out, d_out.weights),
-        ]
-    )
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"transmission system singular (lam={lam}, mu={mu})",
-            cond=float(np.linalg.cond(a)),
-        ) from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverError("transmission solve produced non-finite densities")
-    phi, psi = x[:n1], x[n1:]
-    flux = rhs_in + (k_in @ phi - 0.5 * phi) + c_oi @ psi
-    return DensityPair(phi, psi, axis, h, d_in, d_out, flux)
+    b1 = np.column_stack([r - _weighted_mean(r, d_in.weights) for r, _ in rhs])
+    y = _solve(a11, np.hstack([c_oi, b1]), f"transmission core block (lam={lam})")
+    x_oi = y[:, :n2]
+    schur = -k_out - c_io @ x_oi
+    pairs = []
+    for (mu, h, axis), (r1, r2), y1 in zip(cases, rhs, y[:, n2:].T):
+        s = schur + mu * np.eye(n2)
+        if mu >= 0.0:
+            s += d_out.weights / np.sum(d_out.weights)
+        b2 = r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1
+        psi = _solve(s, b2, f"transmission coating block (lam={lam}, mu={mu})")
+        phi = y1 + x_oi @ psi
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
+            raise SolverError("transmission solve produced non-finite densities")
+        flux = r1 + (k_in @ phi - 0.5 * phi) + c_oi @ psi
+        pairs.append(DensityPair(phi, psi, axis, h, d_in, d_out, flux))
+    return pairs
 
 
 def _assembled(inc: CoatedInclusion, n: int):
@@ -263,7 +267,7 @@ def solve_uniform(
     """
     h = HarmonicPoly.coordinate(axis)
     cp = contrasts(p)
-    return _solve_pair(*_assembled(inc, n), cp.lam, cp.mu[axis - 1], h, axis)
+    return _solve_pairs(*_assembled(inc, n), cp.lam, [(cp.mu[axis - 1], h, axis)])[0]
 
 
 def solve_both_axes(
@@ -271,15 +275,13 @@ def solve_both_axes(
 ) -> tuple[DensityPair, DensityPair]:
     """Both coordinate-background solves, sharing discretization and assembly.
 
-    Only the mu-diagonal of the outer block differs between the axes, so
-    the operator blocks are built once.
+    Only the mu-diagonal of the outer block differs between the axes, so the
+    operator blocks, the core factorization and the mu-free part of the
+    coating Schur complement are built once.
     """
     cp = contrasts(p)
-    system = _assembled(inc, n)
-    return tuple(
-        _solve_pair(*system, cp.lam, cp.mu[axis - 1], HarmonicPoly.coordinate(axis), axis)
-        for axis in (1, 2)
-    )
+    cases = [(cp.mu[axis - 1], HarmonicPoly.coordinate(axis), axis) for axis in (1, 2)]
+    return tuple(_solve_pairs(*_assembled(inc, n), cp.lam, cases))
 
 
 def solve_harmonic(
@@ -297,7 +299,7 @@ def solve_harmonic(
     if h.is_constant:
         raise ValidationError("background is constant; nothing to solve")
     cp = contrasts(p)
-    return _solve_pair(*_assembled(inc, n), cp.lam, cp.mu[0], h, None)
+    return _solve_pairs(*_assembled(inc, n), cp.lam, [(cp.mu[0], h, None)])[0]
 
 
 def eval_u(

@@ -8,11 +8,11 @@ import pytest
 from neutral_lab.errors import NearEvaluationError, ValidationError
 from neutral_lab.geometry import discretize, make_ellipse
 from neutral_lab.layerpot import (
+    _refined_grid,
     feature_size,
     kstar_matrix,
     min_target_distance,
     normal_derivative_coupling,
-    resample_periodic,
     single_layer_grad_near,
     single_layer_grad_off,
     single_layer_off,
@@ -157,17 +157,25 @@ def test_coupling_between_disjoint_circles():
         normal_derivative_coupling(d1, d1)
 
 
-def test_resample_periodic_band_limited():
-    t64 = 2 * math.pi * np.arange(64) / 64
-    t256 = 2 * math.pi * np.arange(256) / 256
-    data = np.cos(3 * t64) - 0.5 * np.sin(7 * t64)
-    up = resample_periodic(data, 256)
-    assert np.max(np.abs(up - (np.cos(3 * t256) - 0.5 * np.sin(7 * t256)))) < 1e-13
-    same = resample_periodic(data, 64)
-    assert same is not data
-    assert np.array_equal(same, data)
-    with pytest.raises(ValidationError):
-        resample_periodic(up, 64)  # refinement helper never coarsens
+def test_single_layer_grad_near_interpolates_trigonometrically():
+    # every coarse mode, Nyquist included, against the plain trapezoid rule on
+    # the refined grid applied to the band-limited density itself
+    src = discretize(make_ellipse(0.0, 1.0, 0.6), 64)
+    pts = 1.01 * src.nodes[::7]
+    fine = _refined_grid(src, pts)
+
+    def modes(t):
+        cos = [np.cos(k * t) for k in range(33)]
+        return np.column_stack(cos + [np.sin(k * t) for k in range(1, 32)])
+
+    grads = single_layer_grad_near(src, modes(src.t), pts)
+    dx = pts[:, None, 0] - fine.nodes[None, :, 0]
+    dy = pts[:, None, 1] - fine.nodes[None, :, 1]
+    r2 = dx * dx + dy * dy
+    rw = modes(fine.t) * fine.weights[:, None] / (2 * math.pi)
+    exact = np.stack([(dx / r2) @ rw, (dy / r2) @ rw], axis=1)
+    assert fine.n > 4 * src.n
+    assert np.max(np.abs(grads - exact)) < 1e-12 * np.max(np.abs(exact))
 
 
 def test_single_layer_grad_near_density_columns(circle):

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neutral_lab import transmission
 from neutral_lab.errors import (
+    SolverError,
     UnsupportedConfigurationError,
     ValidationError,
 )
@@ -138,6 +140,15 @@ def test_solve_both_axes_matches_single_solves(design_case):
     ref2 = solve_uniform(inc, p, axis=2, n=128)
     assert np.array_equal(pair1.phi, ref1.phi) and np.array_equal(pair1.psi, ref1.psi)
     assert np.array_equal(pair2.phi, ref2.phi) and np.array_equal(pair2.psi, ref2.psi)
+    # one elimination path: single-case solves equal their axis bit for bit
+    iso = ConductivityProfile.isotropic(5.0, 1.0, 0.5)
+    for pair in solve_both_axes(inc, iso, n=128):
+        for ref in (
+            solve_uniform(inc, iso, axis=pair.axis, n=128),
+            solve_harmonic(inc, iso, HarmonicPoly.coordinate(pair.axis), n=128),
+        ):
+            for field in ("phi", "psi", "core_flux"):
+                assert np.array_equal(getattr(pair, field), getattr(ref, field))
 
 
 def test_density_grid_convergence(design_case):
@@ -288,3 +299,57 @@ def test_core_flux_is_interior_normal_derivative(am1, r0):
         d_in = pair.disc_inner
         _, g_exact = oracles.core(sol, d_in.nodes)
         assert np.max(np.abs(pair.core_flux - np.sum(g_exact * d_in.normals, axis=1))) < 1e-12
+
+
+def _full_system_solve(inc, p, n):
+    """Reference: the whole 2N x 2N block system, one dense solve per axis."""
+    d_in, d_out = discretize(inc.inner, n), discretize(inc.outer, n)
+    k_in, k_out, c_oi, c_io = transmission._operator_parts(d_in, d_out)
+    cp = contrasts(p)
+    out = []
+    for j in (0, 1):
+        a = np.block([[cp.lam * np.eye(n) - k_in, -c_oi], [-c_io, cp.mu[j] * np.eye(n) - k_out]])
+        for contrast, d, rows in ((cp.lam, d_in, slice(0, n)), (cp.mu[j], d_out, slice(n, None))):
+            if contrast >= 0.0:
+                a[rows, rows] += np.outer(np.ones(n), d.weights) / np.sum(d.weights)
+        b = np.concatenate(
+            [d.normals[:, j] - np.dot(d.normals[:, j], d.weights) / np.sum(d.weights)
+             for d in (d_in, d_out)]
+        )
+        x = np.linalg.solve(a, b)
+        phi, psi = x[:n], x[n:]
+        out.append((phi, psi, d_in.normals[:, j] + k_in @ phi - 0.5 * phi + c_oi @ psi))
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("sigma_c", [0.0, 0.2, 5.0, math.inf])
+@pytest.mark.parametrize("am1, r0", [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)])
+def test_block_elimination_matches_full_system(am1, r0, sigma_c, n):
+    # sigma_m on both sides of sigma_s = 1, so mu_1 > 0 > mu_2
+    inc = confocal_pair(1.0, am1, r0)
+    p = ConductivityProfile(sigma_c, 1.0, (0.5, 3.0))
+    assert contrasts(p).mu[0] > 0.0 > contrasts(p).mu[1]
+    for pair, ref in zip(solve_both_axes(inc, p, n=n), _full_system_solve(inc, p, n)):
+        for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
+            # the core flux vanishes for sigma_c = inf; dh/dnu is O(1) there
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_singular_block_raises_solver_error(design_case, monkeypatch, failing_call):
+    # failing_call 1 is the core block, 2 the first coating Schur complement
+    inc, _, p = design_case
+    real_solve, calls = np.linalg.solve, []
+
+    def solve(a, b):
+        calls.append(a.shape)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    with pytest.raises(SolverError) as info:
+        solve_both_axes(inc, p, n=64)
+    assert len(calls) == failing_call
+    assert info.value.cond is not None and math.isfinite(info.value.cond)

@@ -48,9 +48,7 @@ from .transmission import (
     decay_exponent,
     eval_u,
     neutrality_report,
-    principal_profile,
     solve_harmonic,
-    solve_uniform,
 )
 from .designer import (
     DesignResult,
@@ -115,13 +113,11 @@ __all__ = [
     "contrasts",
     "HarmonicPoly",
     "DensityPair",
-    "solve_uniform",
     "solve_harmonic",
     "eval_u",
     "neutrality_report",
     "NeutralityReport",
     "decay_exponent",
-    "principal_profile",
     "DesignResult",
     "confocal_design",
     "disk_matrix_conductivity",

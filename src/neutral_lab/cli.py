@@ -47,7 +47,7 @@ from .transmission import (
     decay_exponent,
     eval_u,
     neutrality_report,
-    solve_uniform,
+    solve_both_axes,
     _far_probe,
 )
 
@@ -63,11 +63,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# config schema (hand-rolled: flat sections, unknown keys rejected with paths)
+# config schema: one table per section declares each key's value rule and flag
 
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_sigma(v) -> bool:
@@ -78,101 +82,154 @@ def _is_sigma(v) -> bool:
     )
 
 
+def _is_pair(v, rule=_is_num) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(rule(x) for x in v)
+
+
+def _is_order(k: str) -> bool:
+    try:
+        int(k)
+    except ValueError:
+        return False
+    return True
+
+
 def _sigma_value(v) -> float:
     return math.inf if isinstance(v, str) else float(v)
 
 
 def _sigma_pair(v) -> tuple[float, float]:
     """A diagonal matrix conductivity given as SIGMA or [S1, S2]."""
-    if isinstance(v, list):
-        return (_sigma_value(v[0]), _sigma_value(v[1]))
-    return (_sigma_value(v), _sigma_value(v))
+    s1, s2 = v if isinstance(v, list) else (v, v)
+    return _sigma_value(s1), _sigma_value(s2)
 
 
-def _check_keys(section: dict, allowed: dict, path: str):
+def _parse_sigma_flag(text: str) -> float | str:
+    if text in _INF_TOKENS:
+        return "inf"
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"conductivity flag must be a number or 'inf', got {text!r}")
+
+
+def _parse_sm_flag(text: str) -> float | str | list:
+    parts = text.split(",")
+    if len(parts) == 1:
+        return _parse_sigma_flag(parts[0])
+    if len(parts) == 2:
+        return [_parse_sigma_flag(p) for p in parts]
+    raise ValidationError("--sm takes SIGMA or S1,S2")
+
+
+_H_CHOICES = {
+    "x1": HarmonicPoly(cx=1.0),
+    "x2": HarmonicPoly(cy=1.0),
+    "saddle": HarmonicPoly(cq=1.0),
+    "xy": HarmonicPoly(cxy=1.0),
+}
+
+
+def _key(rule, name=None, parse=None, top=False, **flag) -> SimpleNamespace:
+    """A config key: its value rule and, given argparse keyword arguments, its flag.
+
+    The flag is --NAME, by default the key with underscores as dashes; parse
+    turns the flag's value into the config value, and a top flag comes
+    before the subcommand.
+    """
+    return SimpleNamespace(rule=rule, name=name, parse=parse, top=top, flag=flag or None)
+
+
+_ELLIPSE = {"a": _is_num, "b": _is_num, "theta": _is_num, "center": _is_pair}
+
+
+def _is_ellipse(v) -> bool:
+    return isinstance(v, dict) and {"a", "b"} <= v.keys() and all(
+        k in _ELLIPSE and _ELLIPSE[k](x) for k, x in v.items()
+    )
+
+
+# the keys of each geometry.type; all are required
+_GEOMETRY = {
+    "confocal": {
+        "a1": _key(_is_num, type=float, help="confocal a_1 coefficient"),
+        "am1": _key(_is_num, type=float, help="confocal a_-1 coefficient"),
+        "r0": _key(_is_num, type=float, help="conformal modulus of the shell"),
+    },
+    "laurent": {
+        "coeffs": _key(lambda v: isinstance(v, dict) and all(
+            _is_order(k) and (_is_num(c) or _is_pair(c)) for k, c in v.items())),
+        "r0": _key(_is_num),
+    },
+    "ellipse_pair": {"inner": _key(_is_ellipse), "outer": _key(_is_ellipse)},
+}
+
+_SHELL = {
+    "f": _key(_is_num, type=float, help="volume fraction override"),
+    "shear": _key(_is_num, type=float, help="inner shear coefficient"),
+}
+# the other sections; a command reads its own section (see _section_of)
+_SECTIONS = {
+    "profile": {
+        "sigma_c": _key(_is_sigma, "sc", _parse_sigma_flag,
+                        help="core conductivity (number or 'inf')"),
+        "sigma_s": _key(lambda v: _is_num(v) and v > 0, "ss", type=float,
+                        help="shell conductivity"),
+        "sigma_m": _key(lambda v: _is_sigma(v) or _is_pair(v, _is_sigma), "sm", _parse_sm_flag,
+                        help="matrix conductivity: SIGMA or S1,S2"),
+    },
+    "numerics": {
+        "nodes": _key(_is_int, top=True, type=int, help="quadrature nodes per curve"),
+        "probe_radius": _key(lambda v: v is None or _is_num(v), type=float),
+        "probe_points": _key(_is_int),
+        "tol": _key(_is_num, top=True, type=float, help="admissibility tolerance"),
+    },
+    "solve": {"axis": _key(lambda v: _is_int(v) and v in (1, 2), type=int, choices=(1, 2))},
+    "neutrality": {},
+    "design": {"verify": _key(lambda v: isinstance(v, bool), action="store_true",
+                              help="attach a BIE neutrality report")},
+    "disk": {"f": _key(_is_num, type=float, help="volume fraction")},
+    "newtonian": _SHELL,
+    "freebvp": _SHELL,
+    "laurent": {**_SHELL, "coeff_tol": _key(_is_num, type=float)},
+    "search": {
+        "max_evals": _key(_is_int, type=int),
+        "target": _key(_is_num, type=float),
+        "max_order": _key(_is_int, type=int),
+        "perturb": _key(_is_num, type=float,
+                        help="uniform start perturbation amplitude (needs --seed)"),
+        "sigma_m": _key(_is_pair),
+    },
+    "decay": {
+        "h": _key(lambda v: isinstance(v, str) and v in _H_CHOICES, choices=sorted(_H_CHOICES)),
+        "radii": _key(_is_pair, nargs=2, type=float, metavar=("R1", "R2")),
+    },
+}
+
+
+def _section_of(command: str) -> str:
+    return "laurent" if command == "laurent-classify" else command
+
+
+def _check_keys(section: dict, keys: dict, path: str):
     for k in section:
-        if k not in allowed:
+        if k not in keys:
             raise ValidationError(f"unknown config key '{path}.{k}'")
-    for k, pred in allowed.items():
-        if k in section and not pred(section[k]):
+    for k, key in keys.items():
+        if k in section and not key.rule(section[k]):
             raise ValidationError(f"config key '{path}.{k}' has invalid value {section[k]!r}")
 
 
-def _validate_geometry(g: dict):
+def _validate_geometry(g):
     if not isinstance(g, dict) or "type" not in g:
         raise ValidationError("config 'geometry' must be an object with a 'type'")
     t = g["type"]
-    if t == "confocal":
-        _check_keys(g, {"type": lambda v: True, "a1": _is_num, "am1": _is_num, "r0": _is_num},
-                    "geometry")
-        for k in ("a1", "am1", "r0"):
-            if k not in g:
-                raise ValidationError(f"geometry.confocal requires '{k}'")
-    elif t == "laurent":
-        _check_keys(g, {"type": lambda v: True, "coeffs": lambda v: isinstance(v, dict),
-                        "r0": _is_num}, "geometry")
-        if "coeffs" not in g or "r0" not in g:
-            raise ValidationError("geometry.laurent requires 'coeffs' and 'r0'")
-        for k, v in g["coeffs"].items():
-            try:
-                int(k)
-            except ValueError:
-                raise ValidationError(f"geometry.coeffs key {k!r} is not an integer order")
-            ok = _is_num(v) or (
-                isinstance(v, list) and len(v) == 2 and all(_is_num(c) for c in v)
-            )
-            if not ok:
-                raise ValidationError(f"geometry.coeffs[{k}] must be a number or [re, im]")
-    elif t == "ellipse_pair":
-        def _ell(v):
-            if not isinstance(v, dict):
-                return False
-            allowed = {"a": _is_num, "b": _is_num, "theta": _is_num,
-                       "center": lambda c: isinstance(c, list) and len(c) == 2
-                       and all(_is_num(x) for x in c)}
-            _check_keys(v, allowed, "geometry.ellipse")
-            return "a" in v and "b" in v
-        _check_keys(g, {"type": lambda v: True, "inner": _ell, "outer": _ell}, "geometry")
-        if "inner" not in g or "outer" not in g:
-            raise ValidationError("geometry.ellipse_pair requires 'inner' and 'outer'")
-    else:
+    if not (isinstance(t, str) and t in _GEOMETRY):
         raise ValidationError(f"unknown geometry.type {t!r}")
-
-
-_SCHEMA = {
-    "geometry": None,  # validated by _validate_geometry
-    "profile": {
-        "sigma_c": _is_sigma,
-        "sigma_s": lambda v: _is_num(v) and v > 0,
-        "sigma_m": lambda v: _is_sigma(v) or (
-            isinstance(v, list) and len(v) == 2 and all(_is_sigma(x) for x in v)
-        ),
-    },
-    "numerics": {
-        "nodes": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "probe_radius": lambda v: v is None or _is_num(v),
-        "probe_points": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "tol": _is_num,
-    },
-    "solve": {"axis": lambda v: v in (1, 2)},
-    "neutrality": {},
-    "design": {"verify": lambda v: isinstance(v, bool)},
-    "disk": {"f": _is_num},
-    "newtonian": {"f": _is_num, "shear": _is_num},
-    "freebvp": {"f": _is_num, "shear": _is_num},
-    "laurent": {"f": _is_num, "shear": _is_num, "coeff_tol": _is_num},
-    "search": {
-        "max_evals": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "target": _is_num,
-        "max_order": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "perturb": _is_num,
-        "sigma_m": lambda v: isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v),
-    },
-    "decay": {
-        "h": lambda v: v in ("x1", "x2", "saddle", "xy"),
-        "radii": lambda v: isinstance(v, list) and len(v) == 2 and all(_is_num(x) for x in v),
-    },
-}
+    _check_keys({k: v for k, v in g.items() if k != "type"}, _GEOMETRY[t], "geometry")
+    for k in _GEOMETRY[t]:
+        if k not in g:
+            raise ValidationError(f"geometry.{t} requires {k!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -194,14 +251,14 @@ def load_config(path: str | None) -> dict:
 
 def validate_config(cfg: dict):
     for key, section in cfg.items():
-        if key not in _SCHEMA:
-            raise ValidationError(f"unknown config key '{key}'")
         if key == "geometry":
             _validate_geometry(section)
             continue
+        if key not in _SECTIONS:
+            raise ValidationError(f"unknown config key '{key}'")
         if not isinstance(section, dict):
             raise ValidationError(f"config '{key}' must be an object")
-        _check_keys(section, _SCHEMA[key], key)
+        _check_keys(section, _SECTIONS[key], key)
 
 
 def config_hash(cfg: dict) -> str:
@@ -259,14 +316,6 @@ def _laurent_map(g: dict, command: str) -> LaurentMap:
     raise ValidationError(f"{command} requires a laurent or confocal geometry")
 
 
-_H_CHOICES = {
-    "x1": HarmonicPoly(cx=1.0),
-    "x2": HarmonicPoly(cy=1.0),
-    "saddle": HarmonicPoly(cq=1.0),
-    "xy": HarmonicPoly(cxy=1.0),
-}
-
-
 # ---------------------------------------------------------------------------
 # artifact helpers
 
@@ -297,6 +346,11 @@ class _Sections(dict):
         raise ValidationError(f"config has no '{key}' section")
 
 
+def _given(sect: dict, *keys: str) -> dict:
+    """The keys set in a section; the library's own defaults cover the rest."""
+    return {k: sect[k] for k in keys if k in sect}
+
+
 def _numerics(cfg: dict) -> dict:
     base = {"nodes": 256, "probe_radius": None, "probe_points": 64, "tol": 1e-9}
     base.update(cfg.get("numerics", {}))
@@ -309,7 +363,7 @@ def cmd_solve(cfg, seed):
     num = _numerics(cfg)
     axis = cfg.get("solve", {}).get("axis", 1)
     radius, probe = _far_probe(inc, num["probe_radius"], num["probe_points"])
-    pair = solve_uniform(inc, prof, axis, n=num["nodes"])
+    pair = solve_both_axes(inc, prof, num["nodes"])[axis - 1]
     vals, grads = eval_u(inc, pair, prof, probe)
     resid = float(np.max(np.abs(vals - probe[:, axis - 1])))
     result = {
@@ -417,9 +471,7 @@ def cmd_laurent_classify(cfg, seed):
         inc = laurent_domain(m)
         f = area(discretize(inc.inner, 256)) / area(discretize(inc.outer, 256))
         shear = float(sect.get("shear", 0.0))
-    cls = laurent.classify(
-        m, f, shear, tol=num["tol"], coeff_tol=sect.get("coeff_tol", 1e-10)
-    )
+    cls = laurent.classify(m, f, shear, tol=num["tol"], **_given(sect, "coeff_tol"))
     result = cls.as_dict()
     result.update({"f": f, "shear": shear})
     rows = [(n, fac, "yes" if n in cls.admissible else "no",
@@ -435,13 +487,8 @@ def cmd_search(cfg, seed):
     if perturb and seed is None:
         raise ValidationError("search.perturb needs --seed so that the start is reproducible")
     num = _numerics(cfg)
-    scfg = shapesearch.SearchConfig(
-        sigma_c=sc,
-        sigma_s=ss,
-        max_order=sect.get("max_order", 2),
-        nodes=num["nodes"],
-        probe_points=num["probe_points"],
-    )
+    scfg = shapesearch.SearchConfig(sigma_c=sc, sigma_s=ss, nodes=num["nodes"],
+                                    probe_points=num["probe_points"], **_given(sect, "max_order"))
     m = _laurent_map(cfg["geometry"], "search")
     if any(a.imag != 0 for a in m.coeffs.values()):
         raise ValidationError("search needs real Laurent coefficients")
@@ -461,11 +508,7 @@ def cmd_search(cfg, seed):
         x[: len(scfg.coeff_orders)] += rng.uniform(-perturb, perturb,
                                                    len(scfg.coeff_orders))
         start = shapesearch.decode(x, scfg)
-    res = shapesearch.search(
-        start, scfg,
-        max_evals=sect.get("max_evals", 5000),
-        target=sect.get("target", 1e-12),
-    )
+    res = shapesearch.search(start, scfg, **_given(sect, "max_evals", "target"))
     result = res.as_dict()
     if not res.converged:
         raise SolverError(
@@ -491,32 +534,17 @@ def cmd_decay(cfg, seed):
 # argument parsing
 
 
-_SHELL_FLAGS = {
-    "f": {"type": float, "help": "volume fraction override"},
-    "shear": {"type": float, "help": "inner shear coefficient"},
-}
-# each command's handler and own flags; a flag --some-key sets some_key in the
-# command's config section (laurent-classify's section is "laurent")
 _COMMANDS = {
-    "solve": (cmd_solve, {"axis": {"type": int, "choices": (1, 2)}}),
-    "neutrality": (cmd_neutrality, {}),
-    "design": (cmd_design,
-               {"verify": {"action": "store_true", "help": "attach a BIE neutrality report"}}),
-    "disk": (cmd_disk, {"f": {"type": float, "help": "volume fraction"}}),
-    "newtonian": (cmd_newtonian, _SHELL_FLAGS),
-    "freebvp": (cmd_freebvp, _SHELL_FLAGS),
-    "laurent-classify": (cmd_laurent_classify, {**_SHELL_FLAGS, "coeff_tol": {"type": float}}),
-    "search": (cmd_search, {
-        "max_evals": {"type": int},
-        "target": {"type": float},
-        "max_order": {"type": int},
-        "perturb": {"type": float, "help": "uniform start perturbation amplitude (needs --seed)"},
-    }),
-    "decay": (cmd_decay, {
-        "h": {"choices": sorted(_H_CHOICES)},
-        "radii": {"nargs": 2, "type": float, "metavar": ("R1", "R2")},
-    }),
+    "solve": cmd_solve, "neutrality": cmd_neutrality, "design": cmd_design,
+    "disk": cmd_disk, "newtonian": cmd_newtonian, "freebvp": cmd_freebvp,
+    "laurent-classify": cmd_laurent_classify, "search": cmd_search, "decay": cmd_decay,
 }
+
+
+def _add_flags(parser, keys: dict, top: bool = False):
+    for k, key in keys.items():
+        if key.flag is not None and key.top == top:
+            parser.add_argument("--" + (key.name or k).replace("_", "-"), **key.flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,50 +552,17 @@ def build_parser() -> argparse.ArgumentParser:
                  description="Coated-inclusion neutrality laboratory")
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--out", help="directory for report.json and CSV artifacts")
-    ap.add_argument("--nodes", type=int, help="quadrature nodes per curve")
+    _add_flags(ap, _SECTIONS["numerics"], top=True)
     ap.add_argument("--seed", type=int, help="seed for randomized options")
-    ap.add_argument("--tol", type=float, help="admissibility tolerance")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, (_, flags) in _COMMANDS.items():
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--a1", type=float, help="confocal a_1 coefficient")
-        sp.add_argument("--am1", type=float, help="confocal a_-1 coefficient")
-        sp.add_argument("--r0", type=float, help="conformal modulus of the shell")
+        _add_flags(sp, _GEOMETRY["confocal"])
         sp.add_argument("--map", help="LaurentMap as JSON text or @file path")
-        sp.add_argument("--sc", help="core conductivity (number or 'inf')")
-        sp.add_argument("--ss", type=float, help="shell conductivity")
-        sp.add_argument("--sm", help="matrix conductivity: SIGMA or S1,S2")
-        sp.add_argument("--probe-radius", type=float)
-        for key, kwargs in flags.items():
-            sp.add_argument("--" + key.replace("_", "-"), **kwargs)
+        for section in ("profile", "numerics", _section_of(name)):
+            _add_flags(sp, _SECTIONS[section])
     return ap
-
-
-def _parse_sigma_flag(text: str) -> float | str:
-    if text in _INF_TOKENS:
-        return "inf"
-    try:
-        return float(text)
-    except ValueError:
-        raise ValidationError(f"conductivity flag must be a number or 'inf', got {text!r}")
-
-
-def _parse_sm_flag(text: str) -> float | str | list:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return _parse_sigma_flag(parts[0])
-    if len(parts) == 2:
-        return [_parse_sigma_flag(p) for p in parts]
-    raise ValidationError("--sm takes SIGMA or S1,S2")
-
-
-# flag attribute -> config key, per config section
-_SECTION_FLAGS = {
-    "profile": {"sc": "sigma_c", "ss": "sigma_s", "sm": "sigma_m"},
-    "numerics": {"nodes": "nodes", "probe_radius": "probe_radius", "tol": "tol"},
-}
-_FLAG_PARSERS = {"sc": _parse_sigma_flag, "sm": _parse_sm_flag}
 
 
 def _merge_flags(cfg: dict, args) -> dict:
@@ -575,7 +570,7 @@ def _merge_flags(cfg: dict, args) -> dict:
     cfg = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
 
     geo = cfg.setdefault("geometry", {})
-    if getattr(args, "map", None):
+    if args.map:
         text = args.map
         if text.startswith("@"):
             try:
@@ -590,24 +585,21 @@ def _merge_flags(cfg: dict, args) -> dict:
             raise ValidationError("--map must be a JSON object")
         geo.clear()
         geo.update({"type": "laurent", "coeffs": m.get("coeffs", {}), "r0": m.get("r0")})
-    confocal = {k: getattr(args, k, None) for k in ("a1", "am1", "r0")}
-    if any(v is not None for v in confocal.values()):
+    confocal = {k: v for k in _GEOMETRY["confocal"] if (v := getattr(args, k)) is not None}
+    if confocal:
         if geo.get("type") not in (None, "confocal"):
             raise ValidationError("--a1/--am1/--r0 conflict with a non-confocal geometry")
-        geo["type"] = "confocal"
-        geo.update({k: v for k, v in confocal.items() if v is not None})
+        geo.update(type="confocal", **confocal)
         geo.setdefault("am1", 0.0)
     if not geo:
         cfg.pop("geometry")
 
-    own = {"laurent-classify": "laurent"}.get(args.command, args.command)
-    sections = dict(_SECTION_FLAGS, **{own: {k: k for k in _COMMANDS[args.command][1]}})
-    for name, flags in sections.items():
+    for name in ("profile", "numerics", _section_of(args.command)):
         sect = cfg.setdefault(name, {})
-        for flag, key in flags.items():
-            v = getattr(args, flag)
+        for k, key in _SECTIONS[name].items():
+            v = None if key.flag is None else getattr(args, key.name or k)
             if v is not None and v is not False:
-                sect[key] = _FLAG_PARSERS[flag](v) if flag in _FLAG_PARSERS else v
+                sect[k] = key.parse(v) if key.parse else v
         if not sect:
             cfg.pop(name)
 
@@ -621,7 +613,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _merge_flags(cfg, args)
-        result, csv_files = _COMMANDS[args.command][0](_Sections(cfg), args.seed)
+        result, csv_files = _COMMANDS[args.command](_Sections(cfg), args.seed)
     except (ValidationError, GeometryError, UnsupportedConfigurationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

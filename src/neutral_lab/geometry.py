@@ -92,10 +92,6 @@ class Curve:
         t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
         return float(np.max(np.abs(self.point(t))))
 
-    def rotated(self, angle: float) -> "Curve":
-        """The curve rotated about the origin by `angle` (radians)."""
-        return Curve(self.coeffs * cmath.exp(1j * angle), self.k_min)
-
     def _check_sampled(self, samples: int = _CHECK_SAMPLES) -> None:
         t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
         dz = self.derivative(t)
@@ -355,9 +351,6 @@ class CoatedInclusion:
             raise GeometryError("inner and outer boundaries touch")
         if not np.all(winding_numbers(z_out, z_in) == 1):
             raise GeometryError("inner boundary is not strictly inside the outer one")
-
-    def rotated(self, angle: float) -> "CoatedInclusion":
-        return CoatedInclusion(self.inner.rotated(angle), self.outer.rotated(angle), None)
 
 
 def _validate_confocal_params(a1: float, am1: float, r0: float) -> None:

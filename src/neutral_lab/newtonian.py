@@ -33,6 +33,7 @@ from .layerpot import (
     single_layer_on_boundary,
 )
 from .report import Report
+from .transmission import _core_grid, _far_probe
 
 
 def _boundary_reduction(src: Discretization, pts: np.ndarray) -> np.ndarray:
@@ -107,16 +108,6 @@ class CombinedIdentityReport(Report):
     d_mismatch: tuple[float, float]
 
 
-def _interior_grid(inc: CoatedInclusion, factors=(0.2, 0.4, 0.6), count: int = 16) -> np.ndarray:
-    c0 = inc.inner.center
-    t = 2 * math.pi * np.arange(count) / count
-    z = inc.inner.point(t)
-    pts = [c0 + s * (z - c0) for s in factors]
-    pts = np.concatenate(pts)
-    pts = np.column_stack([pts.real, pts.imag])
-    return np.vstack([pts, [c0.real, c0.imag]])
-
-
 def fit_quadratic(pts: np.ndarray, values: np.ndarray) -> QuadraticFit:
     x, y = pts[:, 0], pts[:, 1]
     basis = np.column_stack([x * x, y * y, x, y, np.ones_like(x)])
@@ -137,13 +128,11 @@ def combined_identity_check(inc: CoatedInclusion, dr, n: int = 256) -> CombinedI
     d_in = discretize(inc.inner, n)
     d_out = discretize(inc.outer, n)
 
-    pts = _interior_grid(inc)
+    pts = _core_grid(inc, factors=(0.2, 0.4, 0.6))
     g_in = newtonian_potential(d_in, pts) - f * newtonian_potential(d_out, pts)
     fit = fit_quadratic(pts, g_in)
 
-    r_probe = 3.0 * inc.outer.max_radius()
-    t = 2 * math.pi * np.arange(64) / 64
-    probe = r_probe * np.column_stack([np.cos(t), np.sin(t)])
+    _, probe = _far_probe(inc, None, 64)
     g_ext = newtonian_potential(d_in, probe) - f * newtonian_potential(d_out, probe)
     exterior = float(np.max(np.abs(g_ext - np.mean(g_ext))))
 

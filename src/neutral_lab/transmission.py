@@ -19,10 +19,8 @@ at the extreme contrasts. The system is solved by eliminating the core block,
 which does not depend on mu, once; each axis then solves only the N x N
 coating Schur complement with its own mu.
 
-A diagonal anisotropic matrix conductivity diag(sigma_m^1, sigma_m^2) is
-handled by giving the axis-j solve the isotropic value sigma_m^j; a general
-symmetric tensor must first be rotated to principal axes (`principal_profile`)
-together with the geometry.
+Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
+axis-j solve uses the isotropic value sigma_m^j.
 """
 
 from __future__ import annotations
@@ -258,26 +256,15 @@ def _assembled(inc: CoatedInclusion, n: int):
     return d_in, d_out, _operator_parts(d_in, d_out)
 
 
-def solve_uniform(
-    inc: CoatedInclusion, p: ConductivityProfile, axis: int, n: int = DEFAULT_NODES
-) -> DensityPair:
-    """Densities for the uniform background h = x_axis (axis in {1, 2}).
-
-    The axis-j solve uses the matrix component sigma_m^j.
-    """
-    h = HarmonicPoly.coordinate(axis)
-    cp = contrasts(p)
-    return _solve_pairs(*_assembled(inc, n), cp.lam, [(cp.mu[axis - 1], h, axis)])[0]
-
-
 def solve_both_axes(
     inc: CoatedInclusion, p: ConductivityProfile, n: int = DEFAULT_NODES
 ) -> tuple[DensityPair, DensityPair]:
-    """Both coordinate-background solves, sharing discretization and assembly.
+    """Densities for the uniform backgrounds h = x_1 and h = x_2, in that order.
 
-    Only the mu-diagonal of the outer block differs between the axes, so the
-    operator blocks, the core factorization and the mu-free part of the
-    coating Schur complement are built once.
+    The axis-j solve uses the matrix component sigma_m^j. Only the
+    mu-diagonal of the outer block differs between the axes, so the operator
+    blocks, the core factorization and the mu-free part of the coating Schur
+    complement are built once.
     """
     cp = contrasts(p)
     cases = [(cp.mu[axis - 1], HarmonicPoly.coordinate(axis), axis) for axis in (1, 2)]
@@ -349,13 +336,12 @@ def _scattered_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _core_grid(inc: CoatedInclusion, count: int = 16) -> np.ndarray:
-    """Half-scale copy of the core boundary plus its center (interior points)."""
+def _core_grid(inc: CoatedInclusion, factors=(0.5,), count: int = 16) -> np.ndarray:
+    """Copies of the core boundary scaled about its center, plus the center."""
     c0 = inc.inner.center
     t = 2 * math.pi * np.arange(count) / count
-    z = c0 + 0.5 * (inc.inner.point(t) - c0)
-    pts = np.column_stack([z.real, z.imag])
-    return np.vstack([pts, [c0.real, c0.imag]])
+    z = np.concatenate([c0 + s * (inc.inner.point(t) - c0) for s in factors])
+    return np.vstack([np.column_stack([z.real, z.imag]), [c0.real, c0.imag]])
 
 
 @dataclass(frozen=True)
@@ -487,20 +473,3 @@ def decay_exponent(
     if res1 <= 0.0 or res2 <= 0.0:
         raise SolverError("scattered field vanished on a probe circle; exponent undefined")
     return math.log(res1 / res2) / math.log(r2 / r1)
-
-
-def principal_profile(sigma_matrix, sigma_c, sigma_s):
-    """Diagonalize a symmetric 2x2 matrix conductivity.
-
-    Returns (theta, profile): sigma_matrix = R(theta) diag(sigma_m) R(theta)^T.
-    Rotate the geometry by -theta (CoatedInclusion.rotated) to use the
-    axis-aligned pipeline, then rotate fields back.
-    """
-    s = np.asarray(sigma_matrix, dtype=float)
-    if s.shape != (2, 2) or abs(s[0, 1] - s[1, 0]) > 1e-12 * np.abs(s).max():
-        raise ValidationError("matrix conductivity must be symmetric 2x2")
-    vals, vecs = np.linalg.eigh(s)
-    # eigh sorts ascending; keep the first eigenvector as the new x-axis
-    theta = math.atan2(vecs[1, 0], vecs[0, 0])
-    profile = ConductivityProfile(sigma_c, sigma_s, (float(vals[0]), float(vals[1])))
-    return theta, profile

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from neutral_lab.cli import main
 from neutral_lab.designer import confocal_design
 
 CLI = [sys.executable, "-m", "neutral_lab.cli"]
@@ -94,6 +95,89 @@ def test_unknown_config_key_rejected(tmp_path):
     assert proc.returncode == 1
     assert "sigma_mm" in proc.stderr
     assert not out.exists()  # no artifacts written on failure
+
+
+ELLIPSE = {"a": 3.0, "b": 2.0}
+# one malformed value per config rule: (config, key path named on stderr)
+MALFORMED = {
+    "profile.sigma_c": ({"profile": {"sigma_c": "huge"}}, "profile.sigma_c"),
+    "profile.sigma_s": ({"profile": {"sigma_s": 0}}, "profile.sigma_s"),
+    "profile.sigma_m": ({"profile": {"sigma_m": [1, 2, 3]}}, "profile.sigma_m"),
+    "numerics.nodes": ({"numerics": {"nodes": 64.0}}, "numerics.nodes"),
+    "numerics.probe_radius": ({"numerics": {"probe_radius": "far"}}, "numerics.probe_radius"),
+    "numerics.probe_points": ({"numerics": {"probe_points": 2.5}}, "numerics.probe_points"),
+    "numerics.tol": ({"numerics": {"tol": "1e-9"}}, "numerics.tol"),
+    "solve.axis": ({"solve": {"axis": 3}}, "solve.axis"),
+    "solve.axis-float": ({"solve": {"axis": 1.0}}, "solve.axis"),
+    "solve.axis-bool": ({"solve": {"axis": True}}, "solve.axis"),
+    "design.verify": ({"design": {"verify": "yes"}}, "design.verify"),
+    "disk.f": ({"disk": {"f": None}}, "disk.f"),
+    "newtonian.f": ({"newtonian": {"f": "0.4"}}, "newtonian.f"),
+    "newtonian.shear": ({"newtonian": {"shear": [0.1]}}, "newtonian.shear"),
+    "freebvp.f": ({"freebvp": {"f": True}}, "freebvp.f"),
+    "freebvp.shear": ({"freebvp": {"shear": "x"}}, "freebvp.shear"),
+    "laurent.f": ({"laurent": {"f": None}}, "laurent.f"),
+    "laurent.shear": ({"laurent": {"shear": {}}}, "laurent.shear"),
+    "laurent.coeff_tol": ({"laurent": {"coeff_tol": "tiny"}}, "laurent.coeff_tol"),
+    "search.max_evals": ({"search": {"max_evals": 50.5}}, "search.max_evals"),
+    "search.target": ({"search": {"target": "1e-10"}}, "search.target"),
+    "search.max_order": ({"search": {"max_order": True}}, "search.max_order"),
+    "search.perturb": ({"search": {"perturb": "0.05"}}, "search.perturb"),
+    "search.sigma_m": ({"search": {"sigma_m": 2}}, "search.sigma_m"),
+    "decay.h": ({"decay": {"h": "x3"}}, "decay.h"),
+    "decay.radii": ({"decay": {"radii": [5]}}, "decay.radii"),
+    "unknown-section": ({"solver": {}}, "'solver'"),
+    "unknown-key": ({"profile": {"sigma_mm": 2.0}}, "profile.sigma_mm"),
+    "section-not-object": ({"numerics": 5}, "'numerics'"),
+    "geometry-not-object": ({"geometry": []}, "'geometry'"),
+    "geometry-no-type": ({"geometry": {"a1": 1.0}}, "'geometry'"),
+    "geometry.type": ({"geometry": {"type": "circle"}}, "geometry.type"),
+    "geometry.type-list": ({"geometry": {"type": ["confocal"]}}, "geometry.type"),
+    "confocal-required": ({"geometry": {"type": "confocal", "a1": 1, "am1": 0.2}},
+                          "geometry.confocal requires 'r0'"),
+    "confocal.a1": ({"geometry": {"type": "confocal", "a1": True, "am1": 0.2, "r0": 1.5}},
+                    "geometry.a1"),
+    "confocal-unknown": ({"geometry": {"type": "confocal", "a1": 1, "am1": 0.2, "r0": 1.5,
+                                       "a2": 0.1}}, "geometry.a2"),
+    "laurent-required": ({"geometry": {"type": "laurent", "r0": 1.5}},
+                         "geometry.laurent requires 'coeffs'"),
+    "laurent.coeffs": ({"geometry": {"type": "laurent", "coeffs": [1], "r0": 1.5}},
+                       "geometry.coeffs"),
+    "laurent.coeffs-order": ({"geometry": {"type": "laurent", "coeffs": {"x": 1}, "r0": 1.5}},
+                             "geometry.coeffs"),
+    "laurent.coeffs-value": ({"geometry": {"type": "laurent", "coeffs": {"1": [1, 2, 3]},
+                                           "r0": 1.5}}, "geometry.coeffs"),
+    "laurent.r0": ({"geometry": {"type": "laurent", "coeffs": {"1": 1}, "r0": "1.5"}},
+                   "geometry.r0"),
+    "ellipse_pair-required": ({"geometry": {"type": "ellipse_pair", "outer": ELLIPSE}},
+                              "geometry.ellipse_pair requires 'inner'"),
+    "ellipse-not-object": ({"geometry": {"type": "ellipse_pair", "inner": 3, "outer": ELLIPSE}},
+                           "geometry.inner"),
+    "ellipse-required": ({"geometry": {"type": "ellipse_pair", "inner": {"a": 1.0},
+                                       "outer": ELLIPSE}}, "geometry.inner"),
+    "ellipse.center": ({"geometry": {"type": "ellipse_pair", "outer": ELLIPSE,
+                                     "inner": {"a": 1.0, "b": 0.5, "center": [0]}}},
+                       "geometry.inner"),
+    "ellipse.theta": ({"geometry": {"type": "ellipse_pair", "inner": ELLIPSE,
+                                    "outer": {"a": 4.0, "b": 3.0, "theta": "0"}}},
+                      "geometry.outer"),
+    "ellipse-unknown": ({"geometry": {"type": "ellipse_pair", "outer": ELLIPSE,
+                                      "inner": {"a": 1.0, "b": 0.5, "c": 0.1}}},
+                        "geometry.inner"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_values_exit_one(tmp_path, capsys, case):
+    config, path = MALFORMED[case]
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "never"
+    assert main(["--config", str(cfgfile), "--out", str(out), "neutrality"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and path in captured.err
+    assert not out.exists()
 
 
 def test_malformed_config_rejected(tmp_path):

@@ -27,6 +27,7 @@ def test_ellipse_fourier_coefficients():
     assert coeffs[1] == pytest.approx(1.5)
     assert coeffs[-1] == pytest.approx(0.5)
     assert curve.center == 0j
+    assert curve.max_radius() == pytest.approx(2.0)
 
 
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0), (1.3, 0.4)])
@@ -188,12 +189,3 @@ def test_area_fraction_of_reference_shell():
     inc = confocal_pair(1.0, 0.2, 1.5)
     f = area(discretize(inc.inner, 256)) / area(discretize(inc.outer, 256))
     assert f == pytest.approx(864.0 / 2009.0, abs=1e-13)
-
-
-def test_rotated_curve():
-    curve = make_ellipse(0.0, 2.0, 1.0)
-    rot = curve.rotated(0.7)
-    t = np.linspace(0.0, 2 * math.pi, 9)
-    assert np.max(np.abs(rot.point(t) - np.exp(0.7j) * curve.point(t))) < 1e-14
-    assert rot.signed_area() == pytest.approx(curve.signed_area())
-    assert curve.max_radius() == pytest.approx(2.0)

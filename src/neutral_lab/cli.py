@@ -52,6 +52,8 @@ from .transmission import (
 )
 
 _INF_TOKENS = {"inf", "Infinity", "infinity"}
+# largest numerics.nodes: the dense N x N blocks stay at 128 MiB each
+_MAX_NODES = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,7 +181,8 @@ _SECTIONS = {
                         help="matrix conductivity: SIGMA or S1,S2"),
     },
     "numerics": {
-        "nodes": _key(_is_int, top=True, type=int, help="quadrature nodes per curve"),
+        "nodes": _key(lambda v: _is_int(v) and v <= _MAX_NODES, top=True, type=int,
+                      help=f"quadrature nodes per curve (at most {_MAX_NODES})"),
         "probe_radius": _key(lambda v: v is None or _is_num(v), type=float),
         "probe_points": _key(_is_int),
         "tol": _key(_is_num, top=True, type=float, help="admissibility tolerance"),

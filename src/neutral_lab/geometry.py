@@ -112,33 +112,37 @@ def _first_self_intersection(z: np.ndarray):
     """Index pair of the first properly crossing segment pair, else None.
 
     Operates on the closed polyline through the sample points z; adjacent
-    segments (sharing an endpoint) are skipped.
+    segments (sharing an endpoint) are skipped. Only segment pairs whose
+    closed bounding boxes overlap reach the cross-product test, and the first
+    hit is returned in row-major order (i, then j). A proper crossing implies
+    overlapping boxes, so the prefilter changes no verdict in exact
+    arithmetic; it can only drop a rounding-level "crossing" between
+    disjoint, nearly collinear segments.
     """
-    pts = np.column_stack([z.real, z.imag])
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    m = len(pts)
+    a = np.column_stack([z.real, z.imag])
+    b = np.roll(a, -1, axis=0)
+    m = len(a)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    near = (lo[:, None, 0] <= hi[None, :, 0]) & (lo[None, :, 0] <= hi[:, None, 0])
+    near &= (lo[:, None, 1] <= hi[None, :, 1]) & (lo[None, :, 1] <= hi[:, None, 1])
+    idx = np.arange(m)
+    for shift in (-1, 0, 1):
+        near[idx, (idx + shift) % m] = False
+    i, j = np.nonzero(near)
 
     def cross(o, p, q):
-        return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) - (
-            p[..., 1] - o[..., 1]
-        ) * (q[..., 0] - o[..., 0])
+        return (p[:, 0] - o[:, 0]) * (q[:, 1] - o[:, 1]) - (p[:, 1] - o[:, 1]) * (
+            q[:, 0] - o[:, 0]
+        )
 
-    # all segment pairs at once; memory m^2 is fine at sampling resolution
-    a_i, b_i = a[:, None, :], b[:, None, :]
-    a_j, b_j = a[None, :, :], b[None, :, :]
-    d1 = cross(a_i, b_i, a_j)
-    d2 = cross(a_i, b_i, b_j)
-    d3 = cross(a_j, b_j, a_i)
-    d4 = cross(a_j, b_j, b_i)
-    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
-    idx = np.arange(m)
-    gap = (idx[None, :] - idx[:, None]) % m
-    crossing &= (gap > 1) & (gap < m - 1)
-    hits = np.argwhere(crossing)
+    a_i, b_i, a_j, b_j = a[i], b[i], a[j], b[j]
+    crossing = (cross(a_i, b_i, a_j) * cross(a_i, b_i, b_j) < 0) & (
+        cross(a_j, b_j, a_i) * cross(a_j, b_j, b_i) < 0
+    )
+    hits = np.flatnonzero(crossing)
     if len(hits) == 0:
         return None
-    return int(hits[0, 0]), int(hits[0, 1])
+    return int(i[hits[0]]), int(j[hits[0]])
 
 
 def winding_numbers(z_loop: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -314,15 +318,14 @@ def _check_univalence(m: LaurentMap, n_theta: int = 256, n_rho: int = 16) -> Non
         raise GeometryError(
             f"map derivative vanishes near zeta = {rho[i]:.4f} e^(i {theta[j]:.4f})"
         )
-    for rho_b, label in ((1.0, "inner"), (m.r0, "outer")):
-        z = m.map_point(rho_b * np.exp(1j * theta))
+    z_in = m.map_point(np.exp(1j * theta))
+    z_out = m.map_point(m.r0 * np.exp(1j * theta))
+    for z, label in ((z_in, "inner"), (z_out, "outer")):
         hit = _first_self_intersection(z)
         if hit is not None:
             raise GeometryError(
                 f"{label} boundary image self-intersects near t = {theta[hit[0]]:.6f}"
             )
-    z_in = m.map_point(np.exp(1j * theta))
-    z_out = m.map_point(m.r0 * np.exp(1j * theta))
     wind = winding_numbers(z_out, z_in)
     if not np.all(wind == 1):
         raise GeometryError("inner boundary image is not enclosed by the outer image")

@@ -32,7 +32,8 @@ from .errors import (
 )
 from .geometry import LaurentMap, laurent_domain
 from .report import OMIT, Report
-from .transmission import ConductivityProfile, _far_probe, eval_u, solve_both_axes
+from .transmission import ConductivityProfile, _far_probe, field_values, solve_both_axes
+from .transmission import eval_u  # noqa: F401  (bench/spans.py still patches shapesearch.eval_u)
 
 PENALTY = 1.0e6
 _CHECK_SAMPLES = 128  # angular resolution of validity checks inside the objective
@@ -142,8 +143,7 @@ def _deviations(params: ShapeParams, cfg: SearchConfig) -> list[np.ndarray]:
     _, probe = _far_probe(inc, None, cfg.probe_points)
     out = []
     for pair in solve_both_axes(inc, profile, n=cfg.nodes):
-        vals, _ = eval_u(inc, pair, profile, probe)
-        out.append(vals - probe[:, pair.axis - 1])
+        out.append(field_values(pair, probe) - probe[:, pair.axis - 1])
     if not all(np.all(np.isfinite(d)) for d in out):
         raise SolverError("non-finite field on the probe circle")
     return out
@@ -245,15 +245,20 @@ def search(
 ) -> SearchResult:
     """Minimize the neutrality objective from a given starting shape.
 
-    The start must lie inside the search box. converged means the target
-    objective was reached; the incumbent best point and the best-so-far
-    history are returned either way.
+    The start must lie inside the search box, and its geometry must pass
+    the check every evaluation runs (GeometryError otherwise). converged
+    means the target objective was reached; the incumbent best point and the
+    best-so-far history are returned either way.
     """
     if target <= 0:
         raise ValidationError("target must be positive")
     x0 = encode(start, cfg)
     if not _in_box(x0, cfg):
         raise ValidationError(f"the start lies outside the search box of {cfg}")
+    try:
+        laurent_domain(decode(x0, cfg).laurent_map(), samples=_CHECK_SAMPLES)
+    except GeometryError as exc:
+        raise GeometryError(f"the start fails the geometry check: {exc}") from exc
 
     history, improvements = _least_squares(
         lambda x: decode(x, cfg), x0, _box(cfg), cfg, max_evals, target

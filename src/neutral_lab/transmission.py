@@ -296,17 +296,22 @@ def eval_u(
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    vals = (
-        pair.h.value(pts)
-        + single_layer_off(pair.disc_inner, pair.phi, pts)
-        + single_layer_off(pair.disc_outer, pair.psi, pts)
-    )
+    vals = field_values(pair, pts)
     grads = (
         pair.h.gradient(pts)
         + single_layer_grad_off(pair.disc_inner, pair.phi, pts)
         + single_layer_grad_off(pair.disc_outer, pair.psi, pts)
     )
     return vals, grads
+
+
+def field_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
+    """Field values u = h + S_in phi + S_out psi at (m, 2) points outside both near zones."""
+    return (
+        pair.h.value(pts)
+        + single_layer_off(pair.disc_inner, pair.phi, pts)
+        + single_layer_off(pair.disc_outer, pair.psi, pts)
+    )
 
 
 def _probe_circle(radius: float, m: int) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from neutral_lab.cli import main
+from neutral_lab.cli import main, validate_config
 from neutral_lab.designer import confocal_design
 
 CLI = [sys.executable, "-m", "neutral_lab.cli"]
@@ -104,6 +104,7 @@ MALFORMED = {
     "profile.sigma_s": ({"profile": {"sigma_s": 0}}, "profile.sigma_s"),
     "profile.sigma_m": ({"profile": {"sigma_m": [1, 2, 3]}}, "profile.sigma_m"),
     "numerics.nodes": ({"numerics": {"nodes": 64.0}}, "numerics.nodes"),
+    "numerics.nodes-cap": ({"numerics": {"nodes": 100000000000}}, "numerics.nodes"),
     "numerics.probe_radius": ({"numerics": {"probe_radius": "far"}}, "numerics.probe_radius"),
     "numerics.probe_points": ({"numerics": {"probe_points": 2.5}}, "numerics.probe_points"),
     "numerics.tol": ({"numerics": {"tol": "1e-9"}}, "numerics.tol"),
@@ -211,6 +212,21 @@ def test_search_nonconvergence_exits_two(tmp_path):
                    "--perturb", "0.05", "--max-evals", "5", "--target", "1e-12")
     assert proc.returncode == 2
     assert "converge" in proc.stderr.lower() or "objective" in proc.stderr.lower()
+
+
+def test_search_refuses_start_with_invalid_geometry(capsys):
+    # a folded start is a bad input (exit 1), not a numerical failure after penalized steps
+    argv = ["--nodes", "64", "search", "--map", '{"coeffs": {"1": 1, "2": 0.6}, "r0": 1.2}',
+            "--sc", "5", "--ss", "1", "--sm", "2", "--max-evals", "30"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the start fails the geometry check")
+
+
+def test_nodes_cap_is_inclusive():
+    # the refused side is a MALFORMED case
+    validate_config({"numerics": {"nodes": 4096}})
 
 
 def test_search_perturb_requires_seed():

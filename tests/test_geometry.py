@@ -10,6 +10,7 @@ from neutral_lab.geometry import (
     CoatedInclusion,
     Curve,
     LaurentMap,
+    _first_self_intersection,
     area,
     confocal_pair,
     discretize,
@@ -76,6 +77,66 @@ def test_self_intersecting_curve_rejected():
     # limacon with an inner loop: e^{it} + 0.8 e^{2it}
     with pytest.raises(GeometryError, match="self-intersect"):
         Curve.from_coeffs([1.0, 0.8], k_min=1)
+
+
+def _all_pairs_self_intersection(z):
+    """Reference: the cross-product predicate on every non-adjacent segment pair."""
+    pts = np.column_stack([z.real, z.imag])
+    a, b = pts, np.roll(pts, -1, axis=0)
+    m = len(pts)
+
+    def cross(o, p, q):
+        return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) - (
+            p[..., 1] - o[..., 1]
+        ) * (q[..., 0] - o[..., 0])
+
+    a_i, b_i = a[:, None, :], b[:, None, :]
+    a_j, b_j = a[None, :, :], b[None, :, :]
+    crossing = (cross(a_i, b_i, a_j) * cross(a_i, b_i, b_j) < 0) & (
+        cross(a_j, b_j, a_i) * cross(a_j, b_j, b_i) < 0
+    )
+    gap = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    hits = np.argwhere(crossing & (gap > 1) & (gap < m - 1))
+    return None if len(hits) == 0 else (int(hits[0, 0]), int(hits[0, 1]))
+
+
+def _random_polylines(rng):
+    """Closed polylines with and without crossings, including collinear and touching cases."""
+    for m in (4, 5, 8, 17, 64, 128):
+        for _ in range(20):
+            yield rng.normal(size=m) + 1j * rng.normal(size=m)  # mostly crossing
+            t = np.sort(rng.uniform(0.0, 2 * math.pi, m))
+            star = rng.uniform(0.5, 1.5, m) * np.exp(1j * t)
+            yield star  # simple unless an angular gap exceeds pi
+            k = rng.integers(1, 4)
+            yield star + rng.uniform(0.0, 1.5) * np.exp(1j * k * t)  # sometimes crossing
+            yield rng.integers(-3, 4, m) + 1j * rng.integers(-3, 4, m)  # exact, degenerate
+
+
+def test_self_intersection_prefilter_matches_all_pairs():
+    results = []
+    for z in _random_polylines(np.random.default_rng(7)):
+        expected = _all_pairs_self_intersection(z)
+        assert _first_self_intersection(z) == expected
+        results.append(expected is None)
+    assert 0 < sum(results) < len(results)  # both verdicts occur
+
+
+@pytest.mark.parametrize("samples,message", [
+    (128, None),
+    (256, None),
+    (1024, "outer boundary image self-intersects near t = 3.123185"),
+])
+def test_laurent_domain_verdict_by_sampling(samples, message):
+    # an M=3 map whose outer-image fold shows only at 1024 samples
+    m = LaurentMap({1: 1, -3: -0.1045, -2: -0.0177, -1: 0.2256, 2: 0.2633, 3: -0.0054},
+                   1.7183)
+    if message is None:
+        laurent_domain(m, samples=samples)
+    else:
+        with pytest.raises(GeometryError) as info:
+            laurent_domain(m, samples=samples)
+        assert str(info.value) == message
 
 
 def test_vanishing_tangent_rejected():

@@ -6,19 +6,24 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
-from neutral_lab.errors import ValidationError
+from neutral_lab.errors import GeometryError, ValidationError
 from neutral_lab.designer import confocal_design
+from neutral_lab.geometry import laurent_domain
 from neutral_lab.shapesearch import (
+    _CHECK_SAMPLES,
     PENALTY,
     SearchConfig,
     ShapeParams,
+    _deviations,
     decode,
     encode,
     objective,
     perturbation_study,
     search,
 )
+from neutral_lab.transmission import ConductivityProfile, _far_probe, eval_u, solve_both_axes
 
 
 @pytest.fixture(scope="module")
@@ -163,3 +168,24 @@ def test_search_refuses_nonpositive_matrix_conductivity(cfg, sigma_m):
 def test_config_refuses_probe_points_below_one(points):
     with pytest.raises(ValidationError, match="probe_points"):
         SearchConfig(sigma_c=5.0, sigma_s=1.0, probe_points=points)
+
+
+def test_search_refuses_start_with_invalid_geometry(cfg, design):
+    folded = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: 0.9}, r0=1.5, sigma_m=design.sigma_m)
+    with pytest.raises(GeometryError, match="the start fails the geometry check: .*self-inter"):
+        search(folded, cfg, max_evals=30)
+
+
+@pytest.mark.parametrize("a2", [0.0, 0.05])
+def test_deviations_equal_eval_u_values(cfg, design, a2):
+    # the search takes probe values alone; they must be eval_u's values bit for bit
+    params = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: a2}, r0=1.5, sigma_m=design.sigma_m)
+    inc = laurent_domain(params.laurent_map(), samples=_CHECK_SAMPLES)
+    profile = ConductivityProfile(sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s,
+                                  sigma_m=params.sigma_m)
+    _, probe = _far_probe(inc, None, cfg.probe_points)
+    pairs = solve_both_axes(inc, profile, n=cfg.nodes)
+    devs = _deviations(params, cfg)
+    assert len(devs) == len(pairs) == 2
+    for dev, pair in zip(devs, pairs):
+        assert_array_equal(dev, eval_u(inc, pair, profile, probe)[0] - probe[:, pair.axis - 1])

@@ -7,7 +7,8 @@ effective config and its sha256 hash so runs are reproducible.
 
 Exit codes: 0 success; 1 invalid input (bad flags, malformed or unknown
 config keys, invalid geometry); 2 numerical failure (singular solve, no
-valid coating, search that misses its target).
+valid coating, search that misses its target); 141 (128 + SIGPIPE) when
+stdout is closed before the report is written.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -325,7 +327,7 @@ def _laurent_map(g: dict, command: str) -> LaurentMap:
 
 def _emit(report: dict, out_dir: str | None, csv_files: dict | None = None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(text, flush=True)
     if out_dir is None:
         return
     out = Path(out_dir)
@@ -466,14 +468,14 @@ def cmd_freebvp(cfg, seed):
 
 def cmd_laurent_classify(cfg, seed):
     m = _laurent_map(cfg["geometry"], "laurent-classify")
+    inc = laurent_domain(m)
     num = _numerics(cfg)
     sect = cfg.get("laurent", {})
-    if "f" in sect and "shear" in sect:
-        f, shear = float(sect["f"]), float(sect["shear"])
+    if "f" in sect:
+        f = float(sect["f"])
     else:
-        inc = laurent_domain(m)
         f = area(discretize(inc.inner, 256)) / area(discretize(inc.outer, 256))
-        shear = float(sect.get("shear", 0.0))
+    shear = float(sect.get("shear", 0.0))
     cls = laurent.classify(m, f, shear, tol=num["tol"], **_given(sect, "coeff_tol"))
     result = cls.as_dict()
     result.update({"f": f, "shear": shear})
@@ -631,7 +633,13 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "result": result,
     }
-    _emit(report, args.out, csv_files)
+    try:
+        _emit(report, args.out, csv_files)
+    except BrokenPipeError:
+        # stdout was closed early (e.g. `| head`): exit as if killed by
+        # SIGPIPE, and point stdout at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

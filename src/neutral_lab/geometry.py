@@ -1,11 +1,12 @@
 """Closed curves, coated inclusions, and annulus maps.
 
 Curves are trigonometric polynomials z(t) = sum_k c_k e^{ikt} over t in
-[0, 2pi), stored by their complex Fourier coefficients. All curves are
-normalized to counterclockwise orientation at construction, so the outward
-unit normal is (y', -x')/|z'|. Discretization uses the N-point periodic
-trapezoid grid t_i = 2pi i/N, which is spectrally accurate for the smooth
-(analytic) boundaries this package deals with.
+[0, 2pi), stored by their complex Fourier coefficients. Curve.from_coeffs
+normalizes orientation to counterclockwise and laurent_domain refuses
+clockwise boundary images, so the outward unit normal is (y', -x')/|z'|.
+Discretization uses the N-point periodic trapezoid grid t_i = 2pi i/N, which
+is spectrally accurate for the smooth (analytic) boundaries this package
+deals with.
 """
 
 from __future__ import annotations
@@ -21,11 +22,8 @@ from .errors import GeometryError, ValidationError
 _CHECK_SAMPLES = 256
 
 
-def _synthesize(coeffs: np.ndarray, k_min: int, t: np.ndarray, order: int = 0) -> np.ndarray:
-    """Evaluate d^order/dt^order of sum c_k e^{ikt} at parameters t."""
-    ks = np.arange(k_min, k_min + len(coeffs))
-    weights = (1j * ks) ** order * coeffs
-    return np.exp(1j * np.outer(t, ks)) @ weights
+def _sample_grid(samples: int) -> np.ndarray:
+    return 2 * math.pi * np.arange(samples) / samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +46,7 @@ class Curve:
             Frequency of the first coefficient.
         check : bool
             Sample the curve and reject vanishing tangents and
-            self-intersections (at 256-point resolution).
+            self-intersections (at 256-point resolution; see `_check_curve`).
         """
         c = np.asarray(coeffs, dtype=complex).copy()
         if c.ndim != 1 or len(c) == 0:
@@ -66,15 +64,19 @@ class Curve:
             k_min = -int(ks[-1])
         curve = cls(c, int(k_min))
         if check:
-            curve._check_sampled()
+            _check_curve(curve, _sample_grid(_CHECK_SAMPLES), "curve")
         return curve
 
     def point(self, t) -> np.ndarray:
         """Complex positions z(t)."""
-        return _synthesize(self.coeffs, self.k_min, np.atleast_1d(np.asarray(t, float)))
+        return self.sample(t)[0]
 
-    def derivative(self, t, order: int = 1) -> np.ndarray:
-        return _synthesize(self.coeffs, self.k_min, np.atleast_1d(np.asarray(t, float)), order)
+    def sample(self, t, orders=(0,)) -> list[np.ndarray]:
+        """d^k z/dt^k at parameters t for each k in orders, from one basis matrix."""
+        t = np.atleast_1d(np.asarray(t, float))
+        ks = np.arange(self.k_min, self.k_min + len(self.coeffs))
+        basis = np.exp(1j * np.outer(t, ks))
+        return [basis @ ((1j * ks) ** k * self.coeffs) for k in orders]
 
     @property
     def center(self) -> complex:
@@ -92,20 +94,20 @@ class Curve:
         t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
         return float(np.max(np.abs(self.point(t))))
 
-    def _check_sampled(self, samples: int = _CHECK_SAMPLES) -> None:
-        t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-        dz = self.derivative(t)
-        speed = np.abs(dz)
-        scale = float(np.max(speed))
-        if float(np.min(speed)) < 1e-12 * scale:
-            i = int(np.argmin(speed))
-            raise GeometryError(f"tangent vanishes near t = {t[i]:.6f}")
-        z = self.point(t)
-        hit = _first_self_intersection(z)
-        if hit is not None:
-            raise GeometryError(
-                f"curve self-intersects near t = {t[hit[0]]:.6f} and t = {t[hit[1]]:.6f}"
-            )
+
+def _check_curve(curve: Curve, t: np.ndarray, label: str) -> np.ndarray:
+    """The per-curve check: a nonvanishing tangent and no self-crossing.
+
+    Samples the curve at t and returns z(t); a GeometryError names `label`.
+    """
+    z, dz = curve.sample(t, (0, 1))
+    speed = np.abs(dz)
+    if float(np.min(speed)) < 1e-12 * float(np.max(speed)):
+        raise GeometryError(f"tangent of the {label} vanishes near t = {t[np.argmin(speed)]:.6f}")
+    hit = _first_self_intersection(z)
+    if hit is not None:
+        raise GeometryError(f"{label} self-intersects near t = {t[hit[0]]:.6f}")
+    return z
 
 
 def _first_self_intersection(z: np.ndarray):
@@ -150,9 +152,26 @@ def winding_numbers(z_loop: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     z_loop: complex samples of a closed curve; points: complex array.
     """
-    w = z_loop[:, None] - points[None, :]
+    return _winding(z_loop[:, None] - points[None, :])
+
+
+def _winding(w: np.ndarray) -> np.ndarray:
+    """Winding numbers from the differences w[i, j] = z_loop[i] - points[j]."""
     turns = np.angle(np.roll(w, -1, axis=0) / w)
     return np.rint(np.sum(turns, axis=0) / (2 * math.pi)).astype(int)
+
+
+def _check_pair(z_in: np.ndarray, z_out: np.ndarray) -> None:
+    """The pair check on sampled boundaries: a gap, then nesting.
+
+    The gap and the winding of the outer polyline about every inner sample
+    share one m x m difference array; a failure raises GeometryError.
+    """
+    w = z_out[:, None] - z_in[None, :]
+    if np.min(np.abs(w)) < 1e-9 * np.max(np.abs(z_out)):
+        raise GeometryError("boundary images touch (zero-width shell)")
+    if not np.all(_winding(w) == 1):
+        raise GeometryError("inner boundary image is not enclosed by the outer image")
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +208,8 @@ def discretize(curve: Curve, n: int) -> Discretization:
     """
     if n < 16 or n % 2 != 0:
         raise ValidationError(f"node count must be even and >= 16, got {n}")
-    t = 2 * math.pi * np.arange(n) / n
-    z = curve.point(t)
-    dz = curve.derivative(t)
-    ddz = curve.derivative(t, 2)
+    t = _sample_grid(n)
+    z, dz, ddz = curve.sample(t, (0, 1, 2))
     speed = np.abs(dz)
     if float(np.min(speed)) < 1e-12 * float(np.max(speed)):
         raise GeometryError("tangent vanishes on the discretization grid")
@@ -235,9 +252,9 @@ def make_ellipse(center, a: float, b: float, theta: float = 0.0) -> Curve:
 class LaurentMap:
     """Conformal-candidate map Phi(zeta) = sum_n a_n zeta^n on 1 <= |zeta| <= r0.
 
-    Univalence is not implied by construction; `laurent_domain` checks it by
-    sampling. The leading coefficient a_1 must be nonzero (it fixes scale and
-    orientation of the image annulus).
+    Univalence is not implied by construction; `laurent_domain` checks it on
+    the two boundary images. The leading coefficient a_1 must be nonzero (it
+    fixes scale and orientation of the image annulus).
     """
 
     coeffs: dict = field(default_factory=dict)
@@ -262,28 +279,18 @@ class LaurentMap:
     def max_order(self) -> int:
         return max(abs(n) for n in self.coeffs)
 
-    def map_point(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        out = np.zeros_like(zeta)
-        for n, a in self.coeffs.items():
-            out = out + a * zeta**n
-        return out
-
-    def derivative(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        out = np.zeros_like(zeta)
-        for n, a in self.coeffs.items():
-            out = out + n * a * zeta ** (n - 1)
-        return out
-
     def circle_image(self, rho: float) -> Curve:
-        """Image of |zeta| = rho as a Curve, coefficients c_n = a_n rho^n (exact)."""
+        """Image t -> Phi(rho e^{it}) of |zeta| = rho, coefficients c_n = a_n rho^n.
+
+        The map's own parametrization is kept, so the curve is clockwise
+        where Phi reverses orientation; `laurent_domain` refuses such maps.
+        """
         n_lo = min(self.coeffs)
         n_hi = max(self.coeffs)
         coeffs = np.zeros(n_hi - n_lo + 1, dtype=complex)
         for n, a in self.coeffs.items():
             coeffs[n - n_lo] = a * rho**n
-        return Curve.from_coeffs(coeffs, k_min=n_lo, check=False)
+        return Curve(coeffs, n_lo)
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentMap":
@@ -301,39 +308,6 @@ class LaurentMap:
         return cls(coeffs, r0)
 
 
-def _check_univalence(m: LaurentMap, n_theta: int = 256, n_rho: int = 16) -> None:
-    """Sampled univalence check on the closed annulus; raises GeometryError.
-
-    Heuristic by necessity: nonvanishing derivative on an angular x radial
-    grid, simple boundary images, and the inner image strictly inside the
-    outer one. Interior fold-overs finer than the grid are not detected.
-    """
-    theta = 2 * math.pi * np.arange(n_theta) / n_theta
-    rho = np.linspace(1.0, m.r0, n_rho)
-    zeta = rho[:, None] * np.exp(1j * theta[None, :])
-    dphi = np.abs(m.derivative(zeta))
-    scale = max(abs(a) for a in m.coeffs.values())
-    if float(dphi.min()) < 1e-12 * scale:
-        i, j = np.unravel_index(int(np.argmin(dphi)), dphi.shape)
-        raise GeometryError(
-            f"map derivative vanishes near zeta = {rho[i]:.4f} e^(i {theta[j]:.4f})"
-        )
-    z_in = m.map_point(np.exp(1j * theta))
-    z_out = m.map_point(m.r0 * np.exp(1j * theta))
-    for z, label in ((z_in, "inner"), (z_out, "outer")):
-        hit = _first_self_intersection(z)
-        if hit is not None:
-            raise GeometryError(
-                f"{label} boundary image self-intersects near t = {theta[hit[0]]:.6f}"
-            )
-    wind = winding_numbers(z_out, z_in)
-    if not np.all(wind == 1):
-        raise GeometryError("inner boundary image is not enclosed by the outer image")
-    gap = np.min(np.abs(z_in[:, None] - z_out[None, :]))
-    if gap < 1e-9 * scale:
-        raise GeometryError("boundary images touch (zero-width shell)")
-
-
 @dataclass(frozen=True, eq=False)
 class CoatedInclusion:
     """Core boundary (inner) inside coating boundary (outer), both ccw.
@@ -347,13 +321,9 @@ class CoatedInclusion:
     origin: LaurentMap | None = None
 
     def validate(self, samples: int = _CHECK_SAMPLES) -> None:
-        t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-        z_in = self.inner.point(t)
-        z_out = self.outer.point(t)
-        if np.min(np.abs(z_in[:, None] - z_out[None, :])) < 1e-12:
-            raise GeometryError("inner and outer boundaries touch")
-        if not np.all(winding_numbers(z_out, z_in) == 1):
-            raise GeometryError("inner boundary is not strictly inside the outer one")
+        """The pair check of `laurent_domain` on the two curves."""
+        t = _sample_grid(samples)
+        _check_pair(self.inner.point(t), self.outer.point(t))
 
 
 def _validate_confocal_params(a1: float, am1: float, r0: float) -> None:
@@ -388,12 +358,23 @@ def confocal_pair(a1: float, am1: float, r0: float) -> CoatedInclusion:
 def laurent_domain(m: LaurentMap, samples: int = _CHECK_SAMPLES) -> CoatedInclusion:
     """Coated inclusion bounded by the images of |zeta| = 1 and |zeta| = r0.
 
-    Runs the sampled univalence check (at angular resolution `samples`) and
-    rejects non-simple or non-nested boundary images with a GeometryError.
-    The check subsumes CoatedInclusion.validate: simple boundary images,
-    winding containment, and a strictly positive shell gap.
+    Samples both boundary images at `samples` angles and refuses, with a
+    GeometryError: a vanishing tangent or a self-crossing of either image,
+    a zero-width shell, an inner image not enclosed by the outer one, and
+    last an image with non-positive signed area (exact from the
+    coefficients). Simple nested images that are both counterclockwise make
+    Phi univalent on the closed annulus by the argument principle, so no
+    interior points are sampled.
     """
-    _check_univalence(m, n_theta=samples, n_rho=max(8, samples // 16))
-    inner = m.circle_image(1.0)
-    outer = m.circle_image(m.r0)
+    t = _sample_grid(samples)
+    inner, outer = m.circle_image(1.0), m.circle_image(m.r0)
+    z_in = _check_curve(inner, t, "inner boundary image")
+    z_out = _check_curve(outer, t, "outer boundary image")
+    _check_pair(z_in, z_out)
+    for curve, label in ((inner, "inner"), (outer, "outer")):
+        if curve.signed_area() <= 0:
+            raise GeometryError(
+                f"{label} boundary image has reversed orientation (signed area "
+                f"{curve.signed_area():.6g}): the map is not univalent on the annulus"
+            )
     return CoatedInclusion(inner, outer, m)

@@ -159,7 +159,7 @@ class FreeBvpReport(Report):
 def _shell_midpoints(inc: CoatedInclusion, count: int) -> np.ndarray:
     t = 2 * math.pi * np.arange(count) / count
     if inc.origin is not None:
-        z = inc.origin.map_point(math.sqrt(inc.origin.r0) * np.exp(1j * t))
+        z = inc.origin.circle_image(math.sqrt(inc.origin.r0)).point(t)
     else:
         z = 0.5 * (inc.inner.point(t) + inc.outer.point(t))
     return np.column_stack([z.real, z.imag])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -279,6 +280,44 @@ def test_laurent_classify_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "factor", "admissible", "in_support"]
     assert any(r[3] == "yes" for r in rows[1:])
+
+
+def test_laurent_classify_f_alone_overrides_area_ratio():
+    proc = run_cli("laurent-classify", "--a1", "1", "--am1", "0.2", "--r0", "1.5",
+                   "--f", "0.3")
+    rep = report_of(proc)
+    assert rep["config"]["laurent"] == {"f": 0.3}
+    assert (rep["result"]["f"], rep["result"]["shear"]) == (0.3, 0.0)
+    assert rep["result"]["factors"]["1"] == pytest.approx((1 - 0.3 / 1.5**2) * (1 - 0.3 * 1.5**2))
+
+
+# simple nested boundary images, but the inner one is clockwise (Phi' = 0 at
+# zeta = +-sqrt(1.8) inside the annulus)
+REVERSED_MAP = '{"coeffs": {"1": 1, "-1": 1.8}, "r0": 2.5}'
+
+
+@pytest.mark.parametrize("args", [
+    ("laurent-classify", "--map", REVERSED_MAP),
+    ("laurent-classify", "--map", REVERSED_MAP, "--f", "0.4", "--shear", "0.1"),
+    ("freebvp", "--map", REVERSED_MAP, "--f", "0.4", "--shear", "0.1"),
+])
+def test_reversed_map_exits_one(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: inner boundary image has reversed orientation")
+    assert proc.stdout == ""
+
+
+def test_closed_stdout_exits_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(CLI + ["disk", "--sc", "5", "--ss", "1", "--f", "0.5"],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_config_hash_is_stable():

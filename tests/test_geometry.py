@@ -226,6 +226,30 @@ def test_laurent_domain_rejects_folded_maps():
         laurent_domain(LaurentMap({1: 1.0, -1: 1.8}, 1.5))
 
 
+# maps whose boundary images are simple and nested but whose inner image is
+# clockwise: Phi' vanishes inside the annulus (at zeta = +-sqrt(1.8) for the
+# first; twice, at |zeta| = 1.062, 1.018, 1.115, for three seeded M=3 maps)
+REVERSED_MAPS = [
+    ({1: 1.0, -1: 1.8}, 2.5),
+    ({1: 1.0, -3: -0.36247678956746077, -2: 0.972234621421517, -1: -1.0070484260229395,
+      2: 0.8226900576372567, 3: 0.19062483086326143}, 1.427239421750203),
+    ({1: 1.0, -3: -0.41578435266568536, -2: 0.8874457855090119, -1: -1.039729597173259,
+      2: 0.8272238794312925, 3: 0.36999192357230504}, 1.0795080133438946),
+    ({1: 1.0, -3: -0.17334817411747405, -2: -0.5603170160336804, -1: -0.8472641561364788,
+      2: 0.04318793207457339, 3: -0.07969642097500107}, 1.5085266702593463),
+]
+
+
+@pytest.mark.parametrize("coeffs,r0", REVERSED_MAPS)
+@pytest.mark.parametrize("samples", [128, 256])
+def test_laurent_domain_refuses_reversed_orientation(coeffs, r0, samples):
+    m = LaurentMap(coeffs, r0)
+    inner = m.circle_image(1.0)
+    assert inner.signed_area() < 0 < m.circle_image(r0).signed_area()
+    with pytest.raises(GeometryError, match="inner boundary image has reversed orientation"):
+        laurent_domain(m, samples=samples)
+
+
 def test_coated_inclusion_containment_validation():
     small = make_ellipse(0.0, 1.0, 0.8)
     big = make_ellipse(0.0, 2.0, 1.8)
@@ -234,6 +258,17 @@ def test_coated_inclusion_containment_validation():
     shifted = make_ellipse((1.8, 0.0), 1.0, 0.8)
     with pytest.raises(GeometryError):
         CoatedInclusion(shifted, big).validate()
+
+
+def test_pair_check_messages_shared_with_laurent_domain():
+    big = make_ellipse(0.0, 2.0, 1.8)
+    with pytest.raises(GeometryError, match="^inner boundary image is not enclosed"):
+        CoatedInclusion(make_ellipse((1.8, 0.0), 1.0, 0.8), big).validate()
+    # an inner ellipse through the outer vertices (+-2, 0): zero-width shell
+    with pytest.raises(GeometryError, match=r"^boundary images touch \(zero-width shell\)$"):
+        CoatedInclusion(make_ellipse(0.0, 2.0, 1.0), big).validate()
+    with pytest.raises(GeometryError, match="^inner boundary image is not enclosed"):
+        laurent_domain(LaurentMap({1: 1.0, -1: 1.8}, 1.5))
 
 
 def test_laurent_map_json_roundtrip():

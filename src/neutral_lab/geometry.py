@@ -1,9 +1,9 @@
 """Closed curves, coated inclusions, and annulus maps.
 
 Curves are trigonometric polynomials z(t) = sum_k c_k e^{ikt} over t in
-[0, 2pi), stored by their complex Fourier coefficients. Curve.from_coeffs
-normalizes orientation to counterclockwise and laurent_domain refuses
-clockwise boundary images, so the outward unit normal is (y', -x')/|z'|.
+[0, 2pi), stored by their complex Fourier coefficients. make_ellipse builds
+counterclockwise coefficients and laurent_domain refuses clockwise boundary
+images, so the outward unit normal is (y', -x')/|z'|.
 Discretization uses the N-point periodic trapezoid grid t_i = 2pi i/N, which
 is spectrally accurate for the smooth (analytic) boundaries this package
 deals with.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,40 +32,6 @@ class Curve:
 
     coeffs: np.ndarray
     k_min: int
-
-    @classmethod
-    def from_coeffs(cls, coeffs, k_min: int, check: bool = True) -> "Curve":
-        """Build a curve, normalizing orientation to counterclockwise.
-
-        Parameters
-        ----------
-        coeffs : array_like of complex
-            Fourier coefficients, index i holding the coefficient of
-            e^{i(k_min+i)t}.
-        k_min : int
-            Frequency of the first coefficient.
-        check : bool
-            Sample the curve and reject vanishing tangents and
-            self-intersections (at 256-point resolution; see `_check_curve`).
-        """
-        c = np.asarray(coeffs, dtype=complex).copy()
-        if c.ndim != 1 or len(c) == 0:
-            raise ValidationError("coefficient array must be 1-d and nonempty")
-        ks = np.arange(k_min, k_min + len(c))
-        scale = float(np.sum(np.abs(c[ks != 0])))
-        if scale == 0.0:
-            raise ValidationError("curve has no nonconstant Fourier content")
-        signed_area = math.pi * float(np.sum(ks * np.abs(c) ** 2))
-        if abs(signed_area) < 1e-12 * scale**2:
-            raise ValidationError("curve encloses (numerically) zero signed area")
-        if signed_area < 0:
-            # reverse the parameter: z(-t) swaps c_k and c_{-k}
-            c = c[::-1].copy()
-            k_min = -int(ks[-1])
-        curve = cls(c, int(k_min))
-        if check:
-            _check_curve(curve, _sample_grid(_CHECK_SAMPLES), "curve")
-        return curve
 
     def point(self, t) -> np.ndarray:
         """Complex positions z(t)."""
@@ -90,9 +56,8 @@ class Curve:
         ks = np.arange(self.k_min, self.k_min + len(self.coeffs))
         return math.pi * float(np.sum(ks * np.abs(self.coeffs) ** 2))
 
-    def max_radius(self, samples: int = _CHECK_SAMPLES) -> float:
-        t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-        return float(np.max(np.abs(self.point(t))))
+    def max_radius(self) -> float:
+        return float(np.max(np.abs(self.point(_sample_grid(_CHECK_SAMPLES)))))
 
 
 def _check_curve(curve: Curve, t: np.ndarray, label: str) -> np.ndarray:
@@ -147,14 +112,6 @@ def _first_self_intersection(z: np.ndarray):
     return int(i[hits[0]]), int(j[hits[0]])
 
 
-def winding_numbers(z_loop: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Winding number of the closed polyline z_loop about each point.
-
-    z_loop: complex samples of a closed curve; points: complex array.
-    """
-    return _winding(z_loop[:, None] - points[None, :])
-
-
 def _winding(w: np.ndarray) -> np.ndarray:
     """Winding numbers from the differences w[i, j] = z_loop[i] - points[j]."""
     turns = np.angle(np.roll(w, -1, axis=0) / w)
@@ -178,14 +135,13 @@ def _check_pair(z_in: np.ndarray, z_out: np.ndarray) -> None:
 class Discretization:
     """Periodic trapezoid discretization of a Curve.
 
-    nodes, tangents, normals are (N, 2) arrays; speed, curvature, weights
+    nodes and normals are (N, 2) arrays; speed, curvature, weights
     are (N,). weights are the arclength quadrature weights 2pi/N * |z'|.
     """
 
     curve: Curve
     t: np.ndarray
     nodes: np.ndarray
-    tangents: np.ndarray
     normals: np.ndarray
     speed: np.ndarray
     curvature: np.ndarray
@@ -214,12 +170,11 @@ def discretize(curve: Curve, n: int) -> Discretization:
     if float(np.min(speed)) < 1e-12 * float(np.max(speed)):
         raise GeometryError("tangent vanishes on the discretization grid")
     nodes = np.column_stack([z.real, z.imag])
-    tangents = np.column_stack([dz.real, dz.imag]) / speed[:, None]
-    # ccw curve: outward normal is the tangent rotated by -pi/2
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+    # ccw curve: outward normal is the unit tangent rotated by -pi/2
+    normals = np.column_stack([dz.imag, -dz.real]) / speed[:, None]
     curvature = (dz.real * ddz.imag - dz.imag * ddz.real) / speed**3
     weights = (2 * math.pi / n) * speed
-    return Discretization(curve, t, nodes, tangents, normals, speed, curvature, weights)
+    return Discretization(curve, t, nodes, normals, speed, curvature, weights)
 
 
 def area(disc: Discretization) -> float:
@@ -231,7 +186,8 @@ def make_ellipse(center, a: float, b: float, theta: float = 0.0) -> Curve:
     """Ellipse with semi-axes a >= b > 0, rotated by theta about its center.
 
     The parametrization is z(t) = center + e^{i theta} (a cos t + i b sin t),
-    i.e. c_{+1} = (a+b)/2 e^{i theta} and c_{-1} = (a-b)/2 e^{i theta}.
+    i.e. c_{+1} = (a+b)/2 e^{i theta} and c_{-1} = (a-b)/2 e^{i theta},
+    counterclockwise because |c_{+1}| > |c_{-1}|.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("semi-axes must be finite")
@@ -245,7 +201,7 @@ def make_ellipse(center, a: float, b: float, theta: float = 0.0) -> Curve:
         center = complex(center)
     rot = cmath.exp(1j * theta)
     coeffs = np.array([(a - b) / 2 * rot, center, (a + b) / 2 * rot])
-    return Curve.from_coeffs(coeffs, k_min=-1, check=False)
+    return Curve(coeffs, -1)
 
 
 @dataclass(frozen=True)
@@ -257,8 +213,8 @@ class LaurentMap:
     fixes scale and orientation of the image annulus).
     """
 
-    coeffs: dict = field(default_factory=dict)
-    r0: float = 2.0
+    coeffs: dict
+    r0: float
 
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 1.0):
@@ -320,9 +276,9 @@ class CoatedInclusion:
     outer: Curve
     origin: LaurentMap | None = None
 
-    def validate(self, samples: int = _CHECK_SAMPLES) -> None:
+    def validate(self) -> None:
         """The pair check of `laurent_domain` on the two curves."""
-        t = _sample_grid(samples)
+        t = _sample_grid(_CHECK_SAMPLES)
         _check_pair(self.inner.point(t), self.outer.point(t))
 
 

@@ -58,19 +58,15 @@ def min_target_distance(src: Discretization, targets) -> float:
     return math.sqrt(best)
 
 
-def _near_limit(src: Discretization, min_distance: float | None = None) -> float:
-    return NEAR_FACTOR * feature_size(src) if min_distance is None else min_distance
+def _in_near_zone(src: Discretization, targets) -> bool:
+    """The one near-zone test: a target within NEAR_FACTOR x feature size of the nodes."""
+    return min_target_distance(src, targets) < NEAR_FACTOR * feature_size(src)
 
 
-def _in_near_zone(src: Discretization, targets, min_distance: float | None = None) -> bool:
-    """The one near-zone test: a target nearer the source nodes than the limit."""
-    return min_target_distance(src, targets) < _near_limit(src, min_distance)
-
-
-def _near_guard(src: Discretization, targets, min_distance: float | None) -> None:
-    if _in_near_zone(src, targets, min_distance):
+def _near_guard(src: Discretization, targets) -> None:
+    if _in_near_zone(src, targets):
         dist = min_target_distance(src, targets)
-        limit = _near_limit(src, min_distance)
+        limit = NEAR_FACTOR * feature_size(src)
         raise NearEvaluationError(
             f"target at distance {dist:.3e} from the source curve is inside the "
             f"near zone ({limit:.3e}); evaluate farther away or use the refined path",
@@ -79,22 +75,22 @@ def _near_guard(src: Discretization, targets, min_distance: float | None) -> Non
         )
 
 
-def single_layer_off(src: Discretization, density, targets, min_distance=None) -> np.ndarray:
+def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
     """S[density] at off-curve targets (plain trapezoid; near zone refused)."""
     rho = _check_density(src, density)
     pts = _targets_xy(targets)
-    _near_guard(src, pts, min_distance)
+    _near_guard(src, pts)
     dx = pts[:, None, 0] - src.nodes[None, :, 0]
     dy = pts[:, None, 1] - src.nodes[None, :, 1]
     r2 = dx * dx + dy * dy
     return (0.5 * np.log(r2)) @ (rho * src.weights) / (2 * math.pi)
 
 
-def single_layer_grad_off(src: Discretization, density, targets, min_distance=None) -> np.ndarray:
+def single_layer_grad_off(src: Discretization, density, targets) -> np.ndarray:
     """grad S[density] at off-curve targets, shape (m, 2)."""
     rho = _check_density(src, density)
     pts = _targets_xy(targets)
-    _near_guard(src, pts, min_distance)
+    _near_guard(src, pts)
     dx = pts[:, None, 0] - src.nodes[None, :, 0]
     dy = pts[:, None, 1] - src.nodes[None, :, 1]
     r2 = dx * dx + dy * dy

@@ -35,6 +35,9 @@ from .layerpot import (
 from .report import Report
 from .transmission import _core_grid, _far_probe
 
+_SHELL_POINTS = 32  # mid-shell points of the harmonicity check
+_STEP_FACTOR = 2e-4  # five-point Laplacian step, in outer diameters
+
 
 def _boundary_reduction(src: Discretization, pts: np.ndarray) -> np.ndarray:
     dx = pts[:, None, 0] - src.nodes[None, :, 0]
@@ -45,18 +48,22 @@ def _boundary_reduction(src: Discretization, pts: np.ndarray) -> np.ndarray:
     return integrand @ src.weights / (2 * math.pi)
 
 
-def newtonian_potential(src: Discretization, targets, min_distance=None) -> np.ndarray:
+def newtonian_potential(src: Discretization, targets) -> np.ndarray:
     """N_D at targets (either side of the curve, outside the near zone)."""
     pts = _targets_xy(targets)
-    _near_guard(src, pts, min_distance)
+    _near_guard(src, pts)
     return _boundary_reduction(src, pts)
 
 
-def newtonian_gradient(src: Discretization, targets, min_distance=None) -> np.ndarray:
-    """grad N_D at off-curve targets, via -(S[n_1], S[n_2])."""
+def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
+    """grad N_D at off-curve targets, via -(S[n_1], S[n_2]).
+
+    No solver path calls it; it is the plain-quadrature reference that the
+    tests hold `newtonian_gradient_near` to.
+    """
     pts = _targets_xy(targets)
-    gx = single_layer_off(src, src.normals[:, 0], pts, min_distance)
-    gy = single_layer_off(src, src.normals[:, 1], pts, min_distance)
+    gx = single_layer_off(src, src.normals[:, 0], pts)
+    gy = single_layer_off(src, src.normals[:, 1], pts)
     return -np.column_stack([gx, gy])
 
 
@@ -156,8 +163,8 @@ class FreeBvpReport(Report):
         return max(self.harmonicity_residual, self.outer_bc_residual, self.inner_bc_residual)
 
 
-def _shell_midpoints(inc: CoatedInclusion, count: int) -> np.ndarray:
-    t = 2 * math.pi * np.arange(count) / count
+def _shell_midpoints(inc: CoatedInclusion) -> np.ndarray:
+    t = 2 * math.pi * np.arange(_SHELL_POINTS) / _SHELL_POINTS
     if inc.origin is not None:
         z = inc.origin.circle_image(math.sqrt(inc.origin.r0)).point(t)
     else:
@@ -165,18 +172,11 @@ def _shell_midpoints(inc: CoatedInclusion, count: int) -> np.ndarray:
     return np.column_stack([z.real, z.imag])
 
 
-def free_bvp_residual(
-    inc: CoatedInclusion,
-    f: float,
-    shear: float,
-    n: int = 256,
-    shell_points: int = 32,
-    step_factor: float = 2e-4,
-) -> FreeBvpReport:
+def free_bvp_residual(inc: CoatedInclusion, f: float, shear: float, n: int = 256) -> FreeBvpReport:
     """Check w = (f/2)|x|^2 + 2(N_D - f N_Omega) against its free problem.
 
-    Harmonicity is measured by a five-point Laplacian at mid-shell points
-    (step = step_factor x outer diameter); the boundary conditions
+    Harmonicity is measured by a five-point Laplacian at 32 mid-shell points
+    (step = 2e-4 x outer diameter); the boundary conditions
     grad w = f x on the outer curve and grad w = x + shear (x1, -x2) on the
     inner one are evaluated at the quadrature nodes.
     """
@@ -190,8 +190,8 @@ def free_bvp_residual(
             newtonian_potential_near(d_in, pts) - f * newtonian_potential_near(d_out, pts)
         )
 
-    mid = _shell_midpoints(inc, shell_points)
-    h = step_factor * 2.0 * inc.outer.max_radius()
+    mid = _shell_midpoints(inc)
+    h = _STEP_FACTOR * 2.0 * inc.outer.max_radius()
     stencil = np.concatenate(
         [mid, mid + [h, 0], mid - [h, 0], mid + [0, h], mid - [0, h]]
     )

@@ -3,17 +3,17 @@
 The shape space is a truncated Laurent map with the gauge a_1 = 1: the free
 unknowns are the real coefficients a_n for -M <= n <= -1 and 2 <= n <= M,
 the modulus r0 of the outer circle, and the two (log-parametrized) coating
-conductivities, inside the box that SearchConfig defines. The residual is
-the stacked exterior deviation u - x_j of the two uniform-gradient
-transmission solves on a probe circle, so it vanishes exactly on neutral
-configurations; the reported objective is the summed squared maximum
-deviation of the two axes.
+conductivities, inside the fixed box that COEFF_BOUND, R0_BOUNDS and
+SIGMA_BOUNDS define. The residual is the stacked exterior deviation u - x_j
+of the two uniform-gradient transmission solves on a probe circle, so it
+vanishes exactly on neutral configurations; the reported objective is the
+summed squared maximum deviation of the two axes.
 
 The optimizer is scipy's bounded trust-region reflective least squares
-(method "trf") with finite-difference Jacobians. A point whose geometry or
-solve fails gets a constant residual larger than any feasible one, so the
-trust region rejects the step. Everything is deterministic: no randomness
-enters the search.
+(method "trf") with finite-difference Jacobians. A start whose geometry
+fails is refused; any later point whose geometry or solve fails gets a
+constant residual larger than any feasible one, so the trust region rejects
+the step. Everything is deterministic: no randomness enters the search.
 """
 
 from __future__ import annotations
@@ -39,20 +39,21 @@ PENALTY = 1.0e6
 _CHECK_SAMPLES = 128  # angular resolution of validity checks inside the objective
 _FAILURES = (GeometryError, ValidationError, SolverError, NearEvaluationError)
 _TOL = 1e-15  # least_squares ftol/xtol/gtol: the target or max_evals ends a run
+# the search box: |a_n| <= COEFF_BOUND keeps a_1 = 1 dominant
+COEFF_BOUND = 0.95
+R0_BOUNDS = (1.05, 4.0)
+SIGMA_BOUNDS = (1e-3, 1e3)  # coating conductivities sigma_m^1, sigma_m^2
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search-space bounds and discretization for objective evaluations."""
+    """Core and shell conductivities, shape order and discretization of the search."""
 
     sigma_c: float
     sigma_s: float
     max_order: int = 2
     nodes: int = 128
     probe_points: int = 64
-    r0_bounds: tuple[float, float] = (1.05, 4.0)
-    coeff_bound: float = 0.95
-    sigma_bounds: tuple[float, float] = (1e-3, 1e3)
 
     def __post_init__(self):
         if self.max_order < 1:
@@ -61,14 +62,6 @@ class SearchConfig:
             raise ValidationError("nodes must be an even integer >= 16")
         if self.probe_points < 1:
             raise ValidationError("probe_points must be at least 1")
-        lo, hi = self.r0_bounds
-        if not (1.0 < lo < hi):
-            raise ValidationError(f"r0 bounds must satisfy 1 < lo < hi, got {self.r0_bounds}")
-        slo, shi = self.sigma_bounds
-        if not (0.0 < slo < shi):
-            raise ValidationError(f"sigma bounds must satisfy 0 < lo < hi, got {self.sigma_bounds}")
-        if not (0.0 < self.coeff_bound < 1.0):
-            raise ValidationError("coeff_bound must lie in (0, 1) to keep a_1 dominant")
 
     @property
     def coeff_orders(self) -> tuple[int, ...]:
@@ -123,9 +116,9 @@ def decode(x: np.ndarray, cfg: SearchConfig) -> ShapeParams:
 def _box(cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds of the search space, in encode() coordinates."""
     k = len(cfg.coeff_orders)
-    llo, lhi = (math.log(s) for s in cfg.sigma_bounds)
-    lo = np.array([-cfg.coeff_bound] * k + [cfg.r0_bounds[0], llo, llo])
-    hi = np.array([cfg.coeff_bound] * k + [cfg.r0_bounds[1], lhi, lhi])
+    llo, lhi = (math.log(s) for s in SIGMA_BOUNDS)
+    lo = np.array([-COEFF_BOUND] * k + [R0_BOUNDS[0], llo, llo])
+    hi = np.array([COEFF_BOUND] * k + [R0_BOUNDS[1], lhi, lhi])
     return lo, hi
 
 
@@ -195,9 +188,10 @@ class SearchResult(Report):
 def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
     """Bounded trust-region least squares on the stacked probe deviations.
 
-    params_of maps an unknown vector to ShapeParams. A point whose geometry
-    or solve fails gets a constant residual larger than any feasible one.
-    Every evaluation counts against max_evals, and the run stops once the
+    params_of maps an unknown vector to ShapeParams. A start whose geometry
+    fails is refused (GeometryError); any later point whose geometry or solve
+    fails gets a constant residual larger than any feasible one. Every
+    evaluation counts against max_evals, and the run stops once the
     objective reaches target. Returns the best-so-far history and the
     improvements as (evaluation index, objective, params).
     """
@@ -218,7 +212,9 @@ def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
             devs = _deviations(params, cfg)
             r1, r2 = (float(np.max(np.abs(d))) for d in devs)
             f, r = r1 * r1 + r2 * r2, np.concatenate(devs)
-        except _FAILURES:
+        except _FAILURES as exc:
+            if not history and isinstance(exc, GeometryError):
+                raise GeometryError(f"the start fails the geometry check: {exc}") from exc
             f, r = PENALTY + 1.0, failed
         if not history or f < history[-1]:
             improvements.append((len(history) + 1, f, params))
@@ -246,19 +242,20 @@ def search(
     """Minimize the neutrality objective from a given starting shape.
 
     The start must lie inside the search box, and its geometry must pass
-    the check every evaluation runs (GeometryError otherwise). converged
-    means the target objective was reached; the incumbent best point and the
-    best-so-far history are returned either way.
+    the check every evaluation runs: the first evaluation refuses it with a
+    GeometryError otherwise. converged means the target objective was
+    reached; the incumbent best point and the best-so-far history are
+    returned either way.
     """
     if target <= 0:
         raise ValidationError("target must be positive")
     x0 = encode(start, cfg)
     if not _in_box(x0, cfg):
-        raise ValidationError(f"the start lies outside the search box of {cfg}")
-    try:
-        laurent_domain(decode(x0, cfg).laurent_map(), samples=_CHECK_SAMPLES)
-    except GeometryError as exc:
-        raise GeometryError(f"the start fails the geometry check: {exc}") from exc
+        (llo, lhi), (rlo, rhi) = SIGMA_BOUNDS, R0_BOUNDS
+        raise ValidationError(
+            f"the start lies outside the search box (|a_n| <= {COEFF_BOUND}, "
+            f"{rlo:g} <= r0 <= {rhi:g}, {llo:g} <= sigma_m <= {lhi:g})"
+        )
 
     history, improvements = _least_squares(
         lambda x: decode(x, cfg), x0, _box(cfg), cfg, max_evals, target

@@ -38,6 +38,7 @@ from .errors import (
 from .geometry import CoatedInclusion, Discretization, discretize
 from .layerpot import (
     _in_near_zone,
+    _targets_xy,
     kstar_matrix,
     normal_derivative_coupling,
     single_layer_grad_near,
@@ -292,10 +293,12 @@ def solve_harmonic(
 def eval_u(
     inc: CoatedInclusion, pair: DensityPair, p: ConductivityProfile, points
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Field values and gradients u, grad u at points outside both near zones."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    """Field values and gradients u, grad u at points outside both near zones.
+
+    inc and p are not read: the pair carries its grids and densities. The
+    signature stays because benchmark code calls it with these arguments.
+    """
+    pts = _targets_xy(points)
     vals = field_values(pair, pts)
     grads = (
         pair.h.gradient(pts)
@@ -341,10 +344,10 @@ def _scattered_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _core_grid(inc: CoatedInclusion, factors=(0.5,), count: int = 16) -> np.ndarray:
-    """Copies of the core boundary scaled about its center, plus the center."""
+def _core_grid(inc: CoatedInclusion, factors=(0.5,)) -> np.ndarray:
+    """16-point copies of the core boundary scaled about its center, plus the center."""
     c0 = inc.inner.center
-    t = 2 * math.pi * np.arange(count) / count
+    t = 2 * math.pi * np.arange(16) / 16
     z = np.concatenate([c0 + s * (inc.inner.point(t) - c0) for s in factors])
     return np.vstack([np.column_stack([z.real, z.imag]), [c0.real, c0.imag]])
 

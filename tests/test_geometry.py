@@ -8,15 +8,14 @@ import pytest
 from neutral_lab.errors import GeometryError, ValidationError
 from neutral_lab.geometry import (
     CoatedInclusion,
-    Curve,
     LaurentMap,
     _first_self_intersection,
+    _winding,
     area,
     confocal_pair,
     discretize,
     laurent_domain,
     make_ellipse,
-    winding_numbers,
 )
 
 
@@ -55,28 +54,10 @@ def test_ellipse_curvature_closed_form():
     assert d.curvature[16] == pytest.approx(b / a**2, abs=1e-12)  # at (0, b)
 
 
-def test_orientation_normalized_to_ccw():
-    # the ellipse written with the clockwise parameter z(-t)
-    cw = Curve.from_coeffs([1.5, 0.0, 0.5], k_min=-1)
-    assert cw.signed_area() > 0
-    ccw = make_ellipse(0.0, 2.0, 1.0)
-    t = np.linspace(0.0, 2 * math.pi, 7)
-    assert np.max(np.abs(cw.point(t) - ccw.point(t))) < 1e-14
-
-
-def test_degenerate_curves_rejected():
-    with pytest.raises(ValidationError):
-        Curve.from_coeffs([0.5, 0.0, 0.5], k_min=-1)  # flat segment, zero area
-    with pytest.raises(ValidationError):
-        Curve.from_coeffs([0.0], k_min=1)
-    with pytest.raises(ValidationError):
-        Curve.from_coeffs([2.0], k_min=0)  # constant only
-
-
 def test_self_intersecting_curve_rejected():
-    # limacon with an inner loop: e^{it} + 0.8 e^{2it}
-    with pytest.raises(GeometryError, match="self-intersect"):
-        Curve.from_coeffs([1.0, 0.8], k_min=1)
+    # inner image is the limacon with an inner loop e^{it} + 0.8 e^{2it}
+    with pytest.raises(GeometryError, match="^inner boundary image self-intersects near t = "):
+        laurent_domain(LaurentMap({1: 1, 2: 0.8}, 1.5))
 
 
 def _all_pairs_self_intersection(z):
@@ -140,16 +121,17 @@ def test_laurent_domain_verdict_by_sampling(samples, message):
 
 
 def test_vanishing_tangent_rejected():
-    # cardioid cusp: e^{it} + 0.5 e^{2it} has z'(pi) = 0
-    with pytest.raises(GeometryError, match="tangent"):
-        Curve.from_coeffs([1.0, 0.5], k_min=1)
+    # inner image is the cardioid e^{it} + 0.5 e^{2it}, whose cusp z'(pi) = 0 is a sample
+    with pytest.raises(GeometryError,
+                       match=r"^tangent of the inner boundary image vanishes near t = 3\.141593$"):
+        laurent_domain(LaurentMap({1: 1, 2: 0.5}, 1.5))
 
 
 def test_winding_numbers():
     t = np.linspace(0.0, 2 * math.pi, 256, endpoint=False)
     loop = make_ellipse(0.0, 2.0, 1.0).point(t)
     pts = np.array([0.0 + 0.0j, 1.5 + 0.0j, 0.0 + 1.5j, 3.0 + 0.0j])
-    assert list(winding_numbers(loop, pts)) == [1, 1, 0, 0]
+    assert list(_winding(loop[:, None] - pts[None, :])) == [1, 1, 0, 0]
 
 
 def test_discretize_node_count_validation():

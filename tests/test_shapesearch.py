@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import neutral_lab.shapesearch as shapesearch
 from neutral_lab.errors import GeometryError, ValidationError
 from neutral_lab.designer import confocal_design
 from neutral_lab.geometry import laurent_domain
@@ -48,10 +49,6 @@ def test_config_layout_and_validation():
         SearchConfig(sigma_c=5.0, sigma_s=1.0, max_order=0)
     with pytest.raises(ValidationError):
         SearchConfig(sigma_c=5.0, sigma_s=1.0, nodes=63)
-    with pytest.raises(ValidationError):
-        SearchConfig(sigma_c=5.0, sigma_s=1.0, r0_bounds=(0.9, 4.0))
-    with pytest.raises(ValidationError):
-        SearchConfig(sigma_c=5.0, sigma_s=1.0, coeff_bound=1.5)
 
 
 def test_encode_decode_roundtrip(cfg, design):
@@ -153,8 +150,31 @@ def test_package_import_defers_scipy_optimize():
 
 def test_search_refuses_start_outside_box(cfg, design):
     start = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: 0.0}, r0=5.0, sigma_m=design.sigma_m)
-    with pytest.raises(ValidationError, match="search box"):
+    with pytest.raises(ValidationError) as info:
         search(start, cfg)
+    assert str(info.value) == (
+        "the start lies outside the search box "
+        "(|a_n| <= 0.95, 1.05 <= r0 <= 4, 0.001 <= sigma_m <= 1000)"
+    )
+
+
+def test_search_checks_geometry_once_per_evaluation(cfg, design, monkeypatch):
+    # the first criterion-9 start: the start's geometry is checked by its own
+    # evaluation, not once more before it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return laurent_domain(*args, **kwargs)
+
+    monkeypatch.setattr(shapesearch, "laurent_domain", counted)
+    a2, am2 = np.random.default_rng(1).uniform(-0.05, 0.05, size=2)
+    start = ShapeParams(coeffs={-2: float(am2), -1: 0.2, 2: float(a2)}, r0=1.5,
+                        sigma_m=design.sigma_m)
+    res = search(start, cfg, max_evals=5000, target=1e-10)
+    assert res.converged
+    assert res.evals == 15
+    assert len(calls) == res.evals
 
 
 @pytest.mark.parametrize("sigma_m", [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (math.nan, 1.0)])

@@ -237,21 +237,21 @@ def _validate_geometry(g):
             raise ValidationError(f"geometry.{t} requires {k!r}")
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _json_object(source: str, what: str) -> dict:
+    """The JSON object in `source`: JSON text, or '@' and a file path (named in errors)."""
+    if source.startswith("@"):
+        what = f"{what} {source[1:]}"
+        try:
+            source = Path(source[1:]).read_text(encoding="utf-8")
+        except OSError as e:
+            raise ValidationError(f"cannot read {what}: {e}")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise ValidationError(f"cannot read config {path}: {e}")
-    try:
-        cfg = json.loads(text)
+        obj = json.loads(source)
     except json.JSONDecodeError as e:
-        raise ValidationError(f"malformed JSON in {path}: {e}")
-    if not isinstance(cfg, dict):
-        raise ValidationError("config root must be a JSON object")
-    validate_config(cfg)
-    return cfg
+        raise ValidationError(f"malformed JSON in {what}: {e}")
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return obj
 
 
 def validate_config(cfg: dict):
@@ -275,12 +275,23 @@ def config_hash(cfg: dict) -> str:
 # builders
 
 
-def build_geometry(g: dict) -> CoatedInclusion:
+def _need(cfg: dict, command: str, path: str):
+    """The config value at a dotted path; refuses with '<command> requires <path>'."""
+    value = cfg
+    for key in path.split("."):
+        if key not in value:
+            raise ValidationError(f"{command} requires {path}")
+        value = value[key]
+    return value
+
+
+def build_geometry(cfg: dict, command: str) -> CoatedInclusion:
+    g = _need(cfg, command, "geometry")
     t = g["type"]
     if t == "confocal":
         return confocal_pair(float(g["a1"]), float(g["am1"]), float(g["r0"]))
     if t == "laurent":
-        return laurent_domain(LaurentMap.from_json(g))
+        return laurent_domain(_laurent_map(cfg, command))
     inner_d, outer_d = g["inner"], g["outer"]
 
     def _mk(d):
@@ -292,30 +303,26 @@ def build_geometry(g: dict) -> CoatedInclusion:
     return inc
 
 
-def build_profile(p: dict) -> ConductivityProfile:
-    for k in ("sigma_c", "sigma_s", "sigma_m"):
-        if k not in p:
-            raise ValidationError(f"profile requires '{k}'")
-    return ConductivityProfile(
-        sigma_c=_sigma_value(p["sigma_c"]),
-        sigma_s=float(p["sigma_s"]),
-        sigma_m=_sigma_pair(p["sigma_m"]),
-    )
-
-
 def _core_shell(cfg: dict, command: str) -> tuple[float, float]:
-    """(sigma_c, sigma_s) of the profile section; refuses a profile without them."""
-    p = cfg.get("profile", {})
-    for k in ("sigma_c", "sigma_s"):
-        if k not in p:
-            raise ValidationError(f"{command} requires profile.{k}")
-    return _sigma_value(p["sigma_c"]), float(p["sigma_s"])
+    """(sigma_c, sigma_s) of the profile section."""
+    sc = _sigma_value(_need(cfg, command, "profile.sigma_c"))
+    return sc, float(_need(cfg, command, "profile.sigma_s"))
 
 
-def _laurent_map(g: dict, command: str) -> LaurentMap:
-    """The annulus map of a laurent or confocal geometry section."""
+def build_profile(cfg: dict, command: str) -> ConductivityProfile:
+    sc, ss = _core_shell(cfg, command)
+    return ConductivityProfile(sc, ss, _sigma_pair(_need(cfg, command, "profile.sigma_m")))
+
+
+def _laurent_map(cfg: dict, command: str) -> LaurentMap:
+    """The annulus map of a laurent or confocal geometry section.
+
+    Laurent coefficients are numbers or [re, im] pairs, as the value rule checked.
+    """
+    g = _need(cfg, command, "geometry")
     if g["type"] == "laurent":
-        return LaurentMap.from_json(g)
+        coeffs = {n: complex(*a) if isinstance(a, list) else a for n, a in g["coeffs"].items()}
+        return LaurentMap(coeffs, float(g["r0"]))
     if g["type"] == "confocal":
         return LaurentMap({1: float(g["a1"]), -1: float(g["am1"])}, float(g["r0"]))
     raise ValidationError(f"{command} requires a laurent or confocal geometry")
@@ -344,27 +351,26 @@ def _emit(report: dict, out_dir: str | None, csv_files: dict | None = None) -> N
 # command handlers: each takes (cfg, seed) and returns (result_dict, csv_files)
 
 
-class _Sections(dict):
-    """The merged config; indexing a missing section raises ValidationError."""
-
-    def __missing__(self, key):
-        raise ValidationError(f"config has no '{key}' section")
-
-
 def _given(sect: dict, *keys: str) -> dict:
     """The keys set in a section; the library's own defaults cover the rest."""
     return {k: sect[k] for k in keys if k in sect}
 
 
 def _numerics(cfg: dict) -> dict:
-    base = {"nodes": 256, "probe_radius": None, "probe_points": 64, "tol": 1e-9}
-    base.update(cfg.get("numerics", {}))
-    return base
+    return {"nodes": 256, "probe_radius": None, "probe_points": 64, "tol": 1e-9,
+            **cfg.get("numerics", {})}
+
+
+def _neutrality(cfg, inc, prof) -> dict:
+    """The neutrality report with the config's node count and probe settings."""
+    num = _numerics(cfg)
+    return neutrality_report(inc, prof, n=num["nodes"], probe_radius=num["probe_radius"],
+                             probe_points=num["probe_points"]).as_dict()
 
 
 def cmd_solve(cfg, seed):
-    inc = build_geometry(cfg["geometry"])
-    prof = build_profile(cfg["profile"])
+    inc = build_geometry(cfg, "solve")
+    prof = build_profile(cfg, "solve")
     num = _numerics(cfg)
     axis = cfg.get("solve", {}).get("axis", 1)
     radius, probe = _far_probe(inc, num["probe_radius"], num["probe_points"])
@@ -388,36 +394,26 @@ def cmd_solve(cfg, seed):
 
 
 def cmd_neutrality(cfg, seed):
-    inc = build_geometry(cfg["geometry"])
-    prof = build_profile(cfg["profile"])
-    num = _numerics(cfg)
-    rep = neutrality_report(
-        inc, prof, n=num["nodes"],
-        probe_radius=num["probe_radius"], probe_points=num["probe_points"],
-    )
-    return rep.as_dict(), None
+    inc = build_geometry(cfg, "neutrality")
+    return _neutrality(cfg, inc, build_profile(cfg, "neutrality")), None
 
 
 def cmd_design(cfg, seed):
-    g = cfg["geometry"]
+    g = _need(cfg, "design", "geometry")
     if g["type"] != "confocal":
         raise ValidationError("design requires geometry.type == 'confocal'")
     sc, ss = _core_shell(cfg, "design")
     dr = designer.confocal_design(float(g["a1"]), float(g["am1"]), float(g["r0"]), sc, ss)
     result = dr.as_dict()
     if cfg.get("design", {}).get("verify", False):
-        rep = neutrality_report(build_geometry(g), dr.profile(sc, ss), n=_numerics(cfg)["nodes"])
-        result["neutrality"] = rep.as_dict()
+        result["neutrality"] = _neutrality(cfg, build_geometry(cfg, "design"), dr.profile(sc, ss))
     return result, None
 
 
 def cmd_disk(cfg, seed):
-    d = cfg.get("disk", {})
     sc, ss = _core_shell(cfg, "disk")
-    if "f" not in d:
-        raise ValidationError("disk requires disk.f")
-    sm = designer.disk_matrix_conductivity(sc, ss, float(d["f"]))
-    return {"sigma_m": sm, "f": float(d["f"])}, None
+    f = float(_need(cfg, "disk", "disk.f"))
+    return {"sigma_m": designer.disk_matrix_conductivity(sc, ss, f), "f": f}, None
 
 
 def _design_for_geometry(cfg, section):
@@ -437,7 +433,7 @@ def _design_for_geometry(cfg, section):
 
 
 def cmd_newtonian(cfg, seed):
-    inc = build_geometry(cfg["geometry"])
+    inc = build_geometry(cfg, "newtonian")
     num = _numerics(cfg)
     f, shear = _design_for_geometry(cfg, "newtonian")
     rep = newtonian.combined_identity_check(
@@ -457,7 +453,7 @@ def cmd_newtonian(cfg, seed):
 
 
 def cmd_freebvp(cfg, seed):
-    inc = build_geometry(cfg["geometry"])
+    inc = build_geometry(cfg, "freebvp")
     num = _numerics(cfg)
     f, shear = _design_for_geometry(cfg, "freebvp")
     rep = newtonian.free_bvp_residual(inc, f, shear, n=num["nodes"])
@@ -467,7 +463,7 @@ def cmd_freebvp(cfg, seed):
 
 
 def cmd_laurent_classify(cfg, seed):
-    m = _laurent_map(cfg["geometry"], "laurent-classify")
+    m = _laurent_map(cfg, "laurent-classify")
     inc = laurent_domain(m)
     num = _numerics(cfg)
     sect = cfg.get("laurent", {})
@@ -494,7 +490,7 @@ def cmd_search(cfg, seed):
     num = _numerics(cfg)
     scfg = shapesearch.SearchConfig(sigma_c=sc, sigma_s=ss, nodes=num["nodes"],
                                     probe_points=num["probe_points"], **_given(sect, "max_order"))
-    m = _laurent_map(cfg["geometry"], "search")
+    m = _laurent_map(cfg, "search")
     if any(a.imag != 0 for a in m.coeffs.values()):
         raise ValidationError("search needs real Laurent coefficients")
     if m.coeffs[1] != 1:
@@ -524,14 +520,13 @@ def cmd_search(cfg, seed):
 
 
 def cmd_decay(cfg, seed):
-    inc = build_geometry(cfg["geometry"])
-    prof = build_profile(cfg["profile"])
+    inc = build_geometry(cfg, "decay")
+    prof = build_profile(cfg, "decay")
     num = _numerics(cfg)
     sect = cfg.get("decay", {})
     h = _H_CHOICES[sect.get("h", "x1")]
     radii = sect.get("radii", [5.0, 10.0])
-    expo = decay_exponent(inc, prof, h, (float(radii[0]), float(radii[1])),
-                          n=num["nodes"], probe_points=num["probe_points"])
+    expo = decay_exponent(inc, prof, h, radii, n=num["nodes"], probe_points=num["probe_points"])
     return {"h": sect.get("h", "x1"), "radii": list(radii), "exponent": expo}, None
 
 
@@ -570,26 +565,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_flags(cfg: dict, args) -> dict:
-    """Overlay command-line flags onto the config dict (flags win)."""
-    cfg = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
-
+def load_config(args) -> dict:
+    """The --config file's config with the command-line flags overlaid (flags win)."""
+    cfg = _json_object("@" + args.config, "config") if args.config else {}
+    validate_config(cfg)
     geo = cfg.setdefault("geometry", {})
     if args.map:
-        text = args.map
-        if text.startswith("@"):
-            try:
-                text = Path(text[1:]).read_text(encoding="utf-8")
-            except OSError as e:
-                raise ValidationError(f"cannot read --map {text[1:]}: {e}")
-        try:
-            m = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"--map is not valid JSON: {e}")
-        if not isinstance(m, dict):
-            raise ValidationError("--map must be a JSON object")
+        # the map is a geometry.laurent section: a stray key, 'type' too, is refused
+        m = _json_object(args.map, "--map")
+        _check_keys(m, _GEOMETRY["laurent"], "geometry")
         geo.clear()
-        geo.update({"type": "laurent", "coeffs": m.get("coeffs", {}), "r0": m.get("r0")})
+        geo.update(m, type="laurent")
     confocal = {k: v for k in _GEOMETRY["confocal"] if (v := getattr(args, k)) is not None}
     if confocal:
         if geo.get("type") not in (None, "confocal"):
@@ -616,9 +602,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _merge_flags(cfg, args)
-        result, csv_files = _COMMANDS[args.command](_Sections(cfg), args.seed)
+        cfg = load_config(args)
+        result, csv_files = _COMMANDS[args.command](cfg, args.seed)
     except (ValidationError, GeometryError, UnsupportedConfigurationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -189,16 +189,15 @@ def make_ellipse(center, a: float, b: float, theta: float = 0.0) -> Curve:
     i.e. c_{+1} = (a+b)/2 e^{i theta} and c_{-1} = (a-b)/2 e^{i theta},
     counterclockwise because |c_{+1}| > |c_{-1}|.
     """
+    center = complex(*center) if isinstance(center, (tuple, list)) else complex(center)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValidationError("semi-axes must be finite")
+    if not (cmath.isfinite(center) and math.isfinite(theta)):
+        raise ValidationError(f"center and theta must be finite, got {center}, {theta}")
     if b <= 0:
         raise ValidationError(f"semi-minor axis must be positive, got b = {b}")
     if a < b:
         raise ValidationError(f"semi-axes must satisfy a >= b, got a = {a}, b = {b}")
-    if isinstance(center, (tuple, list)):
-        center = complex(center[0], center[1])
-    else:
-        center = complex(center)
     rot = cmath.exp(1j * theta)
     coeffs = np.array([(a - b) / 2 * rot, center, (a + b) / 2 * rot])
     return Curve(coeffs, -1)
@@ -225,6 +224,8 @@ class LaurentMap:
             if n == 0:
                 raise ValidationError("constant term a_0 is not allowed (fix the center at 0)")
             a = complex(a)
+            if not cmath.isfinite(a):
+                raise ValidationError(f"coefficient a_{n} must be finite, got {a}")
             if a != 0:
                 clean[n] = a
         if clean.get(1, 0) == 0:
@@ -247,21 +248,6 @@ class LaurentMap:
         for n, a in self.coeffs.items():
             coeffs[n - n_lo] = a * rho**n
         return Curve(coeffs, n_lo)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentMap":
-        try:
-            raw = data["coeffs"]
-            r0 = float(data["r0"])
-            coeffs = {}
-            for key, val in raw.items():
-                if isinstance(val, (list, tuple)):
-                    coeffs[int(key)] = complex(val[0], val[1])
-                else:
-                    coeffs[int(key)] = complex(float(val))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed map record: {exc}") from exc
-        return cls(coeffs, r0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -341,13 +341,13 @@ def test_freebvp_command():
 
 
 def test_missing_section_exits_one():
-    # no geometry flags: the handler finds no geometry section
+    # no geometry flags: the handler names the first config entry it lacks
     proc = run_cli("neutrality", "--sc", "5", "--ss", "1", "--sm", "2")
     assert proc.returncode == 1
-    assert proc.stderr == "error: config has no 'geometry' section\n"
+    assert proc.stderr == "error: neutrality requires geometry\n"
     proc = run_cli("solve", "--a1", "1", "--am1", "0.2", "--r0", "1.5")
     assert proc.returncode == 1
-    assert "'profile'" in proc.stderr
+    assert proc.stderr == "error: solve requires profile.sigma_c\n"
 
 
 def test_newtonian_explicit_shell_parameters():
@@ -363,6 +363,20 @@ def test_map_must_be_object():
     proc = run_cli("laurent-classify", "--map", "[1]")
     assert proc.returncode == 1
     assert proc.stderr == "error: --map must be a JSON object\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"coeffs": {"1": 1.0, "-1": 0.2}, "r0": 1.5, "R0": 9}', "unknown config key 'geometry.R0'"),
+    ('{"type": "laurent", "coeffs": {"1": 1.0}, "r0": 1.5}', "unknown config key 'geometry.type'"),
+    ('{"r0": 1.5}', "geometry.laurent requires 'coeffs'"),
+    ('{"coeffs": {"1": 1.0}}', "geometry.laurent requires 'r0'"),
+], ids=["stray-key", "type-key", "no-coeffs", "no-r0"])
+def test_map_keys_checked_as_laurent_section(capsys, text, message):
+    # --map takes exactly the keys of a geometry.laurent config section
+    assert main(["laurent-classify", "--map", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 REFERENCE = ["--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "5", "--ss", "1"]
@@ -386,6 +400,16 @@ def test_probe_points_must_be_positive(tmp_path, command):
     proc = run_cli("--config", str(cfgfile), command, *REFERENCE, "--sm", "2")
     assert proc.returncode == 1
     assert "at least one point" in proc.stderr
+
+
+def test_design_verify_uses_probe_settings(capsys):
+    argv = ["--nodes", "64", "design", *REFERENCE, "--verify", "--probe-radius"]
+    assert main(argv + ["10"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["result"]["neutrality"]["probe_radius"] == 10.0
+    # the same rule as the neutrality command: at least twice the outer max radius
+    assert main(argv + ["1"]) == 1
+    assert "twice the outer max radius" in capsys.readouterr().err
 
 
 def test_solve_probe_radius_precondition():

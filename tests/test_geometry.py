@@ -17,6 +17,7 @@ from neutral_lab.geometry import (
     laurent_domain,
     make_ellipse,
 )
+from neutral_lab.cli import _laurent_map
 
 
 def test_ellipse_fourier_coefficients():
@@ -254,12 +255,12 @@ def test_pair_check_messages_shared_with_laurent_domain():
 
 
 def test_laurent_map_json_roundtrip():
-    m = LaurentMap({1: 1.0, -1: 0.2, 2: 0.05 + 0.01j}, 1.5)
-    back = LaurentMap.from_json({"coeffs": {"1": 1.0, "-1": 0.2, "2": [0.05, 0.01]}, "r0": 1.5})
-    assert back.coeffs == m.coeffs
-    assert back.r0 == m.r0
-    with pytest.raises(ValidationError):
-        LaurentMap.from_json({"r0": 1.5})
+    # the CLI turns a geometry.laurent section into a map; a missing key is a
+    # malformed-config case of tests/test_cli.py
+    g = {"type": "laurent", "coeffs": {"1": 1.0, "-1": 0.2, "2": [0.05, 0.01]}, "r0": 1.5}
+    back = _laurent_map({"geometry": g}, "neutrality")
+    assert back.coeffs == {1: 1.0, -1: 0.2, 2: 0.05 + 0.01j}
+    assert back.r0 == 1.5
 
 
 def test_area_fraction_of_reference_shell():

@@ -14,7 +14,13 @@ from neutral_lab.errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from neutral_lab.geometry import CoatedInclusion, confocal_pair, discretize, make_ellipse
+from neutral_lab.geometry import (
+    CoatedInclusion,
+    LaurentMap,
+    confocal_pair,
+    discretize,
+    make_ellipse,
+)
 from neutral_lab.designer import confocal_design, reciprocal_dual
 from neutral_lab.transmission import (
     ConductivityProfile,
@@ -198,6 +204,26 @@ def test_probe_points_must_be_positive(points):
         neutrality_report(inc, p, n=64, probe_points=points)
     with pytest.raises(ValidationError, match="at least one point"):
         decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5.0, 10.0), n=64, probe_points=points)
+
+
+# one non-finite library input per case; each is refused before any solve
+NON_FINITE = {
+    "probe_radius-nan": lambda inc, p: neutrality_report(inc, p, n=64, probe_radius=math.nan),
+    "probe_radius-inf": lambda inc, p: neutrality_report(inc, p, n=64, probe_radius=math.inf),
+    "decay-radius-inf": lambda inc, p: decay_exponent(
+        inc, p, HarmonicPoly(cq=1.0), (5.0, math.inf), n=64),
+    "laurent-coeff-nan": lambda inc, p: LaurentMap({1: 1.0, -1: math.nan}, 1.5),
+    "ellipse-center-nan": lambda inc, p: make_ellipse((0.0, math.nan), 2.0, 1.0),
+    "ellipse-theta-nan": lambda inc, p: make_ellipse(0.0, 2.0, 1.0, math.nan),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_inputs_refused(case):
+    inc = disks()
+    p = ConductivityProfile.isotropic(5.0, 1.0, 2.0)
+    with pytest.raises(ValidationError, match="must be finite"):
+        NON_FINITE[case](inc, p)
 
 
 def test_harmonic_poly_gradient_consistency():

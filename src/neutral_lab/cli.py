@@ -71,7 +71,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite float, or an int that converts to one (nan and inf compare False)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v) -> bool:
@@ -79,11 +80,8 @@ def _is_int(v) -> bool:
 
 
 def _is_sigma(v) -> bool:
-    if isinstance(v, str):
-        return v in _INF_TOKENS
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and (
-        math.isinf(v) or v >= 0
-    )
+    """A number >= 0, or an inf token (a float inf has no JSON form for the report)."""
+    return v in _INF_TOKENS if isinstance(v, str) else _is_num(v) and v >= 0
 
 
 def _is_pair(v, rule=_is_num) -> bool:
@@ -186,7 +184,6 @@ _SECTIONS = {
         "nodes": _key(lambda v: _is_int(v) and v <= _MAX_NODES, top=True, type=int,
                       help=f"quadrature nodes per curve (at most {_MAX_NODES})"),
         "probe_radius": _key(lambda v: v is None or _is_num(v), type=float),
-        "probe_points": _key(_is_int),
         "tol": _key(_is_num, top=True, type=float, help="admissibility tolerance"),
     },
     "solve": {"axis": _key(lambda v: _is_int(v) and v in (1, 2), type=int, choices=(1, 2))},
@@ -357,15 +354,13 @@ def _given(sect: dict, *keys: str) -> dict:
 
 
 def _numerics(cfg: dict) -> dict:
-    return {"nodes": 256, "probe_radius": None, "probe_points": 64, "tol": 1e-9,
-            **cfg.get("numerics", {})}
+    return {"nodes": 256, "probe_radius": None, "tol": 1e-9, **cfg.get("numerics", {})}
 
 
 def _neutrality(cfg, inc, prof) -> dict:
     """The neutrality report with the config's node count and probe settings."""
     num = _numerics(cfg)
-    return neutrality_report(inc, prof, n=num["nodes"], probe_radius=num["probe_radius"],
-                             probe_points=num["probe_points"]).as_dict()
+    return neutrality_report(inc, prof, n=num["nodes"], probe_radius=num["probe_radius"]).as_dict()
 
 
 def cmd_solve(cfg, seed):
@@ -373,7 +368,7 @@ def cmd_solve(cfg, seed):
     prof = build_profile(cfg, "solve")
     num = _numerics(cfg)
     axis = cfg.get("solve", {}).get("axis", 1)
-    radius, probe = _far_probe(inc, num["probe_radius"], num["probe_points"])
+    radius, probe = _far_probe(inc, num["probe_radius"])
     pair = solve_both_axes(inc, prof, num["nodes"])[axis - 1]
     vals, grads = eval_u(inc, pair, prof, probe)
     resid = float(np.max(np.abs(vals - probe[:, axis - 1])))
@@ -489,7 +484,7 @@ def cmd_search(cfg, seed):
         raise ValidationError("search.perturb needs --seed so that the start is reproducible")
     num = _numerics(cfg)
     scfg = shapesearch.SearchConfig(sigma_c=sc, sigma_s=ss, nodes=num["nodes"],
-                                    probe_points=num["probe_points"], **_given(sect, "max_order"))
+                                    **_given(sect, "max_order"))
     m = _laurent_map(cfg, "search")
     if any(a.imag != 0 for a in m.coeffs.values()):
         raise ValidationError("search needs real Laurent coefficients")
@@ -526,7 +521,7 @@ def cmd_decay(cfg, seed):
     sect = cfg.get("decay", {})
     h = _H_CHOICES[sect.get("h", "x1")]
     radii = sect.get("radii", [5.0, 10.0])
-    expo = decay_exponent(inc, prof, h, radii, n=num["nodes"], probe_points=num["probe_points"])
+    expo = decay_exponent(inc, prof, h, radii, n=num["nodes"])
     return {"h": sect.get("h", "x1"), "radii": list(radii), "exponent": expo}, None
 
 

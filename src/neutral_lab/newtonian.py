@@ -139,7 +139,7 @@ def combined_identity_check(inc: CoatedInclusion, dr, n: int = 256) -> CombinedI
     g_in = newtonian_potential(d_in, pts) - f * newtonian_potential(d_out, pts)
     fit = fit_quadratic(pts, g_in)
 
-    _, probe = _far_probe(inc, None, 64)
+    _, probe = _far_probe(inc, None)
     g_ext = newtonian_potential(d_in, probe) - f * newtonian_potential(d_out, probe)
     exterior = float(np.max(np.abs(g_ext - np.mean(g_ext))))
 

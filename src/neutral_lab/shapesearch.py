@@ -32,7 +32,8 @@ from .errors import (
 )
 from .geometry import LaurentMap, laurent_domain
 from .report import OMIT, Report
-from .transmission import ConductivityProfile, _far_probe, field_values, solve_both_axes
+from .transmission import PROBE_POINTS, ConductivityProfile, _far_probe, _scattered_values
+from .transmission import solve_both_axes
 from .transmission import eval_u  # noqa: F401  (bench/spans.py still patches shapesearch.eval_u)
 
 PENALTY = 1.0e6
@@ -53,15 +54,12 @@ class SearchConfig:
     sigma_s: float
     max_order: int = 2
     nodes: int = 128
-    probe_points: int = 64
 
     def __post_init__(self):
         if self.max_order < 1:
             raise ValidationError("max_order must be at least 1")
         if self.nodes < 16 or self.nodes % 2:
             raise ValidationError("nodes must be an even integer >= 16")
-        if self.probe_points < 1:
-            raise ValidationError("probe_points must be at least 1")
 
     @property
     def coeff_orders(self) -> tuple[int, ...]:
@@ -133,10 +131,8 @@ def _deviations(params: ShapeParams, cfg: SearchConfig) -> list[np.ndarray]:
     profile = ConductivityProfile(
         sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s, sigma_m=params.sigma_m
     )
-    _, probe = _far_probe(inc, None, cfg.probe_points)
-    out = []
-    for pair in solve_both_axes(inc, profile, n=cfg.nodes):
-        out.append(field_values(pair, probe) - probe[:, pair.axis - 1])
+    _, probe = _far_probe(inc, None)
+    out = [_scattered_values(pair, probe) for pair in solve_both_axes(inc, profile, n=cfg.nodes)]
     if not all(np.all(np.isfinite(d)) for d in out):
         raise SolverError("non-finite field on the probe circle")
     return out
@@ -199,7 +195,7 @@ def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
 
     if max_evals < 1:
         raise ValidationError("the evaluation budget must be positive")
-    failed = np.full(2 * cfg.probe_points, math.sqrt(PENALTY))
+    failed = np.full(2 * PROBE_POINTS, math.sqrt(PENALTY))
     history: list[float] = []
     improvements: list[tuple[int, float, ShapeParams]] = []
 

@@ -299,7 +299,11 @@ def eval_u(
     signature stays because benchmark code calls it with these arguments.
     """
     pts = _targets_xy(points)
-    vals = field_values(pair, pts)
+    vals = (
+        pair.h.value(pts)
+        + single_layer_off(pair.disc_inner, pair.phi, pts)
+        + single_layer_off(pair.disc_outer, pair.psi, pts)
+    )
     grads = (
         pair.h.gradient(pts)
         + single_layer_grad_off(pair.disc_inner, pair.phi, pts)
@@ -308,24 +312,12 @@ def eval_u(
     return vals, grads
 
 
-def field_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
-    """Field values u = h + S_in phi + S_out psi at (m, 2) points outside both near zones."""
-    return (
-        pair.h.value(pts)
-        + single_layer_off(pair.disc_inner, pair.phi, pts)
-        + single_layer_off(pair.disc_outer, pair.psi, pts)
-    )
+def _far_probe(inc: CoatedInclusion, radius: float | None) -> tuple[float, np.ndarray]:
+    """(radius, points) of the PROBE_POINTS-point probe circle.
 
-
-def _probe_circle(radius: float, m: int) -> np.ndarray:
-    if m < 1:
-        raise ValidationError(f"a probe circle needs at least one point, got {m}")
-    t = 2 * math.pi * np.arange(m) / m
-    return radius * np.column_stack([np.cos(t), np.sin(t)])
-
-
-def _far_probe(inc: CoatedInclusion, radius: float | None, m: int) -> tuple[float, np.ndarray]:
-    """(radius, points) of a probe circle: radius 3 outer max radii by default, at least 2."""
+    The radius is 3 outer max radii by default and at least 2; its squared
+    distance to the inclusion must stay a finite float.
+    """
     r_out = inc.outer.max_radius()
     if radius is None:
         radius = 3.0 * r_out
@@ -336,7 +328,10 @@ def _far_probe(inc: CoatedInclusion, radius: float | None, m: int) -> tuple[floa
             f"probe radius {radius} too tight; needs at least twice "
             f"the outer max radius ({2 * r_out:.4f})"
         )
-    return radius, _probe_circle(radius, m)
+    if math.isinf((radius + r_out) * (radius + r_out)):
+        raise ValidationError(f"probe radius {radius} too large: squared distances overflow")
+    t = 2 * math.pi * np.arange(PROBE_POINTS) / PROBE_POINTS
+    return radius, radius * np.column_stack([np.cos(t), np.sin(t)])
 
 
 def _scattered_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
@@ -400,10 +395,9 @@ def neutrality_report(
     p: ConductivityProfile,
     n: int = DEFAULT_NODES,
     probe_radius: float | None = None,
-    probe_points: int = PROBE_POINTS,
 ) -> NeutralityReport:
     """Solve both axes and measure how invisible the inclusion is."""
-    probe_radius, probe = _far_probe(inc, probe_radius, probe_points)
+    probe_radius, probe = _far_probe(inc, probe_radius)
     core = _core_grid(inc)
     cp = contrasts(p)
     axes = []
@@ -462,7 +456,6 @@ def decay_exponent(
     h: HarmonicPoly,
     radii: tuple[float, float],
     n: int = DEFAULT_NODES,
-    probe_points: int = PROBE_POINTS,
 ) -> float:
     """Far-field decay rate of u - h between two probe radii.
 
@@ -474,7 +467,7 @@ def decay_exponent(
     r1, r2 = (float(r) for r in radii)
     if not r2 > r1:
         raise ValidationError(f"need probe radii r2 > r1, got ({r1}, {r2})")
-    probes = [_far_probe(inc, r, probe_points)[1] for r in (r1, r2)]
+    probes = [_far_probe(inc, r)[1] for r in (r1, r2)]
     pair = solve_harmonic(inc, p, h, n)
     res1, res2 = (float(np.max(np.abs(_scattered_values(pair, pts)))) for pts in probes)
     if res1 <= 0.0 or res2 <= 0.0:

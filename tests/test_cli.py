@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,14 @@ import pytest
 
 from neutral_lab.cli import main, validate_config
 from neutral_lab.designer import confocal_design
+from neutral_lab.errors import ValidationError
+from neutral_lab.geometry import confocal_pair
+from neutral_lab.transmission import (
+    ConductivityProfile,
+    HarmonicPoly,
+    decay_exponent,
+    neutrality_report,
+)
 
 CLI = [sys.executable, "-m", "neutral_lab.cli"]
 
@@ -104,16 +113,22 @@ MALFORMED = {
     "profile.sigma_c": ({"profile": {"sigma_c": "huge"}}, "profile.sigma_c"),
     "profile.sigma_s": ({"profile": {"sigma_s": 0}}, "profile.sigma_s"),
     "profile.sigma_m": ({"profile": {"sigma_m": [1, 2, 3]}}, "profile.sigma_m"),
+    # json.dumps writes inf as the literal Infinity, which has no place in the report
+    "profile.sigma_c-inf": ({"profile": {"sigma_c": math.inf}},
+                            "config key 'profile.sigma_c' has invalid value inf"),
     "numerics.nodes": ({"numerics": {"nodes": 64.0}}, "numerics.nodes"),
     "numerics.nodes-cap": ({"numerics": {"nodes": 100000000000}}, "numerics.nodes"),
     "numerics.probe_radius": ({"numerics": {"probe_radius": "far"}}, "numerics.probe_radius"),
-    "numerics.probe_points": ({"numerics": {"probe_points": 2.5}}, "numerics.probe_points"),
+    # no key sets the probe circle's point count: it is always 64
+    "numerics.probe_points": ({"numerics": {"probe_points": 64}},
+                              "unknown config key 'numerics.probe_points'"),
     "numerics.tol": ({"numerics": {"tol": "1e-9"}}, "numerics.tol"),
     "solve.axis": ({"solve": {"axis": 3}}, "solve.axis"),
     "solve.axis-float": ({"solve": {"axis": 1.0}}, "solve.axis"),
     "solve.axis-bool": ({"solve": {"axis": True}}, "solve.axis"),
     "design.verify": ({"design": {"verify": "yes"}}, "design.verify"),
     "disk.f": ({"disk": {"f": None}}, "disk.f"),
+    "disk.f-overflow": ({"disk": {"f": 10**400}}, "config key 'disk.f' has invalid value 1000"),
     "newtonian.f": ({"newtonian": {"f": "0.4"}}, "newtonian.f"),
     "newtonian.shear": ({"newtonian": {"shear": [0.1]}}, "newtonian.shear"),
     "freebvp.f": ({"freebvp": {"f": True}}, "freebvp.f"),
@@ -180,6 +195,19 @@ def test_malformed_config_values_exit_one(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("error:") and path in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["disk", "--sc", "1e999", "--ss", "1", "--f", "0.5"], "profile.sigma_c"),
+    (["disk", "--sc", "5", "--ss", "1", "--sm", "2,1e999", "--f", "0.5"], "profile.sigma_m"),
+], ids=["sc", "sm"])
+def test_infinite_flag_values_exit_one(capsys, argv, path):
+    # a flag value that overflows to a float inf is refused like the config's Infinity;
+    # the 'inf' token still spells a perfectly conducting core (test_disk_command)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config key '{path}' has invalid value")
 
 
 def test_malformed_config_rejected(tmp_path):
@@ -393,15 +421,6 @@ def test_newtonian_f_alone_overrides_design():
     assert d_expected != pytest.approx(base["d_expected"], abs=1e-3)
 
 
-@pytest.mark.parametrize("command", ["neutrality", "decay", "solve"])
-def test_probe_points_must_be_positive(tmp_path, command):
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"numerics": {"nodes": 64, "probe_points": 0}}))
-    proc = run_cli("--config", str(cfgfile), command, *REFERENCE, "--sm", "2")
-    assert proc.returncode == 1
-    assert "at least one point" in proc.stderr
-
-
 def test_design_verify_uses_probe_settings(capsys):
     argv = ["--nodes", "64", "design", *REFERENCE, "--verify", "--probe-radius"]
     assert main(argv + ["10"]) == 0
@@ -410,6 +429,22 @@ def test_design_verify_uses_probe_settings(capsys):
     # the same rule as the neutrality command: at least twice the outer max radius
     assert main(argv + ["1"]) == 1
     assert "twice the outer max radius" in capsys.readouterr().err
+
+
+def test_probe_radius_beyond_float_range_refused(capsys):
+    # squared distances to a probe at 1e300 overflow a float; 1e150 keeps a finite answer
+    inc = confocal_pair(1.0, 0.2, 1.5)
+    p = ConductivityProfile(5.0, 1.0, (2.0, 2.0))
+    with pytest.raises(ValidationError, match="too large"):
+        neutrality_report(inc, p, n=64, probe_radius=1e300)
+    with pytest.raises(ValidationError, match="too large"):
+        decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5.0, 1e300), n=64)
+    assert math.isfinite(decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5.0, 1e150), n=64))
+    for extra in (["neutrality", "--probe-radius", "1e300"], ["decay", "--radii", "5", "1e300"]):
+        assert main(["--nodes", "64", *extra, *REFERENCE, "--sm", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: probe radius 1e+300 too large")
 
 
 def test_solve_probe_radius_precondition():

@@ -6,25 +6,23 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
 
 import neutral_lab.shapesearch as shapesearch
-from neutral_lab.errors import GeometryError, ValidationError
+from neutral_lab.errors import GeometryError, SolverError, ValidationError
 from neutral_lab.designer import confocal_design
 from neutral_lab.geometry import laurent_domain
 from neutral_lab.shapesearch import (
-    _CHECK_SAMPLES,
     PENALTY,
     SearchConfig,
     ShapeParams,
-    _deviations,
     decode,
     encode,
     objective,
     perturbation_study,
+    residuals,
     search,
 )
-from neutral_lab.transmission import ConductivityProfile, _far_probe, eval_u, solve_both_axes
+from neutral_lab.transmission import ConductivityProfile, neutrality_report, solve_both_axes
 
 
 @pytest.fixture(scope="module")
@@ -184,12 +182,6 @@ def test_search_refuses_nonpositive_matrix_conductivity(cfg, sigma_m):
         search(start, cfg)
 
 
-@pytest.mark.parametrize("points", [0, -1])
-def test_config_refuses_probe_points_below_one(points):
-    with pytest.raises(ValidationError, match="probe_points"):
-        SearchConfig(sigma_c=5.0, sigma_s=1.0, probe_points=points)
-
-
 def test_search_refuses_start_with_invalid_geometry(cfg, design):
     folded = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: 0.9}, r0=1.5, sigma_m=design.sigma_m)
     with pytest.raises(GeometryError, match="the start fails the geometry check: .*self-inter"):
@@ -197,15 +189,40 @@ def test_search_refuses_start_with_invalid_geometry(cfg, design):
 
 
 @pytest.mark.parametrize("a2", [0.0, 0.05])
-def test_deviations_equal_eval_u_values(cfg, design, a2):
-    # the search takes probe values alone; they must be eval_u's values bit for bit
+def test_search_and_report_measure_one_residual(cfg, design, a2):
+    # the search scores the neutrality report's probe residual, bit for bit
     params = ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: a2}, r0=1.5, sigma_m=design.sigma_m)
-    inc = laurent_domain(params.laurent_map(), samples=_CHECK_SAMPLES)
     profile = ConductivityProfile(sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s,
                                   sigma_m=params.sigma_m)
-    _, probe = _far_probe(inc, None, cfg.probe_points)
-    pairs = solve_both_axes(inc, profile, n=cfg.nodes)
-    devs = _deviations(params, cfg)
-    assert len(devs) == len(pairs) == 2
-    for dev, pair in zip(devs, pairs):
-        assert_array_equal(dev, eval_u(inc, pair, profile, probe)[0] - probe[:, pair.axis - 1])
+    rep = neutrality_report(laurent_domain(params.laurent_map()), profile, n=cfg.nodes)
+    assert residuals(params, cfg) == rep.residuals
+
+
+def test_search_scores_failed_solves_as_penalty(cfg, design, monkeypatch):
+    # every solve after the start's fails: those evaluations score the penalty,
+    # never become the incumbent, and still count toward max_evals
+    start = ShapeParams(coeffs={-2: 0.02, -1: 0.2, 2: 0.02}, r0=1.5, sigma_m=design.sigma_m)
+    first = objective(encode(start, cfg), cfg)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise SolverError("injected failure")
+        return solve_both_axes(*args, **kwargs)
+
+    monkeypatch.setattr(shapesearch, "solve_both_axes", failing)
+    res = search(start, cfg, max_evals=12, target=1e-10)
+    assert res.evals == len(calls) == 12
+    assert not res.converged
+    assert res.objective == first < PENALTY
+    assert res.history == [res.objective] * 12
+    assert [e for e, _, _ in res.improvements] == [1]
+    assert res.params == decode(encode(start, cfg), cfg)
+
+
+def test_perturbation_study_reports_invalid_geometry():
+    # a_2 = 0.9 folds the boundary images: the row says so instead of scoring it
+    rows = perturbation_study(0.2, 1.5, 5.0, 1.0, [0.9], nodes=64)
+    assert [(r.amplitude, r.valid) for r in rows] == [(0.9, False)]
+    assert math.isnan(rows[0].objective_fixed) and math.isnan(rows[0].objective_reopt)

@@ -196,16 +196,6 @@ def test_probe_radius_precondition():
         neutrality_report(inc, p, n=64, probe_radius=1.5)
 
 
-@pytest.mark.parametrize("points", [0, -3])
-def test_probe_points_must_be_positive(points):
-    inc = disks()
-    p = ConductivityProfile.isotropic(5.0, 1.0, 2.0)
-    with pytest.raises(ValidationError, match="at least one point"):
-        neutrality_report(inc, p, n=64, probe_points=points)
-    with pytest.raises(ValidationError, match="at least one point"):
-        decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5.0, 10.0), n=64, probe_points=points)
-
-
 # one non-finite library input per case; each is refused before any solve
 NON_FINITE = {
     "probe_radius-nan": lambda inc, p: neutrality_report(inc, p, n=64, probe_radius=math.nan),

@@ -37,9 +37,7 @@ from . import designer, laurent, newtonian, shapesearch
 from .geometry import (
     CoatedInclusion,
     LaurentMap,
-    area,
     confocal_pair,
-    discretize,
     laurent_domain,
     make_ellipse,
 )
@@ -51,6 +49,7 @@ from .transmission import (
     neutrality_report,
     solve_both_axes,
     _far_probe,
+    _scattered_values,
 )
 
 _INF_TOKENS = {"inf", "Infinity", "infinity"}
@@ -89,11 +88,11 @@ def _is_pair(v, rule=_is_num) -> bool:
 
 
 def _is_order(k: str) -> bool:
+    """An integer order as str(int) writes it, so that no two keys name one order."""
     try:
-        int(k)
+        return str(int(k)) == k
     except ValueError:
         return False
-    return True
 
 
 def _sigma_value(v) -> float:
@@ -200,7 +199,6 @@ _SECTIONS = {
         "max_order": _key(_is_int, type=int),
         "perturb": _key(_is_num, type=float,
                         help="uniform start perturbation amplitude (needs --seed)"),
-        "sigma_m": _key(_is_pair),
     },
     "decay": {
         "h": _key(lambda v: isinstance(v, str) and v in _H_CHOICES, choices=sorted(_H_CHOICES)),
@@ -371,11 +369,10 @@ def cmd_solve(cfg, seed):
     radius, probe = _far_probe(inc, num["probe_radius"])
     pair = solve_both_axes(inc, prof, num["nodes"])[axis - 1]
     vals, grads = eval_u(inc, pair, prof, probe)
-    resid = float(np.max(np.abs(vals - probe[:, axis - 1])))
     result = {
         "axis": axis,
         "probe_radius": radius,
-        "residual": resid,
+        "residual": float(np.max(np.abs(_scattered_values(pair, probe)))),
         "phi": pair.phi.tolist(),
         "psi": pair.psi.tolist(),
     }
@@ -393,15 +390,23 @@ def cmd_neutrality(cfg, seed):
     return _neutrality(cfg, inc, build_profile(cfg, "neutrality")), None
 
 
-def cmd_design(cfg, seed):
-    g = _need(cfg, "design", "geometry")
+def _confocal_design(cfg, command):
+    """The coating design for a confocal geometry and the profile's core and shell."""
+    g = _need(cfg, command, "geometry")
     if g["type"] != "confocal":
-        raise ValidationError("design requires geometry.type == 'confocal'")
-    sc, ss = _core_shell(cfg, "design")
-    dr = designer.confocal_design(float(g["a1"]), float(g["am1"]), float(g["r0"]), sc, ss)
+        shell = "shear" in _SECTIONS[command]
+        override = f" (or both '{command}.f' and '{command}.shear')" if shell else ""
+        raise ValidationError(f"{command} requires geometry.type == 'confocal'{override}")
+    sc, ss = _core_shell(cfg, command)
+    return designer.confocal_design(float(g["a1"]), float(g["am1"]), float(g["r0"]), sc, ss)
+
+
+def cmd_design(cfg, seed):
+    dr = _confocal_design(cfg, "design")
     result = dr.as_dict()
     if cfg.get("design", {}).get("verify", False):
-        result["neutrality"] = _neutrality(cfg, build_geometry(cfg, "design"), dr.profile(sc, ss))
+        prof = dr.profile(*_core_shell(cfg, "design"))
+        result["neutrality"] = _neutrality(cfg, build_geometry(cfg, "design"), prof)
     return result, None
 
 
@@ -413,17 +418,10 @@ def cmd_disk(cfg, seed):
 
 def _design_for_geometry(cfg, section):
     """f and shear for the shell identities: explicit values win, else design."""
-    g = cfg["geometry"]
     sect = cfg.get(section, {})
     if "f" in sect and "shear" in sect:
         return float(sect["f"]), float(sect["shear"])
-    if g["type"] != "confocal":
-        raise ValidationError(
-            f"{section} needs explicit '{section}.f' and '{section}.shear' "
-            "unless geometry.type == 'confocal'"
-        )
-    sc, ss = _core_shell(cfg, section)
-    dr = designer.confocal_design(float(g["a1"]), float(g["am1"]), float(g["r0"]), sc, ss)
+    dr = _confocal_design(cfg, section)
     return float(sect.get("f", dr.f)), float(sect.get("shear", dr.shear))
 
 
@@ -434,17 +432,7 @@ def cmd_newtonian(cfg, seed):
     rep = newtonian.combined_identity_check(
         inc, SimpleNamespace(f=f, dmu=-shear / f), n=num["nodes"]
     )
-    result = rep.as_dict()
-    fit = rep.fit
-    rows = [
-        ("d1", fit.d1, rep.d_expected[0], rep.d_mismatch[0]),
-        ("d2", fit.d2, rep.d_expected[1], rep.d_mismatch[1]),
-        ("c1", fit.c1, 0.0, abs(fit.c1)),
-        ("c2", fit.c2, 0.0, abs(fit.c2)),
-        ("rms_residual", fit.rms_residual, 0.0, fit.rms_residual),
-        ("exterior_residual", rep.exterior_residual, 0.0, rep.exterior_residual),
-    ]
-    return result, {"fit.csv": (["quantity", "value", "expected", "mismatch"], rows)}
+    return rep.as_dict(), None
 
 
 def cmd_freebvp(cfg, seed):
@@ -465,7 +453,7 @@ def cmd_laurent_classify(cfg, seed):
     if "f" in sect:
         f = float(sect["f"])
     else:
-        f = area(discretize(inc.inner, 256)) / area(discretize(inc.outer, 256))
+        f = inc.inner.signed_area() / inc.outer.signed_area()
     shear = float(sect.get("shear", 0.0))
     cls = laurent.classify(m, f, shear, tol=num["tol"], **_given(sect, "coeff_tol"))
     result = cls.as_dict()
@@ -486,18 +474,10 @@ def cmd_search(cfg, seed):
     scfg = shapesearch.SearchConfig(sigma_c=sc, sigma_s=ss, nodes=num["nodes"],
                                     **_given(sect, "max_order"))
     m = _laurent_map(cfg, "search")
-    if any(a.imag != 0 for a in m.coeffs.values()):
-        raise ValidationError("search needs real Laurent coefficients")
-    if m.coeffs[1] != 1:
-        raise ValidationError("search uses the gauge a_1 = 1")
-    beyond = set(m.coeffs) - {1, *scfg.coeff_orders}
-    if beyond:
-        raise ValidationError(f"coefficient order {max(beyond, key=abs)} exceeds search.max_order")
-    coeffs = {k: m.coeffs.get(k, 0j).real for k in scfg.coeff_orders}
-    sm = sect.get("sigma_m", cfg.get("profile", {}).get("sigma_m"))
-    if sm is None:
-        raise ValidationError("search requires profile.sigma_m or search.sigma_m")
-    start = shapesearch.ShapeParams(coeffs=coeffs, r0=m.r0, sigma_m=_sigma_pair(sm))
+    # ShapeParams supplies the gauge a_1 = 1; shapesearch.encode refuses any other a_1
+    coeffs = {k: a for k, a in m.coeffs.items() if (k, a) != (1, 1)}
+    sm = _sigma_pair(_need(cfg, "search", "profile.sigma_m"))
+    start = shapesearch.ShapeParams(coeffs=coeffs, r0=m.r0, sigma_m=sm)
     if perturb:
         rng = np.random.default_rng(seed)
         x = shapesearch.encode(start, scfg)

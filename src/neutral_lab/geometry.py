@@ -293,7 +293,7 @@ def confocal_pair(a1: float, am1: float, r0: float) -> CoatedInclusion:
     _validate_confocal_params(a1, am1, r0)
     inner = make_ellipse(0.0, a1 + am1, a1 - am1)
     outer = make_ellipse(0.0, a1 * r0 + am1 / r0, a1 * r0 - am1 / r0)
-    origin = LaurentMap({1: a1, -1: am1} if am1 > 0 else {1: a1}, r0)
+    origin = LaurentMap({1: a1, -1: am1}, r0)
     return CoatedInclusion(inner, outer, origin)
 
 

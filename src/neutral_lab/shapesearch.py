@@ -81,9 +81,7 @@ class ShapeParams(Report):
     sigma_m: tuple[float, float]
 
     def laurent_map(self) -> LaurentMap:
-        coeffs = {1: 1.0}
-        coeffs.update({k: v for k, v in self.coeffs.items() if v != 0.0})
-        return LaurentMap(coeffs=coeffs, r0=self.r0)
+        return LaurentMap(coeffs={1: 1.0, **self.coeffs}, r0=self.r0)
 
     def confocality_gap(self) -> float:
         gaps = [abs(v) for k, v in self.coeffs.items() if abs(k) >= 2]
@@ -91,7 +89,14 @@ class ShapeParams(Report):
 
 
 def encode(params: ShapeParams, cfg: SearchConfig) -> np.ndarray:
-    x = [params.coeffs.get(k, 0.0) for k in cfg.coeff_orders]
+    """The unknown vector of a point; refuses a coefficient the search cannot vary."""
+    for k, a in params.coeffs.items():
+        if k not in cfg.coeff_orders:
+            raise ValidationError(f"the search varies a_n only for n in {cfg.coeff_orders} "
+                                  f"(a_1 = 1 is the gauge); the start sets a_{k}")
+        if complex(a).imag != 0:
+            raise ValidationError(f"the search varies only real a_n; the start sets a_{k} = {a}")
+    x = [complex(params.coeffs.get(k, 0.0)).real for k in cfg.coeff_orders]
     x.append(params.r0)
     for s in params.sigma_m:
         if not (math.isfinite(s) and s > 0):

@@ -312,6 +312,14 @@ def eval_u(
     return vals, grads
 
 
+def _probe_radius(radius) -> float:
+    """A probe radius as a float; an integer beyond the float range is refused."""
+    try:
+        return float(radius)
+    except OverflowError:
+        raise ValidationError("probe radius is beyond the float range") from None
+
+
 def _far_probe(inc: CoatedInclusion, radius: float | None) -> tuple[float, np.ndarray]:
     """(radius, points) of the PROBE_POINTS-point probe circle.
 
@@ -319,8 +327,7 @@ def _far_probe(inc: CoatedInclusion, radius: float | None) -> tuple[float, np.nd
     distance to the inclusion must stay a finite float.
     """
     r_out = inc.outer.max_radius()
-    if radius is None:
-        radius = 3.0 * r_out
+    radius = 3.0 * r_out if radius is None else _probe_radius(radius)
     if not math.isfinite(radius):
         raise ValidationError(f"probe radius must be finite, got {radius}")
     if radius < 2.0 * r_out:
@@ -464,7 +471,7 @@ def decay_exponent(
     configuration driven by a non-uniform background decays one order faster
     (q ~ 2) than a generic one (q ~ 1).
     """
-    r1, r2 = (float(r) for r in radii)
+    r1, r2 = (_probe_radius(r) for r in radii)
     if not r2 > r1:
         raise ValidationError(f"need probe radii r2 > r1, got ({r1}, {r2})")
     probes = [_far_probe(inc, r)[1] for r in (r1, r2)]

@@ -140,7 +140,8 @@ MALFORMED = {
     "search.target": ({"search": {"target": "1e-10"}}, "search.target"),
     "search.max_order": ({"search": {"max_order": True}}, "search.max_order"),
     "search.perturb": ({"search": {"perturb": "0.05"}}, "search.perturb"),
-    "search.sigma_m": ({"search": {"sigma_m": 2}}, "search.sigma_m"),
+    # the search start's sigma_m comes from profile.sigma_m (--sm) alone
+    "search.sigma_m": ({"search": {"sigma_m": [2, 2]}}, "unknown config key 'search.sigma_m'"),
     "decay.h": ({"decay": {"h": "x3"}}, "decay.h"),
     "decay.radii": ({"decay": {"radii": [5]}}, "decay.radii"),
     "unknown-section": ({"solver": {}}, "'solver'"),
@@ -162,6 +163,12 @@ MALFORMED = {
                        "geometry.coeffs"),
     "laurent.coeffs-order": ({"geometry": {"type": "laurent", "coeffs": {"x": 1}, "r0": 1.5}},
                              "geometry.coeffs"),
+    # a key must be an order as str(int) writes it: "+1" would be a second a_1
+    "laurent.coeffs-plus": ({"geometry": {"type": "laurent", "r0": 1.5,
+                                          "coeffs": {"1": 1.0, "-1": 0.2, "+1": 2.0}}},
+                            "geometry.coeffs"),
+    "laurent.coeffs-padded": ({"geometry": {"type": "laurent", "coeffs": {"01": 1.0},
+                                            "r0": 1.5}}, "geometry.coeffs"),
     "laurent.coeffs-value": ({"geometry": {"type": "laurent", "coeffs": {"1": [1, 2, 3]},
                                            "r0": 1.5}}, "geometry.coeffs"),
     "laurent.r0": ({"geometry": {"type": "laurent", "coeffs": {"1": 1}, "r0": "1.5"}},
@@ -276,11 +283,21 @@ def test_search_map_coefficients():
     rep = report_of(proc)
     assert rep["result"]["converged"] is True
     assert rep["result"]["params"]["coeffs"]["-1"] == 0.2
-    # complex coefficients and a_1 != 1 leave the search space
-    for coeffs in ('{"1": 1, "-1": [0.2, 0.1]}', '{"1": 2, "-1": 0.2}'):
-        proc = run_cli(*args, f'{{"coeffs": {coeffs}, "r0": 1.5}}')
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ({"1": 1, "-1": [0.2, 0.1]}, "the search varies only real a_n; the start sets a_-1"),
+    ({"1": 2, "-1": 0.2}, "the start sets a_1"),
+    ({"1": 1, "-1": 0.2, "3": 0.05}, "(-2, -1, 2) (a_1 = 1 is the gauge); the start sets a_3"),
+], ids=["complex", "gauge", "order"])
+def test_search_start_outside_search_space_exits_one(capsys, coeffs, message):
+    # shapesearch.encode refuses what the search cannot vary; the CLI adds no check
+    argv = ["--nodes", "64", "search", "--sc", "5", "--ss", "1", "--sm", "2", "--max-order", "2",
+            "--map", json.dumps({"coeffs": coeffs, "r0": 1.5})]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the search varies") and message in captured.err
 
 
 def test_search_at_design_converges(tmp_path):
@@ -308,6 +325,12 @@ def test_laurent_classify_command(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "factor", "admissible", "in_support"]
     assert any(r[3] == "yes" for r in rows[1:])
+
+
+def test_laurent_classify_default_f_is_exact_area_ratio(capsys):
+    # the image areas are exact in the coefficients: f = 864/2009, the design's f
+    assert main(["laurent-classify", "--a1", "1", "--am1", "0.2", "--r0", "1.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["f"] == 864 / 2009
 
 
 def test_laurent_classify_f_alone_overrides_area_ratio():
@@ -387,6 +410,15 @@ def test_newtonian_explicit_shell_parameters():
     assert rep["result"]["d_expected"] == pytest.approx([0.175, 0.125])
 
 
+@pytest.mark.parametrize("command", ["newtonian", "freebvp"])
+def test_shell_identities_off_confocal_name_override(capsys, command):
+    # a non-confocal shape has no design; the refusal names the keys that replace it
+    argv = [command, "--map", '{"coeffs": {"1": 1, "2": 0.05}, "r0": 1.5}', "--f", "0.4"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {command} requires geometry.type == 'confocal' "
+                                       f"(or both '{command}.f' and '{command}.shear')\n")
+
+
 def test_map_must_be_object():
     proc = run_cli("laurent-classify", "--map", "[1]")
     assert proc.returncode == 1
@@ -439,6 +471,11 @@ def test_probe_radius_beyond_float_range_refused(capsys):
         neutrality_report(inc, p, n=64, probe_radius=1e300)
     with pytest.raises(ValidationError, match="too large"):
         decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5.0, 1e300), n=64)
+    # an integer radius beyond the float range is refused by the same calls
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        neutrality_report(inc, p, n=64, probe_radius=10**400)
+    with pytest.raises(ValidationError, match="beyond the float range"):
+        decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5, 10**400), n=64)
     assert math.isfinite(decay_exponent(inc, p, HarmonicPoly(cq=1.0), (5.0, 1e150), n=64))
     for extra in (["neutrality", "--probe-radius", "1e300"], ["decay", "--radii", "5", "1e300"]):
         assert main(["--nodes", "64", *extra, *REFERENCE, "--sm", "2"]) == 1
@@ -458,7 +495,7 @@ def test_search_nonpositive_matrix_conductivity_exits_one(tmp_path):
     assert proc.returncode == 1
     assert "sigma_m must be positive and finite" in proc.stderr
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"search": {"sigma_m": [0, 1]}}))
+    cfgfile.write_text(json.dumps({"profile": {"sigma_m": [0, 1]}}))
     proc = run_cli("--config", str(cfgfile), "search", *REFERENCE)
     assert proc.returncode == 1
     assert "sigma_m must be positive and finite" in proc.stderr
@@ -468,3 +505,40 @@ def test_unreadable_map_file_exits_one(tmp_path):
     proc = run_cli("laurent-classify", "--map", "@" + str(tmp_path / "missing.json"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot read --map ")
+
+
+DESIGNED_SM = "1.9471087969306659,1.6983228935138412"
+
+
+@pytest.mark.parametrize("axis", [1, 2])
+def test_solve_residual_is_neutrality_residual(capsys, axis):
+    # one evaluator of u - x_j on the probe circle serves both commands
+    args = [*REFERENCE, "--sm", DESIGNED_SM]
+    assert main(["--nodes", "64", "solve", *args, "--axis", str(axis)]) == 0
+    solved = json.loads(capsys.readouterr().out)["result"]["residual"]
+    assert main(["--nodes", "64", "neutrality", *args]) == 0
+    axes = json.loads(capsys.readouterr().out)["result"]["axes"]
+    assert solved == axes[axis - 1]["residual"]
+
+
+REFERENCE_MAP = '{"coeffs": {"1": 1.0, "-1": 0.2}, "r0": 1.5}'
+# each command's --out files: report.json plus the CSVs that README "Output" lists
+OUT_FILES = {
+    "solve": ([*REFERENCE, "--sm", DESIGNED_SM], {"densities.csv", "samples.csv"}),
+    "neutrality": ([*REFERENCE, "--sm", DESIGNED_SM], set()),
+    "design": (REFERENCE, set()),
+    "disk": (["--sc", "5", "--ss", "1", "--f", "0.5"], set()),
+    "newtonian": (REFERENCE, set()),
+    "freebvp": (REFERENCE, set()),
+    "laurent-classify": (["--map", REFERENCE_MAP], {"factors.csv"}),
+    "search": ([*REFERENCE, "--sm", DESIGNED_SM, "--max-evals", "5"], {"history.csv"}),
+    "decay": ([*REFERENCE, "--sm", "2"], set()),
+}
+
+
+@pytest.mark.parametrize("command", OUT_FILES)
+def test_out_directory_holds_listed_files(tmp_path, capsys, command):
+    args, csvs = OUT_FILES[command]
+    assert main(["--out", str(tmp_path), "--nodes", "64", command, *args]) == 0
+    capsys.readouterr()
+    assert {p.name for p in tmp_path.iterdir()} == {"report.json", *csvs}

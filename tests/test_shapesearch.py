@@ -80,6 +80,18 @@ def test_objective_penalizes_invalid_points(cfg, design):
     assert objective(nonfinite, cfg) >= PENALTY
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    ({-1: 0.2, 3: 0.05}, "the start sets a_3"),
+    ({1: 1.0, -1: 0.2}, "the start sets a_1"),
+    ({-1: 0.2 + 0.1j}, "only real a_n"),
+], ids=["order-3", "gauge", "complex"])
+def test_search_refuses_start_it_cannot_vary(cfg, design, coeffs, message):
+    # dropping the a_3 term would let the search converge at a shape that is not its start
+    start = ShapeParams(coeffs=coeffs, r0=1.5, sigma_m=design.sigma_m)
+    with pytest.raises(ValidationError, match=message):
+        search(start, cfg, max_evals=50)
+
+
 def test_search_returns_immediately_at_optimum(cfg, design):
     res = search(optimum(design), cfg, target=1e-10)
     assert res.converged

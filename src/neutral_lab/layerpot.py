@@ -46,54 +46,60 @@ def _check_density(src: Discretization, density) -> np.ndarray:
     return rho
 
 
+def _offsets(pts: np.ndarray, nodes: np.ndarray):
+    """Targets minus nodes, dx and dy, and r2 = dx^2 + dy^2 made in place: three (m, n) arrays."""
+    dx = pts[:, None, 0] - nodes[None, :, 0]
+    dy = pts[:, None, 1] - nodes[None, :, 1]
+    r2 = dx * dx
+    r2 += dy * dy
+    return dx, dy, r2
+
+
 def min_target_distance(src: Discretization, targets) -> float:
     """Smallest target-to-node distance; targets go in cache-sized blocks."""
     pts = _targets_xy(targets)
-    x, y = src.nodes[:, 0], src.nodes[:, 1]
     step = max(1, 2**14 // src.n)
-    best = math.inf
-    for lo in range(0, len(pts), step):
-        p = pts[lo : lo + step]
-        best = min(best, float(((p[:, None, 0] - x) ** 2 + (p[:, None, 1] - y) ** 2).min()))
-    return math.sqrt(best)
+    mins = (_offsets(pts[lo : lo + step], src.nodes)[2].min() for lo in range(0, len(pts), step))
+    return math.sqrt(min(mins, default=math.inf))
+
+
+def _near_zone(src: Discretization, dist):
+    """The one near-zone rule: (dist < limit, limit), limit = NEAR_FACTOR x feature size."""
+    limit = NEAR_FACTOR * feature_size(src)
+    return dist < limit, limit
 
 
 def _in_near_zone(src: Discretization, targets) -> bool:
-    """The one near-zone test: a target within NEAR_FACTOR x feature size of the nodes."""
-    return min_target_distance(src, targets) < NEAR_FACTOR * feature_size(src)
+    """Whether some target lies in the near zone of the nodes."""
+    return _near_zone(src, min_target_distance(src, targets))[0]
 
 
-def _near_guard(src: Discretization, targets) -> None:
-    if _in_near_zone(src, targets):
-        dist = min_target_distance(src, targets)
-        limit = NEAR_FACTOR * feature_size(src)
+def _far_offsets(src: Discretization, targets):
+    """`_offsets` of targets from the nodes; a near-zone target, read off r2, is refused."""
+    dx, dy, r2 = _offsets(_targets_xy(targets), src.nodes)
+    dist = math.sqrt(float(r2.min(initial=math.inf)))
+    near, limit = _near_zone(src, dist)
+    if near:
         raise NearEvaluationError(
             f"target at distance {dist:.3e} from the source curve is inside the "
             f"near zone ({limit:.3e}); evaluate farther away or use the refined path",
             distance=dist,
             limit=limit,
         )
+    return dx, dy, r2
 
 
 def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
     """S[density] at off-curve targets (plain trapezoid; near zone refused)."""
     rho = _check_density(src, density)
-    pts = _targets_xy(targets)
-    _near_guard(src, pts)
-    dx = pts[:, None, 0] - src.nodes[None, :, 0]
-    dy = pts[:, None, 1] - src.nodes[None, :, 1]
-    r2 = dx * dx + dy * dy
+    _, _, r2 = _far_offsets(src, targets)
     return (0.5 * np.log(r2)) @ (rho * src.weights) / (2 * math.pi)
 
 
 def single_layer_grad_off(src: Discretization, density, targets) -> np.ndarray:
     """grad S[density] at off-curve targets, shape (m, 2)."""
     rho = _check_density(src, density)
-    pts = _targets_xy(targets)
-    _near_guard(src, pts)
-    dx = pts[:, None, 0] - src.nodes[None, :, 0]
-    dy = pts[:, None, 1] - src.nodes[None, :, 1]
-    r2 = dx * dx + dy * dy
+    dx, dy, r2 = _far_offsets(src, targets)
     rw = rho * src.weights
     gx = (dx / r2) @ rw
     gy = (dy / r2) @ rw
@@ -106,9 +112,7 @@ def kstar_matrix(src: Discretization) -> np.ndarray:
     The diagonal carries the limiting kernel value kappa(x)/2, so entries are
     kappa_i w_i /(4 pi) there; on a circle every entry is w_j/(4 pi).
     """
-    dx = src.nodes[:, None, 0] - src.nodes[None, :, 0]
-    dy = src.nodes[:, None, 1] - src.nodes[None, :, 1]
-    r2 = dx * dx + dy * dy
+    dx, dy, r2 = _offsets(src.nodes, src.nodes)
     np.fill_diagonal(r2, 1.0)
     kern = (dx * src.normals[:, None, 0] + dy * src.normals[:, None, 1]) / r2
     np.fill_diagonal(kern, 0.5 * src.curvature)
@@ -121,9 +125,7 @@ def normal_derivative_coupling(src: Discretization, tgt: Discretization) -> np.n
     Plain trapezoid weights: spectrally accurate only for target nodes outside
     the source's near zone (`_in_near_zone`), so not for a thin shell.
     """
-    dx = tgt.nodes[:, None, 0] - src.nodes[None, :, 0]
-    dy = tgt.nodes[:, None, 1] - src.nodes[None, :, 1]
-    r2 = dx * dx + dy * dy
+    dx, dy, r2 = _offsets(tgt.nodes, src.nodes)
     if float(r2.min()) < 1e-24:
         raise ValidationError("source and target curves touch; coupling kernel is singular")
     kern = (dx * tgt.normals[:, None, 0] + dy * tgt.normals[:, None, 1]) / r2
@@ -199,11 +201,7 @@ def single_layer_grad_near(src: Discretization, density, targets) -> np.ndarray:
     block = max(1, int(4e6) // fine.n)
     for lo in range(0, len(pts), block):
         s = slice(lo, lo + block)
-        dx = pts[s, None, 0] - fine.nodes[None, :, 0]
-        dy = pts[s, None, 1] - fine.nodes[None, :, 1]
-        # in place, so a block holds three fine-grid arrays at a time
-        w = dx * dx
-        w += dy * dy
+        dx, dy, w = _offsets(pts[s], fine.nodes)
         np.divide(fine.weights, w, out=w)
         for k, d in enumerate((dx, dy)):
             d *= w

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import CoatedInclusion, Discretization, discretize
 from .layerpot import (
-    _near_guard,
+    _far_offsets,
+    _offsets,
     _refined_grid,
     _targets_xy,
     single_layer_off,
@@ -39,10 +40,7 @@ _SHELL_POINTS = 32  # mid-shell points of the harmonicity check
 _STEP_FACTOR = 2e-4  # five-point Laplacian step, in outer diameters
 
 
-def _boundary_reduction(src: Discretization, pts: np.ndarray) -> np.ndarray:
-    dx = pts[:, None, 0] - src.nodes[None, :, 0]
-    dy = pts[:, None, 1] - src.nodes[None, :, 1]
-    r2 = dx * dx + dy * dy
+def _boundary_reduction(src: Discretization, dx, dy, r2) -> np.ndarray:
     flux = -(dx * src.normals[None, :, 0] + dy * src.normals[None, :, 1])
     integrand = flux * (np.log(r2) - 1.0) * 0.25
     return integrand @ src.weights / (2 * math.pi)
@@ -50,9 +48,7 @@ def _boundary_reduction(src: Discretization, pts: np.ndarray) -> np.ndarray:
 
 def newtonian_potential(src: Discretization, targets) -> np.ndarray:
     """N_D at targets (either side of the curve, outside the near zone)."""
-    pts = _targets_xy(targets)
-    _near_guard(src, pts)
-    return _boundary_reduction(src, pts)
+    return _boundary_reduction(src, *_far_offsets(src, targets))
 
 
 def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
@@ -61,25 +57,23 @@ def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
     No solver path calls it; it is the plain-quadrature reference that the
     tests hold `newtonian_gradient_near` to.
     """
-    pts = _targets_xy(targets)
-    gx = single_layer_off(src, src.normals[:, 0], pts)
-    gy = single_layer_off(src, src.normals[:, 1], pts)
+    gx = single_layer_off(src, src.normals[:, 0], targets)
+    gy = single_layer_off(src, src.normals[:, 1], targets)
     return -np.column_stack([gx, gy])
 
 
 def newtonian_potential_near(src: Discretization, targets) -> np.ndarray:
     """N_D at targets that may sit close to the curve (adaptive upsampling)."""
     pts = _targets_xy(targets)
-    return _boundary_reduction(_refined_grid(src, pts), pts)
+    fine = _refined_grid(src, pts)
+    return _boundary_reduction(fine, *_offsets(pts, fine.nodes))
 
 
 def newtonian_gradient_near(src: Discretization, targets) -> np.ndarray:
     """grad N_D near the curve (adaptive upsampling; never on it)."""
     pts = _targets_xy(targets)
     fine = _refined_grid(src, pts)
-    dx = pts[:, None, 0] - fine.nodes[None, :, 0]
-    dy = pts[:, None, 1] - fine.nodes[None, :, 1]
-    logr = 0.5 * np.log(dx * dx + dy * dy)
+    logr = 0.5 * np.log(_offsets(pts, fine.nodes)[2])
     # grad N = -(S[n1], S[n2]): single layer *values* with normal densities
     gx = logr @ (fine.normals[:, 0] * fine.weights)
     gy = logr @ (fine.normals[:, 1] * fine.weights)
@@ -135,7 +129,7 @@ def combined_identity_check(inc: CoatedInclusion, dr, n: int = 256) -> CombinedI
     d_in = discretize(inc.inner, n)
     d_out = discretize(inc.outer, n)
 
-    pts = _core_grid(inc, factors=(0.2, 0.4, 0.6))
+    pts = _core_grid(inc, d_in, d_out, factors=(0.2, 0.4, 0.6))
     g_in = newtonian_potential(d_in, pts) - f * newtonian_potential(d_out, pts)
     fit = fit_quadratic(pts, g_in)
 

@@ -32,8 +32,8 @@ from .errors import (
 )
 from .geometry import LaurentMap, laurent_domain
 from .report import OMIT, Report
-from .transmission import PROBE_POINTS, ConductivityProfile, _far_probe, _scattered_values
-from .transmission import solve_both_axes
+from .transmission import PROBE_POINTS, ConductivityProfile, _check_core_shell, _far_probe
+from .transmission import _scattered_values, solve_both_axes
 from .transmission import eval_u  # noqa: F401  (bench/spans.py still patches shapesearch.eval_u)
 
 PENALTY = 1.0e6
@@ -56,6 +56,9 @@ class SearchConfig:
     nodes: int = 128
 
     def __post_init__(self):
+        _check_core_shell(self.sigma_c, self.sigma_s)
+        if self.sigma_c == self.sigma_s:
+            raise ValidationError("core and shell conductivities must differ")
         if self.max_order < 1:
             raise ValidationError("max_order must be at least 1")
         if self.nodes < 16 or self.nodes % 2:

@@ -31,13 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    GeometryError,
     SolverError,
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .geometry import CoatedInclusion, Discretization, discretize
+from .geometry import CoatedInclusion, Discretization, _winding, discretize
 from .layerpot import (
     _in_near_zone,
+    _near_zone,
+    _offsets,
     _targets_xy,
     kstar_matrix,
     normal_derivative_coupling,
@@ -49,6 +52,7 @@ from .report import Report
 
 DEFAULT_NODES = 256
 PROBE_POINTS = 64
+_CORE_MIN = 5  # fewest core points: the quadratic fit of the Newtonian check has 5 unknowns
 
 
 def _check_core_shell(sigma_c: float, sigma_s: float) -> None:
@@ -348,12 +352,31 @@ def _scattered_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
     )
 
 
-def _core_grid(inc: CoatedInclusion, factors=(0.5,)) -> np.ndarray:
-    """16-point copies of the core boundary scaled about its center, plus the center."""
+def _core_grid(
+    inc: CoatedInclusion, d_in: Discretization, d_out: Discretization, factors=(0.5,)
+) -> np.ndarray:
+    """16-point copies of the core boundary scaled about its center, plus the center.
+
+    A candidate is kept when its winding number about the core grid is 1 and
+    it lies outside the near zone of both grids; a dropped one is not
+    replaced, and fewer than _CORE_MIN kept points is a GeometryError.
+    """
     c0 = inc.inner.center
     t = 2 * math.pi * np.arange(16) / 16
-    z = np.concatenate([c0 + s * (inc.inner.point(t) - c0) for s in factors])
-    return np.vstack([np.column_stack([z.real, z.imag]), [c0.real, c0.imag]])
+    z = np.concatenate([c0 + s * (inc.inner.point(t) - c0) for s in factors] + [[c0]])
+    pts = np.column_stack([z.real, z.imag])
+    dx, dy, r2 = _offsets(pts, d_in.nodes)
+    # the winding number does not change when every difference flips sign
+    keep = _winding((dx + 1j * dy).T) == 1
+    for grid, sq in ((d_in, r2), (d_out, _offsets(pts, d_out.nodes)[2])):
+        keep &= ~_near_zone(grid, np.sqrt(sq.min(axis=1)))[0]
+    kept = int(np.count_nonzero(keep))
+    if kept < _CORE_MIN:
+        raise GeometryError(
+            f"only {kept} of {len(pts)} core sample points lie inside "
+            f"the core and outside both near zones; need {_CORE_MIN}"
+        )
+    return pts[keep]
 
 
 @dataclass(frozen=True)
@@ -405,10 +428,11 @@ def neutrality_report(
 ) -> NeutralityReport:
     """Solve both axes and measure how invisible the inclusion is."""
     probe_radius, probe = _far_probe(inc, probe_radius)
-    core = _core_grid(inc)
     cp = contrasts(p)
+    pairs = solve_both_axes(inc, p, n)
+    core = _core_grid(inc, pairs[0].disc_inner, pairs[0].disc_outer)
     axes = []
-    for pair in solve_both_axes(inc, p, n):
+    for pair in pairs:
         axis = pair.axis
         j = axis - 1
 

@@ -501,6 +501,17 @@ def test_search_nonpositive_matrix_conductivity_exits_one(tmp_path):
     assert "sigma_m must be positive and finite" in proc.stderr
 
 
+def test_search_equal_core_shell_exits_one(capsys):
+    # the refusal neutrality gives for the same flags, before any evaluation
+    args = ["--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "1", "--ss", "1",
+            "--sm", "1.9,1.7"]
+    for command in ("search", "neutrality"):
+        assert main(["--nodes", "64", command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: core and shell conductivities must differ\n"
+
+
 def test_unreadable_map_file_exits_one(tmp_path):
     proc = run_cli("laurent-classify", "--map", "@" + str(tmp_path / "missing.json"))
     assert proc.returncode == 1

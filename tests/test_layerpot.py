@@ -8,6 +8,8 @@ import pytest
 from neutral_lab.errors import NearEvaluationError, ValidationError
 from neutral_lab.geometry import discretize, make_ellipse
 from neutral_lab.layerpot import (
+    NEAR_FACTOR,
+    _in_near_zone,
     _refined_grid,
     feature_size,
     kstar_matrix,
@@ -18,6 +20,7 @@ from neutral_lab.layerpot import (
     single_layer_off,
     single_layer_on_boundary,
 )
+from neutral_lab.newtonian import newtonian_potential
 
 RADIUS = 1.7
 
@@ -194,3 +197,37 @@ def test_feature_size_and_target_distance(circle):
     assert min_target_distance(circle, np.array([[RADIUS + 0.25, 0.0]])) == pytest.approx(
         0.25, abs=1e-4
     )
+
+
+def test_plain_evaluators_refuse_exactly_the_near_zone():
+    # targets 0.1% either side of the near-zone edge, outside and inside the
+    # curve, off the major and the minor axis end (both are nodes)
+    ell = discretize(make_ellipse(0.0, 2.0, 1.0), 128)
+    limit = NEAR_FACTOR * feature_size(ell)
+    evaluators = [
+        lambda pt: single_layer_off(ell, np.ones(ell.n), pt),
+        lambda pt: single_layer_grad_off(ell, np.ones(ell.n), pt),
+        lambda pt: newtonian_potential(ell, pt),
+    ]
+    for end, direction in (((2.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), (0.0, 1.0))):
+        for side in (1.0, -1.0):
+            for step in (0.999, 1.001):
+                pt = np.array([end]) + side * step * limit * np.array([direction])
+                near = _in_near_zone(ell, pt)
+                assert near == (step < 1.0)
+                for evaluate in evaluators:
+                    if not near:
+                        assert np.all(np.isfinite(evaluate(pt)))
+                        continue
+                    with pytest.raises(NearEvaluationError) as info:
+                        evaluate(pt)
+                    assert info.value.distance == min_target_distance(ell, pt)
+                    assert info.value.limit == limit
+
+
+def test_zero_targets(circle):
+    none = np.zeros((0, 2))
+    assert single_layer_off(circle, np.ones(circle.n), none).shape == (0,)
+    assert single_layer_grad_off(circle, np.ones(circle.n), none).shape == (0, 2)
+    assert newtonian_potential(circle, none).shape == (0,)
+    assert min_target_distance(circle, none) == math.inf

@@ -49,6 +49,17 @@ def test_config_layout_and_validation():
         SearchConfig(sigma_c=5.0, sigma_s=1.0, nodes=63)
 
 
+@pytest.mark.parametrize("sigma_c, sigma_s", [(1.0, 1.0), (-1.0, 1.0), (5.0, 0.0)],
+                         ids=["equal", "negative-core", "zero-shell"])
+def test_config_refuses_profiles_the_solver_refuses(sigma_c, sigma_s):
+    # a search with such a profile could only score the penalty at every evaluation
+    with pytest.raises(ValidationError) as refused:
+        SearchConfig(sigma_c=sigma_c, sigma_s=sigma_s, nodes=64)
+    with pytest.raises(ValidationError) as profile:
+        ConductivityProfile(sigma_c, sigma_s, (2.0, 3.0))
+    assert str(refused.value) == str(profile.value)
+
+
 def test_encode_decode_roundtrip(cfg, design):
     params = ShapeParams(coeffs={-2: 0.03, -1: 0.2, 2: -0.01}, r0=1.4, sigma_m=(1.9, 1.7))
     back = decode(encode(params, cfg), cfg)

@@ -10,6 +10,7 @@ import pytest
 
 from neutral_lab import transmission
 from neutral_lab.errors import (
+    GeometryError,
     SolverError,
     UnsupportedConfigurationError,
     ValidationError,
@@ -17,10 +18,13 @@ from neutral_lab.errors import (
 from neutral_lab.geometry import (
     CoatedInclusion,
     LaurentMap,
+    _winding,
     confocal_pair,
     discretize,
+    laurent_domain,
     make_ellipse,
 )
+from neutral_lab.layerpot import _in_near_zone
 from neutral_lab.designer import confocal_design, reciprocal_dual
 from neutral_lab.transmission import (
     ConductivityProfile,
@@ -357,3 +361,48 @@ def test_singular_block_raises_solver_error(design_case, monkeypatch, failing_ca
         solve_both_axes(inc, p, n=64)
     assert len(calls) == failing_call
     assert info.value.cond is not None and math.isfinite(info.value.cond)
+
+
+def test_core_points_lie_in_core_outside_near_zones():
+    # seeded M=3 maps (a_n U(+-0.35), n in (-3, -2, -1, 2, 3); r0 U(1.2, 2.5)):
+    # many cores are not star-shaped about their centre, so scaled copies of
+    # the boundary reach into the shell
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(200):
+        coeffs = dict(zip((-3, -2, -1, 2, 3), rng.uniform(-0.35, 0.35, 5)))
+        r0 = rng.uniform(1.2, 2.5)
+        try:
+            inc = laurent_domain(LaurentMap(coeffs={1: 1.0, **coeffs}, r0=r0))
+        except GeometryError:
+            continue
+        d_in, d_out = discretize(inc.inner, 128), discretize(inc.outer, 128)
+        for factors in ((0.5,), (0.2, 0.4, 0.6)):
+            pts = transmission._core_grid(inc, d_in, d_out, factors)
+            z = pts[:, 0] + 1j * pts[:, 1]
+            assert np.all(_winding(d_in.nodes_z[:, None] - z[None, :]) == 1)
+            for pt in pts:
+                assert not _in_near_zone(d_in, [pt]) and not _in_near_zone(d_out, [pt])
+            checked += 1
+    assert checked == 70
+
+
+def test_neutrality_report_reads_core_points_only():
+    # 2 of the 17 candidate points of this core lie in the shell; with them the
+    # axis-2 core gradient deviation reads 1.34
+    m = LaurentMap(coeffs={1: 1.0, -3: -0.34, -2: 0.09, -1: 0.205, 2: 0.009, 3: 0.158}, r0=1.494)
+    inc = laurent_domain(m)
+    d_in, d_out = discretize(inc.inner, 128), discretize(inc.outer, 128)
+    assert len(transmission._core_grid(inc, d_in, d_out)) == 15
+    rep = neutrality_report(inc, ConductivityProfile(5.0, 1.0, (2.0, 3.0)), n=128)
+    assert max(ax.core_gradient_deviation for ax in rep.axes) < 0.5
+
+
+@pytest.mark.parametrize("scale", [0.999, 1.2])
+def test_core_grid_refuses_too_few_core_points(scale):
+    # every scaled copy sits in the inner near zone (0.999) or outside the core
+    # (1.2); the centre alone is left, and no point replaces a dropped one
+    inc = confocal_pair(1.0, 0.2, 1.5)
+    d_in, d_out = discretize(inc.inner, 64), discretize(inc.outer, 64)
+    with pytest.raises(GeometryError, match="^only 1 of 17 core sample points"):
+        transmission._core_grid(inc, d_in, d_out, factors=(scale,))

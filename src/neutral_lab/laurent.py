@@ -16,6 +16,7 @@ to rotation) and factor(1) = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -29,7 +30,7 @@ VERDICT_DEGENERATE = "degenerate"
 
 def neutrality_factor(n: int, f: float, r0: float, shear: float) -> float:
     """factor(n) = (1 - f r0^(-2n))(1 - f r0^(2n)) - shear^2."""
-    if not isinstance(n, (int,)) or isinstance(n, bool):
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise ValidationError(f"mode order must be an integer, got {n!r}")
     if n == 0:
         raise ValidationError("mode order 0 has no neutrality factor")
@@ -39,7 +40,7 @@ def neutrality_factor(n: int, f: float, r0: float, shear: float) -> float:
         raise ValidationError(f"modulus r0 must exceed 1, got {r0}")
     if not math.isfinite(shear):
         raise ValidationError(f"shear must be finite, got {shear}")
-    m = abs(n)
+    m = abs(int(n))
     lo = r0 ** (-2 * m)
     hi = r0 ** (2 * m)
     return (1.0 - f * lo) * (1.0 - f * hi) - shear * shear

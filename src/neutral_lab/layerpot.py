@@ -69,11 +69,6 @@ def _near_zone(src: Discretization, dist):
     return dist < limit, limit
 
 
-def _in_near_zone(src: Discretization, targets) -> bool:
-    """Whether some target lies in the near zone of the nodes."""
-    return _near_zone(src, min_target_distance(src, targets))[0]
-
-
 def _far_offsets(src: Discretization, targets):
     """`_offsets` of targets from the nodes; a near-zone target, read off r2, is refused."""
     dx, dy, r2 = _offsets(_targets_xy(targets), src.nodes)
@@ -106,6 +101,14 @@ def single_layer_grad_off(src: Discretization, density, targets) -> np.ndarray:
     return np.column_stack([gx, gy]) / (2 * math.pi)
 
 
+def _normal_kernel(src: Discretization, normals: np.ndarray, dx, dy, r2) -> np.ndarray:
+    """The one n.grad S kernel <x - y, nu_x>/|x - y|^2 w_y/(2 pi), x a target with normal nu_x."""
+    kern = (dx * normals[:, None, 0] + dy * normals[:, None, 1]) / r2
+    kern *= src.weights
+    kern /= 2 * math.pi
+    return kern
+
+
 def kstar_matrix(src: Discretization) -> np.ndarray:
     """Nystrom matrix of K* on the source grid (weights folded in).
 
@@ -114,22 +117,19 @@ def kstar_matrix(src: Discretization) -> np.ndarray:
     """
     dx, dy, r2 = _offsets(src.nodes, src.nodes)
     np.fill_diagonal(r2, 1.0)
-    kern = (dx * src.normals[:, None, 0] + dy * src.normals[:, None, 1]) / r2
-    np.fill_diagonal(kern, 0.5 * src.curvature)
-    return kern * src.weights[None, :] / (2 * math.pi)
+    kern = _normal_kernel(src, src.normals, dx, dy, r2)
+    np.fill_diagonal(kern, 0.5 * src.curvature * src.weights / (2 * math.pi))
+    return kern
 
 
 def normal_derivative_coupling(src: Discretization, tgt: Discretization) -> np.ndarray:
     """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes.
 
-    Plain trapezoid weights: spectrally accurate only for target nodes outside
-    the source's near zone (`_in_near_zone`), so not for a thin shell.
+    Plain trapezoid weights, spectrally accurate outside the source's near
+    zone; target nodes inside it (a thin shell) are refused, as in
+    `single_layer_grad_off`.
     """
-    dx, dy, r2 = _offsets(tgt.nodes, src.nodes)
-    if float(r2.min()) < 1e-24:
-        raise ValidationError("source and target curves touch; coupling kernel is singular")
-    kern = (dx * tgt.normals[:, None, 0] + dy * tgt.normals[:, None, 1]) / r2
-    return kern * src.weights[None, :] / (2 * math.pi)
+    return _normal_kernel(src, tgt.normals, *_far_offsets(src, tgt.nodes))
 
 
 def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:

@@ -57,8 +57,6 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_core_shell(self.sigma_c, self.sigma_s)
-        if self.sigma_c == self.sigma_s:
-            raise ValidationError("core and shell conductivities must differ")
         if self.max_order < 1:
             raise ValidationError("max_order must be at least 1")
         if self.nodes < 16 or self.nodes % 2:

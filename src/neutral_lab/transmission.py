@@ -32,13 +32,13 @@ import numpy as np
 
 from .errors import (
     GeometryError,
+    NearEvaluationError,
     SolverError,
     UnsupportedConfigurationError,
     ValidationError,
 )
 from .geometry import CoatedInclusion, Discretization, _winding, discretize
 from .layerpot import (
-    _in_near_zone,
     _near_zone,
     _offsets,
     _targets_xy,
@@ -60,6 +60,8 @@ def _check_core_shell(sigma_c: float, sigma_s: float) -> None:
         raise ValidationError(f"shell conductivity must be positive finite, got {sigma_s}")
     if math.isnan(sigma_c) or sigma_c < 0:
         raise ValidationError(f"core conductivity must be >= 0 (inf allowed), got {sigma_c}")
+    if sigma_c == sigma_s:
+        raise ValidationError("core and shell conductivities must differ")
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,6 @@ class ConductivityProfile:
         if len(sm) != 2:
             raise ValidationError("sigma_m must be a pair (diagonal tensor)")
         _check_core_shell(sc, ss)
-        if sc == ss:
-            raise ValidationError("core and shell conductivities must differ")
         for j, v in enumerate(sm, start=1):
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"sigma_m^{j} must be positive finite, got {v}")
@@ -112,8 +112,6 @@ class ContrastParams:
 
 def _core_contrast(sigma_c: float, sigma_s: float) -> float:
     """lam = (sc+ss)/(2(sc-ss)); sigma_c = 0 and inf give exactly -1/2 and +1/2."""
-    if sigma_c == sigma_s:
-        raise ValidationError("core and shell conductivities must differ")
     if math.isinf(sigma_c):
         return 0.5
     return (sigma_c + sigma_s) / (2.0 * (sigma_c - sigma_s))
@@ -187,21 +185,13 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 def _coupling(src: Discretization, tgt: Discretization) -> np.ndarray:
-    """d/dnu_tgt S_src at the target nodes; refined when the curves are near."""
-    if not _in_near_zone(src, tgt.nodes):
+    """d/dnu_tgt S_src at the target nodes; refined where the plain coupling refuses."""
+    try:
         return normal_derivative_coupling(src, tgt)
+    except NearEvaluationError:
+        pass  # refine after the handler, once the refused offsets are freed
     grad = single_layer_grad_near(src, np.eye(src.n), tgt.nodes)
     return tgt.normals[:, 0, None] * grad[:, 0] + tgt.normals[:, 1, None] * grad[:, 1]
-
-
-def _operator_parts(d_in, d_out):
-    """The contrast-independent pieces of the block system."""
-    return (
-        kstar_matrix(d_in),
-        kstar_matrix(d_out),
-        _coupling(d_out, d_in),
-        _coupling(d_in, d_out),
-    )
 
 
 def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -255,10 +245,11 @@ def _solve_pairs(d_in, d_out, parts, lam, cases) -> list[DensityPair]:
 
 
 def _assembled(inc: CoatedInclusion, n: int):
-    """Both grids and the operator blocks they share."""
+    """Both grids and the contrast-independent blocks (K*_in, K*_out, C_oi, C_io)."""
     d_in = discretize(inc.inner, n)
     d_out = discretize(inc.outer, n)
-    return d_in, d_out, _operator_parts(d_in, d_out)
+    k_in, k_out = kstar_matrix(d_in), kstar_matrix(d_out)
+    return d_in, d_out, (k_in, k_out, _coupling(d_out, d_in), _coupling(d_in, d_out))
 
 
 def solve_both_axes(

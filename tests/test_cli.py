@@ -502,11 +502,13 @@ def test_search_nonpositive_matrix_conductivity_exits_one(tmp_path):
 
 
 def test_search_equal_core_shell_exits_one(capsys):
-    # the refusal neutrality gives for the same flags, before any evaluation
+    # the refusal neutrality gives for the same flags, before any evaluation;
+    # disk refuses the same profile
     args = ["--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "1", "--ss", "1",
             "--sm", "1.9,1.7"]
-    for command in ("search", "neutrality"):
-        assert main(["--nodes", "64", command, *args]) == 1
+    for argv in (["search", *args], ["neutrality", *args],
+                 ["disk", "--sc", "1", "--ss", "1", "--f", "0.5"]):
+        assert main(["--nodes", "64", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: core and shell conductivities must differ\n"

@@ -63,6 +63,8 @@ def test_disk_matrix_conductivity_closed_form():
         disk_matrix_conductivity(-1.0, 1.0, 0.5)
     with pytest.raises(ValidationError):
         disk_matrix_conductivity(5.0, math.inf, 0.5)
+    with pytest.raises(ValidationError, match="^core and shell conductivities must differ$"):
+        disk_matrix_conductivity(1.0, 1.0, 0.5)
 
 
 @pytest.mark.parametrize("sigma_c", [0.0, 0.1, 1.01, 5.0, math.inf])

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from neutral_lab.errors import ValidationError
@@ -29,6 +30,8 @@ def test_factor_closed_form():
         assert neutrality_factor(n, f, r0, shear) == expected
         # the factor depends on |n| only
         assert neutrality_factor(-n, f, r0, shear) == neutrality_factor(n, f, r0, shear)
+        # any integral order, a NumPy one from np.arange included
+        assert neutrality_factor(np.int64(n), f, r0, shear) == neutrality_factor(n, f, r0, shear)
 
 
 def test_design_sits_on_mode_one_zero(design):
@@ -50,8 +53,9 @@ def test_factor_validation():
         neutrality_factor(0, 0.4, 1.5, 0.0)
     with pytest.raises(ValidationError):
         neutrality_factor(True, 0.4, 1.5, 0.0)
-    with pytest.raises(ValidationError):
-        neutrality_factor(1.0, 0.4, 1.5, 0.0)
+    for bad in (np.int64(0), np.True_, 1.0, np.float64(1.0)):
+        with pytest.raises(ValidationError):
+            neutrality_factor(bad, 0.4, 1.5, 0.0)
     with pytest.raises(ValidationError):
         neutrality_factor(1, 1.2, 1.5, 0.0)
     with pytest.raises(ValidationError):

@@ -9,7 +9,7 @@ from neutral_lab.errors import NearEvaluationError, ValidationError
 from neutral_lab.geometry import discretize, make_ellipse
 from neutral_lab.layerpot import (
     NEAR_FACTOR,
-    _in_near_zone,
+    _near_zone,
     _refined_grid,
     feature_size,
     kstar_matrix,
@@ -21,6 +21,7 @@ from neutral_lab.layerpot import (
     single_layer_on_boundary,
 )
 from neutral_lab.newtonian import newtonian_potential
+from neutral_lab.transmission import _coupling
 
 RADIUS = 1.7
 
@@ -153,8 +154,30 @@ def test_coupling_between_disjoint_circles():
     d2 = discretize(make_ellipse(0.0, 2.0, 2.0), 64)
     vals = normal_derivative_coupling(d1, d2) @ np.ones(64)
     assert np.max(np.abs(vals - 0.5)) < 1e-13
-    with pytest.raises(ValidationError):
+    with pytest.raises(NearEvaluationError):
         normal_derivative_coupling(d1, d1)
+
+
+@pytest.mark.parametrize("r2", [1.01, 1.05, 1.1, 1.3, 2.0])
+def test_coupling_refuses_exactly_the_near_zone(r2):
+    # concentric circles: d/dnu S_1[1] on radius r2 is 1/r2; the plain coupling
+    # refuses inside the source's near zone and the solve's coupling refines there
+    src = discretize(make_ellipse(0.0, 1.0, 1.0), 64)
+    tgt = discretize(make_ellipse(0.0, r2, r2), 64)
+    limit = NEAR_FACTOR * feature_size(src)
+    if r2 - 1.0 < limit:
+        assert np.max(np.abs(_coupling(src, tgt) @ np.ones(64) - 1.0 / r2)) < 1e-14
+        with pytest.raises(NearEvaluationError) as info:
+            normal_derivative_coupling(src, tgt)
+        assert info.value.distance == min_target_distance(src, tgt.nodes)
+        assert info.value.limit == limit
+        return
+    dx = tgt.nodes[:, None, 0] - src.nodes[None, :, 0]
+    dy = tgt.nodes[:, None, 1] - src.nodes[None, :, 1]
+    kern = (dx * tgt.normals[:, None, 0] + dy * tgt.normals[:, None, 1]) / (dx * dx + dy * dy)
+    plain = normal_derivative_coupling(src, tgt)
+    assert np.array_equal(plain, kern * src.weights / (2 * math.pi))
+    assert np.array_equal(_coupling(src, tgt), plain)
 
 
 def test_single_layer_grad_near_interpolates_trigonometrically():
@@ -213,7 +236,7 @@ def test_plain_evaluators_refuse_exactly_the_near_zone():
         for side in (1.0, -1.0):
             for step in (0.999, 1.001):
                 pt = np.array([end]) + side * step * limit * np.array([direction])
-                near = _in_near_zone(ell, pt)
+                near = _near_zone(ell, min_target_distance(ell, pt))[0]
                 assert near == (step < 1.0)
                 for evaluate in evaluators:
                     if not near:

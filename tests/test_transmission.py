@@ -24,7 +24,7 @@ from neutral_lab.geometry import (
     laurent_domain,
     make_ellipse,
 )
-from neutral_lab.layerpot import _in_near_zone
+from neutral_lab.layerpot import _near_zone, min_target_distance
 from neutral_lab.designer import confocal_design, reciprocal_dual
 from neutral_lab.transmission import (
     ConductivityProfile,
@@ -311,8 +311,7 @@ def test_core_flux_is_interior_normal_derivative(am1, r0):
 
 def _full_system_solve(inc, p, n):
     """Reference: the whole 2N x 2N block system, one dense solve per axis."""
-    d_in, d_out = discretize(inc.inner, n), discretize(inc.outer, n)
-    k_in, k_out, c_oi, c_io = transmission._operator_parts(d_in, d_out)
+    d_in, d_out, (k_in, k_out, c_oi, c_io) = transmission._assembled(inc, n)
     cp = contrasts(p)
     out = []
     for j in (0, 1):
@@ -382,7 +381,8 @@ def test_core_points_lie_in_core_outside_near_zones():
             z = pts[:, 0] + 1j * pts[:, 1]
             assert np.all(_winding(d_in.nodes_z[:, None] - z[None, :]) == 1)
             for pt in pts:
-                assert not _in_near_zone(d_in, [pt]) and not _in_near_zone(d_out, [pt])
+                for grid in (d_in, d_out):
+                    assert not _near_zone(grid, min_target_distance(grid, [pt]))[0]
             checked += 1
     assert checked == 70
 

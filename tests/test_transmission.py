@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -141,19 +142,100 @@ def test_extreme_core_contrasts(design_case):
         assert max(rep.residuals) < 1e-12
 
 
-def test_solve_both_axes_matches_single_solves(design_case):
-    inc, _, p = design_case
-    pair1, pair2 = solve_both_axes(inc, p, n=128)
-    ref1 = solve_both_axes(inc, p, n=128)[0]
-    ref2 = solve_both_axes(inc, p, n=128)[1]
-    assert np.array_equal(pair1.phi, ref1.phi) and np.array_equal(pair1.psi, ref1.psi)
-    assert np.array_equal(pair2.phi, ref2.phi) and np.array_equal(pair2.psi, ref2.psi)
+@pytest.fixture
+def kstar_calls(monkeypatch):
+    """Node counts of the kstar_matrix calls transmission makes (two per elimination)."""
+    calls, real = [], transmission.kstar_matrix
+
+    def counting(disc):
+        calls.append(disc.n)
+        return real(disc)
+
+    monkeypatch.setattr(transmission, "kstar_matrix", counting)
+    return calls
+
+
+def _same_densities(pairs, refs):
+    return all(
+        np.array_equal(getattr(pair, field), getattr(ref, field))
+        for pair, ref in zip(pairs, refs, strict=True)
+        for field in ("phi", "psi", "core_flux")
+    )
+
+
+def test_solve_both_axes_matches_single_solves(design_case, kstar_calls):
+    inc, _, _ = design_case
+    # a call served from the kept elimination equals a cold one bit for bit;
+    # sigma_m on both sides of sigma_s = 1, so mu changes sign between the axes
+    for sigma_c in (0.0, 5.0, math.inf):
+        for sigma_m in ((0.5, 3.0), (3.0, 0.5)):
+            p = ConductivityProfile(sigma_c, 1.0, sigma_m)
+            transmission._kept.clear()
+            cold = solve_both_axes(inc, p, n=128)
+            transmission._kept.clear()
+            solve_both_axes(inc, ConductivityProfile(sigma_c, 1.0, (2.0, 4.0)), n=128)
+            calls = len(kstar_calls)
+            warm = solve_both_axes(inc, p, n=128)
+            assert len(kstar_calls) == calls  # nothing assembled again
+            assert _same_densities(warm, cold)
     # one elimination path: single-case solves equal their axis bit for bit
     iso = ConductivityProfile.isotropic(5.0, 1.0, 0.5)
     for pair in solve_both_axes(inc, iso, n=128):
         ref = solve_harmonic(inc, iso, HarmonicPoly.coordinate(pair.axis), n=128)
-        for field in ("phi", "psi", "core_flux"):
-            assert np.array_equal(getattr(pair, field), getattr(ref, field))
+        assert _same_densities([pair], [ref])
+
+
+@pytest.mark.parametrize("part", ["inner", "outer", "n", "lam", "background"])
+def test_kept_elimination_misses_when_its_key_changes(kstar_calls, part):
+    base = dict(inc=disks(), sigma_c=5.0, n=64, h=HarmonicPoly(cq=1.0))
+    change = {
+        "inner": dict(inc=disks(r_in=0.9)),
+        "outer": dict(inc=disks(r_out=1.5)),
+        "n": dict(n=96),
+        "lam": dict(sigma_c=7.0),
+        "background": dict(h=HarmonicPoly(cxy=1.0)),
+    }[part]
+
+    def run(sigma_m, inc, sigma_c, n, h):
+        return solve_harmonic(inc, ConductivityProfile.isotropic(sigma_c, 1.0, sigma_m), h, n)
+
+    run(2.4, **base)
+    # a new sigma_m, and an equal but new geometry, are served from the kept one
+    run(0.5, **{**base, "inc": disks()})
+    assert len(kstar_calls) == 2
+    changed = run(0.5, **{**base, **change})
+    assert len(kstar_calls) == 4
+    transmission._kept.clear()
+    assert _same_densities([changed], [run(0.5, **{**base, **change})])
+
+
+def test_kept_elimination_holds_read_only_arrays(design_case):
+    inc, _, p = design_case
+    pairs = solve_both_axes(inc, p, n=64)
+    (kept,) = transmission._kept.values()
+    d_in, d_out, *blocks, sides = kept
+    assert [b.shape for b in blocks] == [(64, 64)] * 4  # K*_in, C_oi, x_oi, the Schur part
+    grids = [getattr(d, f) for d in (d_in, d_out) for f in ("t", "nodes", "normals", "weights")]
+    for a in [*blocks, *(v for side in sides for v in side), *grids]:
+        assert not a.flags.writeable
+    assert pairs[0].disc_outer is d_out
+    with pytest.raises(ValueError, match="read-only"):
+        pairs[0].disc_outer.weights[0] = 1.0
+
+
+def test_a_miss_frees_the_kept_elimination_before_building(design_case, monkeypatch):
+    inc, _, p = design_case
+    solve_both_axes(inc, p, n=64)
+    old = weakref.ref(next(iter(transmission._kept.values()))[2])
+    alive, real = [], transmission.kstar_matrix
+
+    def kstar(disc):
+        alive.append(old() is not None)
+        return real(disc)
+
+    monkeypatch.setattr(transmission, "kstar_matrix", kstar)
+    solve_both_axes(disks(), ConductivityProfile.isotropic(5.0, 1.0, 2.0), n=64)
+    assert alive == [False, False]
 
 
 def test_density_grid_convergence(design_case):
@@ -345,12 +427,14 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n):
 
 @pytest.mark.parametrize("failing_call", [1, 2])
 def test_singular_block_raises_solver_error(design_case, monkeypatch, failing_call):
-    # failing_call 1 is the core block, 2 the first coating Schur complement
+    # failing_call 1 is the core block, 2 the first coating Schur complement;
+    # another geometry's elimination is kept first, and the miss frees it
     inc, _, p = design_case
+    solve_both_axes(disks(), ConductivityProfile.isotropic(5.0, 1.0, 2.0), n=64)
     real_solve, calls = np.linalg.solve, []
 
     def solve(a, b):
-        calls.append(a.shape)
+        calls.append(a.copy())
         if len(calls) == failing_call:
             raise np.linalg.LinAlgError("Singular matrix")
         return real_solve(a, b)
@@ -360,6 +444,11 @@ def test_singular_block_raises_solver_error(design_case, monkeypatch, failing_ca
         solve_both_axes(inc, p, n=64)
     assert len(calls) == failing_call
     assert info.value.cond is not None and math.isfinite(info.value.cond)
+    d_in, _, (k_in, *_) = transmission._assembled(inc, 64)
+    core = contrasts(p).lam * np.eye(64) - k_in + d_in.weights / np.sum(d_in.weights)
+    assert np.array_equal(calls[0], core)
+    # a failed core solve keeps nothing; a failed coating solve keeps the elimination
+    assert len(transmission._kept) == failing_call - 1
 
 
 def test_core_points_lie_in_core_outside_near_zones():

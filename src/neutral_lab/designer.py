@@ -60,22 +60,15 @@ def sigma_from_mu(mu: float, sigma_s: float) -> float:
 
 
 def disk_matrix_conductivity(sigma_c: float, sigma_s: float, f: float) -> float:
-    """Isotropic matrix value neutralizing concentric disks of area fraction f."""
+    """Isotropic matrix value neutralizing concentric disks of area fraction f.
+
+    The a_-1 = 0 case of the confocal design: mu1 = mu2 = -lam/f, and
+    |lam| >= 1/2 makes |mu| > 1/2, so a positive value always exists.
+    """
     if not (0.0 < f < 1.0):
         raise ValidationError(f"area fraction must lie in (0, 1), got {f}")
     _check_core_shell(sigma_c, sigma_s)
-    if math.isinf(sigma_c):
-        sm = sigma_s * (1.0 + f) / (1.0 - f)
-    else:
-        num = (sigma_s + sigma_c) - f * (sigma_s - sigma_c)
-        den = (sigma_s + sigma_c) + f * (sigma_s - sigma_c)
-        # both are positive for admissible inputs; guard anyway
-        if den <= 0 or num <= 0:
-            raise DesignError(f"no positive matrix conductivity for f={f}, sc={sigma_c}")
-        sm = sigma_s * num / den
-    if not (math.isfinite(sm) and sm > 0):
-        raise DesignError(f"matrix conductivity came out nonpositive: {sm}")
-    return sm
+    return sigma_from_mu(-_core_contrast(sigma_c, sigma_s) / f, sigma_s)
 
 
 def confocal_design(

@@ -3,10 +3,11 @@
 Conventions: S[phi](x) = (1/2pi) int ln|x - y| phi(y) dsigma(y), with the
 adjoint double layer K*[phi](x) = (1/2pi) int <x - y, nu_x>/|x - y|^2 phi dsigma.
 Off-boundary evaluation uses the plain trapezoid rule, which is spectrally
-accurate away from the curve; targets inside the near zone are refused rather
-than silently degraded. On-boundary values split off the periodic log kernel
-ln|2 sin((t - s)/2)| and integrate it with its exact Fourier multipliers
--1/(2|k|) (the remaining factor is smooth).
+accurate away from the curve; the plain evaluators refuse targets inside the
+near zone rather than silently degrade, and the coupling refines there. On-boundary
+values split off the periodic log kernel ln|2 sin((t - s)/2)| and integrate it
+with its exact Fourier multipliers -1/(2|k|) (the remaining factor is smooth).
+Every evaluator takes a density of shape (n,) or k density columns (n, k).
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ def _targets_xy(targets) -> np.ndarray:
 
 
 def _check_density(src: Discretization, density) -> np.ndarray:
+    """A density of shape (n,), or k density columns of shape (n, k)."""
     rho = np.asarray(density)
-    if rho.shape != (src.n,):
+    if rho.ndim not in (1, 2) or len(rho) != src.n:
         raise ValidationError(
-            f"density must match the {src.n}-node grid, got shape {rho.shape}"
+            f"density must be (n,) or (n, k) on the {src.n}-node grid, got shape {rho.shape}"
         )
     return rho
 
@@ -85,20 +87,20 @@ def _far_offsets(src: Discretization, targets):
 
 
 def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
-    """S[density] at off-curve targets (plain trapezoid; near zone refused)."""
+    """S[density] at off-curve targets, shape (m,) or (m, k); near zone refused."""
     rho = _check_density(src, density)
     _, _, r2 = _far_offsets(src, targets)
-    return (0.5 * np.log(r2)) @ (rho * src.weights) / (2 * math.pi)
+    return (0.5 * np.log(r2)) @ (rho.T * src.weights).T / (2 * math.pi)
 
 
 def single_layer_grad_off(src: Discretization, density, targets) -> np.ndarray:
-    """grad S[density] at off-curve targets, shape (m, 2)."""
+    """grad S[density] at off-curve targets, shape (m, 2) or (m, 2, k)."""
     rho = _check_density(src, density)
     dx, dy, r2 = _far_offsets(src, targets)
-    rw = rho * src.weights
+    rw = (rho.T * src.weights).T
     gx = (dx / r2) @ rw
     gy = (dy / r2) @ rw
-    return np.column_stack([gx, gy]) / (2 * math.pi)
+    return np.stack([gx, gy], axis=1) / (2 * math.pi)
 
 
 def _normal_kernel(src: Discretization, normals: np.ndarray, dx, dy, r2) -> np.ndarray:
@@ -125,11 +127,16 @@ def kstar_matrix(src: Discretization) -> np.ndarray:
 def normal_derivative_coupling(src: Discretization, tgt: Discretization) -> np.ndarray:
     """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes.
 
-    Plain trapezoid weights, spectrally accurate outside the source's near
-    zone; target nodes inside it (a thin shell) are refused, as in
-    `single_layer_grad_off`.
+    Plain trapezoid weights outside the source's near zone. When target nodes
+    lie inside it (a thin shell), the same kernel is formed on the grid refined
+    for the distance the plain path measured and reduced to the n source
+    columns (`_near_rows`); a target on the source curve is refused.
     """
-    return _normal_kernel(src, tgt.normals, *_far_offsets(src, tgt.nodes))
+    try:
+        return _normal_kernel(src, tgt.normals, *_far_offsets(src, tgt.nodes))
+    except NearEvaluationError as exc:
+        dist = exc.distance  # refine after the handler, once the refused offsets are freed
+    return _near_rows(src, tgt.nodes, tgt.normals, dist)
 
 
 def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
@@ -141,13 +148,13 @@ def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
     """
     rho = _check_density(src, density)
     n = src.n
-    g = rho * src.speed
+    g = (rho.T * src.speed).T
 
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     mult = np.zeros(n)
     nonzero = freqs != 0
     mult[nonzero] = -0.5 / np.abs(freqs[nonzero])
-    log_part = np.fft.ifft(np.fft.fft(g) * mult)
+    log_part = np.fft.ifft((np.fft.fft(g, axis=0).T * mult).T, axis=0)
     if np.isrealobj(rho):
         log_part = log_part.real
 
@@ -164,13 +171,12 @@ def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
     return smooth_part + log_part
 
 
-def _refined_grid(src: Discretization, targets) -> Discretization:
-    """Upsample the source grid until the trapezoid tail is negligible at targets.
+def _refined_grid(src: Discretization, dist: float) -> Discretization:
+    """Upsample the source grid until the trapezoid tail is negligible at distance dist.
 
     The one refinement rule of the package: the near layer potentials here
     and the near Newtonian potentials both use it.
     """
-    dist = min_target_distance(src, targets)
     if dist <= 0:
         raise NearEvaluationError("target lies on the source curve", distance=dist, limit=0.0)
     smax = float(np.max(src.speed))
@@ -184,27 +190,35 @@ def _refined_grid(src: Discretization, targets) -> Discretization:
     return discretize(src.curve, m)
 
 
+def _near_rows(src: Discretization, pts: np.ndarray, normals: np.ndarray, dist: float):
+    """n.grad S rows, shape (m, n), at targets as close as dist to the curve.
+
+    `_normal_kernel` is formed on the refined grid in blocks of about 4e6
+    entries, and each block is reduced to the n coarse columns by the
+    transpose of trigonometric interpolation: keep the n lowest modes, the
+    Nyquist bin split symmetrically (its real part).
+    """
+    fine = _refined_grid(src, dist)
+    rows = np.empty((len(pts), src.n))
+    block = max(1, int(4e6) // fine.n)
+    for lo in range(0, len(pts), block):
+        s = slice(lo, lo + block)
+        kern = _normal_kernel(fine, normals[s], *_offsets(pts[s], fine.nodes))
+        spec = np.fft.rfft(kern, axis=1)[:, : src.n // 2 + 1]
+        del kern
+        rows[s] = np.fft.irfft(spec, n=src.n, axis=1)
+    return rows
+
+
 def single_layer_grad_near(src: Discretization, density, targets) -> np.ndarray:
     """grad S[density] at targets arbitrarily close to (but not on) the curve.
 
     The density is the trigonometric interpolant of the nodal values on the
-    refined grid. Shape (m, 2), or (m, 2, k) for a density matrix of shape
-    (n, k). Each block of about 4e6 fine-grid kernel entries is built once and
-    reduced to the n coarse columns by the transpose of that interpolation:
-    keep the n lowest modes, the Nyquist bin split symmetrically (its real part).
+    refined grid: each component is the `_near_rows` of nu = e_x or e_y.
+    Shape (m, 2), or (m, 2, k) for density columns of shape (n, k).
     """
+    rho = _check_density(src, density)
     pts = _targets_xy(targets)
-    fine = _refined_grid(src, pts)
-    dens = np.asarray(density)
-    cols = dens.reshape(len(dens), -1)
-    out = np.empty((len(pts), 2, cols.shape[1]))
-    block = max(1, int(4e6) // fine.n)
-    for lo in range(0, len(pts), block):
-        s = slice(lo, lo + block)
-        dx, dy, w = _offsets(pts[s], fine.nodes)
-        np.divide(fine.weights, w, out=w)
-        for k, d in enumerate((dx, dy)):
-            d *= w
-            spec = np.fft.rfft(d, axis=1)[:, : src.n // 2 + 1]
-            out[s, k] = np.fft.irfft(spec, n=src.n, axis=1) @ cols
-    return out.reshape((len(pts), 2) + dens.shape[1:]) / (2 * math.pi)
+    dist = min_target_distance(src, pts)
+    axes = [np.broadcast_to(e, pts.shape) for e in np.eye(2)]
+    return np.stack([_near_rows(src, pts, nu, dist) @ rho for nu in axes], axis=1)

@@ -30,6 +30,7 @@ from .layerpot import (
     _offsets,
     _refined_grid,
     _targets_xy,
+    min_target_distance,
     single_layer_off,
     single_layer_on_boundary,
 )
@@ -57,34 +58,28 @@ def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
     No solver path calls it; it is the plain-quadrature reference that the
     tests hold `newtonian_gradient_near` to.
     """
-    gx = single_layer_off(src, src.normals[:, 0], targets)
-    gy = single_layer_off(src, src.normals[:, 1], targets)
-    return -np.column_stack([gx, gy])
+    return -single_layer_off(src, src.normals, targets)
 
 
 def newtonian_potential_near(src: Discretization, targets) -> np.ndarray:
     """N_D at targets that may sit close to the curve (adaptive upsampling)."""
     pts = _targets_xy(targets)
-    fine = _refined_grid(src, pts)
+    fine = _refined_grid(src, min_target_distance(src, pts))
     return _boundary_reduction(fine, *_offsets(pts, fine.nodes))
 
 
 def newtonian_gradient_near(src: Discretization, targets) -> np.ndarray:
     """grad N_D near the curve (adaptive upsampling; never on it)."""
     pts = _targets_xy(targets)
-    fine = _refined_grid(src, pts)
+    fine = _refined_grid(src, min_target_distance(src, pts))
     logr = 0.5 * np.log(_offsets(pts, fine.nodes)[2])
-    # grad N = -(S[n1], S[n2]): single layer *values* with normal densities
-    gx = logr @ (fine.normals[:, 0] * fine.weights)
-    gy = logr @ (fine.normals[:, 1] * fine.weights)
-    return -np.column_stack([gx, gy]) / (2 * math.pi)
+    # grad N = -(S[n1], S[n2]): single layer *values* with the normals as density columns
+    return -(logr @ (fine.normals * fine.weights[:, None])) / (2 * math.pi)
 
 
 def newtonian_gradient_on_boundary(src: Discretization) -> np.ndarray:
     """grad N_D sampled on the curve itself (single layers are continuous)."""
-    gx = single_layer_on_boundary(src, src.normals[:, 0])
-    gy = single_layer_on_boundary(src, src.normals[:, 1])
-    return -np.column_stack([gx, gy])
+    return -single_layer_on_boundary(src, src.normals)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from neutral_lab.layerpot import (
     single_layer_on_boundary,
 )
 from neutral_lab.newtonian import newtonian_potential
-from neutral_lab.transmission import _coupling
 
 RADIUS = 1.7
 
@@ -158,26 +157,40 @@ def test_coupling_between_disjoint_circles():
         normal_derivative_coupling(d1, d1)
 
 
+def gradient_route(src, tgt):
+    # the refined block built the long way: two gradient kernels on the refined
+    # grid, each rfft-reduced to the coarse columns, recombined with the target normals
+    fine = _refined_grid(src, min_target_distance(src, tgt.nodes))
+    dx = tgt.nodes[:, None, 0] - fine.nodes[None, :, 0]
+    dy = tgt.nodes[:, None, 1] - fine.nodes[None, :, 1]
+    w = fine.weights / (dx * dx + dy * dy)
+
+    def reduced(kern):
+        spec = np.fft.rfft(kern, axis=1)[:, : src.n // 2 + 1]
+        return np.fft.irfft(spec, n=src.n, axis=1) / (2 * math.pi)
+
+    gx, gy = reduced(dx * w), reduced(dy * w)
+    return tgt.normals[:, 0, None] * gx + tgt.normals[:, 1, None] * gy
+
+
 @pytest.mark.parametrize("r2", [1.01, 1.05, 1.1, 1.3, 2.0])
 def test_coupling_refuses_exactly_the_near_zone(r2):
-    # concentric circles: d/dnu S_1[1] on radius r2 is 1/r2; the plain coupling
-    # refuses inside the source's near zone and the solve's coupling refines there
+    # concentric circles: d/dnu S_1[1] on radius r2 is 1/r2. The plain kernel
+    # refuses exactly the source's near zone, and there the coupling refines
     src = discretize(make_ellipse(0.0, 1.0, 1.0), 64)
     tgt = discretize(make_ellipse(0.0, r2, r2), 64)
-    limit = NEAR_FACTOR * feature_size(src)
-    if r2 - 1.0 < limit:
-        assert np.max(np.abs(_coupling(src, tgt) @ np.ones(64) - 1.0 / r2)) < 1e-14
-        with pytest.raises(NearEvaluationError) as info:
-            normal_derivative_coupling(src, tgt)
-        assert info.value.distance == min_target_distance(src, tgt.nodes)
-        assert info.value.limit == limit
-        return
-    dx = tgt.nodes[:, None, 0] - src.nodes[None, :, 0]
-    dy = tgt.nodes[:, None, 1] - src.nodes[None, :, 1]
-    kern = (dx * tgt.normals[:, None, 0] + dy * tgt.normals[:, None, 1]) / (dx * dx + dy * dy)
-    plain = normal_derivative_coupling(src, tgt)
-    assert np.array_equal(plain, kern * src.weights / (2 * math.pi))
-    assert np.array_equal(_coupling(src, tgt), plain)
+    block = normal_derivative_coupling(src, tgt)
+    if r2 - 1.0 < NEAR_FACTOR * feature_size(src):
+        assert np.max(np.abs(block @ np.ones(64) - 1.0 / r2)) < 1e-14
+        assert np.max(np.abs(block - gradient_route(src, tgt))) < 1e-15
+    else:
+        dx = tgt.nodes[:, None, 0] - src.nodes[None, :, 0]
+        dy = tgt.nodes[:, None, 1] - src.nodes[None, :, 1]
+        kern = (dx * tgt.normals[:, None, 0] + dy * tgt.normals[:, None, 1]) / (dx * dx + dy * dy)
+        assert np.array_equal(block, kern * src.weights / (2 * math.pi))
+    with pytest.raises(NearEvaluationError) as info:
+        normal_derivative_coupling(tgt, tgt)
+    assert info.value.distance == 0.0
 
 
 def test_single_layer_grad_near_interpolates_trigonometrically():
@@ -185,7 +198,7 @@ def test_single_layer_grad_near_interpolates_trigonometrically():
     # the refined grid applied to the band-limited density itself
     src = discretize(make_ellipse(0.0, 1.0, 0.6), 64)
     pts = 1.01 * src.nodes[::7]
-    fine = _refined_grid(src, pts)
+    fine = _refined_grid(src, min_target_distance(src, pts))
 
     def modes(t):
         cos = [np.cos(k * t) for k in range(33)]
@@ -211,6 +224,35 @@ def test_single_layer_grad_near_density_columns(circle):
     for col in range(2):
         single = single_layer_grad_near(circle, dens[:, col], pts)
         assert np.max(np.abs(single - grads[:, :, col])) < 1e-14
+
+
+NEAR = 1.01 * discretize(make_ellipse(0.0, 1.0, 0.6), 64).nodes[::7]
+EVALUATORS = {
+    "single_layer_off": lambda d, rho: single_layer_off(d, rho, probe_ring(3.0, 16)[1]),
+    "single_layer_grad_off": lambda d, rho: single_layer_grad_off(d, rho, probe_ring(3.0, 16)[1]),
+    "single_layer_on_boundary": single_layer_on_boundary,
+    "single_layer_grad_near": lambda d, rho: single_layer_grad_near(d, rho, NEAR),
+}
+
+
+@pytest.mark.parametrize("shape", ["n-1", "n,2,2"])
+@pytest.mark.parametrize("name", list(EVALUATORS))
+def test_evaluators_refuse_misshapen_densities(name, shape):
+    ell = discretize(make_ellipse(0.0, 1.0, 0.6), 64)
+    density = np.ones(63) if shape == "n-1" else np.ones((64, 2, 2))
+    with pytest.raises(ValidationError):
+        EVALUATORS[name](ell, density)
+
+
+@pytest.mark.parametrize("name", list(EVALUATORS))
+def test_evaluators_take_density_columns(name):
+    # k columns give the k single-density results side by side, in the last axis
+    ell = discretize(make_ellipse(0.0, 1.0, 0.6), 64)
+    cols = np.column_stack([np.cos(ell.t), np.sin(2 * ell.t), np.exp(np.cos(ell.t))])
+    together = EVALUATORS[name](ell, cols)
+    apart = np.stack([EVALUATORS[name](ell, c) for c in cols.T], axis=-1)
+    assert together.shape == apart.shape
+    assert np.max(np.abs(together - apart)) <= 1e-15 * np.max(np.abs(apart))
 
 
 def test_feature_size_and_target_distance(circle):

@@ -5,10 +5,11 @@ print one JSON report to stdout. --out writes the same report plus any
 tabular artifacts (RFC-4180 CSV) into a directory. Every report embeds the
 effective config and its sha256 hash so runs are reproducible.
 
-Exit codes: 0 success; 1 invalid input (bad flags, malformed or unknown
-config keys, invalid geometry); 2 numerical failure (singular solve, no
-valid coating, search that misses its target); 141 (128 + SIGPIPE) when
-stdout is closed before the report is written.
+main(argv) returns the exit code of every outcome: 0 success or --help; 1
+invalid input (bad flags, malformed or unknown config keys, invalid
+geometry); 2 numerical failure (singular solve, no valid coating, search
+that misses its target); 141 (128 + SIGPIPE) when stdout is closed before
+the report is written.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from . import designer, laurent, newtonian, shapesearch
 from .geometry import (
     CoatedInclusion,
     LaurentMap,
+    _laurent_order,
     confocal_pair,
     laurent_domain,
     make_ellipse,
@@ -55,14 +57,6 @@ from .transmission import (
 _INF_TOKENS = {"inf", "Infinity", "infinity"}
 # largest numerics.nodes: the dense N x N blocks stay at 128 MiB each
 _MAX_NODES = 4096
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 on usage errors (validation, not numerics)."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +82,12 @@ def _is_pair(v, rule=_is_num) -> bool:
 
 
 def _is_order(k: str) -> bool:
-    """An integer order as str(int) writes it, so that no two keys name one order."""
+    """An integer order as str(int) writes it (LaurentMap's rule for a string key)."""
     try:
-        return str(int(k)) == k
-    except ValueError:
+        _laurent_order(k)
+    except ValidationError:
         return False
+    return True
 
 
 def _sigma_value(v) -> float:
@@ -327,13 +322,22 @@ def _laurent_map(cfg: dict, command: str) -> LaurentMap:
 # artifact helpers
 
 
-def _emit(report: dict, out_dir: str | None, csv_files: dict | None = None) -> None:
+def _out_dir(path: str | None) -> Path | None:
+    """The --out directory, made once the command has succeeded and before any output."""
+    if path is None:
+        return None
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(f"cannot make --out directory: {e}")
+    return Path(path)
+
+
+def _emit(report: dict, out: Path | None, csv_files: dict | None = None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text, flush=True)
-    if out_dir is None:
+    if out is None:
         return
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text + "\n", encoding="utf-8")
     for name, (header, rows) in (csv_files or {}).items():
         with open(out / name, "w", newline="", encoding="utf-8") as fh:
@@ -523,8 +527,8 @@ def _add_flags(parser, keys: dict, top: bool = False):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="neutral-lab",
-                 description="Coated-inclusion neutrality laboratory")
+    ap = argparse.ArgumentParser(prog="neutral-lab",
+                                 description="Coated-inclusion neutrality laboratory")
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--out", help="directory for report.json and CSV artifacts")
     _add_flags(ap, _SECTIONS["numerics"], top=True)
@@ -574,11 +578,18 @@ def load_config(args) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command and return its exit code (see the module docstring)."""
     try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed the help (code 0) or the usage error (code 2)
+        return 1 if e.code else 0
+    try:
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         cfg = load_config(args)
         result, csv_files = _COMMANDS[args.command](cfg, args.seed)
+        out = _out_dir(args.out)
     except (ValidationError, GeometryError, UnsupportedConfigurationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -594,7 +605,7 @@ def main(argv=None) -> int:
         "result": result,
     }
     try:
-        _emit(report, args.out, csv_files)
+        _emit(report, out, csv_files)
     except BrokenPipeError:
         # stdout was closed early (e.g. `| head`): exit as if killed by
         # SIGPIPE, and point stdout at devnull so the exit flush stays quiet

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,13 +205,23 @@ def make_ellipse(center, a: float, b: float, theta: float = 0.0) -> Curve:
     return Curve(coeffs, -1)
 
 
+def _laurent_order(n) -> int:
+    """A Laurent order: an integer (not a bool), or a string as str(int) writes it."""
+    if isinstance(n, numbers.Integral) and not isinstance(n, bool):
+        return int(n)
+    if isinstance(n, str) and re.fullmatch(r"0|-?[1-9][0-9]*", n):
+        return int(n)
+    raise ValidationError(f"Laurent order must be an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class LaurentMap:
     """Conformal-candidate map Phi(zeta) = sum_n a_n zeta^n on 1 <= |zeta| <= r0.
 
     Univalence is not implied by construction; `laurent_domain` checks it on
     the two boundary images. The leading coefficient a_1 must be nonzero (it
-    fixes scale and orientation of the image annulus).
+    fixes scale and orientation of the image annulus). Each key of coeffs
+    names a distinct order (`_laurent_order`).
     """
 
     coeffs: dict
@@ -218,9 +230,11 @@ class LaurentMap:
     def __post_init__(self):
         if not (math.isfinite(self.r0) and self.r0 > 1.0):
             raise ValidationError(f"annulus modulus r0 must exceed 1, got {self.r0}")
+        orders = [_laurent_order(n) for n in self.coeffs]
+        if len(set(orders)) < len(orders):
+            raise ValidationError(f"two coefficient keys name one order: {list(self.coeffs)}")
         clean = {}
-        for n, a in self.coeffs.items():
-            n = int(n)
+        for n, a in zip(orders, self.coeffs.values()):
             if n == 0:
                 raise ValidationError("constant term a_0 is not allowed (fix the center at 0)")
             a = complex(a)
@@ -308,6 +322,8 @@ def laurent_domain(m: LaurentMap, samples: int = _CHECK_SAMPLES) -> CoatedInclus
     Phi univalent on the closed annulus by the argument principle, so no
     interior points are sampled.
     """
+    if samples < 3:
+        raise ValidationError(f"the geometry check needs at least 3 samples, got {samples}")
     t = _sample_grid(samples)
     inner, outer = m.circle_image(1.0), m.circle_image(m.r0)
     z_in = _check_curve(inner, t, "inner boundary image")

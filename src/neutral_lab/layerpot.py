@@ -35,6 +35,8 @@ def _targets_xy(targets) -> np.ndarray:
         pts = pts[None, :]
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValidationError(f"targets must have shape (m, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValidationError("target coordinates must be finite")
     return pts
 
 

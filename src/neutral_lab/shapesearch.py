@@ -19,6 +19,7 @@ the step. Everything is deterministic: no randomness enters the search.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,10 @@ class SearchConfig:
 
     def __post_init__(self):
         _check_core_shell(self.sigma_c, self.sigma_s)
+        for name in ("max_order", "nodes"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
         if self.max_order < 1:
             raise ValidationError("max_order must be at least 1")
         if self.nodes < 16 or self.nodes % 2:

@@ -20,13 +20,19 @@ from neutral_lab.transmission import (
     neutrality_report,
 )
 
+# a command runs in-process through main(argv); an interpreter is spawned only
+# where the process itself is under test
 CLI = [sys.executable, "-m", "neutral_lab.cli"]
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, timeout=300, **kwargs
-    )
+@pytest.fixture
+def run_cli(capsys):
+    """main(argv) in-process, its exit code and captured output read like subprocess.run's."""
+    def run(*args):
+        code = main(list(args))
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(list(args), code, out, err)
+    return run
 
 
 def report_of(proc):
@@ -34,7 +40,7 @@ def report_of(proc):
     return json.loads(proc.stdout)
 
 
-def test_design_command_reports_coating():
+def test_design_command_reports_coating(run_cli):
     proc = run_cli("design", "--a1", "1", "--am1", "0.2", "--r0", "1.5",
                    "--sc", "5", "--ss", "1")
     rep = report_of(proc)
@@ -46,7 +52,7 @@ def test_design_command_reports_coating():
     assert res["lambda"] == 0.75
 
 
-def test_design_verify_attaches_report():
+def test_design_verify_attaches_report(run_cli):
     proc = run_cli("design", "--a1", "1", "--am1", "0.2", "--r0", "1.5",
                    "--sc", "5", "--ss", "1", "--verify")
     rep = report_of(proc)
@@ -54,7 +60,7 @@ def test_design_verify_attaches_report():
     assert max(ax["residual"] for ax in axes) < 1e-6
 
 
-def test_disk_command():
+def test_disk_command(run_cli):
     proc = run_cli("disk", "--sc", "5", "--ss", "1", "--f", "0.5")
     rep = report_of(proc)
     assert rep["result"]["sigma_m"] == pytest.approx(2.0, abs=1e-14)
@@ -63,7 +69,7 @@ def test_disk_command():
     assert report_of(proc)["result"]["sigma_m"] == pytest.approx(5.0 / 3.0)
 
 
-def test_solve_writes_artifacts(tmp_path):
+def test_solve_writes_artifacts(run_cli, tmp_path):
     out = tmp_path / "artifacts"
     proc = run_cli("--out", str(out), "solve", "--a1", "1", "--am1", "0.2",
                    "--r0", "1.5", "--sc", "5", "--ss", "1",
@@ -81,7 +87,7 @@ def test_solve_writes_artifacts(tmp_path):
     assert header == ["x", "y", "u", "ux", "uy"]
 
 
-def test_neutrality_command(tmp_path):
+def test_neutrality_command(run_cli, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "geometry": {"type": "confocal", "a1": 1.0, "am1": 0.2, "r0": 1.5},
@@ -94,7 +100,7 @@ def test_neutrality_command(tmp_path):
     assert max(ax["residual"] for ax in rep["result"]["axes"]) < 1e-6
 
 
-def test_unknown_config_key_rejected(tmp_path):
+def test_unknown_config_key_rejected(run_cli, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
         "geometry": {"type": "confocal", "a1": 1.0, "am1": 0.2, "r0": 1.5},
@@ -217,21 +223,21 @@ def test_infinite_flag_values_exit_one(capsys, argv, path):
     assert captured.err.startswith(f"error: config key '{path}' has invalid value")
 
 
-def test_malformed_config_rejected(tmp_path):
+def test_malformed_config_rejected(run_cli, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text("{not json")
     proc = run_cli("--config", str(cfgfile), "design")
     assert proc.returncode == 1
 
 
-def test_invalid_parameters_exit_one():
+def test_invalid_parameters_exit_one(run_cli):
     proc = run_cli("design", "--a1", "1", "--am1", "1.5", "--r0", "1.5",
                    "--sc", "5", "--ss", "1")
     assert proc.returncode == 1
     assert proc.stdout == ""
 
 
-def test_flag_errors():
+def test_flag_errors(run_cli):
     # usage errors are validation failures, exit 1 like any other
     proc = run_cli("design", "--a1", "oops")
     assert proc.returncode == 1
@@ -241,13 +247,45 @@ def test_flag_errors():
     assert proc.returncode == 1
 
 
-def test_search_nonconvergence_exits_two(tmp_path):
+@pytest.mark.parametrize("argv, code", [([], 1), (["nosuch"], 1), (["--help"], 0)],
+                         ids=["no-command", "unknown-command", "help"])
+def test_main_returns_argparse_exit(capsys, argv, code):
+    # main(argv) returns the code; argparse's SystemExit does not escape it
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith("usage: neutral-lab")
+
+
+def test_search_nonconvergence_exits_two(run_cli, tmp_path):
     proc = run_cli("--seed", "3", "search", "--a1", "1", "--am1", "0.2",
                    "--r0", "1.5", "--sc", "5", "--ss", "1",
                    "--sm", "1.9471087969306659,1.6983228935138412",
                    "--perturb", "0.05", "--max-evals", "5", "--target", "1e-12")
     assert proc.returncode == 2
     assert "converge" in proc.stderr.lower() or "objective" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "5", "--ss", "1",
+     "--sm", "2", "--perturb", "0.03"],
+    ["disk", "--sc", "5", "--ss", "1", "--f", "0.5"],
+], ids=["search", "disk"])
+def test_negative_seed_exits_one(capsys, argv):
+    # every command refuses it, not only those that draw from the seed
+    assert main(["--seed", "-1", *argv]) == 1
+    assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
+
+
+def test_out_path_that_is_a_file_exits_one(tmp_path, capsys):
+    # the directory is made before the report is printed, so a refusal prints no report
+    path = tmp_path / "report"
+    path.write_text("kept")
+    assert main(["--out", str(path), "disk", "--sc", "5", "--ss", "1", "--f", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot make --out directory: ")
+    assert captured.err.count("\n") == 1
+    assert path.read_text() == "kept"
 
 
 def test_search_refuses_start_with_invalid_geometry(capsys):
@@ -265,7 +303,7 @@ def test_nodes_cap_is_inclusive():
     validate_config({"numerics": {"nodes": 4096}})
 
 
-def test_search_perturb_requires_seed():
+def test_search_perturb_requires_seed(run_cli):
     # an unseeded random start could not be reproduced from the report
     proc = run_cli("search", "--a1", "1", "--am1", "0.2", "--r0", "1.5",
                    "--sc", "5", "--ss", "1", "--sm", "1.9471087969306659,1.6983228935138412",
@@ -274,7 +312,7 @@ def test_search_perturb_requires_seed():
     assert "--seed" in proc.stderr
 
 
-def test_search_map_coefficients():
+def test_search_map_coefficients(run_cli):
     args = ("search", "--sc", "5", "--ss", "1",
             "--sm", "1.9471087969306659,1.6983228935138412",
             "--target", "1e-10", "--max-evals", "50", "--map")
@@ -300,7 +338,7 @@ def test_search_start_outside_search_space_exits_one(capsys, coeffs, message):
     assert captured.err.startswith("error: the search varies") and message in captured.err
 
 
-def test_search_at_design_converges(tmp_path):
+def test_search_at_design_converges(run_cli, tmp_path):
     out = tmp_path / "search"
     proc = run_cli("--out", str(out), "search", "--a1", "1", "--am1", "0.2",
                    "--r0", "1.5", "--sc", "5", "--ss", "1",
@@ -314,7 +352,7 @@ def test_search_at_design_converges(tmp_path):
     assert header == ["iteration", "objective", "gap"]
 
 
-def test_laurent_classify_command(tmp_path):
+def test_laurent_classify_command(run_cli, tmp_path):
     out = tmp_path / "cls"
     proc = run_cli("--out", str(out), "laurent-classify", "--map",
                    '{"coeffs": {"1": 1.0, "-1": 0.2}, "r0": 1.5}',
@@ -333,7 +371,7 @@ def test_laurent_classify_default_f_is_exact_area_ratio(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["f"] == 864 / 2009
 
 
-def test_laurent_classify_f_alone_overrides_area_ratio():
+def test_laurent_classify_f_alone_overrides_area_ratio(run_cli):
     proc = run_cli("laurent-classify", "--a1", "1", "--am1", "0.2", "--r0", "1.5",
                    "--f", "0.3")
     rep = report_of(proc)
@@ -352,7 +390,7 @@ REVERSED_MAP = '{"coeffs": {"1": 1, "-1": 1.8}, "r0": 2.5}'
     ("laurent-classify", "--map", REVERSED_MAP, "--f", "0.4", "--shear", "0.1"),
     ("freebvp", "--map", REVERSED_MAP, "--f", "0.4", "--shear", "0.1"),
 ])
-def test_reversed_map_exits_one(args):
+def test_reversed_map_exits_one(run_cli, args):
     proc = run_cli(*args)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: inner boundary image has reversed orientation")
@@ -371,17 +409,19 @@ def test_closed_stdout_exits_141():
     assert proc.stderr == b""
 
 
-def test_config_hash_is_stable():
-    args = ("design", "--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "5", "--ss", "1")
-    h1 = report_of(run_cli(*args))["config_hash"]
-    h2 = report_of(run_cli(*args))["config_hash"]
+def test_config_hash_is_stable(run_cli):
+    # two interpreters print one hash: it reads no per-process state such as str hashes
+    args = ["design", "--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "5", "--ss", "1"]
+    spawn = [subprocess.run(CLI + args, capture_output=True, text=True, timeout=300)
+             for _ in range(2)]
+    h1, h2 = (report_of(proc)["config_hash"] for proc in spawn)
     assert h1 == h2
     h3 = report_of(run_cli("design", "--a1", "1", "--am1", "0.3", "--r0", "1.5",
                            "--sc", "5", "--ss", "1"))["config_hash"]
     assert h3 != h1
 
 
-def test_freebvp_command():
+def test_freebvp_command(run_cli):
     proc = run_cli("freebvp", "--a1", "1", "--am1", "0.2", "--r0", "1.5",
                    "--sc", "5", "--ss", "1")
     rep = report_of(proc)
@@ -391,7 +431,7 @@ def test_freebvp_command():
     assert res["inner_bc_residual"] < 1e-8
 
 
-def test_missing_section_exits_one():
+def test_missing_section_exits_one(run_cli):
     # no geometry flags: the handler names the first config entry it lacks
     proc = run_cli("neutrality", "--sc", "5", "--ss", "1", "--sm", "2")
     assert proc.returncode == 1
@@ -401,7 +441,7 @@ def test_missing_section_exits_one():
     assert proc.stderr == "error: solve requires profile.sigma_c\n"
 
 
-def test_newtonian_explicit_shell_parameters():
+def test_newtonian_explicit_shell_parameters(run_cli):
     # a non-confocal shape has no design, so f and shear come from the flags
     proc = run_cli("newtonian", "--map", '{"coeffs": {"1": 1, "2": 0.05}, "r0": 1.5}',
                    "--f", "0.4", "--shear", "0.1")
@@ -419,7 +459,7 @@ def test_shell_identities_off_confocal_name_override(capsys, command):
                                        f"(or both '{command}.f' and '{command}.shear')\n")
 
 
-def test_map_must_be_object():
+def test_map_must_be_object(run_cli):
     proc = run_cli("laurent-classify", "--map", "[1]")
     assert proc.returncode == 1
     assert proc.stderr == "error: --map must be a JSON object\n"
@@ -442,7 +482,7 @@ def test_map_keys_checked_as_laurent_section(capsys, text, message):
 REFERENCE = ["--a1", "1", "--am1", "0.2", "--r0", "1.5", "--sc", "5", "--ss", "1"]
 
 
-def test_newtonian_f_alone_overrides_design():
+def test_newtonian_f_alone_overrides_design(run_cli):
     # the shear keeps its designed value; d_j = (1 - f -/+ shear)/4
     base = report_of(run_cli("--nodes", "64", "newtonian", *REFERENCE))["result"]
     shear = confocal_design(1.0, 0.2, 1.5, 5.0, 1.0).shear
@@ -484,13 +524,13 @@ def test_probe_radius_beyond_float_range_refused(capsys):
         assert captured.err.startswith("error: probe radius 1e+300 too large")
 
 
-def test_solve_probe_radius_precondition():
+def test_solve_probe_radius_precondition(run_cli):
     proc = run_cli("--nodes", "64", "solve", *REFERENCE, "--sm", "2", "--probe-radius", "0")
     assert proc.returncode == 1
     assert "twice the outer max radius" in proc.stderr
 
 
-def test_search_nonpositive_matrix_conductivity_exits_one(tmp_path):
+def test_search_nonpositive_matrix_conductivity_exits_one(run_cli, tmp_path):
     proc = run_cli("search", *REFERENCE, "--sm", "0")
     assert proc.returncode == 1
     assert "sigma_m must be positive and finite" in proc.stderr
@@ -514,7 +554,7 @@ def test_search_equal_core_shell_exits_one(capsys):
         assert captured.err == "error: core and shell conductivities must differ\n"
 
 
-def test_unreadable_map_file_exits_one(tmp_path):
+def test_unreadable_map_file_exits_one(run_cli, tmp_path):
     proc = run_cli("laurent-classify", "--map", "@" + str(tmp_path / "missing.json"))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: cannot read --map ")

@@ -200,6 +200,30 @@ def test_laurent_map_validation():
     assert m.max_order == 3
 
 
+@pytest.mark.parametrize("coeffs, message", [
+    # a fractional order is refused, not truncated onto an integer one
+    ({1: 1.0, 1.7: 0.3}, "Laurent order must be an integer, got 1.7"),
+    ({1: 1.0, -1.0: 0.2}, "Laurent order must be an integer, got -1.0"),
+    ({True: 1.0}, "Laurent order must be an integer, got True"),
+    ({1: 1.0, "+2": 0.1}, "Laurent order must be an integer, got '+2'"),
+    ({1: 1.0, "x": 0.1}, "Laurent order must be an integer, got 'x'"),
+    ({1: 1.0, "1": 0.3}, "two coefficient keys name one order: [1, '1']"),
+], ids=["fraction", "float", "bool", "plus-string", "word", "duplicate"])
+def test_laurent_map_refuses_non_integer_orders(coeffs, message):
+    with pytest.raises(ValidationError) as info:
+        LaurentMap(coeffs, 1.5)
+    assert str(info.value) == message
+    # an int, a numpy integer and a string as str(int) writes it all name an order
+    m = LaurentMap({"1": 1.0, np.int64(-1): 0.2, 2: 0.05}, 1.5)
+    assert m.coeffs == {1: 1.0, -1: 0.2, 2: 0.05}
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2])
+def test_laurent_domain_needs_three_samples(samples):
+    with pytest.raises(ValidationError, match="needs at least 3 samples"):
+        laurent_domain(LaurentMap({1: 1.0, -1: 0.2}, 1.5), samples=samples)
+
+
 def test_laurent_domain_rejects_folded_maps():
     # outer image is a limacon with a loop (|2 a_2 r0 / a_1| > 1 at r0 = 1.2)
     with pytest.raises(GeometryError):

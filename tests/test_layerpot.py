@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from neutral_lab.errors import NearEvaluationError, ValidationError
-from neutral_lab.geometry import discretize, make_ellipse
+from neutral_lab.geometry import confocal_pair, discretize, make_ellipse
 from neutral_lab.layerpot import (
     NEAR_FACTOR,
     _near_zone,
@@ -20,7 +20,12 @@ from neutral_lab.layerpot import (
     single_layer_off,
     single_layer_on_boundary,
 )
-from neutral_lab.newtonian import newtonian_potential
+from neutral_lab.newtonian import (
+    newtonian_gradient_near,
+    newtonian_potential,
+    newtonian_potential_near,
+)
+from neutral_lab.transmission import ConductivityProfile, eval_u, solve_both_axes
 
 RADIUS = 1.7
 
@@ -253,6 +258,34 @@ def test_evaluators_take_density_columns(name):
     apart = np.stack([EVALUATORS[name](ell, c) for c in cols.T], axis=-1)
     assert together.shape == apart.shape
     assert np.max(np.abs(together - apart)) <= 1e-15 * np.max(np.abs(apart))
+
+
+def _eval_u(targets):
+    inc = confocal_pair(1.0, 0.2, 1.5)
+    p = ConductivityProfile(5.0, 1.0, (2.0, 2.0))
+    return eval_u(inc, solve_both_axes(inc, p, 64)[0], p, targets)
+
+
+# every evaluator that takes targets, called on the unit-disk grid
+TARGET_EVALUATORS = {
+    "min_target_distance": min_target_distance,
+    "single_layer_off": lambda d, pts: single_layer_off(d, np.ones(d.n), pts),
+    "single_layer_grad_off": lambda d, pts: single_layer_grad_off(d, np.ones(d.n), pts),
+    "single_layer_grad_near": lambda d, pts: single_layer_grad_near(d, np.ones(d.n), pts),
+    "newtonian_potential": newtonian_potential,
+    "newtonian_potential_near": newtonian_potential_near,
+    "newtonian_gradient_near": newtonian_gradient_near,
+    "eval_u": lambda d, pts: _eval_u(pts),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(TARGET_EVALUATORS))
+def test_evaluators_refuse_nonfinite_targets(name, bad):
+    # refused before any distance is formed: a NaN target would read NaN
+    disk = discretize(make_ellipse(0.0, 1.0, 1.0), 64)
+    with pytest.raises(ValidationError, match="^target coordinates must be finite$"):
+        TARGET_EVALUATORS[name](disk, np.array([[bad, 0.0], [3.0, 0.0]]))
 
 
 def test_feature_size_and_target_distance(circle):

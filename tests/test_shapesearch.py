@@ -49,6 +49,18 @@ def test_config_layout_and_validation():
         SearchConfig(sigma_c=5.0, sigma_s=1.0, nodes=63)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("max_order", 2.0), ("max_order", True), ("max_order", "2"),
+    ("nodes", 64.0), ("nodes", True),
+])
+def test_config_refuses_non_integer_counts(key, value):
+    # an integral float or a bool would pass the range checks; numpy integers are counts
+    with pytest.raises(ValidationError, match=f"^{key} must be an integer, got {value!r}$"):
+        SearchConfig(sigma_c=5.0, sigma_s=1.0, **{key: value})
+    cfg = SearchConfig(sigma_c=5.0, sigma_s=1.0, max_order=np.int64(2), nodes=np.int64(64))
+    assert cfg.coeff_orders == (-2, -1, 2)
+
+
 @pytest.mark.parametrize("sigma_c, sigma_s", [(1.0, 1.0), (-1.0, 1.0), (5.0, 0.0)],
                          ids=["equal", "negative-core", "zero-shell"])
 def test_config_refuses_profiles_the_solver_refuses(sigma_c, sigma_s):

@@ -61,6 +61,13 @@ class Curve:
     def max_radius(self) -> float:
         return float(np.max(np.abs(self.point(_sample_grid(_CHECK_SAMPLES)))))
 
+    def max_radius_tangent(self, dcurves) -> np.ndarray:
+        """Derivative of max_radius() along each coefficient perturbation, at its active sample."""
+        t = _sample_grid(_CHECK_SAMPLES)
+        z = self.point(t)
+        i = int(np.argmax(np.abs(z)))
+        return np.array([(np.conj(z[i]) * dc.point(t[i])[0]).real for dc in dcurves]) / abs(z[i])
+
 
 def _check_curve(curve: Curve, t: np.ndarray, label: str) -> np.ndarray:
     """The per-curve check: a nonvanishing tangent and no self-crossing.
@@ -177,6 +184,38 @@ def discretize(curve: Curve, n: int) -> Discretization:
     curvature = (dz.real * ddz.imag - dz.imag * ddz.real) / speed**3
     weights = (2 * math.pi / n) * speed
     return Discretization(curve, t, nodes, normals, speed, curvature, weights)
+
+
+@dataclass(frozen=True, eq=False)
+class GridTangent:
+    """Derivatives of a Discretization along D coefficient perturbations.
+
+    curves[d] is the perturbation dc of the curve's coefficients; nodes and
+    normals are complex (D, N) arrays (x + iy), weights and curvature real.
+    """
+
+    curves: tuple
+    nodes: np.ndarray
+    normals: np.ndarray
+    weights: np.ndarray
+    curvature: np.ndarray
+
+
+def discretize_tangent(disc: Discretization, dcurves) -> GridTangent:
+    """The derivative of `discretize(disc.curve, disc.n)` along each perturbation dc.
+
+    The nodes are linear in the coefficients, so with z' = i s nu, s = |z'|:
+    ds = Re(conj(z') dz')/s, dnu = -i (dz' - z' ds/s)/s, dw = (2pi/N) ds and
+    dkappa = Im(conj(dz') z'' + conj(z') dz'')/s^3 - 3 kappa ds/s.
+    """
+    dz, ddz = disc.curve.sample(disc.t, (1, 2))
+    rows = [dc.sample(disc.t, (0, 1, 2)) for dc in dcurves]
+    v0, v1, v2 = (np.reshape([r[k] for r in rows], (len(rows), disc.n)) for k in range(3))
+    s = disc.speed
+    ds = (np.conj(dz) * v1).real / s
+    normals = -1j * (v1 - dz * ds / s) / s
+    curvature = (np.conj(v1) * ddz + np.conj(dz) * v2).imag / s**3 - 3 * disc.curvature * ds / s
+    return GridTangent(tuple(dcurves), v0, normals, (2 * math.pi / disc.n) * ds, curvature)
 
 
 def area(disc: Discretization) -> float:

@@ -8,6 +8,9 @@ near zone rather than silently degrade, and the coupling refines there. On-bound
 values split off the periodic log kernel ln|2 sin((t - s)/2)| and integrate it
 with its exact Fourier multipliers -1/(2|k|) (the remaining factor is smooth).
 Every evaluator takes a density of shape (n,) or k density columns (n, k).
+The *_tangent functions differentiate these operators along coefficient
+perturbations of the grids (`geometry.discretize_tangent`), for the shape
+search's exact Jacobian.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import NearEvaluationError, ValidationError
-from .geometry import Discretization, discretize
+from .geometry import Discretization, GridTangent, discretize, discretize_tangent
 
 NEAR_FACTOR = 0.2
 _REFINE_DECADES = 40.0  # target exp(-40) ~ 4e-18 quadrature tail
@@ -95,6 +98,25 @@ def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
     return (0.5 * np.log(r2)) @ (rho.T * src.weights).T / (2 * math.pi)
 
 
+def single_layer_off_tangent(src: Discretization, dsrc: GridTangent, density, targets,
+                             dtargets) -> np.ndarray:
+    """The derivative of `single_layer_off(src, density, targets)`, density held fixed.
+
+    Along each direction of the grid's tangent and of the targets' (complex
+    (D, m)); shape (D, m) or (D, m, k).
+    """
+    rho = _check_density(src, density)
+    dx, dy, r2 = _far_offsets(src, targets)
+    cols = rho.reshape(src.n, -1)
+    wrho = (cols.T * src.weights).T
+    # d ln r = <x - y, dx - dy>/r2: the target part scales rows, the node part the density
+    out = 0.5 * np.log(r2) @ (dsrc.weights[:, :, None] * cols)
+    for g, dp, dn in ((dx / r2, dtargets.real, dsrc.nodes.real),
+                      (dy / r2, dtargets.imag, dsrc.nodes.imag)):
+        out += dp[:, :, None] * (g @ wrho) - g @ (dn[:, :, None] * wrho)
+    return out.reshape(out.shape[:2] + rho.shape[1:]) / (2 * math.pi)
+
+
 def single_layer_grad_off(src: Discretization, density, targets) -> np.ndarray:
     """grad S[density] at off-curve targets, shape (m, 2) or (m, 2, k)."""
     rho = _check_density(src, density)
@@ -113,6 +135,46 @@ def _normal_kernel(src: Discretization, normals: np.ndarray, dx, dy, r2) -> np.n
     return kern
 
 
+def _normal_kernel_tangent(src, dsrc: GridTangent, normals, dnormals, dpts, dx, dy, r2, density):
+    """The derivative of `_normal_kernel` along each direction d, applied to density columns.
+
+    dsrc is the source grid's tangent; dnormals and dpts, complex (D, m), are
+    the targets' normal and position tangents; density is (n, k) and the
+    result (D, m, k). With p = <x - y, nu_x> and k = p/r2:
+    dk = (dp - 2k <x - y, dx - dy>)/r2, where dp = <dx - dy, nu_x> + <x - y, dnu_x>,
+    and the weights add k dw. Each term scales the rows or the columns of one
+    shared (m, n) array, so the derivative acts through seven matrix
+    products and is never formed.
+    """
+    ratio = (dx * normals[:, None, 0] + dy * normals[:, None, 1]) / r2
+    scale = src.weights / (2 * math.pi) / r2
+    ax = (normals[:, None, 0] - 2 * ratio * dx) * scale
+    ay = (normals[:, None, 1] - 2 * ratio * dy) * scale
+    ratio /= 2 * math.pi
+    out = sum(row[:, :, None] * (a @ density) for a, row in (
+        (ax, dpts.real), (ay, dpts.imag), (dx * scale, dnormals.real), (dy * scale, dnormals.imag)))
+    for a, col in ((ax, -dsrc.nodes.real), (ay, -dsrc.nodes.imag), (ratio, dsrc.weights)):
+        out += a @ (col[:, :, None] * density)
+    return out
+
+
+def _tangent_product(src, dsrc, pts, normals, dpts, dnormals, density, self_grid=False):
+    """`_normal_kernel_tangent` at the targets pts, in blocks of about 1e6 kernel entries.
+
+    On the source's own grid (self_grid) the diagonal is left out: r2 = inf there.
+    """
+    out = np.empty((len(dpts), len(pts), density.shape[1]))
+    block = max(1, 2**20 // src.n)
+    for lo in range(0, len(pts), block):
+        s = slice(lo, lo + block)
+        dx, dy, r2 = _offsets(pts[s], src.nodes)
+        if self_grid:
+            r2[np.arange(len(r2)), np.arange(lo, lo + len(r2))] = np.inf
+        out[:, s] = _normal_kernel_tangent(src, dsrc, normals[s], dnormals[:, s], dpts[:, s],
+                                           dx, dy, r2, density)
+    return out
+
+
 def kstar_matrix(src: Discretization) -> np.ndarray:
     """Nystrom matrix of K* on the source grid (weights folded in).
 
@@ -124,6 +186,19 @@ def kstar_matrix(src: Discretization) -> np.ndarray:
     kern = _normal_kernel(src, src.normals, dx, dy, r2)
     np.fill_diagonal(kern, 0.5 * src.curvature * src.weights / (2 * math.pi))
     return kern
+
+
+def kstar_tangent(src: Discretization, dsrc: GridTangent, density) -> np.ndarray:
+    """The derivative of `kstar_matrix(src)` along each direction, applied to density columns.
+
+    density is (n, k) and the result (D, n, k); the diagonal kappa w/(4 pi)
+    moves by (dkappa w + kappa dw)/(4 pi).
+    """
+    out = _tangent_product(src, dsrc, src.nodes, src.normals, dsrc.nodes, dsrc.normals, density,
+                           self_grid=True)
+    out += ((dsrc.curvature * src.weights + src.curvature * dsrc.weights)
+            / (4 * math.pi))[:, :, None] * density
+    return out
 
 
 def normal_derivative_coupling(src: Discretization, tgt: Discretization) -> np.ndarray:
@@ -139,6 +214,36 @@ def normal_derivative_coupling(src: Discretization, tgt: Discretization) -> np.n
     except NearEvaluationError as exc:
         dist = exc.distance  # refine after the handler, once the refused offsets are freed
     return _near_rows(src, tgt.nodes, tgt.normals, dist)
+
+
+def coupling_tangent(src: Discretization, dsrc: GridTangent, tgt: Discretization,
+                     dtgt: GridTangent, density) -> np.ndarray:
+    """The derivative of `normal_derivative_coupling(src, tgt)` applied to density columns.
+
+    Along both grids' tangents; density is (n, k) and the result (D, m, k).
+    Where the coupling refines, the kernel is differentiated on the same fine
+    grid and applied to the density's `_interpolated` values, the transpose of
+    the reduction in `_near_rows`.
+    """
+    dist = min_target_distance(src, tgt.nodes)
+    if _near_zone(src, dist)[0]:
+        fine = _refined_grid(src, dist)
+        src, dsrc = fine, discretize_tangent(fine, dsrc.curves)
+        density = _interpolated(density, fine.n)
+    return _tangent_product(src, dsrc, tgt.nodes, tgt.normals, dtgt.nodes, dtgt.normals, density)
+
+
+def _interpolated(density, m: int) -> np.ndarray:
+    """Density columns (n, k) as trigonometric interpolants at m equispaced nodes, times m/n.
+
+    The transpose of `_near_rows`' reduction: the n lowest modes, with the
+    Nyquist bin split symmetrically, so (rows of _near_rows) @ density equals
+    (the fine-grid kernel) @ _interpolated(density, fine.n).
+    """
+    n = len(density)
+    spec = np.fft.rfft(density, axis=0)
+    spec[n // 2] /= 2
+    return np.fft.irfft(spec, n=m, axis=0) * (m / n)
 
 
 def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:

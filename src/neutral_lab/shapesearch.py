@@ -10,10 +10,13 @@ vanishes exactly on neutral configurations; the reported objective is the
 summed squared maximum deviation of the two axes.
 
 The optimizer is scipy's bounded trust-region reflective least squares
-(method "trf") with finite-difference Jacobians. A start whose geometry
-fails is refused; any later point whose geometry or solve fails gets a
-constant residual larger than any feasible one, so the trust region rejects
-the step. Everything is deterministic: no randomness enters the search.
+(method "trf") with the exact Jacobian of the discrete residual
+(`transmission._probe_jacobian`), formed at each accepted point from the
+elimination its evaluation kept. A start whose geometry fails is refused;
+any later point whose geometry or solve fails gets a constant residual
+larger than any feasible one, and a zero Jacobian, so the trust region
+rejects the step. Everything is deterministic: no randomness enters the
+search.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .geometry import LaurentMap, laurent_domain
+from .geometry import CoatedInclusion, Curve, LaurentMap, laurent_domain
 from .report import OMIT, Report
 from .transmission import PROBE_POINTS, ConductivityProfile, _check_core_shell, _far_probe
-from .transmission import _scattered_values, solve_both_axes
+from .transmission import _probe_jacobian, _scattered_values, solve_both_axes
 from .transmission import eval_u  # noqa: F401  (bench/spans.py still patches shapesearch.eval_u)
 
 PENALTY = 1.0e6
@@ -136,17 +139,40 @@ def _in_box(x: np.ndarray, cfg: SearchConfig) -> bool:
     return x.shape == lo.shape and bool(np.all((lo <= x) & (x <= hi)))
 
 
+def _profile(params: ShapeParams, cfg: SearchConfig) -> ConductivityProfile:
+    return ConductivityProfile(sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s, sigma_m=params.sigma_m)
+
+
 def _deviations(params: ShapeParams, cfg: SearchConfig) -> list[np.ndarray]:
     """Exterior deviation u - x_j per axis on the standard probe circle; finite."""
     inc = laurent_domain(params.laurent_map(), samples=_CHECK_SAMPLES)
-    profile = ConductivityProfile(
-        sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s, sigma_m=params.sigma_m
-    )
+    profile = _profile(params, cfg)
     _, probe = _far_probe(inc, None)
     out = [_scattered_values(pair, probe) for pair in solve_both_axes(inc, profile, n=cfg.nodes)]
     if not all(np.all(np.isfinite(d)) for d in out):
         raise SolverError("non-finite field on the probe circle")
     return out
+
+
+def _jacobian(params: ShapeParams, cfg: SearchConfig, vary) -> np.ndarray:
+    """Exact derivative of the stacked `_deviations` in the unknowns `vary` (ascending).
+
+    No geometry check: the point is one whose evaluation passed it. The
+    boundary images are linear in each a_n (dc = r^n e^{int} on |zeta| = r)
+    and r0 moves the outer one by n a_n r0^(n-1) e^{int}.
+    """
+    m = params.laurent_map()
+    inc = CoatedInclusion(m.circle_image(1.0), m.circle_image(m.r0), m)
+    orders, k = cfg.coeff_orders, len(cfg.coeff_orders)
+    d_inner = [Curve(np.ones(1, complex), orders[i]) for i in vary if i < k]
+    d_outer = [Curve(np.full(1, m.r0 ** orders[i], complex), orders[i]) for i in vary if i < k]
+    if k in vary:
+        out = inc.outer
+        d_inner.append(Curve(np.zeros(1, complex), 0))
+        d_outer.append(Curve(out.coeffs * np.arange(out.k_min, out.k_min + len(out.coeffs)) / m.r0,
+                             out.k_min))
+    sigma_axes = [i - k for i in vary if i > k]
+    return _probe_jacobian(inc, _profile(params, cfg), cfg.nodes, d_inner, d_outer, sigma_axes)
 
 
 def residuals(params: ShapeParams, cfg: SearchConfig) -> tuple[float, float]:
@@ -175,8 +201,9 @@ def objective(x: np.ndarray, cfg: SearchConfig) -> float:
 class SearchResult(Report):
     """Outcome of a bounded least-squares search.
 
-    history holds the best objective so far after every evaluation,
-    finite-difference Jacobian evaluations included; improvements records
+    evals counts residual evaluations and jacobians the exact Jacobians,
+    one at each point the trust region accepted. history holds the best
+    objective so far after every residual evaluation; improvements records
     (evaluation index, objective, confocality gap) at each point where the
     incumbent improved.
     """
@@ -190,31 +217,43 @@ class SearchResult(Report):
     )
     confocality_gap: float = 0.0
     converged: bool = False
+    jacobians: int = 0
 
 
-def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
+def _least_squares(x, vary, bounds, cfg, max_evals, target):
     """Bounded trust-region least squares on the stacked probe deviations.
 
-    params_of maps an unknown vector to ShapeParams. A start whose geometry
-    fails is refused (GeometryError); any later point whose geometry or solve
-    fails gets a constant residual larger than any feasible one. Every
-    evaluation counts against max_evals, and the run stops once the
-    objective reaches target. Returns the best-so-far history and the
-    improvements as (evaluation index, objective, params).
+    x is a full unknown vector; the run varies its entries `vary`
+    (ascending) inside bounds. A start whose geometry fails is refused
+    (GeometryError); any later point whose geometry or solve fails gets a
+    constant residual larger than any feasible one and a zero Jacobian.
+    Every residual evaluation counts against max_evals, and the run stops
+    once the objective reaches target. Returns the best-so-far history, the
+    improvements as (evaluation index, objective, params) and the number of
+    Jacobians.
     """
     import scipy.optimize  # deferred: it costs more to import than the whole package
 
     if max_evals < 1:
         raise ValidationError("the evaluation budget must be positive")
+    x = np.array(x, dtype=float)
+    vary = list(vary)
     failed = np.full(2 * PROBE_POINTS, math.sqrt(PENALTY))
     history: list[float] = []
     improvements: list[tuple[int, float, ShapeParams]] = []
+    penalized: dict[bytes, bool] = {}  # the last evaluated point: did it score the penalty?
+    jacobians = 0
 
     class _Stop(Exception):
         pass
 
-    def fun(x):
-        params = params_of(x)
+    def params_of(v):
+        full = x.copy()
+        full[vary] = v
+        return decode(full, cfg)
+
+    def fun(v):
+        params = params_of(v)
         try:
             devs = _deviations(params, cfg)
             r1, r2 = (float(np.max(np.abs(d))) for d in devs)
@@ -223,6 +262,8 @@ def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
             if not history and isinstance(exc, GeometryError):
                 raise GeometryError(f"the start fails the geometry check: {exc}") from exc
             f, r = PENALTY + 1.0, failed
+        penalized.clear()
+        penalized[v.tobytes()] = r is failed
         if not history or f < history[-1]:
             improvements.append((len(history) + 1, f, params))
         history.append(improvements[-1][1])
@@ -230,14 +271,27 @@ def _least_squares(params_of, x0, bounds, cfg, max_evals, target):
             raise _Stop
         return r
 
+    def jac(v):
+        nonlocal jacobians
+        jacobians += 1
+        params = params_of(v)
+        try:
+            if v.tobytes() not in penalized:  # trf differentiates the point it just evaluated;
+                _deviations(params, cfg)  # any other is checked as an evaluation checks it
+            elif penalized[v.tobytes()]:
+                raise SolverError("the point scored the penalty")
+            return _jacobian(params, cfg, vary)
+        except _FAILURES:
+            return np.zeros((len(failed), len(vary)))
+
     try:
         scipy.optimize.least_squares(
-            fun, x0, bounds=bounds, method="trf", x_scale="jac",
+            fun, x[vary], jac=jac, bounds=bounds, method="trf", x_scale="jac",
             ftol=_TOL, xtol=_TOL, gtol=_TOL, max_nfev=max_evals,
         )
     except _Stop:
         pass
-    return history, improvements
+    return history, improvements, jacobians
 
 
 def search(
@@ -264,8 +318,8 @@ def search(
             f"{rlo:g} <= r0 <= {rhi:g}, {llo:g} <= sigma_m <= {lhi:g})"
         )
 
-    history, improvements = _least_squares(
-        lambda x: decode(x, cfg), x0, _box(cfg), cfg, max_evals, target
+    history, improvements, jacobians = _least_squares(
+        x0, range(cfg.dim), _box(cfg), cfg, max_evals, target
     )
     _, best_f, best = improvements[-1]
     return SearchResult(
@@ -276,6 +330,7 @@ def search(
         improvements=[(e, f, p.confocality_gap()) for e, f, p in improvements],
         confocality_gap=best.confocality_gap(),
         converged=best_f <= target,
+        jacobians=jacobians,
     )
 
 
@@ -320,10 +375,9 @@ def perturbation_study(
             continue
         fixed = r1 * r1 + r2 * r2
 
-        x = encode(params, cfg)
-        history, _ = _least_squares(
-            lambda ls, x=x: decode(np.concatenate([x[:-2], ls]), cfg),
-            x[-2:], (-np.inf, np.inf), cfg, reopt_budget, 0.0,
+        history, _, _ = _least_squares(
+            encode(params, cfg), (cfg.dim - 2, cfg.dim - 1), (-np.inf, np.inf), cfg,
+            reopt_budget, 0.0,
         )
         rows.append(PerturbationRow(float(eps), True, fixed, min(fixed, history[-1])))
     return rows

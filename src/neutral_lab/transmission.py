@@ -20,7 +20,10 @@ which does not depend on mu; each axis then solves only the N x N coating
 Schur complement with its own mu. The last elimination is kept, keyed on both
 curves' coefficients, N, lam and the backgrounds, and a call with another key
 replaces it: four N x N float64 arrays (K*_inner, C_oi, A11^-1 C_oi and the
-mu-free Schur part), about 32 MB at N = 1024 and 2 MB at N = 256.
+mu-free Schur part), about 32 MB at N = 1024 and 2 MB at N = 256. The
+shape search's exact Jacobian (`_probe_jacobian`) solves with the same kept
+elimination and re-forms what it needs beyond it (A11 and C_io) at the
+search's N.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -39,16 +42,26 @@ from .errors import (
     UnsupportedConfigurationError,
     ValidationError,
 )
-from .geometry import CoatedInclusion, Discretization, _winding, discretize
+from .geometry import (
+    CoatedInclusion,
+    Discretization,
+    GridTangent,
+    _winding,
+    discretize,
+    discretize_tangent,
+)
 from .layerpot import (
     _near_zone,
     _offsets,
     _targets_xy,
+    coupling_tangent,
     kstar_matrix,
+    kstar_tangent,
     normal_derivative_coupling,
     single_layer_grad_near,  # no caller here: bench/spans.py traces this name
     single_layer_grad_off,
     single_layer_off,
+    single_layer_off_tangent,
 )
 from .report import Report
 
@@ -232,20 +245,31 @@ def _eliminate(d_in, d_out, parts, lam, backgrounds):
     return d_in, d_out, k_in, c_oi, x_oi, schur, sides
 
 
-def _solve_pairs(inc: CoatedInclusion, n: int, lam: float, cases) -> list[DensityPair]:
-    """Densities for each case (mu, h, axis); only the coating solve depends on mu."""
-    backgrounds = tuple(h for _, h, _ in cases)
+def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds):
+    """The kept elimination (`_eliminate`) for this key; a miss forms and keeps a new one."""
     curves = [(c.k_min, c.coeffs.dtype.str, c.coeffs.tobytes()) for c in (inc.inner, inc.outer)]
     entry = _kept.get(key := (*curves, n, lam, backgrounds))
     if entry is None:  # a local, so a concurrent miss in another thread cannot pull it away
         _kept.clear()
         entry = _kept[key] = _eliminate(*_assembled(inc, n), lam, backgrounds)
+    return entry
+
+
+def _augmented(block: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
+    """contrast I + block, plus the weighted-mean term when contrast >= 0 (see `_eliminate`)."""
+    a = block + contrast * np.eye(d.n)
+    if contrast >= 0.0:
+        a += d.weights / np.sum(d.weights)
+    return a
+
+
+def _solve_pairs(inc: CoatedInclusion, n: int, lam: float, cases) -> list[DensityPair]:
+    """Densities for each case (mu, h, axis); only the coating solve depends on mu."""
+    entry = _elimination(inc, n, lam, tuple(h for _, h, _ in cases))
     d_in, d_out, k_in, c_oi, x_oi, schur, sides = entry
     pairs = []
     for (mu, h, axis), (r1, y1, b2) in zip(cases, sides):
-        s = schur + mu * np.eye(d_out.n)
-        if mu >= 0.0:
-            s += d_out.weights / np.sum(d_out.weights)
+        s = _augmented(schur, mu, d_out)
         psi = _solve(s, b2, f"transmission coating block (lam={lam}, mu={mu})")
         phi = y1 + x_oi @ psi
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
@@ -351,6 +375,75 @@ def _scattered_values(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
     return single_layer_off(pair.disc_inner, pair.phi, pts) + single_layer_off(
         pair.disc_outer, pair.psi, pts
     )
+
+
+def _mean_tangent(values, dvalues, d: Discretization, dd: GridTangent) -> np.ndarray:
+    """Derivative of the weighted mean of value columns (n, k) along each direction: (D, k).
+
+    dvalues (D, n, k) moves the values, dd the grid's weights; None holds the values.
+    """
+    total = np.sum(d.weights)
+    out = dd.weights @ values - np.outer(np.sum(dd.weights, axis=1), d.weights @ values) / total
+    if dvalues is not None:
+        out += d.weights @ dvalues
+    return out / total
+
+
+def _probe_jacobian(inc: CoatedInclusion, p: ConductivityProfile, n: int, d_inner, d_outer,
+                    sigma_axes) -> np.ndarray:
+    """Derivative of the probe deviations u - x_j of `solve_both_axes`, axes stacked.
+
+    The rows are `_scattered_values` on the default `_far_probe` circle, axis 1
+    then axis 2. Columns: one per shape direction d, in which the core and
+    coating curves' coefficients move by d_inner[d] and d_outer[d], then one
+    per log sigma_m^j for j in sigma_axes. The densities x = (phi, psi) move
+    by dx = -A^-1 (dA x - db), solved with the kept elimination; a sigma_m^j
+    column is dpsi_j = -S_j^-1 psi_j dmu_j/dlog sigma_m^j, dphi_j = x_oi dpsi_j.
+    The probe radius (3 outer max radii) moves with the shape at its active sample.
+    """
+    cp = contrasts(p)
+    cases = [(cp.mu[axis - 1], HarmonicPoly.coordinate(axis), axis) for axis in (1, 2)]
+    d_in, d_out, k_in, _, x_oi, schur, _ = _elimination(
+        inc, n, cp.lam, tuple(h for _, h, _ in cases))
+    pairs = _solve_pairs(inc, n, cp.lam, cases)
+    phi = np.column_stack([q.phi for q in pairs])
+    psi = np.column_stack([q.psi for q in pairs])
+    radius, probe = _far_probe(inc, None)
+    dim, cols = len(d_inner), len(d_inner) + len(sigma_axes)
+    dphi, dpsi = np.zeros((2, n, cols)), np.zeros((2, n, cols))
+    jac = np.zeros((2, len(probe), cols))
+    if dim:
+        t_in, t_out = discretize_tangent(d_in, d_inner), discretize_tangent(d_out, d_outer)
+        # db - dA x per direction and axis; db is the coordinate fields' normal
+        # derivative, nu_j, less its weighted mean
+        f = []
+        for d, t, contrast, own, src, dsrc, other in (
+            (d_in, t_in, np.full(2, cp.lam), phi, d_out, t_out, psi),
+            (d_out, t_out, np.array(cp.mu), psi, d_in, t_in, phi),
+        ):
+            dnu = np.stack([t.normals.real, t.normals.imag], axis=2)
+            fi = kstar_tangent(d, t, own) + coupling_tangent(src, dsrc, d, t, other) + dnu
+            fi -= (_mean_tangent(d.normals, dnu, d, t)
+                   + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
+            f.append(fi)
+        v1 = _solve(_augmented(-k_in, cp.lam, d_in),
+                    f[0].transpose(1, 0, 2).reshape(n, -1), "transmission core block")
+        v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
+        dphi[:, :, :dim] = v1
+        dpsi[:, :, :dim] = f[1].transpose(2, 1, 0) + normal_derivative_coupling(d_in, d_out) @ v1
+        dprobe = 3.0 * inc.outer.max_radius_tangent(d_outer)[:, None] * (
+            probe[:, 0] + 1j * probe[:, 1]) / radius
+        jac[..., :dim] = (single_layer_off_tangent(d_in, t_in, phi, probe, dprobe)
+                          + single_layer_off_tangent(d_out, t_out, psi, probe, dprobe)).T
+    ss = p.sigma_s
+    for c, axis in enumerate(sigma_axes, start=dim):
+        sm = p.sigma_m[axis - 1]
+        dpsi[axis - 1, :, c] = -psi[:, axis - 1] * sm * ss / (ss - sm) ** 2  # dmu/dlog sm
+    for j, (mu, _, _) in enumerate(cases):
+        dpsi[j] = _solve(_augmented(schur, mu, d_out), dpsi[j], "transmission coating block")
+        dphi[j] += x_oi @ dpsi[j]
+        jac[j] += single_layer_off(d_in, dphi[j], probe) + single_layer_off(d_out, dpsi[j], probe)
+    return jac.reshape(-1, cols)
 
 
 def _core_grid(

@@ -9,7 +9,10 @@ from neutral_lab.errors import NearEvaluationError, ValidationError
 from neutral_lab.geometry import confocal_pair, discretize, make_ellipse
 from neutral_lab.layerpot import (
     NEAR_FACTOR,
+    _interpolated,
     _near_zone,
+    _normal_kernel,
+    _offsets,
     _refined_grid,
     feature_size,
     kstar_matrix,
@@ -103,7 +106,7 @@ def test_weights_are_left_eigenvector_of_kstar():
 def test_jump_relation_generic_curve():
     # one-sided Richardson limits of d/dnu S at x +- eps nu reproduce
     # (+-1/2 I + K*) rho; accuracy is limited by the O(eps^3) remainder
-    d = discretize(make_ellipse(0.0, 1.3, 0.8), 2048)
+    d = discretize(make_ellipse(0.0, 1.3, 0.8), 512)
     rho = np.cos(2 * d.t) + 0.3 * np.sin(3 * d.t)
     k = kstar_matrix(d)
 
@@ -217,6 +220,21 @@ def test_single_layer_grad_near_interpolates_trigonometrically():
     exact = np.stack([(dx / r2) @ rw, (dy / r2) @ rw], axis=1)
     assert fine.n > 4 * src.n
     assert np.max(np.abs(grads - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
+def test_interpolated_is_the_transpose_of_the_near_reduction():
+    # a refined coupling applied to every coarse mode, Nyquist included, equals
+    # its fine-grid kernel applied to the modes' _interpolated values
+    src = discretize(make_ellipse(0.0, 1.0, 0.6), 64)
+    tgt = discretize(make_ellipse(0.0, 1.02, 0.62), 64)
+    fine = _refined_grid(src, min_target_distance(src, tgt.nodes))
+    modes = np.column_stack([np.cos(k * src.t) for k in range(33)]
+                            + [np.sin(k * src.t) for k in range(1, 32)])
+    reduced = normal_derivative_coupling(src, tgt) @ modes
+    kern = _normal_kernel(fine, tgt.normals, *_offsets(tgt.nodes, fine.nodes))
+    assert fine.n > 4 * src.n
+    assert np.max(np.abs(kern @ _interpolated(modes, fine.n) - reduced)) < 1e-12 * np.max(
+        np.abs(reduced))
 
 
 def test_single_layer_grad_near_density_columns(circle):

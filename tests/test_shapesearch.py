@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import neutral_lab.layerpot as layerpot
 import neutral_lab.shapesearch as shapesearch
 from neutral_lab.errors import GeometryError, SolverError, ValidationError
 from neutral_lab.designer import confocal_design
@@ -149,10 +150,11 @@ def test_search_is_deterministic(cfg, design):
 
 
 def test_search_reports_nonconvergence(cfg, design):
+    # this start reaches the target at its 3rd evaluation
     start = ShapeParams(coeffs={-2: 0.05, -1: 0.2, 2: 0.05}, r0=1.5, sigma_m=design.sigma_m)
-    res = search(start, cfg, max_evals=5, target=1e-10)
+    res = search(start, cfg, max_evals=2, target=1e-10)
     assert not res.converged
-    assert res.evals <= 5
+    assert res.evals <= 2
     with pytest.raises(ValidationError):
         search(start, cfg, max_evals=0)
     with pytest.raises(ValidationError):
@@ -206,8 +208,8 @@ def test_search_checks_geometry_once_per_evaluation(cfg, design, monkeypatch):
                         sigma_m=design.sigma_m)
     res = search(start, cfg, max_evals=5000, target=1e-10)
     assert res.converged
-    assert res.evals == 15
-    assert len(calls) == res.evals
+    assert (res.evals, res.jacobians) == (3, 2)
+    assert len(calls) == res.evals  # the Jacobian runs no geometry check
 
 
 @pytest.mark.parametrize("sigma_m", [(0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (math.nan, 1.0)])
@@ -249,6 +251,7 @@ def test_search_scores_failed_solves_as_penalty(cfg, design, monkeypatch):
     monkeypatch.setattr(shapesearch, "solve_both_axes", failing)
     res = search(start, cfg, max_evals=12, target=1e-10)
     assert res.evals == len(calls) == 12
+    assert res.jacobians == 1  # at the start: trf differentiates only accepted points
     assert not res.converged
     assert res.objective == first < PENALTY
     assert res.history == [res.objective] * 12
@@ -261,3 +264,138 @@ def test_perturbation_study_reports_invalid_geometry():
     rows = perturbation_study(0.2, 1.5, 5.0, 1.0, [0.9], nodes=64)
     assert [(r.amplitude, r.valid) for r in rows] == [(0.9, False)]
     assert math.isnan(rows[0].objective_fixed) and math.isnan(rows[0].objective_reopt)
+
+
+def _central_differences(params, cfg, h=1e-6):
+    """Central differences of the stacked probe deviations in every unknown."""
+    x = encode(params, cfg)
+    cols = []
+    for step in h * np.eye(cfg.dim):
+        fp, fm = (np.concatenate(shapesearch._deviations(decode(x + s, cfg), cfg))
+                  for s in (step, -step))
+        cols.append((fp - fm) / (2 * h))
+    return np.column_stack(cols)
+
+
+def _max_radius_tie(params) -> float:
+    """Relative gap between the two largest |z| samples of the outer image's max radius.
+
+    Real coefficients keep the image symmetric about the x-axis, so the samples
+    t and -t stay tied under every perturbation and count once.
+    """
+    outer = params.laurent_map().circle_image(params.r0)
+    r = np.sort(np.abs(outer.point(2 * math.pi * np.arange(129) / 256)))
+    return (r[-1] - r[-2]) / r[-1]
+
+
+def _survey_points(count, tie=1e-4):
+    """The first `count` starts of the M=3 survey protocol (default_rng(0)) clear of a tie."""
+    cfg = SearchConfig(sigma_c=5.0, sigma_s=1.0, max_order=3, nodes=64)
+    rng = np.random.default_rng(0)
+    points = []
+    while len(points) < count:
+        coeffs = {k: float(rng.uniform(-0.08, 0.08)) for k in cfg.coeff_orders}
+        coeffs[-1] = float(rng.uniform(0.05, 0.5))
+        r0 = float(rng.uniform(1.3, 2.5))
+        sm = tuple(math.exp(rng.uniform(math.log(0.3), math.log(3.0))) for _ in range(2))
+        params = ShapeParams(coeffs=coeffs, r0=r0, sigma_m=sm)
+        try:
+            shapesearch._deviations(params, cfg)  # the search refuses a start that fails
+        except GeometryError:
+            continue
+        if _max_radius_tie(params) > tie:
+            points.append((params, cfg))
+    return points
+
+
+def _jacobian_points():
+    design = confocal_design(1.0, 0.2, 1.5, 5.0, 1.0)
+    a2, am2 = np.random.default_rng(1).uniform(-0.05, 0.05, size=2)
+    crit9 = ShapeParams(coeffs={-2: float(am2), -1: 0.2, 2: float(a2)}, r0=1.5,
+                        sigma_m=design.sigma_m)
+    # sigma_m^1 < sigma_s < sigma_m^2: the coating block is augmented on axis 1 only
+    thin = ShapeParams(coeffs={-2: 0.02, -1: 0.2, 2: -0.03}, r0=1.08, sigma_m=(0.7, 2.0))
+    points = {}
+    for sc in (0.0, 5.0, math.inf):  # lam = -1/2, 3/4, 1/2
+        cfg = SearchConfig(sigma_c=sc, sigma_s=1.0, max_order=2, nodes=64)
+        points[f"criterion-9-sc{sc:g}"] = (crit9, cfg)
+        points[f"refined-r0=1.08-sc{sc:g}"] = (thin, cfg)
+    for i, point in enumerate(_survey_points(20)):
+        points[f"survey-{i}"] = point
+    return points
+
+
+JACOBIAN_POINTS = _jacobian_points()
+
+
+@pytest.mark.parametrize("name", JACOBIAN_POINTS)
+def test_jacobian_matches_central_differences(name, monkeypatch):
+    params, cfg = JACOBIAN_POINTS[name]
+    assert _max_radius_tie(params) > 1e-4
+    shapesearch._deviations(params, cfg)  # the evaluation trf differentiates after
+    refined = []  # densities carried to a fine grid: one per refined coupling derivative
+    interpolated = layerpot._interpolated
+    monkeypatch.setattr(layerpot, "_interpolated",
+                        lambda *a: refined.append(a[1]) or interpolated(*a))
+    exact = shapesearch._jacobian(params, cfg, range(cfg.dim))
+    assert len(refined) == (2 if name.startswith("refined") else 0)
+    fd = _central_differences(params, cfg)
+    err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
+    assert np.all(err <= 1e-6), err
+
+
+def test_jacobian_check_skips_the_design_tie():
+    # the confocal design is symmetric about both axes: its outer image is
+    # largest at t = 0 and t = pi alike, and a_2 moves the two samples apart,
+    # so the probe radius has a kink there and differences cannot check it
+    design = confocal_design(1.0, 0.2, 1.5, 5.0, 1.0)
+    assert _max_radius_tie(optimum(design)) < 1e-15
+    assert all(_max_radius_tie(p) > 1e-4 for p, _ in JACOBIAN_POINTS.values())
+
+
+def test_jacobian_is_zero_at_a_penalized_start(cfg, design, monkeypatch):
+    # a start whose solve fails scores the penalty; its Jacobian is zero without
+    # being formed, so the trust region sees a zero gradient and stops at once
+    start = ShapeParams(coeffs={-2: 0.02, -1: 0.2, 2: 0.02}, r0=1.5, sigma_m=design.sigma_m)
+
+    def failing(*args, **kwargs):
+        raise SolverError("injected failure")
+
+    monkeypatch.setattr(shapesearch, "solve_both_axes", failing)
+    monkeypatch.setattr(shapesearch, "_jacobian", failing)
+    res = search(start, cfg, max_evals=12, target=1e-10)
+    assert (res.evals, res.jacobians) == (1, 1)
+    assert res.objective == PENALTY + 1.0 and not res.converged
+
+
+def test_jacobian_after_a_miss_of_the_kept_elimination(cfg, design):
+    # the Jacobian reuses the elimination its point's evaluation kept; when
+    # another geometry has replaced it, the rebuilt one gives the same columns
+    a, b = (ShapeParams(coeffs={-2: s, -1: 0.2, 2: -s}, r0=1.5, sigma_m=design.sigma_m)
+            for s in (0.02, 0.04))
+    shapesearch._deviations(a, cfg)
+    hit = shapesearch._jacobian(a, cfg, range(cfg.dim))
+    shapesearch._deviations(b, cfg)
+    miss = shapesearch._jacobian(a, cfg, range(cfg.dim))
+    np.testing.assert_allclose(miss, hit, rtol=0, atol=1e-12 * np.max(np.abs(hit)))
+
+
+def test_jacobian_at_a_point_other_than_the_last_evaluated(cfg, design, monkeypatch):
+    # trf differentiates only the point it has just evaluated; any other point is
+    # checked as an evaluation checks it, so a folded one gets the penalty's zero
+    import scipy.optimize
+
+    start, other, folded = (
+        ShapeParams(coeffs={-2: 0.0, -1: 0.2, 2: a2}, r0=1.5, sigma_m=design.sigma_m)
+        for a2 in (0.02, 0.04, 0.9))
+    got = {}
+
+    def one_step(fun, x0, jac, **kwargs):
+        fun(x0)
+        got.update(other=jac(encode(other, cfg)), folded=jac(encode(folded, cfg)))
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", one_step)
+    search(start, cfg, max_evals=10, target=1e-10)
+    assert not np.any(got["folded"])
+    shapesearch._deviations(other, cfg)
+    np.testing.assert_array_equal(got["other"], shapesearch._jacobian(other, cfg, range(cfg.dim)))

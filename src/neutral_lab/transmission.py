@@ -17,13 +17,17 @@ densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. The system is solved by eliminating the core block,
 which does not depend on mu; each axis then solves only the N x N coating
-Schur complement with its own mu. The last elimination is kept, keyed on both
-curves' coefficients, N, lam and the backgrounds, and a call with another key
-replaces it: four N x N float64 arrays (K*_inner, C_oi, A11^-1 C_oi and the
-mu-free Schur part), about 32 MB at N = 1024 and 2 MB at N = 256. The
-shape search's exact Jacobian (`_probe_jacobian`) solves with the same kept
-elimination and re-forms what it needs beyond it (A11 and C_io) at the
-search's N.
+Schur complement with its own mu. That complement is mu I plus a compact
+operator, so from N = 512 it is solved by unrestarted GMRES on the kept Schur
+part, without forming the augmented matrix: it stops once the true residual
+is within 1e-14 |b| and falls back to a dense LU after 60 iterations. Smaller
+grids, and the shape search's Jacobian, factor it densely. The last
+elimination is kept, keyed on both curves' coefficients, N, lam and the
+backgrounds, and a call with another key replaces it: four N x N float64
+arrays (K*_inner, C_oi, A11^-1 C_oi and the mu-free Schur part), about 32 MB
+at N = 1024 and 2 MB at N = 256. The shape search's exact Jacobian
+(`_probe_jacobian`) solves with the same kept elimination and re-forms what
+it needs beyond it (A11 and C_io) at the search's N.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -68,6 +72,11 @@ from .report import Report
 DEFAULT_NODES = 256
 PROBE_POINTS = 64
 _CORE_MIN = 5  # fewest core points: the quadratic fit of the Newtonian check has 5 unknowns
+# coating solves on grids of at least _GMRES_NODES nodes use GMRES, which stops
+# once the true residual is within _GMRES_TOL of |b|, or at _GMRES_CAP iterations
+_GMRES_NODES = 512
+_GMRES_TOL = 1e-14
+_GMRES_CAP = 60
 
 
 def _check_core_shell(sigma_c: float, sigma_s: float) -> None:
@@ -257,20 +266,84 @@ def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds):
 
 def _augmented(block: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
     """contrast I + block, plus the weighted-mean term when contrast >= 0 (see `_eliminate`)."""
-    a = block + contrast * np.eye(d.n)
+    a = block.copy()
+    a.flat[:: d.n + 1] += contrast
     if contrast >= 0.0:
         a += d.weights / np.sum(d.weights)
     return a
 
 
+def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray):
+    """x solving `_augmented(block, contrast, d)` x = b by unrestarted GMRES, or None.
+
+    The product is block @ v + contrast v plus the weighted-mean term, so the
+    augmented copy is never formed. Arnoldi orthogonalises twice (CGS2) and
+    Givens rotations keep the small least-squares residual; once that reaches
+    _GMRES_TOL |b|, the true residual |b - A x| is checked against the same
+    bound. None when _GMRES_CAP iterations do not reach it.
+    """
+    mean = d.weights / np.sum(d.weights) if contrast >= 0.0 else None
+
+    def apply(v):
+        out = block @ v
+        out += contrast * v
+        if mean is not None:
+            out += mean @ v
+        return out
+
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    tol = _GMRES_TOL * beta
+    basis = np.empty((_GMRES_CAP + 1, len(b)))
+    basis[0] = b / beta
+    rtri = np.zeros((_GMRES_CAP, _GMRES_CAP))  # the rotated Hessenberg matrix
+    cos, sin = np.zeros(_GMRES_CAP), np.zeros(_GMRES_CAP)
+    g = np.zeros(_GMRES_CAP + 1)
+    g[0] = beta
+    for k in range(_GMRES_CAP):
+        v = apply(basis[k])
+        for _ in range(2):
+            c = basis[: k + 1] @ v
+            v -= c @ basis[: k + 1]
+            rtri[: k + 1, k] += c
+        h = float(np.linalg.norm(v))
+        for i in range(k):  # the earlier rotations, then one that zeroes h
+            hi, hj = rtri[i, k], rtri[i + 1, k]
+            rtri[i, k], rtri[i + 1, k] = cos[i] * hi + sin[i] * hj, cos[i] * hj - sin[i] * hi
+        r = math.hypot(rtri[k, k], h)
+        if r == 0.0:
+            return None
+        cos[k], sin[k] = rtri[k, k] / r, h / r
+        rtri[k, k] = r
+        g[k], g[k + 1] = cos[k] * g[k], -sin[k] * g[k]
+        if abs(g[k + 1]) <= tol:
+            y = np.zeros(k + 1)
+            for i in range(k, -1, -1):
+                y[i] = (g[i] - rtri[i, i + 1 : k + 1] @ y[i + 1 :]) / rtri[i, i]
+            x = y @ basis[: k + 1]
+            if np.linalg.norm(b - apply(x)) <= tol:
+                return x
+        if h == 0.0:
+            return None
+        basis[k + 1] = v / h
+    return None
+
+
 def _solve_pairs(inc: CoatedInclusion, n: int, lam: float, cases) -> list[DensityPair]:
-    """Densities for each case (mu, h, axis); only the coating solve depends on mu."""
+    """Densities for each case (mu, h, axis); only the coating solve depends on mu.
+
+    From _GMRES_NODES nodes the coating system goes to `_gmres` first; below
+    that, and when GMRES stops at its cap, it is factored densely.
+    """
     entry = _elimination(inc, n, lam, tuple(h for _, h, _ in cases))
     d_in, d_out, k_in, c_oi, x_oi, schur, sides = entry
     pairs = []
     for (mu, h, axis), (r1, y1, b2) in zip(cases, sides):
-        s = _augmented(schur, mu, d_out)
-        psi = _solve(s, b2, f"transmission coating block (lam={lam}, mu={mu})")
+        psi = _gmres(schur, mu, d_out, b2) if n >= _GMRES_NODES else None
+        if psi is None:
+            s = _augmented(schur, mu, d_out)
+            psi = _solve(s, b2, f"transmission coating block (lam={lam}, mu={mu})")
         phi = y1 + x_oi @ psi
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
             raise SolverError("transmission solve produced non-finite densities")

@@ -342,24 +342,27 @@ def _oracle(am1, r0, sigma_c, sigma_m, axis):
 
 
 # a nearly insulating matrix puts mu near +1/2, where the coating block's
-# weighted-mean term decides the solution
+# weighted-mean term decides the solution. n = 512 solves the coating block
+# by GMRES; its insulating-core cases with a nearly insulating matrix stall
+# there and take the dense fallback
 THIN_FIELDS = [
-    pytest.param(am1, r0, sigma_c, sigma_m, id=f"{am1}-{r0}-{sigma_c}{suffix}")
+    pytest.param(am1, r0, sigma_c, sigma_m, n, id=f"{am1}-{r0}-{sigma_c}{suffix}{label}")
+    for n, label in ((128, ""), (512, "-n512"))
     for sigma_m, suffix in (((2.0, 3.0), ""), ((1e-8, 1e-12), "-insulating-matrix"))
     for am1, r0 in THIN
     for sigma_c in (0.0, 5.0, math.inf)
 ]
 
 
-@pytest.mark.parametrize("am1, r0, sigma_c, sigma_m", THIN_FIELDS)
-def test_thin_shell_fields_match_exact(am1, r0, sigma_c, sigma_m):
+@pytest.mark.parametrize("am1, r0, sigma_c, sigma_m, n", THIN_FIELDS)
+def test_thin_shell_fields_match_exact(am1, r0, sigma_c, sigma_m, n):
     inc = confocal_pair(1.0, am1, r0)
     p = ConductivityProfile(sigma_c, 1.0, sigma_m)
     t = 2 * math.pi * np.arange(32) / 32
     a_out = r0 + am1 / r0
     exterior = 2.0 * a_out * np.column_stack([np.cos(t), np.sin(t)])
     core = 0.5 * np.column_stack([(1.0 + am1) * np.cos(t), (1.0 - am1) * np.sin(t)])
-    for pair in solve_both_axes(inc, p, n=128):
+    for pair in solve_both_axes(inc, p, n=n):
         sol = _oracle(am1, r0, sigma_c, p.sigma_m[pair.axis - 1], pair.axis)
         for exact, pts in ((oracles.exterior, exterior), (oracles.core, core)):
             u, g = eval_u(inc, pair, p, pts)
@@ -411,7 +414,7 @@ def _full_system_solve(inc, p, n):
     return out
 
 
-@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("n", [64, 256, 512])
 @pytest.mark.parametrize("sigma_c", [0.0, 0.2, 5.0, math.inf])
 @pytest.mark.parametrize("am1, r0", [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)])
 def test_block_elimination_matches_full_system(am1, r0, sigma_c, n):
@@ -423,6 +426,20 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n):
         for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
             # the core flux vanishes for sigma_c = inf; dh/dnu is O(1) there
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+
+def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
+    # a non-confocal coating needs more than one GMRES iteration, so a cap of 1
+    # falls back to the dense solve every grid below 512 nodes takes
+    inc = laurent_domain(LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5))
+    p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
+    dense = solve_both_axes(inc, p, n=512)
+    monkeypatch.setattr(transmission, "_GMRES_NODES", 512)
+    gmres = solve_both_axes(inc, p, n=512)
+    assert not _same_densities(gmres, dense)
+    monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
+    assert _same_densities(solve_both_axes(inc, p, n=512), dense)
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])

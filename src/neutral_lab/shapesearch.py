@@ -10,13 +10,13 @@ vanishes exactly on neutral configurations; the reported objective is the
 summed squared maximum deviation of the two axes.
 
 The optimizer is scipy's bounded trust-region reflective least squares
-(method "trf") with the exact Jacobian of the discrete residual
-(`transmission._probe_jacobian`), formed at each accepted point from the
-elimination its evaluation kept. A start whose geometry fails is refused;
-any later point whose geometry or solve fails gets a constant residual
-larger than any feasible one, and a zero Jacobian, so the trust region
-rejects the step. Everything is deterministic: no randomness enters the
-search.
+(method "trf") with the exact Jacobian of the discrete residual. trf calls
+jac only at the point it has just evaluated and accepted, so the search
+keeps its last evaluation (elimination and densities) and differentiates
+that. A start whose geometry fails is refused; any later point whose
+geometry or solve fails gets a constant residual larger than any feasible
+one, and a zero Jacobian, so the trust region rejects the step. Everything
+is deterministic: no randomness enters the search.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .geometry import CoatedInclusion, Curve, LaurentMap, laurent_domain
+from .geometry import Curve, LaurentMap, laurent_domain
 from .report import OMIT, Report
 from .transmission import PROBE_POINTS, ConductivityProfile, _check_core_shell, _far_probe
-from .transmission import _probe_jacobian, _scattered_values, solve_both_axes
-from .transmission import eval_u  # noqa: F401  (bench/spans.py still patches shapesearch.eval_u)
+from .transmission import _scattered_values, _solved
+from .transmission import eval_u, solve_both_axes  # noqa: F401  (bench/spans.py patches both here)
 
 PENALTY = 1.0e6
 _CHECK_SAMPLES = 128  # angular resolution of validity checks inside the objective
@@ -143,26 +143,26 @@ def _profile(params: ShapeParams, cfg: SearchConfig) -> ConductivityProfile:
     return ConductivityProfile(sigma_c=cfg.sigma_c, sigma_s=cfg.sigma_s, sigma_m=params.sigma_m)
 
 
-def _deviations(params: ShapeParams, cfg: SearchConfig) -> list[np.ndarray]:
-    """Exterior deviation u - x_j per axis on the standard probe circle; finite."""
+def _deviations(params: ShapeParams, cfg: SearchConfig):
+    """Exterior deviations u - x_j per axis on the standard probe circle, and their solve."""
     inc = laurent_domain(params.laurent_map(), samples=_CHECK_SAMPLES)
     profile = _profile(params, cfg)
     _, probe = _far_probe(inc, None)
-    out = [_scattered_values(pair, probe) for pair in solve_both_axes(inc, profile, n=cfg.nodes)]
+    elim, pairs = _solved(inc, profile, cfg.nodes)
+    out = [_scattered_values(pair, probe) for pair in pairs]
     if not all(np.all(np.isfinite(d)) for d in out):
         raise SolverError("non-finite field on the probe circle")
-    return out
+    return out, (inc, profile, elim, pairs)
 
 
-def _jacobian(params: ShapeParams, cfg: SearchConfig, vary) -> np.ndarray:
-    """Exact derivative of the stacked `_deviations` in the unknowns `vary` (ascending).
+def _jacobian(evaluation, cfg: SearchConfig, vary) -> np.ndarray:
+    """Exact derivative of the stacked deviations of `evaluation` (from `_deviations`).
 
-    No geometry check: the point is one whose evaluation passed it. The
-    boundary images are linear in each a_n (dc = r^n e^{int} on |zeta| = r)
-    and r0 moves the outer one by n a_n r0^(n-1) e^{int}.
+    vary lists the unknowns (ascending). The boundary images are linear in each
+    a_n (dc = r^n e^{int} on |zeta| = r); r0 moves the outer one by n a_n r0^(n-1) e^{int}.
     """
-    m = params.laurent_map()
-    inc = CoatedInclusion(m.circle_image(1.0), m.circle_image(m.r0), m)
+    inc, profile, elim, pairs = evaluation
+    m = inc.origin
     orders, k = cfg.coeff_orders, len(cfg.coeff_orders)
     d_inner = [Curve(np.ones(1, complex), orders[i]) for i in vary if i < k]
     d_outer = [Curve(np.full(1, m.r0 ** orders[i], complex), orders[i]) for i in vary if i < k]
@@ -172,13 +172,12 @@ def _jacobian(params: ShapeParams, cfg: SearchConfig, vary) -> np.ndarray:
         d_outer.append(Curve(out.coeffs * np.arange(out.k_min, out.k_min + len(out.coeffs)) / m.r0,
                              out.k_min))
     sigma_axes = [i - k for i in vary if i > k]
-    return _probe_jacobian(inc, _profile(params, cfg), cfg.nodes, d_inner, d_outer, sigma_axes)
+    return elim.probe_jacobian(inc, profile, pairs, d_inner, d_outer, sigma_axes)
 
 
 def residuals(params: ShapeParams, cfg: SearchConfig) -> tuple[float, float]:
     """Max exterior deviation |u - x_j| per axis on the standard probe circle."""
-    r1, r2 = (float(np.max(np.abs(d))) for d in _deviations(params, cfg))
-    return r1, r2
+    return tuple(float(np.max(np.abs(d))) for d in _deviations(params, cfg)[0])
 
 
 def objective(x: np.ndarray, cfg: SearchConfig) -> float:
@@ -224,13 +223,10 @@ def _least_squares(x, vary, bounds, cfg, max_evals, target):
     """Bounded trust-region least squares on the stacked probe deviations.
 
     x is a full unknown vector; the run varies its entries `vary`
-    (ascending) inside bounds. A start whose geometry fails is refused
-    (GeometryError); any later point whose geometry or solve fails gets a
-    constant residual larger than any feasible one and a zero Jacobian.
-    Every residual evaluation counts against max_evals, and the run stops
-    once the objective reaches target. Returns the best-so-far history, the
-    improvements as (evaluation index, objective, params) and the number of
-    Jacobians.
+    (ascending) inside bounds. Every residual evaluation counts against
+    max_evals, and the run stops once the objective reaches target. Returns
+    the best-so-far history, the improvements as (evaluation index,
+    objective, params) and the number of Jacobians.
     """
     import scipy.optimize  # deferred: it costs more to import than the whole package
 
@@ -241,7 +237,7 @@ def _least_squares(x, vary, bounds, cfg, max_evals, target):
     failed = np.full(2 * PROBE_POINTS, math.sqrt(PENALTY))
     history: list[float] = []
     improvements: list[tuple[int, float, ShapeParams]] = []
-    penalized: dict[bytes, bool] = {}  # the last evaluated point: did it score the penalty?
+    point = evaluation = None  # the last evaluated point and its solve, None on the penalty
     jacobians = 0
 
     class _Stop(Exception):
@@ -253,17 +249,17 @@ def _least_squares(x, vary, bounds, cfg, max_evals, target):
         return decode(full, cfg)
 
     def fun(v):
+        nonlocal point, evaluation
+        point, evaluation = v.copy(), None  # a miss below then frees the last elimination first
         params = params_of(v)
         try:
-            devs = _deviations(params, cfg)
+            devs, evaluation = _deviations(params, cfg)
             r1, r2 = (float(np.max(np.abs(d))) for d in devs)
             f, r = r1 * r1 + r2 * r2, np.concatenate(devs)
         except _FAILURES as exc:
             if not history and isinstance(exc, GeometryError):
                 raise GeometryError(f"the start fails the geometry check: {exc}") from exc
             f, r = PENALTY + 1.0, failed
-        penalized.clear()
-        penalized[v.tobytes()] = r is failed
         if not history or f < history[-1]:
             improvements.append((len(history) + 1, f, params))
         history.append(improvements[-1][1])
@@ -274,15 +270,14 @@ def _least_squares(x, vary, bounds, cfg, max_evals, target):
     def jac(v):
         nonlocal jacobians
         jacobians += 1
-        params = params_of(v)
+        if not np.array_equal(v, point):  # trf differentiates the point it has just evaluated
+            raise RuntimeError("jac called at a point other than the last evaluated one")
         try:
-            if v.tobytes() not in penalized:  # trf differentiates the point it just evaluated;
-                _deviations(params, cfg)  # any other is checked as an evaluation checks it
-            elif penalized[v.tobytes()]:
-                raise SolverError("the point scored the penalty")
-            return _jacobian(params, cfg, vary)
+            if evaluation is not None:
+                return _jacobian(evaluation, cfg, vary)
         except _FAILURES:
-            return np.zeros((len(failed), len(vary)))
+            pass
+        return np.zeros((len(failed), len(vary)))
 
     try:
         scipy.optimize.least_squares(

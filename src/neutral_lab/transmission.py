@@ -17,17 +17,14 @@ densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. The system is solved by eliminating the core block,
 which does not depend on mu; each axis then solves only the N x N coating
-Schur complement with its own mu. That complement is mu I plus a compact
-operator, so from N = 512 it is solved by unrestarted GMRES on the kept Schur
-part, without forming the augmented matrix: it stops once the true residual
-is within 1e-14 |b| and falls back to a dense LU after 60 iterations. Smaller
-grids, and the shape search's Jacobian, factor it densely. The last
-elimination is kept, keyed on both curves' coefficients, N, lam and the
-backgrounds, and a call with another key replaces it: four N x N float64
-arrays (K*_inner, C_oi, A11^-1 C_oi and the mu-free Schur part), about 32 MB
-at N = 1024 and 2 MB at N = 256. The shape search's exact Jacobian
-(`_probe_jacobian`) solves with the same kept elimination and re-forms what
-it needs beyond it (A11 and C_io) at the search's N.
+Schur complement mu I + schur, a compact perturbation of mu I: from N = 512
+by unrestarted GMRES (`_gmres`), and densely on smaller grids, when GMRES
+gives up, and in the shape search's Jacobian. The elimination is an
+immutable value (`_Elimination`, four N x N float64 arrays: about 32 MB at
+N = 1024) that solves its coating cases and differentiates them. A one-slot
+memo keyed on both curves' coefficients, N, lam and the backgrounds holds it
+for the public calls and the search's evaluations (a sigma_m sweep on one
+geometry eliminates once); the search's last evaluation holds it for the Jacobian.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -215,47 +212,118 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         raise SolverError(f"{what} singular", cond=float(np.linalg.cond(a))) from exc
 
 
+@dataclass(frozen=True, eq=False)
+class _Elimination:
+    """The mu-free core elimination of one geometry, N, lam and backgrounds; read-only.
+
+    With A11 = lam I - K*_in, x_oi = A11^-1 C_oi and schur = -K*_out - C_io x_oi, psi solves
+    (mu I + schur) psi = b, phi = y + x_oi psi; sides holds (dh/dnu on the core, y, b) per
+    background, y = A11^-1 b1 and b the coating right side plus C_io y.
+    """
+
+    d_in: Discretization
+    d_out: Discretization
+    lam: float
+    k_in: np.ndarray
+    c_oi: np.ndarray
+    x_oi: np.ndarray
+    schur: np.ndarray
+    sides: tuple
+
+    def solve(self, cases) -> list[DensityPair]:
+        """Densities for each case (mu, h, axis), in the order of the backgrounds."""
+        d_out, pairs = self.d_out, []
+        for (mu, h, axis), (r1, y1, b2) in zip(cases, self.sides):
+            psi = _gmres(self.schur, mu, d_out, b2) if d_out.n >= _GMRES_NODES else None
+            if psi is None:
+                s = _augment(self.schur.copy(), mu, d_out)
+                psi = _solve(s, b2, f"transmission coating block (lam={self.lam}, mu={mu})")
+            phi = y1 + self.x_oi @ psi
+            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
+                raise SolverError("transmission solve produced non-finite densities")
+            flux = r1 + (self.k_in @ phi - 0.5 * phi) + self.c_oi @ psi
+            pairs.append(DensityPair(phi, psi, axis, h, self.d_in, d_out, flux))
+        return pairs
+
+    def probe_jacobian(self, inc: CoatedInclusion, p: ConductivityProfile, pairs, d_inner,
+                       d_outer, sigma_axes) -> np.ndarray:
+        """Derivative of the probe deviations u - x_j of `pairs`, this solve of inc under p.
+
+        Rows: `_scattered_values` on the default `_far_probe` circle, axis 1 then 2.
+        Columns: one per shape direction d, in which the core and coating curves'
+        coefficients move by d_inner[d] and d_outer[d], then one per log sigma_m^j
+        for j in sigma_axes. x = (phi, psi) moves by dx = -A^-1 (dA x - db), and the
+        probe radius (3 outer max radii) moves at its active sample.
+        """
+        d_in, d_out, lam, mu, n = self.d_in, self.d_out, self.lam, contrasts(p).mu, self.d_in.n
+        phi = np.column_stack([q.phi for q in pairs])
+        psi = np.column_stack([q.psi for q in pairs])
+        radius, probe = _far_probe(inc, None)
+        dim, cols = len(d_inner), len(d_inner) + len(sigma_axes)
+        dphi, dpsi = np.zeros((2, n, cols)), np.zeros((2, n, cols))
+        jac = np.zeros((2, len(probe), cols))
+        if dim:
+            t_in, t_out = discretize_tangent(d_in, d_inner), discretize_tangent(d_out, d_outer)
+            # db - dA x per direction and axis; db is the coordinate fields' normal
+            # derivative, nu_j, less its weighted mean
+            f = []
+            for d, t, contrast, own, src, dsrc, other in (
+                (d_in, t_in, np.full(2, lam), phi, d_out, t_out, psi),
+                (d_out, t_out, np.array(mu), psi, d_in, t_in, phi),
+            ):
+                dnu = np.stack([t.normals.real, t.normals.imag], axis=2)
+                fi = kstar_tangent(d, t, own) + coupling_tangent(src, dsrc, d, t, other) + dnu
+                fi -= (_mean_tangent(d.normals, dnu, d, t)
+                       + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
+                f.append(fi)
+            v1 = _solve(_augment(-self.k_in, lam, d_in),
+                        f[0].transpose(1, 0, 2).reshape(n, -1), "transmission core block")
+            v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
+            dphi[:, :, :dim] = v1
+            c_io = normal_derivative_coupling(d_in, d_out)
+            dpsi[:, :, :dim] = f[1].transpose(2, 1, 0) + c_io @ v1
+            dprobe = 3.0 * inc.outer.max_radius_tangent(d_outer)[:, None] * (
+                probe[:, 0] + 1j * probe[:, 1]) / radius
+            jac[..., :dim] = (single_layer_off_tangent(d_in, t_in, phi, probe, dprobe)
+                              + single_layer_off_tangent(d_out, t_out, psi, probe, dprobe)).T
+        for c, axis in enumerate(sigma_axes, start=dim):
+            sm, ss = p.sigma_m[axis - 1], p.sigma_s
+            dpsi[axis - 1, :, c] = -psi[:, axis - 1] * sm * ss / (ss - sm) ** 2  # dmu/dlog sm
+        for j, mu_j in enumerate(mu):
+            s = _augment(self.schur.copy(), mu_j, d_out)
+            dpsi[j] = _solve(s, dpsi[j], "transmission coating block")
+            dphi[j] += self.x_oi @ dpsi[j]
+            jac[j] += (single_layer_off(d_in, dphi[j], probe)
+                       + single_layer_off(d_out, dpsi[j], probe))
+        return jac.reshape(-1, cols)
+
+
 _kept: dict = {}  # the last mu-free elimination under its key; a miss frees it first
 
 
-def _eliminate(d_in, d_out, parts, lam, backgrounds):
-    """(d_in, d_out, K*_in, C_oi, x_oi = A11^-1 C_oi, schur, sides), every array read-only.
-
-    The core row gives phi = A11^-1 (b1 + C_oi psi) with A11 = lam I - K*_in, so psi
-    solves mu I + schur, schur = -K*_out - C_io x_oi. Per background, sides holds
-    dh/dnu on the core, y = A11^-1 b1 and the coating right side plus C_io y.
-    """
-    n1, n2 = d_in.n, d_out.n
+def _eliminate(d_in, d_out, parts, lam, backgrounds) -> _Elimination:
+    """The `_Elimination` of the assembled blocks for core contrast lam."""
+    n2 = d_out.n
     k_in, k_out, c_oi, c_io = parts
-    rhs = [
-        tuple(np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
-        for h in backgrounds
-    ]
-    a11 = lam * np.eye(n1) - k_in
-    # the weights are a left eigenvector of the discrete K* with eigenvalue
-    # 1/2, so the weighted-mean term turns the block row functional into
-    # (contrast + 1/2) w^T: required at +1/2 (conducting core), harmless for
-    # contrast >= 0, and singular at -1/2 (insulating core) where the
-    # unaugmented block is already invertible. Augment only when safe.
-    if lam >= 0.0:
-        a11 += d_in.weights / np.sum(d_in.weights)
+    rhs = [tuple(np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
+           for h in backgrounds]
     # the continuous right sides have exact mean zero; project off the
     # quadrature-level remainder so the rank-one terms see clean data
     b1 = np.column_stack([r - _weighted_mean(r, d_in.weights) for r, _ in rhs])
-    y = _solve(a11, np.hstack([c_oi, b1]), f"transmission core block (lam={lam})")
-    del a11
+    y = _solve(_augment(-k_in, lam, d_in), np.hstack([c_oi, b1]),
+               f"transmission core block (lam={lam})")
     schur = -k_out - c_io @ y[:, :n2]
-    sides = [(r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1)
-             for (r1, r2), y1 in zip(rhs, y[:, n2:].T)]
+    sides = tuple((r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1)
+                  for (r1, r2), y1 in zip(rhs, y[:, n2:].T))
     x_oi = y[:, :n2].copy()  # keep only N x N blocks; holding y's odd size fragmented the heap
     grids = [a for d in (d_in, d_out) for a in vars(d).values() if isinstance(a, np.ndarray)]
     for a in (k_in, c_oi, x_oi, schur, *(v for side in sides for v in side), *grids):
         a.flags.writeable = False
-    return d_in, d_out, k_in, c_oi, x_oi, schur, sides
+    return _Elimination(d_in, d_out, lam, k_in, c_oi, x_oi, schur, sides)
 
 
-def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds):
-    """The kept elimination (`_eliminate`) for this key; a miss forms and keeps a new one."""
+def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds) -> _Elimination:
+    """The kept elimination for this key; a miss forms and keeps a new one."""
     curves = [(c.k_min, c.coeffs.dtype.str, c.coeffs.tobytes()) for c in (inc.inner, inc.outer)]
     entry = _kept.get(key := (*curves, n, lam, backgrounds))
     if entry is None:  # a local, so a concurrent miss in another thread cannot pull it away
@@ -264,9 +332,13 @@ def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds):
     return entry
 
 
-def _augmented(block: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
-    """contrast I + block, plus the weighted-mean term when contrast >= 0 (see `_eliminate`)."""
-    a = block.copy()
+def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
+    """a + contrast I, plus the weighted-mean term when contrast >= 0, formed in a itself.
+
+    The weights are a left eigenvector of the discrete K* with eigenvalue 1/2, so the
+    term turns the block row functional into (contrast + 1/2) w^T: required at +1/2
+    (conducting core), harmless for contrast >= 0, singular at -1/2 (insulating core).
+    """
     a.flat[:: d.n + 1] += contrast
     if contrast >= 0.0:
         a += d.weights / np.sum(d.weights)
@@ -274,13 +346,14 @@ def _augmented(block: np.ndarray, contrast: float, d: Discretization) -> np.ndar
 
 
 def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray):
-    """x solving `_augmented(block, contrast, d)` x = b by unrestarted GMRES, or None.
+    """x solving `_augment(block.copy(), contrast, d)` x = b by unrestarted GMRES, or None.
 
     The product is block @ v + contrast v plus the weighted-mean term, so the
     augmented copy is never formed. Arnoldi orthogonalises twice (CGS2) and
     Givens rotations keep the small least-squares residual; once that reaches
-    _GMRES_TOL |b|, the true residual |b - A x| is checked against the same
-    bound. None when _GMRES_CAP iterations do not reach it.
+    _GMRES_TOL |b|, each step checks the true residual |b - A x| against the same
+    bound. None after _GMRES_CAP iterations, or once a failed check's |b - A x| is
+    no smaller than the last one's: rounding holds it up while the rotated one falls.
     """
     mean = d.weights / np.sum(d.weights) if contrast >= 0.0 else None
 
@@ -301,6 +374,7 @@ def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray)
     cos, sin = np.zeros(_GMRES_CAP), np.zeros(_GMRES_CAP)
     g = np.zeros(_GMRES_CAP + 1)
     g[0] = beta
+    floor = math.inf  # the last failed check's true residual
     for k in range(_GMRES_CAP):
         v = apply(basis[k])
         for _ in range(2):
@@ -322,34 +396,16 @@ def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray)
             for i in range(k, -1, -1):
                 y[i] = (g[i] - rtri[i, i + 1 : k + 1] @ y[i + 1 :]) / rtri[i, i]
             x = y @ basis[: k + 1]
-            if np.linalg.norm(b - apply(x)) <= tol:
+            res = float(np.linalg.norm(b - apply(x)))
+            if res <= tol:
                 return x
+            if res >= floor:
+                return None
+            floor = res
         if h == 0.0:
             return None
         basis[k + 1] = v / h
     return None
-
-
-def _solve_pairs(inc: CoatedInclusion, n: int, lam: float, cases) -> list[DensityPair]:
-    """Densities for each case (mu, h, axis); only the coating solve depends on mu.
-
-    From _GMRES_NODES nodes the coating system goes to `_gmres` first; below
-    that, and when GMRES stops at its cap, it is factored densely.
-    """
-    entry = _elimination(inc, n, lam, tuple(h for _, h, _ in cases))
-    d_in, d_out, k_in, c_oi, x_oi, schur, sides = entry
-    pairs = []
-    for (mu, h, axis), (r1, y1, b2) in zip(cases, sides):
-        psi = _gmres(schur, mu, d_out, b2) if n >= _GMRES_NODES else None
-        if psi is None:
-            s = _augmented(schur, mu, d_out)
-            psi = _solve(s, b2, f"transmission coating block (lam={lam}, mu={mu})")
-        phi = y1 + x_oi @ psi
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
-            raise SolverError("transmission solve produced non-finite densities")
-        flux = r1 + (k_in @ phi - 0.5 * phi) + c_oi @ psi
-        pairs.append(DensityPair(phi, psi, axis, h, d_in, d_out, flux))
-    return pairs
 
 
 def _assembled(inc: CoatedInclusion, n: int):
@@ -366,12 +422,17 @@ def solve_both_axes(
 ) -> tuple[DensityPair, DensityPair]:
     """Densities for the uniform backgrounds h = x_1 and h = x_2, in that order.
 
-    The axis-j solve uses the matrix component sigma_m^j; both axes share one
-    core elimination.
+    The axis-j solve uses the matrix component sigma_m^j; both axes share one elimination.
     """
+    return tuple(_solved(inc, p, n)[1])
+
+
+def _solved(inc: CoatedInclusion, p: ConductivityProfile, n: int):
+    """(the kept elimination, `solve_both_axes`' pairs as a list): the search holds both."""
     cp = contrasts(p)
-    cases = [(cp.mu[axis - 1], HarmonicPoly.coordinate(axis), axis) for axis in (1, 2)]
-    return tuple(_solve_pairs(inc, n, cp.lam, cases))
+    backgrounds = (HarmonicPoly.coordinate(1), HarmonicPoly.coordinate(2))
+    elim = _elimination(inc, n, cp.lam, backgrounds)
+    return elim, elim.solve(zip(cp.mu, backgrounds, (1, 2)))
 
 
 def solve_harmonic(
@@ -389,7 +450,7 @@ def solve_harmonic(
     if h.is_constant:
         raise ValidationError("background is constant; nothing to solve")
     cp = contrasts(p)
-    return _solve_pairs(inc, n, cp.lam, [(cp.mu[0], h, None)])[0]
+    return _elimination(inc, n, cp.lam, (h,)).solve([(cp.mu[0], h, None)])[0]
 
 
 def eval_u(
@@ -460,63 +521,6 @@ def _mean_tangent(values, dvalues, d: Discretization, dd: GridTangent) -> np.nda
     if dvalues is not None:
         out += d.weights @ dvalues
     return out / total
-
-
-def _probe_jacobian(inc: CoatedInclusion, p: ConductivityProfile, n: int, d_inner, d_outer,
-                    sigma_axes) -> np.ndarray:
-    """Derivative of the probe deviations u - x_j of `solve_both_axes`, axes stacked.
-
-    The rows are `_scattered_values` on the default `_far_probe` circle, axis 1
-    then axis 2. Columns: one per shape direction d, in which the core and
-    coating curves' coefficients move by d_inner[d] and d_outer[d], then one
-    per log sigma_m^j for j in sigma_axes. The densities x = (phi, psi) move
-    by dx = -A^-1 (dA x - db), solved with the kept elimination; a sigma_m^j
-    column is dpsi_j = -S_j^-1 psi_j dmu_j/dlog sigma_m^j, dphi_j = x_oi dpsi_j.
-    The probe radius (3 outer max radii) moves with the shape at its active sample.
-    """
-    cp = contrasts(p)
-    cases = [(cp.mu[axis - 1], HarmonicPoly.coordinate(axis), axis) for axis in (1, 2)]
-    d_in, d_out, k_in, _, x_oi, schur, _ = _elimination(
-        inc, n, cp.lam, tuple(h for _, h, _ in cases))
-    pairs = _solve_pairs(inc, n, cp.lam, cases)
-    phi = np.column_stack([q.phi for q in pairs])
-    psi = np.column_stack([q.psi for q in pairs])
-    radius, probe = _far_probe(inc, None)
-    dim, cols = len(d_inner), len(d_inner) + len(sigma_axes)
-    dphi, dpsi = np.zeros((2, n, cols)), np.zeros((2, n, cols))
-    jac = np.zeros((2, len(probe), cols))
-    if dim:
-        t_in, t_out = discretize_tangent(d_in, d_inner), discretize_tangent(d_out, d_outer)
-        # db - dA x per direction and axis; db is the coordinate fields' normal
-        # derivative, nu_j, less its weighted mean
-        f = []
-        for d, t, contrast, own, src, dsrc, other in (
-            (d_in, t_in, np.full(2, cp.lam), phi, d_out, t_out, psi),
-            (d_out, t_out, np.array(cp.mu), psi, d_in, t_in, phi),
-        ):
-            dnu = np.stack([t.normals.real, t.normals.imag], axis=2)
-            fi = kstar_tangent(d, t, own) + coupling_tangent(src, dsrc, d, t, other) + dnu
-            fi -= (_mean_tangent(d.normals, dnu, d, t)
-                   + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
-            f.append(fi)
-        v1 = _solve(_augmented(-k_in, cp.lam, d_in),
-                    f[0].transpose(1, 0, 2).reshape(n, -1), "transmission core block")
-        v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
-        dphi[:, :, :dim] = v1
-        dpsi[:, :, :dim] = f[1].transpose(2, 1, 0) + normal_derivative_coupling(d_in, d_out) @ v1
-        dprobe = 3.0 * inc.outer.max_radius_tangent(d_outer)[:, None] * (
-            probe[:, 0] + 1j * probe[:, 1]) / radius
-        jac[..., :dim] = (single_layer_off_tangent(d_in, t_in, phi, probe, dprobe)
-                          + single_layer_off_tangent(d_out, t_out, psi, probe, dprobe)).T
-    ss = p.sigma_s
-    for c, axis in enumerate(sigma_axes, start=dim):
-        sm = p.sigma_m[axis - 1]
-        dpsi[axis - 1, :, c] = -psi[:, axis - 1] * sm * ss / (ss - sm) ** 2  # dmu/dlog sm
-    for j, (mu, _, _) in enumerate(cases):
-        dpsi[j] = _solve(_augmented(schur, mu, d_out), dpsi[j], "transmission coating block")
-        dphi[j] += x_oi @ dpsi[j]
-        jac[j] += single_layer_off(d_in, dphi[j], probe) + single_layer_off(d_out, dpsi[j], probe)
-    return jac.reshape(-1, cols)
 
 
 def _core_grid(

@@ -9,9 +9,10 @@ import pytest
 
 import neutral_lab.layerpot as layerpot
 import neutral_lab.shapesearch as shapesearch
+import neutral_lab.transmission as transmission
 from neutral_lab.errors import GeometryError, SolverError, ValidationError
 from neutral_lab.designer import confocal_design
-from neutral_lab.geometry import laurent_domain
+from neutral_lab.geometry import confocal_pair, laurent_domain
 from neutral_lab.shapesearch import (
     PENALTY,
     SearchConfig,
@@ -246,9 +247,9 @@ def test_search_scores_failed_solves_as_penalty(cfg, design, monkeypatch):
         calls.append(args)
         if len(calls) > 1:
             raise SolverError("injected failure")
-        return solve_both_axes(*args, **kwargs)
+        return transmission._solved(*args, **kwargs)
 
-    monkeypatch.setattr(shapesearch, "solve_both_axes", failing)
+    monkeypatch.setattr(shapesearch, "_solved", failing)
     res = search(start, cfg, max_evals=12, target=1e-10)
     assert res.evals == len(calls) == 12
     assert res.jacobians == 1  # at the start: trf differentiates only accepted points
@@ -271,7 +272,7 @@ def _central_differences(params, cfg, h=1e-6):
     x = encode(params, cfg)
     cols = []
     for step in h * np.eye(cfg.dim):
-        fp, fm = (np.concatenate(shapesearch._deviations(decode(x + s, cfg), cfg))
+        fp, fm = (np.concatenate(shapesearch._deviations(decode(x + s, cfg), cfg)[0])
                   for s in (step, -step))
         cols.append((fp - fm) / (2 * h))
     return np.column_stack(cols)
@@ -332,12 +333,12 @@ JACOBIAN_POINTS = _jacobian_points()
 def test_jacobian_matches_central_differences(name, monkeypatch):
     params, cfg = JACOBIAN_POINTS[name]
     assert _max_radius_tie(params) > 1e-4
-    shapesearch._deviations(params, cfg)  # the evaluation trf differentiates after
+    _, evaluation = shapesearch._deviations(params, cfg)  # the evaluation jac differentiates
     refined = []  # densities carried to a fine grid: one per refined coupling derivative
     interpolated = layerpot._interpolated
     monkeypatch.setattr(layerpot, "_interpolated",
                         lambda *a: refined.append(a[1]) or interpolated(*a))
-    exact = shapesearch._jacobian(params, cfg, range(cfg.dim))
+    exact = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
     assert len(refined) == (2 if name.startswith("refined") else 0)
     fd = _central_differences(params, cfg)
     err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
@@ -361,28 +362,42 @@ def test_jacobian_is_zero_at_a_penalized_start(cfg, design, monkeypatch):
     def failing(*args, **kwargs):
         raise SolverError("injected failure")
 
-    monkeypatch.setattr(shapesearch, "solve_both_axes", failing)
+    monkeypatch.setattr(shapesearch, "_solved", failing)
     monkeypatch.setattr(shapesearch, "_jacobian", failing)
     res = search(start, cfg, max_evals=12, target=1e-10)
     assert (res.evals, res.jacobians) == (1, 1)
     assert res.objective == PENALTY + 1.0 and not res.converged
 
 
-def test_jacobian_after_a_miss_of_the_kept_elimination(cfg, design):
-    # the Jacobian reuses the elimination its point's evaluation kept; when
-    # another geometry has replaced it, the rebuilt one gives the same columns
-    a, b = (ShapeParams(coeffs={-2: s, -1: 0.2, 2: -s}, r0=1.5, sigma_m=design.sigma_m)
-            for s in (0.02, 0.04))
-    shapesearch._deviations(a, cfg)
-    hit = shapesearch._jacobian(a, cfg, range(cfg.dim))
-    shapesearch._deviations(b, cfg)
-    miss = shapesearch._jacobian(a, cfg, range(cfg.dim))
-    np.testing.assert_allclose(miss, hit, rtol=0, atol=1e-12 * np.max(np.abs(hit)))
+def test_jacobian_reads_no_module_state(cfg, design, monkeypatch):
+    # the Jacobian differentiates the solve its evaluation holds: clearing the kept
+    # elimination and solving another geometry in between changes no bit of it,
+    # and nothing is assembled again
+    a = ShapeParams(coeffs={-2: 0.02, -1: 0.2, 2: -0.02}, r0=1.5, sigma_m=design.sigma_m)
+    _, evaluation = shapesearch._deviations(a, cfg)
+    before = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
+    transmission._kept.clear()
+    solve_both_axes(confocal_pair(1.0, 0.3, 1.4), ConductivityProfile(5.0, 1.0, (2.0, 3.0)), n=64)
+    calls, kstar = [], transmission.kstar_matrix
+    monkeypatch.setattr(transmission, "kstar_matrix", lambda d: calls.append(d.n) or kstar(d))
+    after = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
+    assert calls == []
+    np.testing.assert_array_equal(after, before)
 
 
-def test_jacobian_at_a_point_other_than_the_last_evaluated(cfg, design, monkeypatch):
-    # trf differentiates only the point it has just evaluated; any other point is
-    # checked as an evaluation checks it, so a folded one gets the penalty's zero
+def test_sigma_only_reoptimisation_forms_one_elimination(monkeypatch):
+    # every step of the sigma_m-only re-optimisation keeps the geometry, so the kept
+    # elimination serves all of them: one elimination is two kstar_matrix calls
+    calls, kstar = [], transmission.kstar_matrix
+    monkeypatch.setattr(transmission, "kstar_matrix", lambda d: calls.append(d.n) or kstar(d))
+    (row,) = perturbation_study(0.2, 1.5, 5.0, 1.0, [0.1], nodes=64, reopt_budget=20)
+    assert row.valid and row.objective_reopt < row.objective_fixed
+    assert calls == [64, 64]
+
+
+def test_jac_differentiates_the_last_evaluation_only(cfg, design, monkeypatch):
+    # trf differentiates only the point it has just evaluated: jac differentiates
+    # that evaluation, is zero when it scored the penalty, and refuses any other point
     import scipy.optimize
 
     start, other, folded = (
@@ -390,12 +405,17 @@ def test_jacobian_at_a_point_other_than_the_last_evaluated(cfg, design, monkeypa
         for a2 in (0.02, 0.04, 0.9))
     got = {}
 
-    def one_step(fun, x0, jac, **kwargs):
+    def steps(fun, x0, jac, **kwargs):
         fun(x0)
-        got.update(other=jac(encode(other, cfg)), folded=jac(encode(folded, cfg)))
+        got["start"] = jac(x0)
+        with pytest.raises(RuntimeError, match="other than the last evaluated"):
+            jac(encode(other, cfg))
+        fun(encode(folded, cfg))
+        got["folded"] = jac(encode(folded, cfg))
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", one_step)
+    monkeypatch.setattr(scipy.optimize, "least_squares", steps)
     search(start, cfg, max_evals=10, target=1e-10)
     assert not np.any(got["folded"])
-    shapesearch._deviations(other, cfg)
-    np.testing.assert_array_equal(got["other"], shapesearch._jacobian(other, cfg, range(cfg.dim)))
+    _, evaluation = shapesearch._deviations(start, cfg)
+    np.testing.assert_array_equal(got["start"],
+                                  shapesearch._jacobian(evaluation, cfg, range(cfg.dim)))

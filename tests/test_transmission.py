@@ -1,5 +1,6 @@
 """Two-interface transmission solves and neutrality diagnostics."""
 
+import dataclasses
 import importlib.util
 import math
 import sys
@@ -213,12 +214,15 @@ def test_kept_elimination_holds_read_only_arrays(design_case):
     inc, _, p = design_case
     pairs = solve_both_axes(inc, p, n=64)
     (kept,) = transmission._kept.values()
-    d_in, d_out, *blocks, sides = kept
-    assert [b.shape for b in blocks] == [(64, 64)] * 4  # K*_in, C_oi, x_oi, the Schur part
-    grids = [getattr(d, f) for d in (d_in, d_out) for f in ("t", "nodes", "normals", "weights")]
-    for a in [*blocks, *(v for side in sides for v in side), *grids]:
+    blocks = (kept.k_in, kept.c_oi, kept.x_oi, kept.schur)
+    assert [b.shape for b in blocks] == [(64, 64)] * 4
+    grids = [getattr(d, f) for d in (kept.d_in, kept.d_out)
+             for f in ("t", "nodes", "normals", "weights")]
+    for a in [*blocks, *(v for side in kept.sides for v in side), *grids]:
         assert not a.flags.writeable
-    assert pairs[0].disc_outer is d_out
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kept.schur = None
+    assert pairs[0].disc_outer is kept.d_out
     with pytest.raises(ValueError, match="read-only"):
         pairs[0].disc_outer.weights[0] = 1.0
 
@@ -226,7 +230,7 @@ def test_kept_elimination_holds_read_only_arrays(design_case):
 def test_a_miss_frees_the_kept_elimination_before_building(design_case, monkeypatch):
     inc, _, p = design_case
     solve_both_axes(inc, p, n=64)
-    old = weakref.ref(next(iter(transmission._kept.values()))[2])
+    old = weakref.ref(next(iter(transmission._kept.values())).k_in)
     alive, real = [], transmission.kstar_matrix
 
     def kstar(disc):
@@ -440,6 +444,37 @@ def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
     assert not _same_densities(gmres, dense)
     monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
     assert _same_densities(solve_both_axes(inc, p, n=512), dense)
+
+
+def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch):
+    # THIN_FIELDS' 0.2-1.01-0.0-insulating-matrix-n512: the rotated residual falls
+    # below 1e-14 |b| within 10 iterations while rounding holds |b - Sx| at
+    # 1.4-2.2e-14 |b|, so GMRES gives up after a few checks (15 and 16 products)
+    # instead of running to its 60-iteration cap (112 and 113)
+    inc = confocal_pair(1.0, 0.2, 1.01)
+    p = ConductivityProfile(0.0, 1.0, (1e-8, 1e-12))
+    products, gmres = [], transmission._gmres
+
+    class Counting:
+        def __init__(self, a):
+            self.a = a
+
+        def __matmul__(self, v):
+            products[-1] += 1
+            return self.a @ v
+
+    def counting(block, contrast, d, b):
+        products.append(0)
+        x = gmres(Counting(block), contrast, d, b)
+        assert x is None
+        return x
+
+    monkeypatch.setattr(transmission, "_gmres", counting)
+    stalled = solve_both_axes(inc, p, n=512)
+    assert len(products) == 2 and max(products) <= 20, products
+    monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
+    assert _same_densities(stalled, solve_both_axes(inc, p, n=512))
+    assert len(products) == 2
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])

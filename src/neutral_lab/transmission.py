@@ -16,10 +16,12 @@ perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. The system is solved by eliminating the core block,
-which does not depend on mu; each axis then solves only the N x N coating
-Schur complement mu I + schur, a compact perturbation of mu I: from N = 512
-by unrestarted GMRES (`_gmres`), and densely on smaller grids, when GMRES
-gives up, and in the shape search's Jacobian. The elimination is an
+which does not depend on mu: densely below N = 512, and from N = 512 through
+the low Fourier modes of K*_inner by the Woodbury identity (`_core_solve`),
+densely again when their rank passes N/4. Each axis then solves only the N x N
+coating Schur complement mu I + schur, a compact perturbation of mu I: from
+N = 512 by unrestarted GMRES (`_gmres`), and densely on smaller grids, when
+GMRES gives up, and in the shape search's Jacobian. The elimination is an
 immutable value (`_Elimination`, four N x N float64 arrays: about 32 MB at
 N = 1024) that solves its coating cases and differentiates them. A one-slot
 memo keyed on both curves' coefficients, N, lam and the backgrounds holds it
@@ -74,6 +76,9 @@ _CORE_MIN = 5  # fewest core points: the quadratic fit of the Newtonian check ha
 _GMRES_NODES = 512
 _GMRES_TOL = 1e-14
 _GMRES_CAP = 60
+# from _GMRES_NODES nodes the core block is solved through K*_in's low Fourier modes,
+# cut after the last mode with a coefficient above _FOURIER_TOL times the largest
+_FOURIER_TOL = 1e-13
 
 
 def _check_core_shell(sigma_c: float, sigma_s: float) -> None:
@@ -218,7 +223,8 @@ class _Elimination:
 
     With A11 = lam I - K*_in, x_oi = A11^-1 C_oi and schur = -K*_out - C_io x_oi, psi solves
     (mu I + schur) psi = b, phi = y + x_oi psi; sides holds (dh/dnu on the core, y, b) per
-    background, y = A11^-1 b1 and b the coating right side plus C_io y.
+    background, y = A11^-1 b1 and b the coating right side plus C_io y. Every A11^-1, here
+    and in the Jacobian, is `_core_solve`: dense below N = 512, low-rank from there.
     """
 
     d_in: Discretization
@@ -276,8 +282,7 @@ class _Elimination:
                 fi -= (_mean_tangent(d.normals, dnu, d, t)
                        + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
                 f.append(fi)
-            v1 = _solve(_augment(-self.k_in, lam, d_in),
-                        f[0].transpose(1, 0, 2).reshape(n, -1), "transmission core block")
+            v1, = _core_solve(self.k_in, lam, d_in, f[0].transpose(1, 0, 2).reshape(n, -1))
             v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
             dphi[:, :, :dim] = v1
             c_io = normal_derivative_coupling(d_in, d_out)
@@ -303,19 +308,17 @@ _kept: dict = {}  # the last mu-free elimination under its key; a miss frees it 
 
 def _eliminate(d_in, d_out, parts, lam, backgrounds) -> _Elimination:
     """The `_Elimination` of the assembled blocks for core contrast lam."""
-    n2 = d_out.n
     k_in, k_out, c_oi, c_io = parts
     rhs = [tuple(np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
            for h in backgrounds]
     # the continuous right sides have exact mean zero; project off the
     # quadrature-level remainder so the rank-one terms see clean data
     b1 = np.column_stack([r - _weighted_mean(r, d_in.weights) for r, _ in rhs])
-    y = _solve(_augment(-k_in, lam, d_in), np.hstack([c_oi, b1]),
-               f"transmission core block (lam={lam})")
-    schur = -k_out - c_io @ y[:, :n2]
+    x_oi, y = _core_solve(k_in, lam, d_in, c_oi, b1)
+    schur = -k_out - c_io @ x_oi
     sides = tuple((r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1)
-                  for (r1, r2), y1 in zip(rhs, y[:, n2:].T))
-    x_oi = y[:, :n2].copy()  # keep only N x N blocks; holding y's odd size fragmented the heap
+                  for (r1, r2), y1 in zip(rhs, y.T))
+    x_oi = np.ascontiguousarray(x_oi)  # the dense solve's N x (N + 2) y fragmented the heap
     grids = [a for d in (d_in, d_out) for a in vars(d).values() if isinstance(a, np.ndarray)]
     for a in (k_in, c_oi, x_oi, schur, *(v for side in sides for v in side), *grids):
         a.flags.writeable = False
@@ -343,6 +346,39 @@ def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
     if contrast >= 0.0:
         a += d.weights / np.sum(d.weights)
     return a
+
+
+def _core_solve(k_in: np.ndarray, lam: float, d: Discretization, *blocks) -> list:
+    """A11^-1 applied to each block, where A11 = `_augment(-k_in, lam, d)` = lam I - L.
+
+    From _GMRES_NODES nodes, the real FFT of L's columns in the target variable is cut
+    after mode m - 1, past which every coefficient is within _FOURIER_TOL of the
+    largest: L ~ U G with U = [1, cos kt, sin kt] at the nodes, rank r = 2m - 1, and
+    A11^-1 = (I + U (lam I_r - G U)^-1 G) / lam (Woodbury). The weighted-mean term is
+    constant in the target, so it lies in mode 0. A rank past N/4, or a smaller grid,
+    takes the dense solve.
+    """
+    n, what = d.n, f"transmission core block (lam={lam})"
+    if n >= _GMRES_NODES:
+        f = np.fft.rfft(k_in, axis=0)
+        if lam >= 0.0:
+            f[0] -= n * d.weights / np.sum(d.weights)
+        size = np.max(np.abs(f), axis=1)
+        m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * np.max(size)))
+        if 2 * m - 1 <= n // 4:
+            kt = np.outer(d.t, np.arange(1, m))
+            u = np.hstack([np.ones((n, 1)), np.cos(kt), np.sin(kt)])
+            g = np.vstack([f[:1].real, 2.0 * f[1:m].real, -2.0 * f[1:m].imag]) / n
+            g = _solve(lam * np.eye(2 * m - 1) - g @ u, g, what)
+            out = []
+            for b in blocks:  # in place: no N x N temporaries beyond the result
+                y = u @ (g @ b)
+                y += b
+                y /= lam
+                out.append(y)
+            return out
+    y = _solve(_augment(-k_in, lam, d), np.hstack(blocks), what)
+    return np.split(y, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)
 
 
 def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray):

@@ -1,5 +1,6 @@
 """Derivative-free neutrality search over Laurent shapes and coatings."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -340,6 +341,19 @@ def test_jacobian_matches_central_differences(name, monkeypatch):
                         lambda *a: refined.append(a[1]) or interpolated(*a))
     exact = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
     assert len(refined) == (2 if name.startswith("refined") else 0)
+    fd = _central_differences(params, cfg)
+    err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
+    assert np.all(err <= 1e-6), err
+
+
+def test_jacobian_at_512_nodes_solves_the_core_as_its_evaluation_did(core_solves):
+    # from 512 nodes the core block is solved through K*_in's low Fourier modes (rank
+    # 105 at the first criterion-9 start); the Jacobian's core solve takes the same path
+    params, cfg = JACOBIAN_POINTS["criterion-9-sc5"]
+    cfg = dataclasses.replace(cfg, nodes=512)
+    _, evaluation = shapesearch._deviations(params, cfg)
+    exact = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
+    assert len(core_solves) == 2 and core_solves[0] == core_solves[1] <= 512 // 4
     fd = _central_differences(params, cfg)
     err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
     assert np.all(err <= 1e-6), err

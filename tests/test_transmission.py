@@ -418,15 +418,31 @@ def _full_system_solve(inc, p, n):
     return out
 
 
-@pytest.mark.parametrize("n", [64, 256, 512])
-@pytest.mark.parametrize("sigma_c", [0.0, 0.2, 5.0, math.inf])
-@pytest.mark.parametrize("am1, r0", [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)])
-def test_block_elimination_matches_full_system(am1, r0, sigma_c, n):
+# (am1, r0, sigma_c, n, low_rank). Below 512 nodes the core block is solved densely;
+# from 512 through K*_in's low Fourier modes, unless their rank passes N/4 (a-1 = 0.6
+# has rank 213 at 512 nodes and 215 at 1024, a-1 = 0.8 rank 489)
+ELIMINATION_CASES = [
+    *((am1, r0, sc, n, n >= 512 and am1 <= 0.2) for am1, r0 in [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)]
+      for sc in [0.0, 0.2, 5.0, math.inf] for n in [64, 256, 512]),
+    *((0.6, 1.5, sc, 512, False) for sc in [0.0, 0.2, 5.0, math.inf]),
+    (0.8, 1.5, 5.0, 512, False),
+    (0.0, 1.5, 0.0, 1024, True),
+    (0.2, 1.5, 5.0, 1024, True),
+    (0.6, 1.25, math.inf, 1024, True),
+]
+
+
+@pytest.mark.parametrize("am1, r0, sigma_c, n, low_rank", ELIMINATION_CASES,
+                         ids=["-".join(map(str, c[:4])) for c in ELIMINATION_CASES])
+def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, core_solves):
     # sigma_m on both sides of sigma_s = 1, so mu_1 > 0 > mu_2
     inc = confocal_pair(1.0, am1, r0)
     p = ConductivityProfile(sigma_c, 1.0, (0.5, 3.0))
     assert contrasts(p).mu[0] > 0.0 > contrasts(p).mu[1]
-    for pair, ref in zip(solve_both_axes(inc, p, n=n), _full_system_solve(inc, p, n)):
+    pairs = solve_both_axes(inc, p, n=n)
+    assert len(core_solves) == 1
+    assert (core_solves[0] <= n // 4) if low_rank else (core_solves[0] == n)
+    for pair, ref in zip(pairs, _full_system_solve(inc, p, n)):
         for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
             # the core flux vanishes for sigma_c = inf; dh/dnu is O(1) there
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
@@ -434,19 +450,22 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n):
 
 def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
     # a non-confocal coating needs more than one GMRES iteration, so a cap of 1
-    # falls back to the dense solve every grid below 512 nodes takes
+    # falls back to the dense solve every grid below 512 nodes takes. Every call
+    # reuses the kept elimination of the first, whose core block was solved densely
     inc = laurent_domain(LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5))
     p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
     dense = solve_both_axes(inc, p, n=512)
+    kept = list(transmission._kept.values())
     monkeypatch.setattr(transmission, "_GMRES_NODES", 512)
     gmres = solve_both_axes(inc, p, n=512)
     assert not _same_densities(gmres, dense)
     monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
     assert _same_densities(solve_both_axes(inc, p, n=512), dense)
+    assert list(transmission._kept.values()) == kept
 
 
-def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch):
+def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch, core_solves):
     # THIN_FIELDS' 0.2-1.01-0.0-insulating-matrix-n512: the rotated residual falls
     # below 1e-14 |b| within 10 iterations while rounding holds |b - Sx| at
     # 1.4-2.2e-14 |b|, so GMRES gives up after a few checks (15 and 16 products)
@@ -472,9 +491,14 @@ def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch):
     monkeypatch.setattr(transmission, "_gmres", counting)
     stalled = solve_both_axes(inc, p, n=512)
     assert len(products) == 2 and max(products) <= 20, products
+    # the second call reuses the kept elimination, so both solve its coating systems
+    # with the same low-rank core elimination, and only the coating path differs
+    assert len(core_solves) == 1 and core_solves[0] <= 512 // 4
+    kept = list(transmission._kept.values())
     monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
     assert _same_densities(stalled, solve_both_axes(inc, p, n=512))
     assert len(products) == 2
+    assert list(transmission._kept.values()) == kept
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])

@@ -185,11 +185,13 @@ def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, sel
     division. On the source's own grid (self_grid) the diagonal r2 reads 1
     and no target is refused.
     """
+    limit = None if self_grid else _near_zone(src, 0.0)[1]
+
     def rows(lo, hi):
         dx, dy, r2 = _offsets(pts[lo:hi], src.nodes)
         if self_grid:
             np.fill_diagonal(r2[:, lo:], 1.0)
-        elif _near_zone(src, math.sqrt(float(r2.min())))[0]:
+        elif math.sqrt(float(r2.min())) < limit:
             return None
         return _normal_kernel(src, normals[lo:hi], dx, dy, r2)
 

@@ -16,16 +16,12 @@ perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. The system is solved by eliminating the core block,
-which does not depend on mu: densely below N = 512, and from N = 512 through
-the low Fourier modes of K*_inner by the Woodbury identity (`_core_solve`),
-densely again when their rank passes N/4. Each axis then solves only the N x N
-coating Schur complement mu I + schur, a compact perturbation of mu I: from
-N = 512 by unrestarted GMRES (`_gmres`), and densely on smaller grids, when
-GMRES gives up, and in the shape search's Jacobian. The elimination is an
-immutable value (`_Elimination`, four N x N float64 arrays: about 32 MB at
-N = 1024) that solves its coating cases and differentiates them. A one-slot
-memo keyed on both curves' coefficients, N, lam and the backgrounds holds it
-for the public calls and the search's evaluations (a sigma_m sweep on one
+which does not depend on mu (`_core_solve`), then per axis the N x N coating
+Schur complement mu I + schur, a compact perturbation of mu I, by one method
+for the evaluation and the Jacobian (`_Elimination._coating`). The elimination
+is an immutable value (four N x N float64 arrays: about 32 MB at N = 1024) that
+a one-slot memo keyed on both curves' coefficients, N, lam and the backgrounds
+holds for the public calls and the search's evaluations (a sigma_m sweep on one
 geometry eliminates once); the search's last evaluation holds it for the Jacobian.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
@@ -224,7 +220,8 @@ class _Elimination:
     With A11 = lam I - K*_in, x_oi = A11^-1 C_oi and schur = -K*_out - C_io x_oi, psi solves
     (mu I + schur) psi = b, phi = y + x_oi psi; sides holds (dh/dnu on the core, y, b) per
     background, y = A11^-1 b1 and b the coating right side plus C_io y. Every A11^-1, here
-    and in the Jacobian, is `_core_solve`: dense below N = 512, low-rank from there.
+    and in the Jacobian, is `_core_solve`: dense below N = 512, low-rank from there. The
+    evaluation and the Jacobian solve their coating systems by one method, `_coating`.
     """
 
     d_in: Discretization
@@ -238,18 +235,27 @@ class _Elimination:
 
     def solve(self, cases) -> list[DensityPair]:
         """Densities for each case (mu, h, axis), in the order of the backgrounds."""
-        d_out, pairs = self.d_out, []
+        pairs = []
         for (mu, h, axis), (r1, y1, b2) in zip(cases, self.sides):
-            psi = _gmres(self.schur, mu, d_out, b2) if d_out.n >= _GMRES_NODES else None
-            if psi is None:
-                s = _augment(self.schur.copy(), mu, d_out)
-                psi = _solve(s, b2, f"transmission coating block (lam={self.lam}, mu={mu})")
-            phi = y1 + self.x_oi @ psi
+            phi, psi = self._coating(mu, y1, b2)
             if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
                 raise SolverError("transmission solve produced non-finite densities")
             flux = r1 + (self.k_in @ phi - 0.5 * phi) + self.c_oi @ psi
-            pairs.append(DensityPair(phi, psi, axis, h, self.d_in, d_out, flux))
+            pairs.append(DensityPair(phi, psi, axis, h, self.d_in, self.d_out, flux))
         return pairs
+
+    def _coating(self, mu: float, y: np.ndarray, b: np.ndarray):
+        """(phi, psi) with (mu I + schur) psi = b and phi = y + x_oi psi; b is (N,) or (N, k).
+
+        One right side from _GMRES_NODES nodes is solved by `_gmres`; several right
+        sides, a smaller grid, or GMRES giving up take one dense LU of the augmented copy.
+        """
+        krylov = b.ndim == 1 and self.d_out.n >= _GMRES_NODES
+        psi = _gmres(self.schur, mu, self.d_out, b) if krylov else None
+        if psi is None:
+            s = _augment(self.schur.copy(), mu, self.d_out)
+            psi = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})")
+        return y + self.x_oi @ psi, psi
 
     def probe_jacobian(self, inc: CoatedInclusion, p: ConductivityProfile, pairs, d_inner,
                        d_outer, sigma_axes) -> np.ndarray:
@@ -295,9 +301,7 @@ class _Elimination:
             sm, ss = p.sigma_m[axis - 1], p.sigma_s
             dpsi[axis - 1, :, c] = -psi[:, axis - 1] * sm * ss / (ss - sm) ** 2  # dmu/dlog sm
         for j, mu_j in enumerate(mu):
-            s = _augment(self.schur.copy(), mu_j, d_out)
-            dpsi[j] = _solve(s, dpsi[j], "transmission coating block")
-            dphi[j] += self.x_oi @ dpsi[j]
+            dphi[j], dpsi[j] = self._coating(mu_j, dphi[j], dpsi[j])
             jac[j] += (single_layer_off(d_in, dphi[j], probe)
                        + single_layer_off(d_out, dpsi[j], probe))
         return jac.reshape(-1, cols)
@@ -356,15 +360,23 @@ def _core_solve(k_in: np.ndarray, lam: float, d: Discretization, *blocks) -> lis
     largest: L ~ U G with U = [1, cos kt, sin kt] at the nodes, rank r = 2m - 1, and
     A11^-1 = (I + U (lam I_r - G U)^-1 G) / lam (Woodbury). The weighted-mean term is
     constant in the target, so it lies in mode 0. A rank past N/4, or a smaller grid,
-    takes the dense solve.
+    takes the dense solve, chosen before the whole transform when the largest-norm
+    column alone already has a coefficient past the cut in the modes that pass N/4.
     """
     n, what = d.n, f"transmission core block (lam={lam})"
     if n >= _GMRES_NODES:
-        f = np.fft.rfft(k_in, axis=0)
-        if lam >= 0.0:
-            f[0] -= n * d.weights / np.sum(d.weights)
-        size = np.max(np.abs(f), axis=1)
-        m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * np.max(size)))
+        mean = (lam >= 0.0) * n * d.weights / np.sum(d.weights)
+        # a coefficient past mode 0 is at most sqrt(N) times its column's 2-norm; with
+        # mode 0's largest added that bounds them all, with room for rounding, so a tail
+        # coefficient above _FOURIER_TOL times the bound means the dense solve
+        sq, m = np.einsum("ij,ij->j", k_in, k_in), n
+        tail = np.fft.rfft(k_in[:, np.argmax(sq)])[(n // 4 + 1) // 2 :]
+        bound = math.sqrt(n * np.max(sq)) + np.max(np.abs(np.sum(k_in, axis=0) - mean))
+        if np.max(np.abs(tail)) <= _FOURIER_TOL * bound:
+            f = np.fft.rfft(k_in, axis=0)
+            f[0] -= mean
+            size = np.max(np.abs(f), axis=1)
+            m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * np.max(size)))
         if 2 * m - 1 <= n // 4:
             kt = np.outer(d.t, np.arange(1, m))
             u = np.hstack([np.ones((n, 1)), np.cos(kt), np.sin(kt)])
@@ -385,20 +397,17 @@ def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray)
     """x solving `_augment(block.copy(), contrast, d)` x = b by unrestarted GMRES, or None.
 
     The product is block @ v + contrast v plus the weighted-mean term, so the
-    augmented copy is never formed. Arnoldi orthogonalises twice (CGS2) and
-    Givens rotations keep the small least-squares residual; once that reaches
+    augmented copy is never formed. Arnoldi orthogonalises twice (CGS2); each step
+    factors the small Hessenberg matrix H = QR, so the least-squares residual is
+    |b| |Q[0, k+1]| and y solves R y = |b| Q[0, :k+1]. Once that residual reaches
     _GMRES_TOL |b|, each step checks the true residual |b - A x| against the same
     bound. None after _GMRES_CAP iterations, or once a failed check's |b - A x| is
-    no smaller than the last one's: rounding holds it up while the rotated one falls.
+    no smaller than the last one's: rounding holds it up while |b| |Q[0, k+1]| falls.
     """
-    mean = d.weights / np.sum(d.weights) if contrast >= 0.0 else None
+    mean = d.weights / np.sum(d.weights) * (contrast >= 0.0)
 
     def apply(v):
-        out = block @ v
-        out += contrast * v
-        if mean is not None:
-            out += mean @ v
-        return out
+        return block @ v + contrast * v + mean @ v
 
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
@@ -406,32 +415,20 @@ def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray)
     tol = _GMRES_TOL * beta
     basis = np.empty((_GMRES_CAP + 1, len(b)))
     basis[0] = b / beta
-    rtri = np.zeros((_GMRES_CAP, _GMRES_CAP))  # the rotated Hessenberg matrix
-    cos, sin = np.zeros(_GMRES_CAP), np.zeros(_GMRES_CAP)
-    g = np.zeros(_GMRES_CAP + 1)
-    g[0] = beta
+    hess = np.zeros((_GMRES_CAP + 1, _GMRES_CAP))
     floor = math.inf  # the last failed check's true residual
     for k in range(_GMRES_CAP):
         v = apply(basis[k])
         for _ in range(2):
             c = basis[: k + 1] @ v
             v -= c @ basis[: k + 1]
-            rtri[: k + 1, k] += c
-        h = float(np.linalg.norm(v))
-        for i in range(k):  # the earlier rotations, then one that zeroes h
-            hi, hj = rtri[i, k], rtri[i + 1, k]
-            rtri[i, k], rtri[i + 1, k] = cos[i] * hi + sin[i] * hj, cos[i] * hj - sin[i] * hi
-        r = math.hypot(rtri[k, k], h)
-        if r == 0.0:
+            hess[: k + 1, k] += c
+        h = hess[k + 1, k] = float(np.linalg.norm(v))
+        q, r = np.linalg.qr(hess[: k + 2, : k + 1], mode="complete")
+        if r[k, k] == 0.0:
             return None
-        cos[k], sin[k] = rtri[k, k] / r, h / r
-        rtri[k, k] = r
-        g[k], g[k + 1] = cos[k] * g[k], -sin[k] * g[k]
-        if abs(g[k + 1]) <= tol:
-            y = np.zeros(k + 1)
-            for i in range(k, -1, -1):
-                y[i] = (g[i] - rtri[i, i + 1 : k + 1] @ y[i + 1 :]) / rtri[i, i]
-            x = y @ basis[: k + 1]
+        if beta * abs(q[0, k + 1]) <= tol:
+            x = np.linalg.solve(r[: k + 1], beta * q[0, : k + 1]) @ basis[: k + 1]
             res = float(np.linalg.norm(b - apply(x)))
             if res <= tol:
                 return x

@@ -448,11 +448,84 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, co
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
 
+# cores whose K*_in has Fourier rank 489 and 469 at 512 nodes
+HIGH_RANK = {"confocal-0.8": lambda: confocal_pair(1.0, 0.8, 1.5),
+             "laurent": lambda: laurent_domain(LaurentMap({1: 1, -1: 0.3, -3: 0.1, 2: -0.08}, 1.5))}
+
+
+@pytest.mark.parametrize("name", HIGH_RANK)
+def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatch, core_solves):
+    # the column of largest norm already has a coefficient past the rank cut, so
+    # K*_in is solved densely with that one column transformed
+    inc = HIGH_RANK[name]()
+    shapes, rfft = [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: shapes.append(a.shape)
+                        or rfft(a, *args, **kw))
+    d = discretize(inc.inner, 512)
+    k_in, b = transmission.kstar_matrix(d), d.normals
+    x, = transmission._core_solve(k_in, 0.5, d, b)
+    assert core_solves == [512] and shapes == [(512,)]
+    assert np.array_equal(x, np.linalg.solve(transmission._augment(-k_in, 0.5, d), b))
+
+
+# a non-confocal coating: its uniform-field right sides take 6 GMRES steps at 512 nodes
+LAURENT = LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5)
+
+
+class _Counting:
+    """A block whose products add one to the last entry of a list."""
+
+    def __init__(self, a, products):
+        self.a, self.products = a, products
+
+    def __matmul__(self, v):
+        self.products[-1] += 1
+        return self.a @ v
+
+
+def _coating_system(inc):
+    """(schur, d_out, axis-1 coating right side, mu) of a 64-node elimination of inc."""
+    p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    elim, _ = transmission._solved(inc, p, 64)
+    return elim.schur, elim.d_out, elim.sides[0][2], contrasts(p).mu
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_gmres_agrees_with_the_dense_solve(axis):
+    # mu_1 = 1.5 adds the weighted-mean term to the product, mu_2 = -1 does not
+    schur, d, _, mu = _coating_system(laurent_domain(LAURENT))
+    b = np.random.default_rng(3).standard_normal(64)
+    x = transmission._gmres(schur, mu[axis], d, b)
+    want = np.linalg.solve(transmission._augment(schur.copy(), mu[axis], d), b)
+    assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(transmission._gmres(schur, mu[axis], d, np.zeros(64)), np.zeros(64))
+
+
+def test_gmres_converges_in_one_step_on_a_one_step_krylov_space():
+    # on concentric disks the coating right side of a uniform field is cos t, an
+    # eigenvector of the rotation-invariant Schur part: one step and one true-residual check
+    schur, d, b, mu = _coating_system(confocal_pair(1.0, 0.0, 1.5))
+    products = [0]
+    x = transmission._gmres(_Counting(schur, products), mu[0], d, b)
+    assert products == [2]
+    want = np.linalg.solve(transmission._augment(schur.copy(), mu[0], d), b)
+    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_gmres_past_its_cap_returns_none(monkeypatch):
+    schur, d, _, mu = _coating_system(laurent_domain(LAURENT))
+    b = np.random.default_rng(3).standard_normal(64)
+    monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
+    products = [0]
+    assert transmission._gmres(_Counting(schur, products), mu[1], d, b) is None
+    assert products == [1]
+
+
 def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
     # a non-confocal coating needs more than one GMRES iteration, so a cap of 1
     # falls back to the dense solve every grid below 512 nodes takes. Every call
     # reuses the kept elimination of the first, whose core block was solved densely
-    inc = laurent_domain(LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5))
+    inc = laurent_domain(LAURENT)
     p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
     dense = solve_both_axes(inc, p, n=512)
@@ -466,25 +539,17 @@ def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
 
 
 def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch, core_solves):
-    # THIN_FIELDS' 0.2-1.01-0.0-insulating-matrix-n512: the rotated residual falls
-    # below 1e-14 |b| within 10 iterations while rounding holds |b - Sx| at
-    # 1.4-2.2e-14 |b|, so GMRES gives up after a few checks (15 and 16 products)
-    # instead of running to its 60-iteration cap (112 and 113)
+    # THIN_FIELDS' 0.2-1.01-0.0-insulating-matrix-n512: the least-squares residual
+    # falls below 1e-14 |b| after about 10 iterations while rounding holds |b - Sx| at
+    # 1.4-2.2e-14 |b|, so GMRES gives up after a few checks (20 and 13 products)
+    # instead of running to its 60-iteration cap
     inc = confocal_pair(1.0, 0.2, 1.01)
     p = ConductivityProfile(0.0, 1.0, (1e-8, 1e-12))
     products, gmres = [], transmission._gmres
 
-    class Counting:
-        def __init__(self, a):
-            self.a = a
-
-        def __matmul__(self, v):
-            products[-1] += 1
-            return self.a @ v
-
     def counting(block, contrast, d, b):
         products.append(0)
-        x = gmres(Counting(block), contrast, d, b)
+        x = gmres(_Counting(block, products), contrast, d, b)
         assert x is None
         return x
 

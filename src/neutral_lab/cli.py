@@ -44,6 +44,7 @@ from .geometry import (
     make_ellipse,
 )
 from .transmission import (
+    DEFAULT_NODES,
     ConductivityProfile,
     HarmonicPoly,
     decay_exponent,
@@ -356,7 +357,7 @@ def _given(sect: dict, *keys: str) -> dict:
 
 
 def _numerics(cfg: dict) -> dict:
-    return {"nodes": 256, "probe_radius": None, "tol": 1e-9, **cfg.get("numerics", {})}
+    return {"nodes": DEFAULT_NODES, "probe_radius": None, "tol": 1e-9, **cfg.get("numerics", {})}
 
 
 def _neutrality(cfg, inc, prof) -> dict:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DesignError, ValidationError
 from .geometry import CoatedInclusion, _validate_confocal_params, area, discretize
 from .report import Report
-from .transmission import ConductivityProfile, _check_core_shell, _core_contrast
+from .transmission import DEFAULT_NODES, ConductivityProfile, _check_core_shell, _core_contrast
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def reciprocal_dual(p: ConductivityProfile, axis: int = 1) -> ConductivityProfil
     return ConductivityProfile.isotropic(inv_c, 1.0 / p.sigma_s, inv_m)
 
 
-def check_area_relation(dr: DesignResult, inc: CoatedInclusion, n: int = 256) -> float:
+def check_area_relation(dr: DesignResult, inc: CoatedInclusion, n: int = DEFAULT_NODES) -> float:
     """|2 lam/(mu1 + mu2) + |D|/|Omega|| with areas from boundary quadrature.
 
     Zero (to quadrature accuracy) for any correctly designed configuration:

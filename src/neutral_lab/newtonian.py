@@ -35,7 +35,7 @@ from .layerpot import (
     single_layer_on_boundary,
 )
 from .report import Report
-from .transmission import _core_grid, _far_probe
+from .transmission import DEFAULT_NODES, _core_grid, _far_probe
 
 _SHELL_POINTS = 32  # mid-shell points of the harmonicity check
 _STEP_FACTOR = 2e-4  # five-point Laplacian step, in outer diameters
@@ -113,7 +113,8 @@ def fit_quadratic(pts: np.ndarray, values: np.ndarray) -> QuadraticFit:
     return QuadraticFit(*(float(c) for c in coef), rms)
 
 
-def combined_identity_check(inc: CoatedInclusion, dr, n: int = 256) -> CombinedIdentityReport:
+def combined_identity_check(inc: CoatedInclusion, dr,
+                            n: int = DEFAULT_NODES) -> CombinedIdentityReport:
     """Fit N_D - f N_Omega inside D and test its constancy outside Omega.
 
     dr supplies the area fraction f and the contrast difference mu1 - mu2
@@ -161,7 +162,8 @@ def _shell_midpoints(inc: CoatedInclusion) -> np.ndarray:
     return np.column_stack([z.real, z.imag])
 
 
-def free_bvp_residual(inc: CoatedInclusion, f: float, shear: float, n: int = 256) -> FreeBvpReport:
+def free_bvp_residual(inc: CoatedInclusion, f: float, shear: float,
+                      n: int = DEFAULT_NODES) -> FreeBvpReport:
     """Check w = (f/2)|x|^2 + 2(N_D - f N_Omega) against its free problem.
 
     Harmonicity is measured by a five-point Laplacian at 32 mid-shell points

@@ -10,13 +10,14 @@ vanishes exactly on neutral configurations; the reported objective is the
 summed squared maximum deviation of the two axes.
 
 The optimizer is scipy's bounded trust-region reflective least squares
-(method "trf") with the exact Jacobian of the discrete residual. trf calls
-jac only at the point it has just evaluated and accepted, so the search
-keeps its last evaluation (elimination and densities) and differentiates
-that. A start whose geometry fails is refused; any later point whose
-geometry or solve fails gets a constant residual larger than any feasible
-one, and a zero Jacobian, so the trust region rejects the step. Everything
-is deterministic: no randomness enters the search.
+(method "trf") with the exact Jacobian of the discrete residual, formed here
+from the solver's derivative of the densities. trf calls jac only at the point
+it has just evaluated and accepted, so the search keeps its last evaluation
+(elimination, densities and probe circle) and differentiates that. A start
+whose geometry fails is refused; any later point whose geometry or solve
+fails gets a constant residual larger than any feasible one, and a zero
+Jacobian, so the trust region rejects the step. Everything is deterministic:
+no randomness enters the search.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .geometry import Curve, LaurentMap, laurent_domain
+from .geometry import Curve, LaurentMap, discretize_tangent, laurent_domain
+from .layerpot import single_layer_off, single_layer_off_tangent
 from .report import OMIT, Report
-from .transmission import PROBE_POINTS, ConductivityProfile, _check_core_shell, _far_probe
-from .transmission import _scattered_values, _solved
+from .transmission import _PROBE_SCALE, PROBE_POINTS, ConductivityProfile, _check_core_shell
+from .transmission import _far_probe, _scattered_values, _solved, contrasts
 from .transmission import eval_u, solve_both_axes  # noqa: F401  (bench/spans.py patches both here)
 
 PENALTY = 1.0e6
@@ -147,22 +149,25 @@ def _deviations(params: ShapeParams, cfg: SearchConfig):
     """Exterior deviations u - x_j per axis on the standard probe circle, and their solve."""
     inc = laurent_domain(params.laurent_map(), samples=_CHECK_SAMPLES)
     profile = _profile(params, cfg)
-    _, probe = _far_probe(inc, None)
+    radius, probe = _far_probe(inc, None)
     elim, pairs = _solved(inc, profile, cfg.nodes)
     out = [_scattered_values(pair, probe) for pair in pairs]
     if not all(np.all(np.isfinite(d)) for d in out):
         raise SolverError("non-finite field on the probe circle")
-    return out, (inc, profile, elim, pairs)
+    return out, (inc, profile, elim, pairs, radius, probe)
 
 
 def _jacobian(evaluation, cfg: SearchConfig, vary) -> np.ndarray:
     """Exact derivative of the stacked deviations of `evaluation` (from `_deviations`).
 
     vary lists the unknowns (ascending). The boundary images are linear in each
-    a_n (dc = r^n e^{int} on |zeta| = r); r0 moves the outer one by n a_n r0^(n-1) e^{int}.
+    a_n (dc = r^n e^{int} on |zeta| = r); r0 moves the outer one by n a_n r0^(n-1) e^{int},
+    and log sigma_m^j moves mu_j by sigma_s sigma_m^j / (sigma_s - sigma_m^j)^2. The rows
+    S_in[phi] + S_out[psi] move with the densities (`solve_tangent`), both grids and the
+    probe radius, _PROBE_SCALE outer max radii, at its active sample.
     """
-    inc, profile, elim, pairs = evaluation
-    m = inc.origin
+    inc, profile, elim, pairs, radius, probe = evaluation
+    m, d_in, d_out = inc.origin, pairs[0].disc_inner, pairs[0].disc_outer
     orders, k = cfg.coeff_orders, len(cfg.coeff_orders)
     d_inner = [Curve(np.ones(1, complex), orders[i]) for i in vary if i < k]
     d_outer = [Curve(np.full(1, m.r0 ** orders[i], complex), orders[i]) for i in vary if i < k]
@@ -171,8 +176,19 @@ def _jacobian(evaluation, cfg: SearchConfig, vary) -> np.ndarray:
         d_inner.append(Curve(np.zeros(1, complex), 0))
         d_outer.append(Curve(out.coeffs * np.arange(out.k_min, out.k_min + len(out.coeffs)) / m.r0,
                              out.k_min))
-    sigma_axes = [i - k for i in vary if i > k]
-    return elim.probe_jacobian(inc, profile, pairs, d_inner, d_outer, sigma_axes)
+    t_in, t_out = discretize_tangent(d_in, d_inner), discretize_tangent(d_out, d_outer)
+    ss, sm = profile.sigma_s, np.array(profile.sigma_m)
+    dmu = np.eye(2)[:, [i - k - 1 for i in vary if i > k]] * (ss * sm / (ss - sm) ** 2)[:, None]
+    dphi, dpsi = elim.solve_tangent(pairs, contrasts(profile).mu, t_in, t_out, dmu)
+    jac = np.stack([single_layer_off(d_in, dphi[j], probe) + single_layer_off(d_out, dpsi[j], probe)
+                    for j in range(2)])
+    if d_inner:
+        phi, psi = (np.column_stack([getattr(q, a) for q in pairs]) for a in ("phi", "psi"))
+        dprobe = _PROBE_SCALE * inc.outer.max_radius_tangent(d_outer)[:, None] * (
+            probe[:, 0] + 1j * probe[:, 1]) / radius
+        jac[..., :len(d_inner)] += (single_layer_off_tangent(d_in, t_in, phi, probe, dprobe)
+                                    + single_layer_off_tangent(d_out, t_out, psi, probe, dprobe)).T
+    return jac.reshape(-1, jac.shape[2])
 
 
 def residuals(params: ShapeParams, cfg: SearchConfig) -> tuple[float, float]:
@@ -230,8 +246,8 @@ def _least_squares(x, vary, bounds, cfg, max_evals, target):
     """
     import scipy.optimize  # deferred: it costs more to import than the whole package
 
-    if max_evals < 1:
-        raise ValidationError("the evaluation budget must be positive")
+    if not isinstance(max_evals, numbers.Integral) or isinstance(max_evals, bool) or max_evals < 1:
+        raise ValidationError(f"the evaluation budget must be an integer >= 1, got {max_evals!r}")
     x = np.array(x, dtype=float)
     vary = list(vary)
     failed = np.full(2 * PROBE_POINTS, math.sqrt(PENALTY))
@@ -303,8 +319,8 @@ def search(
     reached; the incumbent best point and the best-so-far history are
     returned either way.
     """
-    if target <= 0:
-        raise ValidationError("target must be positive")
+    if not (math.isfinite(target) and target > 0):
+        raise ValidationError(f"target must be positive and finite, got {target!r}")
     x0 = encode(start, cfg)
     if not _in_box(x0, cfg):
         (llo, lhi), (rlo, rhi) = SIGMA_BOUNDS, R0_BOUNDS

@@ -18,11 +18,11 @@ added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. The system is solved by eliminating the core block,
 which does not depend on mu (`_core_solve`), then per axis the N x N coating
 Schur complement mu I + schur, a compact perturbation of mu I, by one method
-for the evaluation and the Jacobian (`_Elimination._coating`). The elimination
+for the solve and its derivative (`_Elimination._coating`). The elimination
 is an immutable value (four N x N float64 arrays: about 32 MB at N = 1024) that
 a one-slot memo keyed on both curves' coefficients, N, lam and the backgrounds
 holds for the public calls and the search's evaluations (a sigma_m sweep on one
-geometry eliminates once); the search's last evaluation holds it for the Jacobian.
+geometry eliminates once); the search's last evaluation holds it for its Jacobian.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -47,7 +47,6 @@ from .geometry import (
     GridTangent,
     _winding,
     discretize,
-    discretize_tangent,
 )
 from .layerpot import (
     _near_zone,
@@ -60,12 +59,12 @@ from .layerpot import (
     single_layer_grad_near,  # no caller here: bench/spans.py traces this name
     single_layer_grad_off,
     single_layer_off,
-    single_layer_off_tangent,
 )
 from .report import Report
 
 DEFAULT_NODES = 256
 PROBE_POINTS = 64
+_PROBE_SCALE = 3.0  # the default probe radius, in outer max radii
 _CORE_MIN = 5  # fewest core points: the quadratic fit of the Newtonian check has 5 unknowns
 # coating solves on grids of at least _GMRES_NODES nodes use GMRES, which stops
 # once the true residual is within _GMRES_TOL of |b|, or at _GMRES_CAP iterations
@@ -219,9 +218,9 @@ class _Elimination:
 
     With A11 = lam I - K*_in, x_oi = A11^-1 C_oi and schur = -K*_out - C_io x_oi, psi solves
     (mu I + schur) psi = b, phi = y + x_oi psi; sides holds (dh/dnu on the core, y, b) per
-    background, y = A11^-1 b1 and b the coating right side plus C_io y. Every A11^-1, here
-    and in the Jacobian, is `_core_solve`: dense below N = 512, low-rank from there. The
-    evaluation and the Jacobian solve their coating systems by one method, `_coating`.
+    background, y = A11^-1 b1 and b the coating right side plus C_io y. Every A11^-1 is
+    `_core_solve`: dense below N = 512, low-rank from there. `solve_tangent` differentiates
+    `solve`'s densities only (what they feed is the caller's); both share `_coating`.
     """
 
     d_in: Discretization
@@ -257,25 +256,18 @@ class _Elimination:
             psi = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})")
         return y + self.x_oi @ psi, psi
 
-    def probe_jacobian(self, inc: CoatedInclusion, p: ConductivityProfile, pairs, d_inner,
-                       d_outer, sigma_axes) -> np.ndarray:
-        """Derivative of the probe deviations u - x_j of `pairs`, this solve of inc under p.
+    def solve_tangent(self, pairs, mu, t_in: GridTangent, t_out: GridTangent, dmu):
+        """(dphi, dpsi), each (2, N, D + C): the derivative of `pairs`, solved here at mu.
 
-        Rows: `_scattered_values` on the default `_far_probe` circle, axis 1 then 2.
-        Columns: one per shape direction d, in which the core and coating curves'
-        coefficients move by d_inner[d] and d_outer[d], then one per log sigma_m^j
-        for j in sigma_axes. x = (phi, psi) moves by dx = -A^-1 (dA x - db), and the
-        probe radius (3 outer max radii) moves at its active sample.
+        Columns: one per direction of the grid tangents t_in and t_out (the same D), then
+        one per column of dmu (2, C), which moves mu_j by dmu[j]. dx = -A^-1 (dA x - db).
         """
-        d_in, d_out, lam, mu, n = self.d_in, self.d_out, self.lam, contrasts(p).mu, self.d_in.n
+        d_in, d_out, lam, n = self.d_in, self.d_out, self.lam, self.d_in.n
         phi = np.column_stack([q.phi for q in pairs])
         psi = np.column_stack([q.psi for q in pairs])
-        radius, probe = _far_probe(inc, None)
-        dim, cols = len(d_inner), len(d_inner) + len(sigma_axes)
+        dim, cols = len(t_in.curves), len(t_in.curves) + dmu.shape[1]
         dphi, dpsi = np.zeros((2, n, cols)), np.zeros((2, n, cols))
-        jac = np.zeros((2, len(probe), cols))
         if dim:
-            t_in, t_out = discretize_tangent(d_in, d_inner), discretize_tangent(d_out, d_outer)
             # db - dA x per direction and axis; db is the coordinate fields' normal
             # derivative, nu_j, less its weighted mean
             f = []
@@ -293,18 +285,10 @@ class _Elimination:
             dphi[:, :, :dim] = v1
             c_io = normal_derivative_coupling(d_in, d_out)
             dpsi[:, :, :dim] = f[1].transpose(2, 1, 0) + c_io @ v1
-            dprobe = 3.0 * inc.outer.max_radius_tangent(d_outer)[:, None] * (
-                probe[:, 0] + 1j * probe[:, 1]) / radius
-            jac[..., :dim] = (single_layer_off_tangent(d_in, t_in, phi, probe, dprobe)
-                              + single_layer_off_tangent(d_out, t_out, psi, probe, dprobe)).T
-        for c, axis in enumerate(sigma_axes, start=dim):
-            sm, ss = p.sigma_m[axis - 1], p.sigma_s
-            dpsi[axis - 1, :, c] = -psi[:, axis - 1] * sm * ss / (ss - sm) ** 2  # dmu/dlog sm
+        dpsi[:, :, dim:] = -psi.T[:, :, None] * dmu[:, None, :]
         for j, mu_j in enumerate(mu):
             dphi[j], dpsi[j] = self._coating(mu_j, dphi[j], dpsi[j])
-            jac[j] += (single_layer_off(d_in, dphi[j], probe)
-                       + single_layer_off(d_out, dpsi[j], probe))
-        return jac.reshape(-1, cols)
+        return dphi, dpsi
 
 
 _kept: dict = {}  # the last mu-free elimination under its key; a miss frees it first
@@ -495,17 +479,15 @@ def eval_u(
     signature stays because benchmark code calls it with these arguments.
     """
     pts = _targets_xy(points)
-    vals = (
-        pair.h.value(pts)
-        + single_layer_off(pair.disc_inner, pair.phi, pts)
-        + single_layer_off(pair.disc_outer, pair.psi, pts)
-    )
-    grads = (
-        pair.h.gradient(pts)
-        + single_layer_grad_off(pair.disc_inner, pair.phi, pts)
-        + single_layer_grad_off(pair.disc_outer, pair.psi, pts)
-    )
-    return vals, grads
+    vals = (pair.h.value(pts) + single_layer_off(pair.disc_inner, pair.phi, pts)
+            + single_layer_off(pair.disc_outer, pair.psi, pts))
+    return vals, _gradient(pair, pts)
+
+
+def _gradient(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
+    """grad u at (m, 2) points outside both near zones."""
+    return (pair.h.gradient(pts) + single_layer_grad_off(pair.disc_inner, pair.phi, pts)
+            + single_layer_grad_off(pair.disc_outer, pair.psi, pts))
 
 
 def _probe_radius(radius) -> float:
@@ -519,11 +501,11 @@ def _probe_radius(radius) -> float:
 def _far_probe(inc: CoatedInclusion, radius: float | None) -> tuple[float, np.ndarray]:
     """(radius, points) of the PROBE_POINTS-point probe circle.
 
-    The radius is 3 outer max radii by default and at least 2; its squared
-    distance to the inclusion must stay a finite float.
+    The radius is _PROBE_SCALE outer max radii by default and at least 2; its
+    squared distance to the inclusion must stay a finite float.
     """
     r_out = inc.outer.max_radius()
-    radius = 3.0 * r_out if radius is None else _probe_radius(radius)
+    radius = _PROBE_SCALE * r_out if radius is None else _probe_radius(radius)
     if not math.isfinite(radius):
         raise ValidationError(f"probe radius must be finite, got {radius}")
     if radius < 2.0 * r_out:
@@ -637,8 +619,7 @@ def neutrality_report(
     core = _core_grid(inc, pairs[0].disc_inner, pairs[0].disc_outer)
     axes = []
     for pair in pairs:
-        axis = pair.axis
-        j = axis - 1
+        j = pair.axis - 1
 
         residual = float(np.max(np.abs(_scattered_values(pair, probe))))
 
@@ -647,7 +628,7 @@ def neutrality_report(
             + pair.disc_outer.nodes.T @ (pair.psi * pair.disc_outer.weights)
         )
 
-        _, grads = eval_u(inc, pair, p, core)
+        grads = _gradient(pair, core)
         gmean = grads.mean(axis=0)
         gdev = float(np.max(np.linalg.norm(grads - gmean, axis=1)))
         slope_measured = float(gmean[j])
@@ -670,7 +651,7 @@ def neutrality_report(
         )
         axes.append(
             AxisReport(
-                axis=axis,
+                axis=pair.axis,
                 residual=residual,
                 first_moment=(float(moment[0]), float(moment[1])),
                 core_gradient_mean=(float(gmean[0]), float(gmean[1])),

@@ -163,6 +163,23 @@ def test_search_reports_nonconvergence(cfg, design):
         search(start, cfg, target=0.0)
 
 
+@pytest.mark.parametrize("stop", [
+    {"target": math.inf}, {"target": math.nan}, {"max_evals": math.nan}, {"max_evals": 2.5},
+], ids=["target=inf", "target=nan", "max_evals=nan", "max_evals=2.5"])
+def test_search_refuses_a_stop_it_cannot_reach_or_count(cfg, design, stop):
+    # an infinite target stopped at the first point and a NaN one never stopped; a NaN
+    # budget ran on without end, and a fractional one was taken as given
+    start = ShapeParams(coeffs={-2: 0.02, -1: 0.2, 2: 0.03}, r0=1.5, sigma_m=design.sigma_m)
+    with pytest.raises(ValidationError):
+        search(start, cfg, **stop)
+
+
+@pytest.mark.parametrize("budget", [math.nan, 2.5, 0, True])
+def test_perturbation_study_refuses_a_budget_that_is_not_a_count(budget):
+    with pytest.raises(ValidationError, match="evaluation budget"):
+        perturbation_study(0.2, 1.5, 5.0, 1.0, [0.1], nodes=64, reopt_budget=budget)
+
+
 def test_perturbation_study_monotone():
     rows = perturbation_study(0.2, 1.5, 5.0, 1.0, [0.0, 0.05, 0.1], nodes=64, reopt_budget=200)
     assert [r.amplitude for r in rows] == [0.0, 0.05, 0.1]
@@ -354,6 +371,18 @@ def test_jacobian_at_512_nodes_solves_the_core_as_its_evaluation_did(core_solves
     _, evaluation = shapesearch._deviations(params, cfg)
     exact = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
     assert len(core_solves) == 2 and core_solves[0] == core_solves[1] <= 512 // 4
+    fd = _central_differences(params, cfg)
+    err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
+    assert np.all(err <= 1e-6), err
+
+
+def test_jacobian_differentiates_mu_at_a_shell_conductivity_other_than_one():
+    # every JACOBIAN_POINTS case has sigma_s = 1, which hides the factor sigma_s of
+    # dmu/dlog sigma_m = sigma_s sigma_m / (sigma_s - sigma_m)^2
+    params, cfg = JACOBIAN_POINTS["criterion-9-sc5"]
+    cfg = dataclasses.replace(cfg, sigma_s=2.5)
+    _, evaluation = shapesearch._deviations(params, cfg)
+    exact = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
     fd = _central_differences(params, cfg)
     err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
     assert np.all(err <= 1e-6), err

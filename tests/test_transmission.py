@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neutral_lab import transmission
+from neutral_lab import layerpot, transmission
 from neutral_lab.errors import (
     GeometryError,
     SolverError,
@@ -19,10 +19,12 @@ from neutral_lab.errors import (
 )
 from neutral_lab.geometry import (
     CoatedInclusion,
+    Curve,
     LaurentMap,
     _winding,
     confocal_pair,
     discretize,
+    discretize_tangent,
     laurent_domain,
     make_ellipse,
 )
@@ -636,3 +638,66 @@ def test_core_grid_refuses_too_few_core_points(scale):
     d_in, d_out = discretize(inc.inner, 64), discretize(inc.outer, 64)
     with pytest.raises(GeometryError, match="^only 1 of 17 core sample points"):
         transmission._core_grid(inc, d_in, d_out, factors=(scale,))
+
+
+def _moved(curve: Curve, dc: Curve, s: float) -> Curve:
+    """The curve whose coefficients are those of curve plus s times those of dc."""
+    lo = min(curve.k_min, dc.k_min)
+    hi = max(curve.k_min + len(curve.coeffs), dc.k_min + len(dc.coeffs))
+    coeffs = np.zeros(hi - lo, complex)
+    for c, w in ((curve, 1.0), (dc, s)):
+        coeffs[c.k_min - lo : c.k_min - lo + len(c.coeffs)] += w * c.coeffs
+    return Curve(coeffs, lo)
+
+
+def _densities(inc, p, n) -> np.ndarray:
+    """(phi, psi) of both axes' solves, shape (axis, density, node)."""
+    return np.array([[q.phi, q.psi] for q in transmission._solved(inc, p, n)[1]])
+
+
+# (inner, outer) coefficient perturbations: the core alone, the coating alone, both
+TANGENT_DIRECTIONS = [
+    (Curve(np.array([0.3, 0.5j, 0.0, 0.2]), -2), Curve(np.zeros(1, complex), 0)),
+    (Curve(np.zeros(1, complex), 0), Curve(np.array([0.1j, 0.4, 0.0, -0.3]), -2)),
+    (Curve(np.array([0.2, -0.1j]), -1), Curve(np.array([0.5, 0.2]), 2)),
+]
+SOLVE_TANGENT_CASES = {  # (map, sigma_c, N): lam = 3/4, -1/2 and 1/2
+    "laurent-n64": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 5.0, 64),
+    "refined-r0=1.08-n64": (LaurentMap({1: 1.0, -1: 0.2, 2: -0.03, -2: 0.02}, 1.08), 0.0, 64),
+    "low-rank-core-n512": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), math.inf, 512),
+}
+
+
+@pytest.mark.parametrize("name", SOLVE_TANGENT_CASES)
+def test_solve_tangent_matches_central_differences_of_the_densities(name, monkeypatch,
+                                                                      core_solves):
+    # the derivative of the densities alone, no probe: three shape directions, then
+    # log sigma_m^1 and log sigma_m^2 through dmu/dlog sm = ss sm / (ss - sm)^2;
+    # sigma_m^1 < sigma_s < sigma_m^2 augments the coating block on axis 1 only
+    m, sigma_c, n = SOLVE_TANGENT_CASES[name]
+    ss, sm, h = 1.0, np.array([0.7, 2.0]), 1e-6
+    inc, p = laurent_domain(m), ConductivityProfile(sigma_c, ss, tuple(sm))
+    elim, pairs = transmission._solved(inc, p, n)
+    t_in, t_out = (discretize_tangent(d, [dc[i] for dc in TANGENT_DIRECTIONS])
+                   for i, d in enumerate((elim.d_in, elim.d_out)))
+    refined, interpolated = [], layerpot._interpolated  # one per refined coupling derivative
+    monkeypatch.setattr(layerpot, "_interpolated",
+                        lambda *a: refined.append(a[1]) or interpolated(*a))
+    dphi, dpsi = elim.solve_tangent(pairs, contrasts(p).mu, t_in, t_out,
+                                    np.diag(ss * sm / (ss - sm) ** 2))
+    assert len(refined) == (2 if name.startswith("refined") else 0)
+    # the derivative solves the core as the evaluation did: low rank from 512 nodes
+    assert core_solves == [core_solves[0]] * 2
+    assert (core_solves[0] <= n // 4) == (n >= 512)
+    fd = []
+    for inner, outer in TANGENT_DIRECTIONS:
+        plus, minus = (CoatedInclusion(_moved(inc.inner, inner, s), _moved(inc.outer, outer, s))
+                       for s in (h, -h))
+        fd.append(_densities(plus, p, n) - _densities(minus, p, n))
+    for step in np.exp(h * np.eye(2)):
+        plus, minus = (dataclasses.replace(p, sigma_m=tuple(v)) for v in (sm * step, sm / step))
+        fd.append(_densities(inc, plus, n) - _densities(inc, minus, n))
+    fd = np.stack(fd, axis=-1).reshape(-1, 5) / (2 * h)
+    exact = np.stack([dphi, dpsi], axis=1).reshape(-1, 5)
+    err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
+    assert np.all(err <= 1e-6), err

@@ -235,6 +235,11 @@ class SearchResult(Report):
     jacobians: int = 0
 
 
+def _check_budget(max_evals) -> None:
+    if not isinstance(max_evals, numbers.Integral) or isinstance(max_evals, bool) or max_evals < 1:
+        raise ValidationError(f"the evaluation budget must be an integer >= 1, got {max_evals!r}")
+
+
 def _least_squares(x, vary, bounds, cfg, max_evals, target):
     """Bounded trust-region least squares on the stacked probe deviations.
 
@@ -246,8 +251,7 @@ def _least_squares(x, vary, bounds, cfg, max_evals, target):
     """
     import scipy.optimize  # deferred: it costs more to import than the whole package
 
-    if not isinstance(max_evals, numbers.Integral) or isinstance(max_evals, bool) or max_evals < 1:
-        raise ValidationError(f"the evaluation budget must be an integer >= 1, got {max_evals!r}")
+    _check_budget(max_evals)
     x = np.array(x, dtype=float)
     vary = list(vary)
     failed = np.full(2 * PROBE_POINTS, math.sqrt(PENALTY))
@@ -373,6 +377,7 @@ def perturbation_study(
     Amplitudes that break the geometry are reported with valid=False and NaN
     objectives.
     """
+    _check_budget(reopt_budget)  # once, so a study with no valid amplitude refuses it too
     dr = confocal_design(1.0, am1, r0, sigma_c, sigma_s)
     cfg = SearchConfig(sigma_c=sigma_c, sigma_s=sigma_s, max_order=2, nodes=nodes)
     rows = []

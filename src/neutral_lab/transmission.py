@@ -16,10 +16,10 @@ perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. The system is solved by eliminating the core block,
-which does not depend on mu (`_core_solve`), then per axis the N x N coating
-Schur complement mu I + schur, a compact perturbation of mu I, by one method
-for the solve and its derivative (`_Elimination._coating`). The elimination
-is an immutable value (four N x N float64 arrays: about 32 MB at N = 1024) that
+which does not depend on mu (`_core_factor`), then per axis the N x N coating
+Schur complement mu I + S, a compact perturbation of mu I, by one method for the
+solve and its derivative (`_Elimination._coating`, GMRES from 512 nodes). The
+elimination is an immutable value (`_Elimination` says what each route holds) that
 a one-slot memo keyed on both curves' coefficients, N, lam and the backgrounds
 holds for the public calls and the search's evaluations (a sigma_m sweep on one
 geometry eliminates once); the search's last evaluation holds it for its Jacobian.
@@ -216,11 +216,15 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
 class _Elimination:
     """The mu-free core elimination of one geometry, N, lam and backgrounds; read-only.
 
-    With A11 = lam I - K*_in, x_oi = A11^-1 C_oi and schur = -K*_out - C_io x_oi, psi solves
-    (mu I + schur) psi = b, phi = y + x_oi psi; sides holds (dh/dnu on the core, y, b) per
-    background, y = A11^-1 b1 and b the coating right side plus C_io y. Every A11^-1 is
-    `_core_solve`: dense below N = 512, low-rank from there. `solve_tangent` differentiates
-    `solve`'s densities only (what they feed is the caller's); both share `_coating`.
+    With A11 = lam I - K*_in and S = -K*_out - C_io A11^-1 C_oi, psi solves (mu I + S) psi = b
+    and phi = y + A11^-1 C_oi psi; sides holds (dh/dnu on the core, y, b) per background,
+    y = A11^-1 b1 and b the coating right side plus C_io y. On `_core_factor`'s low-rank
+    route core is (K*_out, C_io, U, G), A11^-1 = (I + U G) / lam, and GMRES applies S
+    unformed (three N x N products a step); elsewhere x_oi = A11^-1 C_oi and S are formed.
+    Either way four N x N arrays are held: 2 MB at N = 256, 32 MB at N = 1024. schur holds
+    the formed S, which the low-rank route forms and keeps, one N x N array more, at its
+    first dense coating solve (GMRES gave up, or several right sides). `solve_tangent`
+    differentiates `solve`'s densities only; both share `_coating`.
     """
 
     d_in: Discretization
@@ -228,8 +232,9 @@ class _Elimination:
     lam: float
     k_in: np.ndarray
     c_oi: np.ndarray
-    x_oi: np.ndarray
-    schur: np.ndarray
+    x_oi: np.ndarray | None
+    core: tuple | None
+    schur: list
     sides: tuple
 
     def solve(self, cases) -> list[DensityPair]:
@@ -243,17 +248,29 @@ class _Elimination:
             pairs.append(DensityPair(phi, psi, axis, h, self.d_in, self.d_out, flux))
         return pairs
 
+    def _product(self, v: np.ndarray) -> np.ndarray:
+        """S v on the low-rank route, S unformed: -K*_out v - C_io A11^-1 (C_oi v)."""
+        k_out, c_io, u, g = self.core
+        return -(k_out @ v) - c_io @ _woodbury(u, g, self.lam, self.c_oi @ v)
+
     def _coating(self, mu: float, y: np.ndarray, b: np.ndarray):
-        """(phi, psi) with (mu I + schur) psi = b and phi = y + x_oi psi; b is (N,) or (N, k).
+        """(phi, psi) with (mu I + S) psi = b and phi = y + A11^-1 C_oi psi; b is (N,) or (N, k).
 
         One right side from _GMRES_NODES nodes is solved by `_gmres`; several right
         sides, a smaller grid, or GMRES giving up take one dense LU of the augmented copy.
         """
         krylov = b.ndim == 1 and self.d_out.n >= _GMRES_NODES
-        psi = _gmres(self.schur, mu, self.d_out, b) if krylov else None
+        product = self._product if self.core else self.schur[0].__matmul__
+        psi = _gmres(product, mu, self.d_out, b) if krylov else None
         if psi is None:
-            s = _augment(self.schur.copy(), mu, self.d_out)
+            if not self.schur:  # the low-rank route forms S once, for this and later LUs
+                k_out, c_io, u, g = self.core
+                self.schur.append(-k_out - c_io @ _woodbury(u, g, self.lam, self.c_oi))
+                self.schur[0].flags.writeable = False
+            s = _augment(self.schur[0].copy(), mu, self.d_out)
             psi = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})")
+        if self.core:
+            return y + _woodbury(*self.core[2:], self.lam, self.c_oi @ psi), psi
         return y + self.x_oi @ psi, psi
 
     def solve_tangent(self, pairs, mu, t_in: GridTangent, t_out: GridTangent, dmu):
@@ -280,7 +297,8 @@ class _Elimination:
                 fi -= (_mean_tangent(d.normals, dnu, d, t)
                        + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
                 f.append(fi)
-            v1, = _core_solve(self.k_in, lam, d_in, f[0].transpose(1, 0, 2).reshape(n, -1))
+            core = _core_factor(self.k_in, lam, d_in)
+            v1, = _core_solve(self.k_in, lam, d_in, core, f[0].transpose(1, 0, 2).reshape(n, -1))
             v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
             dphi[:, :, :dim] = v1
             c_io = normal_derivative_coupling(d_in, d_out)
@@ -302,15 +320,18 @@ def _eliminate(d_in, d_out, parts, lam, backgrounds) -> _Elimination:
     # the continuous right sides have exact mean zero; project off the
     # quadrature-level remainder so the rank-one terms see clean data
     b1 = np.column_stack([r - _weighted_mean(r, d_in.weights) for r, _ in rhs])
-    x_oi, y = _core_solve(k_in, lam, d_in, c_oi, b1)
-    schur = -k_out - c_io @ x_oi
+    if core := _core_factor(k_in, lam, d_in):  # the low-rank route forms neither S nor x_oi
+        x_oi, y, schur, core = None, _woodbury(*core, lam, b1), [], (k_out, c_io, *core)
+    else:
+        x_oi, y = _core_solve(k_in, lam, d_in, None, c_oi, b1)
+        schur = [-k_out - c_io @ x_oi]
+        x_oi = np.ascontiguousarray(x_oi)  # the dense solve's N x (N + 2) y fragmented the heap
     sides = tuple((r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1)
                   for (r1, r2), y1 in zip(rhs, y.T))
-    x_oi = np.ascontiguousarray(x_oi)  # the dense solve's N x (N + 2) y fragmented the heap
     grids = [a for d in (d_in, d_out) for a in vars(d).values() if isinstance(a, np.ndarray)]
-    for a in (k_in, c_oi, x_oi, schur, *(v for side in sides for v in side), *grids):
+    for a in (k_in, c_oi, *schur, *(core or [x_oi]), *(v for side in sides for v in side), *grids):
         a.flags.writeable = False
-    return _Elimination(d_in, d_out, lam, k_in, c_oi, x_oi, schur, sides)
+    return _Elimination(d_in, d_out, lam, k_in, c_oi, x_oi, core, schur, sides)
 
 
 def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds) -> _Elimination:
@@ -336,16 +357,16 @@ def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
     return a
 
 
-def _core_solve(k_in: np.ndarray, lam: float, d: Discretization, *blocks) -> list:
-    """A11^-1 applied to each block, where A11 = `_augment(-k_in, lam, d)` = lam I - L.
+def _core_factor(k_in: np.ndarray, lam: float, d: Discretization):
+    """(U, G) with A11^-1 = (I + U G) / lam, A11 = `_augment(-k_in, lam, d)` = lam I - L, or None.
 
     From _GMRES_NODES nodes, the real FFT of L's columns in the target variable is cut
     after mode m - 1, past which every coefficient is within _FOURIER_TOL of the
-    largest: L ~ U G with U = [1, cos kt, sin kt] at the nodes, rank r = 2m - 1, and
-    A11^-1 = (I + U (lam I_r - G U)^-1 G) / lam (Woodbury). The weighted-mean term is
-    constant in the target, so it lies in mode 0. A rank past N/4, or a smaller grid,
-    takes the dense solve, chosen before the whole transform when the largest-norm
-    column alone already has a coefficient past the cut in the modes that pass N/4.
+    largest: L ~ U G0 with U = [1, cos kt, sin kt] at the nodes, rank r = 2m - 1, and
+    G = (lam I_r - G0 U)^-1 G0 (Woodbury). The weighted-mean term is constant in the
+    target, so it lies in mode 0. A rank past N/4, or a smaller grid, takes the dense
+    solve (None), chosen before the whole transform when the largest-norm column alone
+    already has a coefficient past the cut in the modes that pass N/4.
     """
     n, what = d.n, f"transmission core block (lam={lam})"
     if n >= _GMRES_NODES:
@@ -365,33 +386,37 @@ def _core_solve(k_in: np.ndarray, lam: float, d: Discretization, *blocks) -> lis
             kt = np.outer(d.t, np.arange(1, m))
             u = np.hstack([np.ones((n, 1)), np.cos(kt), np.sin(kt)])
             g = np.vstack([f[:1].real, 2.0 * f[1:m].real, -2.0 * f[1:m].imag]) / n
-            g = _solve(lam * np.eye(2 * m - 1) - g @ u, g, what)
-            out = []
-            for b in blocks:  # in place: no N x N temporaries beyond the result
-                y = u @ (g @ b)
-                y += b
-                y /= lam
-                out.append(y)
-            return out
-    y = _solve(_augment(-k_in, lam, d), np.hstack(blocks), what)
+            return u, _solve(lam * np.eye(2 * m - 1) - g @ u, g, what)
+    return None
+
+
+def _woodbury(u: np.ndarray, g: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
+    """A11^-1 b = (b + U (G b)) / lam by `_core_factor`'s factors."""
+    return (u @ (g @ b) + b) / lam
+
+
+def _core_solve(k_in: np.ndarray, lam: float, d: Discretization, core, *blocks) -> list:
+    """A11^-1 applied to each block: by `_core_factor`'s factors core, or densely if None."""
+    if core:
+        return [_woodbury(*core, lam, b) for b in blocks]
+    y = _solve(_augment(-k_in, lam, d), np.hstack(blocks), f"transmission core block (lam={lam})")
     return np.split(y, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)
 
 
-def _gmres(block: np.ndarray, contrast: float, d: Discretization, b: np.ndarray):
-    """x solving `_augment(block.copy(), contrast, d)` x = b by unrestarted GMRES, or None.
+def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
+    """x solving `_augment(B, contrast, d)` x = b by unrestarted GMRES, or None.
 
-    The product is block @ v + contrast v plus the weighted-mean term, so the
-    augmented copy is never formed. Arnoldi orthogonalises twice (CGS2); each step
-    factors the small Hessenberg matrix H = QR, so the least-squares residual is
-    |b| |Q[0, k+1]| and y solves R y = |b| Q[0, :k+1]. Once that residual reaches
-    _GMRES_TOL |b|, each step checks the true residual |b - A x| against the same
-    bound. None after _GMRES_CAP iterations, or once a failed check's |b - A x| is
-    no smaller than the last one's: rounding holds it up while |b| |Q[0, k+1]| falls.
+    product(v) = B v, so B need not be formed nor its augmented copy. Arnoldi
+    orthogonalises twice (CGS2); each step factors the Hessenberg matrix H = QR, so
+    the least-squares residual is |b| |Q[0, k+1]| and y solves R y = |b| Q[0, :k+1].
+    Once that residual reaches _GMRES_TOL |b|, each step checks the true residual
+    |b - A x| against the same bound. None after _GMRES_CAP iterations, or once a failed
+    check's |b - A x| is no smaller than the last one's: rounding holds it up.
     """
     mean = d.weights / np.sum(d.weights) * (contrast >= 0.0)
 
     def apply(v):
-        return block @ v + contrast * v + mean @ v
+        return product(v) + contrast * v + mean @ v
 
     beta = float(np.linalg.norm(b))
     if beta == 0.0:

@@ -180,6 +180,13 @@ def test_perturbation_study_refuses_a_budget_that_is_not_a_count(budget):
         perturbation_study(0.2, 1.5, 5.0, 1.0, [0.1], nodes=64, reopt_budget=budget)
 
 
+@pytest.mark.parametrize("amplitudes, budget", [([0.9], math.nan), ([], -3)])
+def test_perturbation_study_refuses_a_bad_budget_with_no_valid_amplitude(amplitudes, budget):
+    # a_2 = 0.9 breaks the geometry, so no amplitude reaches the re-optimisation
+    with pytest.raises(ValidationError, match="evaluation budget"):
+        perturbation_study(0.2, 1.5, 5.0, 1.0, amplitudes, nodes=64, reopt_budget=budget)
+
+
 def test_perturbation_study_monotone():
     rows = perturbation_study(0.2, 1.5, 5.0, 1.0, [0.0, 0.05, 0.1], nodes=64, reopt_budget=200)
     assert [r.amplitude for r in rows] == [0.0, 0.05, 0.1]

@@ -216,7 +216,7 @@ def test_kept_elimination_holds_read_only_arrays(design_case):
     inc, _, p = design_case
     pairs = solve_both_axes(inc, p, n=64)
     (kept,) = transmission._kept.values()
-    blocks = (kept.k_in, kept.c_oi, kept.x_oi, kept.schur)
+    blocks = (kept.k_in, kept.c_oi, kept.x_oi, *kept.schur)
     assert [b.shape for b in blocks] == [(64, 64)] * 4
     grids = [getattr(d, f) for d in (kept.d_in, kept.d_out)
              for f in ("t", "nodes", "normals", "weights")]
@@ -420,9 +420,14 @@ def _full_system_solve(inc, p, n):
     return out
 
 
-# (am1, r0, sigma_c, n, low_rank). Below 512 nodes the core block is solved densely;
-# from 512 through K*_in's low Fourier modes, unless their rank passes N/4 (a-1 = 0.6
-# has rank 213 at 512 nodes and 215 at 1024, a-1 = 0.8 rank 489)
+# a non-confocal coating: its uniform-field right sides take 6 GMRES steps at 512 and
+# 1024 nodes, and its core has Fourier rank 101
+LAURENT = LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5)
+
+# (am1, r0, sigma_c, n, low_rank); am1 "laurent" is LAURENT. Below 512 nodes the core
+# block is solved densely; from 512 through K*_in's low Fourier modes, unless their rank
+# passes N/4 (a-1 = 0.6 has rank 213 at 512 nodes and 215 at 1024, a-1 = 0.8 rank 489),
+# and then GMRES applies the coating Schur part without forming it
 ELIMINATION_CASES = [
     *((am1, r0, sc, n, n >= 512 and am1 <= 0.2) for am1, r0 in [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)]
       for sc in [0.0, 0.2, 5.0, math.inf] for n in [64, 256, 512]),
@@ -431,6 +436,8 @@ ELIMINATION_CASES = [
     (0.0, 1.5, 0.0, 1024, True),
     (0.2, 1.5, 5.0, 1024, True),
     (0.6, 1.25, math.inf, 1024, True),
+    ("laurent", 1.5, 5.0, 1024, True),
+    (0.2, 1.01, 0.0, 1024, True),
 ]
 
 
@@ -438,7 +445,7 @@ ELIMINATION_CASES = [
                          ids=["-".join(map(str, c[:4])) for c in ELIMINATION_CASES])
 def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, core_solves):
     # sigma_m on both sides of sigma_s = 1, so mu_1 > 0 > mu_2
-    inc = confocal_pair(1.0, am1, r0)
+    inc = laurent_domain(LAURENT) if am1 == "laurent" else confocal_pair(1.0, am1, r0)
     p = ConductivityProfile(sigma_c, 1.0, (0.5, 3.0))
     assert contrasts(p).mu[0] > 0.0 > contrasts(p).mu[1]
     pairs = solve_both_axes(inc, p, n=n)
@@ -448,6 +455,61 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, co
         for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
             # the core flux vanishes for sigma_c = inf; dh/dnu is O(1) there
             assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+
+
+def _arrays(value):
+    """Every array in a value, through tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def test_a_low_rank_elimination_forms_neither_x_oi_nor_the_schur_part():
+    # its N x N arrays are the assembled blocks; A11^-1 is held as its Woodbury factors
+    inc, n = laurent_domain(LAURENT), 1024
+    solve_both_axes(inc, ConductivityProfile(5.0, 1.0, (0.5, 3.0)), n=n)
+    (kept,) = transmission._kept.values()
+    assert kept.x_oi is None and kept.schur == []
+    arrays = _arrays([getattr(kept, f.name) for f in dataclasses.fields(kept)])
+    square = [a for a in arrays if a.shape == (n, n)]
+    _, _, blocks = transmission._assembled(inc, n)
+    assert len(square) == 4
+    assert all(any(np.array_equal(a, b) for a in square) for b in blocks)
+    u, g = kept.core[2:]
+    assert u.shape == (n, 101) and g.shape == (101, n)
+    assert not any(a.flags.writeable for a in arrays)
+
+
+def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch):
+    # the stall test's geometry and matrix, scaled twice: every coating GMRES gives up,
+    # and the first dense solve forms the Schur part that the later ones reuse
+    inc = confocal_pair(1.0, 0.2, 1.01)
+    gave_up, formed, gmres, woodbury = [], [], transmission._gmres, transmission._woodbury
+
+    def counted_gmres(*args):
+        x = gmres(*args)
+        gave_up.append(x is None)
+        return x
+
+    def counted_woodbury(u, g, lam, b):
+        formed.append(b.shape == (512, 512))  # A11^-1 C_oi: only the Schur part needs it
+        return woodbury(u, g, lam, b)
+
+    monkeypatch.setattr(transmission, "_gmres", counted_gmres)
+    monkeypatch.setattr(transmission, "_woodbury", counted_woodbury)
+    kept = []
+    for scale in (1.0, 2.0, 4.0):
+        p = ConductivityProfile(0.0, 1.0, (1e-8 * scale, 1e-12 * scale))
+        for pair, ref in zip(solve_both_axes(inc, p, n=512), _full_system_solve(inc, p, 512)):
+            for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+        kept.extend(transmission._kept.values())
+    assert gave_up == [True] * 6
+    assert formed.count(True) == 1
+    assert kept[0] is kept[1] is kept[2] and len(kept[0].schur) == 1
+    assert not kept[0].schur[0].flags.writeable
 
 
 # cores whose K*_in has Fourier rank 489 and 469 at 512 nodes
@@ -465,31 +527,28 @@ def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatc
                         or rfft(a, *args, **kw))
     d = discretize(inc.inner, 512)
     k_in, b = transmission.kstar_matrix(d), d.normals
-    x, = transmission._core_solve(k_in, 0.5, d, b)
+    x, = transmission._core_solve(k_in, 0.5, d, transmission._core_factor(k_in, 0.5, d), b)
     assert core_solves == [512] and shapes == [(512,)]
     assert np.array_equal(x, np.linalg.solve(transmission._augment(-k_in, 0.5, d), b))
 
 
-# a non-confocal coating: its uniform-field right sides take 6 GMRES steps at 512 nodes
-LAURENT = LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5)
-
 
 class _Counting:
-    """A block whose products add one to the last entry of a list."""
+    """A product that adds one to the last entry of a list per call."""
 
-    def __init__(self, a, products):
-        self.a, self.products = a, products
+    def __init__(self, product, products):
+        self.product, self.products = product, products
 
-    def __matmul__(self, v):
+    def __call__(self, v):
         self.products[-1] += 1
-        return self.a @ v
+        return self.product(v)
 
 
 def _coating_system(inc):
     """(schur, d_out, axis-1 coating right side, mu) of a 64-node elimination of inc."""
     p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     elim, _ = transmission._solved(inc, p, 64)
-    return elim.schur, elim.d_out, elim.sides[0][2], contrasts(p).mu
+    return elim.schur[0], elim.d_out, elim.sides[0][2], contrasts(p).mu
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -497,10 +556,11 @@ def test_gmres_agrees_with_the_dense_solve(axis):
     # mu_1 = 1.5 adds the weighted-mean term to the product, mu_2 = -1 does not
     schur, d, _, mu = _coating_system(laurent_domain(LAURENT))
     b = np.random.default_rng(3).standard_normal(64)
-    x = transmission._gmres(schur, mu[axis], d, b)
+    x = transmission._gmres(schur.__matmul__, mu[axis], d, b)
     want = np.linalg.solve(transmission._augment(schur.copy(), mu[axis], d), b)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(transmission._gmres(schur, mu[axis], d, np.zeros(64)), np.zeros(64))
+    assert np.array_equal(transmission._gmres(schur.__matmul__, mu[axis], d, np.zeros(64)),
+                          np.zeros(64))
 
 
 def test_gmres_converges_in_one_step_on_a_one_step_krylov_space():
@@ -508,7 +568,7 @@ def test_gmres_converges_in_one_step_on_a_one_step_krylov_space():
     # eigenvector of the rotation-invariant Schur part: one step and one true-residual check
     schur, d, b, mu = _coating_system(confocal_pair(1.0, 0.0, 1.5))
     products = [0]
-    x = transmission._gmres(_Counting(schur, products), mu[0], d, b)
+    x = transmission._gmres(_Counting(schur.__matmul__, products), mu[0], d, b)
     assert products == [2]
     want = np.linalg.solve(transmission._augment(schur.copy(), mu[0], d), b)
     assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
@@ -519,7 +579,7 @@ def test_gmres_past_its_cap_returns_none(monkeypatch):
     b = np.random.default_rng(3).standard_normal(64)
     monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
     products = [0]
-    assert transmission._gmres(_Counting(schur, products), mu[1], d, b) is None
+    assert transmission._gmres(_Counting(schur.__matmul__, products), mu[1], d, b) is None
     assert products == [1]
 
 
@@ -542,16 +602,16 @@ def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
 
 def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch, core_solves):
     # THIN_FIELDS' 0.2-1.01-0.0-insulating-matrix-n512: the least-squares residual
-    # falls below 1e-14 |b| after about 10 iterations while rounding holds |b - Sx| at
-    # 1.4-2.2e-14 |b|, so GMRES gives up after a few checks (20 and 13 products)
-    # instead of running to its 60-iteration cap
+    # falls below 1e-14 |b| after 7 or 8 iterations while rounding holds |b - Sx| at
+    # 1.6-2.9e-14 |b|, so GMRES gives up after a few checks (14 and 15 products of the
+    # unformed Schur part) instead of running to its 60-iteration cap
     inc = confocal_pair(1.0, 0.2, 1.01)
     p = ConductivityProfile(0.0, 1.0, (1e-8, 1e-12))
     products, gmres = [], transmission._gmres
 
-    def counting(block, contrast, d, b):
+    def counting(product, contrast, d, b):
         products.append(0)
-        x = gmres(_Counting(block, products), contrast, d, b)
+        x = gmres(_Counting(product, products), contrast, d, b)
         assert x is None
         return x
 

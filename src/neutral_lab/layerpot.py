@@ -93,9 +93,17 @@ def _far_offsets(src: Discretization, targets):
 
 def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
     """S[density] at off-curve targets, shape (m,) or (m, k); near zone refused."""
+    return _off_fields(src, density, targets, value=True)[0]
+
+
+def _off_fields(src: Discretization, density, targets, value=False, grad=False):
+    """(S[density], grad S[density]) off the curve from one offsets pass; None if not asked."""
     rho = _check_density(src, density)
-    _, _, r2 = _far_offsets(src, targets)
-    return (0.5 * np.log(r2)) @ (rho.T * src.weights).T / (2 * math.pi)
+    dx, dy, r2 = _far_offsets(src, targets)
+    rw = (rho.T * src.weights).T
+    s = (0.5 * np.log(r2)) @ rw / (2 * math.pi) if value else None
+    g = np.stack([(dx / r2) @ rw, (dy / r2) @ rw], axis=1) / (2 * math.pi) if grad else None
+    return s, g
 
 
 def single_layer_off_tangent(src: Discretization, dsrc: GridTangent, density, targets,
@@ -119,17 +127,14 @@ def single_layer_off_tangent(src: Discretization, dsrc: GridTangent, density, ta
 
 def single_layer_grad_off(src: Discretization, density, targets) -> np.ndarray:
     """grad S[density] at off-curve targets, shape (m, 2) or (m, 2, k)."""
-    rho = _check_density(src, density)
-    dx, dy, r2 = _far_offsets(src, targets)
-    rw = (rho.T * src.weights).T
-    gx = (dx / r2) @ rw
-    gy = (dy / r2) @ rw
-    return np.stack([gx, gy], axis=1) / (2 * math.pi)
+    return _off_fields(src, density, targets, grad=True)[1]
 
 
-def _normal_kernel(src: Discretization, normals: np.ndarray, dx, dy, r2) -> np.ndarray:
-    """The one n.grad S kernel <x - y, nu_x>/|x - y|^2 w_y/(2 pi), x a target with normal nu_x."""
-    kern = (dx * normals[:, None, 0] + dy * normals[:, None, 1]) / r2
+def _normal_kernel(src: Discretization, normals: np.ndarray, dx, dy, r2, out=None) -> np.ndarray:
+    """The n.grad S kernel <x - y, nu_x>/|x - y|^2 w_y/(2 pi) at targets x, normals nu_x; in out."""
+    kern = np.multiply(dx, normals[:, None, 0], out=out)
+    kern += dy * normals[:, None, 1]
+    kern /= r2
     kern *= src.weights
     kern /= 2 * math.pi
     return kern
@@ -178,33 +183,25 @@ def _tangent_product(src, dsrc, pts, normals, dpts, dnormals, density, self_grid
 def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, self_grid=False):
     """`_normal_kernel` at the targets, formed in row blocks of about 2^13 entries.
 
-    A block's offsets stay in cache while its rows are formed. A single block
-    is returned as formed: copying it into a separate output raised the page
-    faults of the N = 64 shape search two- to threefold. None once a block
-    holds a target in the source's near zone, decided on its r2 before any
-    division. On the source's own grid (self_grid) the diagonal r2 reads 1
-    and no target is refused.
+    A block's offsets stay in cache while its rows are formed in place in the
+    output. A single block is returned as formed: forming it in a separate
+    output raised the minor page faults of the N = 64 shape search about
+    threefold. None once a block holds a target in the source's near zone,
+    decided on its r2 before any division. On the source's own grid
+    (self_grid) the diagonal r2 reads 1 and no target is refused.
     """
     limit = None if self_grid else _near_zone(src, 0.0)[1]
-
-    def rows(lo, hi):
-        dx, dy, r2 = _offsets(pts[lo:hi], src.nodes)
+    step = max(1, 2**13 // src.n)
+    out = None if step >= len(pts) else np.empty((len(pts), src.n))
+    for lo in range(0, len(pts), step):
+        dx, dy, r2 = _offsets(pts[lo : lo + step], src.nodes)
         if self_grid:
             np.fill_diagonal(r2[:, lo:], 1.0)
         elif math.sqrt(float(r2.min())) < limit:
             return None
-        return _normal_kernel(src, normals[lo:hi], dx, dy, r2)
-
-    step = max(1, 2**13 // src.n)
-    if step >= len(pts):
-        return rows(0, len(pts))
-    out = np.empty((len(pts), src.n))
-    for lo in range(0, len(pts), step):
-        kern = rows(lo, lo + step)
-        if kern is None:
-            return None
-        out[lo : lo + step] = kern
-    return out
+        kern = _normal_kernel(src, normals[lo : lo + step], dx, dy, r2,
+                              None if out is None else out[lo : lo + step])
+    return kern if out is None else out
 
 
 def kstar_matrix(src: Discretization) -> np.ndarray:

@@ -18,11 +18,11 @@ added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. The system is solved by eliminating the core block,
 which does not depend on mu (`_core_factor`), then per axis the N x N coating
 Schur complement mu I + S, a compact perturbation of mu I, by one method for the
-solve and its derivative (`_Elimination._coating`, GMRES from 512 nodes). The
-elimination is an immutable value (`_Elimination` says what each route holds) that
-a one-slot memo keyed on both curves' coefficients, N, lam and the backgrounds
-holds for the public calls and the search's evaluations (a sigma_m sweep on one
-geometry eliminates once); the search's last evaluation holds it for its Jacobian.
+solve and its derivative (`_Elimination._coating`, GMRES from 512 nodes); a product one
+stage forms is handed on, never formed twice. The elimination is an immutable value
+(`_Elimination` says what each route holds) that a one-slot memo keyed on both curves'
+coefficients, N, lam and the backgrounds holds for the public calls and the search's
+evaluations (a sigma_m sweep eliminates once); the last evaluation holds it for the Jacobian.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -50,6 +50,7 @@ from .geometry import (
 )
 from .layerpot import (
     _near_zone,
+    _off_fields,
     _offsets,
     _targets_xy,
     coupling_tangent,
@@ -220,11 +221,12 @@ class _Elimination:
     and phi = y + A11^-1 C_oi psi; sides holds (dh/dnu on the core, y, b) per background,
     y = A11^-1 b1 and b the coating right side plus C_io y. On `_core_factor`'s low-rank
     route core is (K*_out, C_io, U, G), A11^-1 = (I + U G) / lam, and GMRES applies S
-    unformed (three N x N products a step); elsewhere x_oi = A11^-1 C_oi and S are formed.
-    Either way four N x N arrays are held: 2 MB at N = 256, 32 MB at N = 1024. schur holds
-    the formed S, which the low-rank route forms and keeps, one N x N array more, at its
-    first dense coating solve (GMRES gave up, or several right sides). `solve_tangent`
-    differentiates `solve`'s densities only; both share `_coating`.
+    unformed, three N x N products a step; with the check's C_oi psi reused, a one-step
+    solve makes 7 (3 Arnoldi, 3 check, K*_in phi). Elsewhere x_oi = A11^-1 C_oi and S are
+    formed. Either way four N x N arrays are held: 2 MB at N = 256, 32 MB at N = 1024. schur
+    holds the formed S, which the low-rank route forms and keeps, one N x N array more, at
+    its first dense coating solve (GMRES gave up, or several right sides). `solve_tangent`
+    differentiates `solve`'s densities only, through `_coating` and, low-rank, core's factors.
     """
 
     d_in: Discretization
@@ -241,37 +243,46 @@ class _Elimination:
         """Densities for each case (mu, h, axis), in the order of the backgrounds."""
         pairs = []
         for (mu, h, axis), (r1, y1, b2) in zip(cases, self.sides):
-            phi, psi = self._coating(mu, y1, b2)
+            phi, psi, c = self._coating(mu, y1, b2)
             if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
                 raise SolverError("transmission solve produced non-finite densities")
-            flux = r1 + (self.k_in @ phi - 0.5 * phi) + self.c_oi @ psi
+            flux = r1 + (self.k_in @ phi - 0.5 * phi) + (self.c_oi @ psi if c is None else c)
             pairs.append(DensityPair(phi, psi, axis, h, self.d_in, self.d_out, flux))
         return pairs
 
-    def _product(self, v: np.ndarray) -> np.ndarray:
-        """S v on the low-rank route, S unformed: -K*_out v - C_io A11^-1 (C_oi v)."""
-        k_out, c_io, u, g = self.core
-        return -(k_out @ v) - c_io @ _woodbury(u, g, self.lam, self.c_oi @ v)
+    def _coupled(self, v: np.ndarray):
+        """(C_oi v, A11^-1 C_oi v) on the low-rank route."""
+        c = self.c_oi @ v
+        return c, _woodbury(*self.core[2:], self.lam, c)
+
+    def _product(self, v: np.ndarray):
+        """(S v, `_coupled(v)`) on the low-rank route, S v = -K*_out v - C_io A11^-1 C_oi v."""
+        coupled = self._coupled(v)
+        return -(self.core[0] @ v) - self.core[1] @ coupled[1], coupled
 
     def _coating(self, mu: float, y: np.ndarray, b: np.ndarray):
-        """(phi, psi) with (mu I + S) psi = b and phi = y + A11^-1 C_oi psi; b is (N,) or (N, k).
+        """(phi, psi, C_oi psi or None): (mu I + S) psi = b, phi = y + A11^-1 C_oi psi.
 
-        One right side from _GMRES_NODES nodes is solved by `_gmres`; several right
-        sides, a smaller grid, or GMRES giving up take one dense LU of the augmented copy.
+        b is (N,) or (N, k). One right side from _GMRES_NODES nodes is solved by `_gmres`;
+        several right sides, a smaller grid, or GMRES giving up take one dense LU of the
+        augmented copy. On the low-rank route `_gmres` returns the `_coupled` psi of the
+        true-residual check that accepted psi, so psi meets no N x N block again here.
         """
         krylov = b.ndim == 1 and self.d_out.n >= _GMRES_NODES
-        product = self._product if self.core else self.schur[0].__matmul__
-        psi = _gmres(product, mu, self.d_out, b) if krylov else None
-        if psi is None:
+        product = self._product if self.core else lambda v: (self.schur[0] @ v, None)
+        solved = _gmres(product, mu, self.d_out, b) if krylov else None
+        if solved is None:
             if not self.schur:  # the low-rank route forms S once, for this and later LUs
                 k_out, c_io, u, g = self.core
                 self.schur.append(-k_out - c_io @ _woodbury(u, g, self.lam, self.c_oi))
                 self.schur[0].flags.writeable = False
             s = _augment(self.schur[0].copy(), mu, self.d_out)
-            psi = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})")
-        if self.core:
-            return y + _woodbury(*self.core[2:], self.lam, self.c_oi @ psi), psi
-        return y + self.x_oi @ psi, psi
+            solved = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})"), None
+        psi, coupled = solved
+        if not self.core:
+            return y + self.x_oi @ psi, psi, None
+        c_psi, w = coupled or self._coupled(psi)
+        return y + w, psi, c_psi
 
     def solve_tangent(self, pairs, mu, t_in: GridTangent, t_out: GridTangent, dmu):
         """(dphi, dpsi), each (2, N, D + C): the derivative of `pairs`, solved here at mu.
@@ -297,15 +308,15 @@ class _Elimination:
                 fi -= (_mean_tangent(d.normals, dnu, d, t)
                        + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
                 f.append(fi)
-            core = _core_factor(self.k_in, lam, d_in)
+            core = self.core[2:] if self.core else None
             v1, = _core_solve(self.k_in, lam, d_in, core, f[0].transpose(1, 0, 2).reshape(n, -1))
             v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
             dphi[:, :, :dim] = v1
-            c_io = normal_derivative_coupling(d_in, d_out)
+            c_io = self.core[1] if self.core else normal_derivative_coupling(d_in, d_out)
             dpsi[:, :, :dim] = f[1].transpose(2, 1, 0) + c_io @ v1
         dpsi[:, :, dim:] = -psi.T[:, :, None] * dmu[:, None, :]
         for j, mu_j in enumerate(mu):
-            dphi[j], dpsi[j] = self._coating(mu_j, dphi[j], dpsi[j])
+            dphi[j], dpsi[j], _ = self._coating(mu_j, dphi[j], dpsi[j])
         return dphi, dpsi
 
 
@@ -365,8 +376,10 @@ def _core_factor(k_in: np.ndarray, lam: float, d: Discretization):
     largest: L ~ U G0 with U = [1, cos kt, sin kt] at the nodes, rank r = 2m - 1, and
     G = (lam I_r - G0 U)^-1 G0 (Woodbury). The weighted-mean term is constant in the
     target, so it lies in mode 0. A rank past N/4, or a smaller grid, takes the dense
-    solve (None), chosen before the whole transform when the largest-norm column alone
-    already has a coefficient past the cut in the modes that pass N/4.
+    solve (None), chosen before any other transform when the largest-norm column alone
+    already has a coefficient past the cut in the modes that pass N/4. The transform runs in
+    column blocks of 2^17 entries, with a running per-mode max of |coefficient|, and keeps
+    the modes a rank up to N/4 uses: 2.1 MB at N = 1024, where the whole one took 12.6 MB.
     """
     n, what = d.n, f"transmission core block (lam={lam})"
     if n >= _GMRES_NODES:
@@ -374,18 +387,21 @@ def _core_factor(k_in: np.ndarray, lam: float, d: Discretization):
         # a coefficient past mode 0 is at most sqrt(N) times its column's 2-norm; with
         # mode 0's largest added that bounds them all, with room for rounding, so a tail
         # coefficient above _FOURIER_TOL times the bound means the dense solve
-        sq, m = np.einsum("ij,ij->j", k_in, k_in), n
-        tail = np.fft.rfft(k_in[:, np.argmax(sq)])[(n // 4 + 1) // 2 :]
+        sq, m, keep = np.einsum("ij,ij->j", k_in, k_in), n, (n // 4 + 1) // 2
+        tail = np.fft.rfft(k_in[:, np.argmax(sq)])[keep:]
         bound = math.sqrt(n * np.max(sq)) + np.max(np.abs(np.sum(k_in, axis=0) - mean))
         if np.max(np.abs(tail)) <= _FOURIER_TOL * bound:
-            f = np.fft.rfft(k_in, axis=0)
-            f[0] -= mean
-            size = np.max(np.abs(f), axis=1)
+            size, low, step = np.zeros(n // 2 + 1), np.empty((keep, n), complex), 2**17 // n
+            for lo in range(0, n, step):
+                f = np.fft.rfft(k_in[:, lo : lo + step].T)
+                f[:, 0] -= mean[lo : lo + step]
+                np.maximum(size, np.max(np.abs(f), axis=0), out=size)
+                low[:, lo : lo + step] = f[:, :keep].T
             m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * np.max(size)))
         if 2 * m - 1 <= n // 4:
             kt = np.outer(d.t, np.arange(1, m))
             u = np.hstack([np.ones((n, 1)), np.cos(kt), np.sin(kt)])
-            g = np.vstack([f[:1].real, 2.0 * f[1:m].real, -2.0 * f[1:m].imag]) / n
+            g = np.vstack([low[:1].real, 2.0 * low[1:m].real, -2.0 * low[1:m].imag]) / n
             return u, _solve(lam * np.eye(2 * m - 1) - g @ u, g, what)
     return None
 
@@ -404,30 +420,31 @@ def _core_solve(k_in: np.ndarray, lam: float, d: Discretization, core, *blocks) 
 
 
 def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
-    """x solving `_augment(B, contrast, d)` x = b by unrestarted GMRES, or None.
+    """(x, aux) with `_augment(B, contrast, d)` x = b, by unrestarted GMRES, or None.
 
-    product(v) = B v, so B need not be formed nor its augmented copy. Arnoldi
-    orthogonalises twice (CGS2); each step factors the Hessenberg matrix H = QR, so
-    the least-squares residual is |b| |Q[0, k+1]| and y solves R y = |b| Q[0, :k+1].
-    Once that residual reaches _GMRES_TOL |b|, each step checks the true residual
-    |b - A x| against the same bound. None after _GMRES_CAP iterations, or once a failed
-    check's |b - A x| is no smaller than the last one's: rounding holds it up.
+    product(v) = (B v, aux), so B need not be formed nor its augmented copy; aux is the
+    one of the check that accepted x. Arnoldi orthogonalises twice (CGS2); each step
+    factors the Hessenberg matrix H = QR, so the least-squares residual is |b| |Q[0, k+1]|
+    and y solves R y = |b| Q[0, :k+1]. Once that residual reaches _GMRES_TOL |b|, each step
+    checks the true residual |b - A x| against the same bound. None after _GMRES_CAP
+    iterations, or once a failed check's |b - A x| is no smaller than the last one's.
     """
     mean = d.weights / np.sum(d.weights) * (contrast >= 0.0)
 
     def apply(v):
-        return product(v) + contrast * v + mean @ v
+        bv, aux = product(v)
+        return bv + contrast * v + mean @ v, aux
 
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
-        return np.zeros_like(b)
+        return np.zeros_like(b), None
     tol = _GMRES_TOL * beta
     basis = np.empty((_GMRES_CAP + 1, len(b)))
     basis[0] = b / beta
     hess = np.zeros((_GMRES_CAP + 1, _GMRES_CAP))
     floor = math.inf  # the last failed check's true residual
     for k in range(_GMRES_CAP):
-        v = apply(basis[k])
+        v = apply(basis[k])[0]
         for _ in range(2):
             c = basis[: k + 1] @ v
             v -= c @ basis[: k + 1]
@@ -438,9 +455,10 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
             return None
         if beta * abs(q[0, k + 1]) <= tol:
             x = np.linalg.solve(r[: k + 1], beta * q[0, : k + 1]) @ basis[: k + 1]
-            res = float(np.linalg.norm(b - apply(x)))
+            ax, aux = apply(x)
+            res = float(np.linalg.norm(b - ax))
             if res <= tol:
-                return x
+                return x, aux
             if res >= floor:
                 return None
             floor = res
@@ -500,13 +518,13 @@ def eval_u(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field values and gradients u, grad u at points outside both near zones.
 
-    inc and p are not read: the pair carries its grids and densities. The
-    signature stays because benchmark code calls it with these arguments.
+    One offsets pass per grid gives both (`layerpot._off_fields`). inc and p are not read:
+    the pair carries its grids and densities; benchmark code calls it with these arguments.
     """
     pts = _targets_xy(points)
-    vals = (pair.h.value(pts) + single_layer_off(pair.disc_inner, pair.phi, pts)
-            + single_layer_off(pair.disc_outer, pair.psi, pts))
-    return vals, _gradient(pair, pts)
+    (s_in, g_in), (s_out, g_out) = (_off_fields(d, rho, pts, value=True, grad=True) for d, rho
+                                    in ((pair.disc_inner, pair.phi), (pair.disc_outer, pair.psi)))
+    return pair.h.value(pts) + s_in + s_out, pair.h.gradient(pts) + g_in + g_out
 
 
 def _gradient(pair: DensityPair, pts: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from neutral_lab import layerpot, transmission
 from neutral_lab.errors import (
     GeometryError,
+    NearEvaluationError,
     SolverError,
     UnsupportedConfigurationError,
     ValidationError,
@@ -28,7 +30,12 @@ from neutral_lab.geometry import (
     laurent_domain,
     make_ellipse,
 )
-from neutral_lab.layerpot import _near_zone, min_target_distance
+from neutral_lab.layerpot import (
+    _near_zone,
+    min_target_distance,
+    single_layer_grad_off,
+    single_layer_off,
+)
 from neutral_lab.designer import confocal_design, reciprocal_dual
 from neutral_lab.transmission import (
     ConductivityProfile,
@@ -532,6 +539,110 @@ def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatc
     assert np.array_equal(x, np.linalg.solve(transmission._augment(-k_in, 0.5, d), b))
 
 
+def _whole_transform_factors(k_in, lam, d):
+    """`_core_factor`'s (U, G) from the whole real FFT of K*_in's columns, or None."""
+    n = d.n
+    f = np.fft.rfft(k_in, axis=0)
+    f[0] -= (lam >= 0.0) * n * d.weights / np.sum(d.weights)
+    size = np.max(np.abs(f), axis=1)
+    m = len(size) - int(np.argmax(size[::-1] > transmission._FOURIER_TOL * np.max(size)))
+    if 2 * m - 1 > n // 4:
+        return None
+    kt = np.outer(d.t, np.arange(1, m))
+    u = np.hstack([np.ones((n, 1)), np.cos(kt), np.sin(kt)])
+    g = np.vstack([f[:1].real, 2.0 * f[1:m].real, -2.0 * f[1:m].imag]) / n
+    return u, np.linalg.solve(lam * np.eye(2 * m - 1) - g @ u, g)
+
+
+CORES = {"disk": lambda: confocal_pair(1.0, 0.0, 1.5),
+         "confocal-0.3": lambda: confocal_pair(1.0, 0.3, 1.5),
+         "confocal-0.6": lambda: confocal_pair(1.0, 0.6, 1.5),
+         "laurent": lambda: laurent_domain(LAURENT)}
+
+
+@pytest.mark.parametrize("lam", [0.75, -0.5])
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("name", CORES)
+def test_the_streamed_core_transform_gives_the_whole_transforms_factors(name, n, lam):
+    # a-1 = 0.6 has rank 213 at 512 nodes, past N/4, and 215 at 1024
+    d = discretize(CORES[name]().inner, n)
+    k_in = transmission.kstar_matrix(d)
+    got, want = transmission._core_factor(k_in, lam, d), _whole_transform_factors(k_in, lam, d)
+    assert (got is None) == (want is None) == (name == "confocal-0.6" and n == 512)
+    assert got is None or all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["disk", "confocal-0.3", "laurent"])
+def test_the_streamed_core_transform_holds_less_than_the_whole_transform(name):
+    # the whole N x (N/2 + 1) complex transform alone is 8.4 MB at 1024 nodes
+    d = discretize(CORES[name]().inner, 1024)
+    k_in = transmission.kstar_matrix(d)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert transmission._core_factor(k_in, 0.75, d) is not None
+        transient = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert transient < 1024 * 513 * 16
+
+
+class _CountedMatmul(np.ndarray):
+    """A view of a block that appends "C" to `events` per product taken with it."""
+
+    events: list = []
+
+    def __matmul__(self, other):
+        self.events.append("C")
+        return np.asarray(self) @ other
+
+
+def test_a_one_step_coating_solve_multiplies_by_c_oi_only_inside_its_schur_products(monkeypatch):
+    # on a confocal pair GMRES takes one step per axis: one Arnoldi product S and one
+    # true-residual check; phi and the flux reuse the C_oi psi of that check
+    inc, p = confocal_pair(1.0, 0.2, 1.5), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    elim, want = transmission._solved(inc, p, 512)
+    assert elim.core is not None
+    events, product, gmres = [], transmission._Elimination._product, transmission._gmres
+    monkeypatch.setattr(transmission._Elimination, "_product",
+                        lambda self, v: events.append("S") or product(self, v))
+    monkeypatch.setattr(transmission, "_gmres", lambda *a: events.append("gmres") or gmres(*a))
+    monkeypatch.setattr(_CountedMatmul, "events", events)
+    counted = dataclasses.replace(elim, c_oi=elim.c_oi.view(_CountedMatmul))
+    got = counted.solve(zip(contrasts(p).mu, (pair.h for pair in want), (1, 2)))
+    assert events == ["gmres", "S", "C", "S", "C"] * 2
+    for a, b in zip(got, want):
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("phi", "psi", "core_flux"))
+
+
+def test_eval_u_is_the_sum_of_the_plain_evaluators():
+    # one offsets pass per grid gives the values and gradients of the two evaluators,
+    # bit for bit, and refuses a near-zone target as single_layer_off does
+    inc, p = confocal_pair(1.0, 0.2, 1.5), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    pts = np.column_stack([3.0 * np.cos(t), 2.5 * np.sin(t)])
+    for n in (64, 1024):
+        for pair in solve_both_axes(inc, p, n):
+            vals, grads = eval_u(inc, pair, p, pts)
+            want_u, want_g = pair.h.value(pts), pair.h.gradient(pts)
+            for d, rho in ((pair.disc_inner, pair.phi), (pair.disc_outer, pair.psi)):
+                want_u = want_u + single_layer_off(d, rho, pts)
+                want_g = want_g + single_layer_grad_off(d, rho, pts)
+            assert np.array_equal(vals, want_u) and np.array_equal(grads, want_g)
+            near = np.vstack([pts, [pair.disc_outer.nodes[3] * 1.001]])
+            with pytest.raises(NearEvaluationError) as got:
+                eval_u(inc, pair, p, near)
+            with pytest.raises(NearEvaluationError) as want:
+                single_layer_off(pair.disc_outer, pair.psi, near)
+            assert str(got.value) == str(want.value)
+            assert (got.value.distance, got.value.limit) == (want.value.distance, want.value.limit)
+
+
+
+def _formed(schur):
+    """The `_gmres` product of a formed block: (schur v, nothing kept)."""
+    return lambda v: (schur @ v, None)
+
 
 class _Counting:
     """A product that adds one to the last entry of a list per call."""
@@ -556,10 +667,10 @@ def test_gmres_agrees_with_the_dense_solve(axis):
     # mu_1 = 1.5 adds the weighted-mean term to the product, mu_2 = -1 does not
     schur, d, _, mu = _coating_system(laurent_domain(LAURENT))
     b = np.random.default_rng(3).standard_normal(64)
-    x = transmission._gmres(schur.__matmul__, mu[axis], d, b)
+    x, _ = transmission._gmres(_formed(schur), mu[axis], d, b)
     want = np.linalg.solve(transmission._augment(schur.copy(), mu[axis], d), b)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(transmission._gmres(schur.__matmul__, mu[axis], d, np.zeros(64)),
+    assert np.array_equal(transmission._gmres(_formed(schur), mu[axis], d, np.zeros(64))[0],
                           np.zeros(64))
 
 
@@ -568,7 +679,7 @@ def test_gmres_converges_in_one_step_on_a_one_step_krylov_space():
     # eigenvector of the rotation-invariant Schur part: one step and one true-residual check
     schur, d, b, mu = _coating_system(confocal_pair(1.0, 0.0, 1.5))
     products = [0]
-    x = transmission._gmres(_Counting(schur.__matmul__, products), mu[0], d, b)
+    x, _ = transmission._gmres(_Counting(_formed(schur), products), mu[0], d, b)
     assert products == [2]
     want = np.linalg.solve(transmission._augment(schur.copy(), mu[0], d), b)
     assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
@@ -579,7 +690,7 @@ def test_gmres_past_its_cap_returns_none(monkeypatch):
     b = np.random.default_rng(3).standard_normal(64)
     monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
     products = [0]
-    assert transmission._gmres(_Counting(schur.__matmul__, products), mu[1], d, b) is None
+    assert transmission._gmres(_Counting(_formed(schur), products), mu[1], d, b) is None
     assert products == [1]
 
 
@@ -746,8 +857,9 @@ def test_solve_tangent_matches_central_differences_of_the_densities(name, monkey
     dphi, dpsi = elim.solve_tangent(pairs, contrasts(p).mu, t_in, t_out,
                                     np.diag(ss * sm / (ss - sm) ** 2))
     assert len(refined) == (2 if name.startswith("refined") else 0)
-    # the derivative solves the core as the evaluation did: low rank from 512 nodes
-    assert core_solves == [core_solves[0]] * 2
+    # below 512 nodes the derivative solves the core densely again; from 512 it applies
+    # the evaluation's low-rank factors and solves no core system of its own
+    assert core_solves == ([core_solves[0]] if n >= 512 else [n, n])
     assert (core_solves[0] <= n // 4) == (n >= 512)
     fd = []
     for inner, outer in TANGENT_DIRECTIONS:

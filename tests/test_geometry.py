@@ -31,6 +31,19 @@ def test_ellipse_fourier_coefficients():
     assert curve.max_radius() == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("n", [64, 1024])
+def test_curve_samples_match_the_blas_product(n):
+    # einsum sums the Fourier series in its own order; the matrix product is the reference
+    inc = laurent_domain(LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05, 3: -0.02}, 1.5))
+    t = 2 * np.pi * np.arange(n) / n
+    for curve in (inc.inner, inc.outer, make_ellipse(0.3 - 0.1j, 2.0, 0.7)):
+        ks = np.arange(curve.k_min, curve.k_min + len(curve.coeffs))
+        basis = np.exp(1j * np.outer(t, ks))
+        for k, got in zip((0, 1, 2), curve.sample(t, (0, 1, 2))):
+            want = basis @ ((1j * ks) ** k * curve.coeffs)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0), (1.3, 0.4)])
 def test_ellipse_area_exact(a, b):
     curve = make_ellipse(0.0, a, b)

@@ -180,39 +180,57 @@ def _tangent_product(src, dsrc, pts, normals, dpts, dnormals, density, self_grid
     return out
 
 
-def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, self_grid=False):
+def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, step=0):
     """`_normal_kernel` at the targets, formed in row blocks of about 2^13 entries.
 
     A block's offsets stay in cache while its rows are formed in place in the
     output. A single block is returned as formed: forming it in a separate
     output raised the minor page faults of the N = 64 shape search about
     threefold. None once a block holds a target in the source's near zone,
-    decided on its r2 before any division. On the source's own grid
-    (self_grid) the diagonal r2 reads 1 and no target is refused.
+    decided on its r2 before any division. On the source's own grid, its nodes
+    0, step, 2 step, ... as the targets (step > 0), target r's r2 at node step r
+    reads 1 and no target is refused.
     """
-    limit = None if self_grid else _near_zone(src, 0.0)[1]
-    step = max(1, 2**13 // src.n)
-    out = None if step >= len(pts) else np.empty((len(pts), src.n))
-    for lo in range(0, len(pts), step):
-        dx, dy, r2 = _offsets(pts[lo : lo + step], src.nodes)
-        if self_grid:
-            np.fill_diagonal(r2[:, lo:], 1.0)
+    limit = None if step else _near_zone(src, 0.0)[1]
+    rows = max(1, 2**13 // src.n)
+    out = None if rows >= len(pts) else np.empty((len(pts), src.n))
+    for lo in range(0, len(pts), rows):
+        dx, dy, r2 = _offsets(pts[lo : lo + rows], src.nodes)
+        if step:
+            r2[np.arange(len(r2)), step * np.arange(lo, lo + len(r2))] = 1.0
         elif math.sqrt(float(r2.min())) < limit:
             return None
-        kern = _normal_kernel(src, normals[lo : lo + step], dx, dy, r2,
-                              None if out is None else out[lo : lo + step])
+        kern = _normal_kernel(src, normals[lo : lo + rows], dx, dy, r2,
+                              None if out is None else out[lo : lo + rows])
     return kern if out is None else out
 
 
-def kstar_matrix(src: Discretization) -> np.ndarray:
-    """Nystrom matrix of K* on the source grid (weights folded in).
+def kstar_matrix(src: Discretization, step: int = 1) -> np.ndarray:
+    """Nystrom matrix of K* on the source grid (weights folded in), its rows at every step-th node.
 
     The diagonal carries the limiting kernel value kappa(x)/2, so entries are
     kappa_i w_i /(4 pi) there; on a circle every entry is w_j/(4 pi).
     """
-    kern = _plain_kernel(src, src.nodes, src.normals, self_grid=True)
-    np.fill_diagonal(kern, 0.5 * src.curvature * src.weights / (2 * math.pi))
+    kern = _plain_kernel(src, src.nodes[::step], src.normals[::step], step)
+    rows = np.arange(len(kern))
+    kern[rows, step * rows] = (0.5 * src.curvature * src.weights / (2 * math.pi))[::step]
     return kern
+
+
+def _kernel_column(src: Discretization, j: int, tgt: Discretization) -> np.ndarray:
+    """Column j of the plain `_normal_kernel` block from src's nodes to all of tgt's.
+
+    One source node against every target node, without a near-zone check. On the
+    source's own grid (tgt is src) entry j holds `kstar_matrix`'s diagonal.
+    """
+    dx, dy, r2 = (a[:, 0] for a in _offsets(tgt.nodes, src.nodes[j : j + 1]))
+    own = tgt is src
+    if own:
+        r2[j] = 1.0
+    col = (dx * tgt.normals[:, 0] + dy * tgt.normals[:, 1]) / r2 * src.weights[j] / (2 * math.pi)
+    if own:
+        col[j] = 0.5 * src.curvature[j] * src.weights[j] / (2 * math.pi)
+    return col
 
 
 def kstar_tangent(src: Discretization, dsrc: GridTangent, density) -> np.ndarray:

@@ -15,7 +15,9 @@ The representation stays valid in the perfectly insulating (sigma_c = 0) and
 perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
-at the extreme contrasts. The system is solved by eliminating the core block,
+at the extreme contrasts. From 512 nodes each block is held as Fourier factors in
+its target variable where the rows at every fourth target node resolve it, else
+formed densely (`_block`). The system is solved by eliminating the core block,
 which does not depend on mu (`_core_factor`), then per axis the N x N coating
 Schur complement mu I + S, a compact perturbation of mu I, by one method for the
 solve and its derivative (`_Elimination._coating`, GMRES from 512 nodes); a product one
@@ -49,6 +51,7 @@ from .geometry import (
     discretize,
 )
 from .layerpot import (
+    _kernel_column,
     _near_zone,
     _off_fields,
     _offsets,
@@ -219,14 +222,18 @@ class _Elimination:
 
     With A11 = lam I - K*_in and S = -K*_out - C_io A11^-1 C_oi, psi solves (mu I + S) psi = b
     and phi = y + A11^-1 C_oi psi; sides holds (dh/dnu on the core, y, b) per background,
-    y = A11^-1 b1 and b the coating right side plus C_io y. On `_core_factor`'s low-rank
-    route core is (K*_out, C_io, U, G), A11^-1 = (I + U G) / lam, and GMRES applies S
-    unformed, three N x N products a step; with the check's C_oi psi reused, a one-step
-    solve makes 7 (3 Arnoldi, 3 check, K*_in phi). Elsewhere x_oi = A11^-1 C_oi and S are
-    formed. Either way four N x N arrays are held: 2 MB at N = 256, 32 MB at N = 1024. schur
-    holds the formed S, which the low-rank route forms and keeps, one N x N array more, at
-    its first dense coating solve (GMRES gave up, or several right sides). `solve_tangent`
-    differentiates `solve`'s densities only, through `_coating` and, low-rank, core's factors.
+    y = A11^-1 b1 and b the coating right side plus C_io y. Each block is a dense N x N
+    array or, from 512 nodes, a `_Factored` one (`_block`). When K*_in is factored (the
+    low-rank route) core is (K*_out, C_io, U, G), A11^-1 = (I + U G) / lam with U K*_in's
+    own, and GMRES applies S unformed: with the check's C_oi psi reused, a one-step solve
+    makes 7 block products (3 Arnoldi, 3 check, K*_in phi), each 2 N r flops for a
+    factored block of rank r. At N = 1024 with every block factored (ranks 1 to 219) it
+    holds no N x N array, 8 to 13 MB in all. Elsewhere x_oi = A11^-1 C_oi (factored
+    as (A11^-1 U) G when C_oi is) and S are formed: with K*_in and S that is two to four
+    N x N arrays, 2 MB at N = 256 and up to 32 MB at N = 1024. schur holds the formed S,
+    which the low-rank route forms and keeps, one N x N array, at its first dense coating
+    solve (GMRES gave up, or several right sides). `solve_tangent` differentiates `solve`'s
+    densities only, through `_coating` and, low-rank, core's factors.
     """
 
     d_in: Discretization
@@ -273,8 +280,9 @@ class _Elimination:
         solved = _gmres(product, mu, self.d_out, b) if krylov else None
         if solved is None:
             if not self.schur:  # the low-rank route forms S once, for this and later LUs
-                k_out, c_io, u, g = self.core
-                self.schur.append(-k_out - c_io @ _woodbury(u, g, self.lam, self.c_oi))
+                k_out, c_io, *core = self.core
+                x_oi, = _core_solve(self.k_in, self.lam, self.d_in, core, self.c_oi)
+                self.schur.append(-_dense(k_out) - c_io @ x_oi)
                 self.schur[0].flags.writeable = False
             s = _augment(self.schur[0].copy(), mu, self.d_out)
             solved = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})"), None
@@ -335,13 +343,15 @@ def _eliminate(d_in, d_out, parts, lam, backgrounds) -> _Elimination:
         x_oi, y, schur, core = None, _woodbury(*core, lam, b1), [], (k_out, c_io, *core)
     else:
         x_oi, y = _core_solve(k_in, lam, d_in, None, c_oi, b1)
-        schur = [-k_out - c_io @ x_oi]
-        x_oi = np.ascontiguousarray(x_oi)  # the dense solve's N x (N + 2) y fragmented the heap
+        schur = [-_dense(k_out) - c_io @ x_oi]
+        if isinstance(x_oi, np.ndarray):  # the dense solve's N x (N + 2) y fragmented the heap
+            x_oi = np.ascontiguousarray(x_oi)
     sides = tuple((r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1)
                   for (r1, r2), y1 in zip(rhs, y.T))
     grids = [a for d in (d_in, d_out) for a in vars(d).values() if isinstance(a, np.ndarray)]
     for a in (k_in, c_oi, *schur, *(core or [x_oi]), *(v for side in sides for v in side), *grids):
-        a.flags.writeable = False
+        if isinstance(a, np.ndarray):  # a `_Factored` block is read-only already
+            a.flags.writeable = False
     return _Elimination(d_in, d_out, lam, k_in, c_oi, x_oi, core, schur, sides)
 
 
@@ -368,42 +378,83 @@ def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
     return a
 
 
-def _core_factor(k_in: np.ndarray, lam: float, d: Discretization):
+@dataclass(frozen=True, eq=False)
+class _Factored:
+    """An operator block held as U G: U = [1, cos kt, sin kt] (k = 1..m-1) at its target nodes
+    t, G the (2m - 1) x N Fourier coefficient rows; read-only. `@` applies it from either side."""
+
+    u: np.ndarray
+    g: np.ndarray
+    __array_ufunc__ = None  # array @ block defers to __rmatmul__
+
+    def __post_init__(self):
+        self.u.flags.writeable = self.g.flags.writeable = False
+
+    def __matmul__(self, x):
+        return self.u @ (self.g @ x)
+
+    def __rmatmul__(self, x):
+        return (x @ self.u) @ self.g
+
+
+def _dense(block) -> np.ndarray:
+    """A block as one N x N array."""
+    return block.u @ block.g if isinstance(block, _Factored) else block
+
+
+def _block(src: Discretization, tgt: Discretization):
+    """The block from src's nodes to tgt's: K* on src's grid when tgt is src, else the coupling.
+
+    From _GMRES_NODES nodes (N a multiple of 4) it is formed first at every fourth target
+    node: `kstar_matrix`'s step, the coupling's N/4-node target grid. The real FFT of those
+    rows in the target variable is cut after mode m - 1, past which every coefficient is
+    within _FOURIER_TOL of the largest. The block is held as `_Factored`, rank 2m - 1 < N/4,
+    if m <= N/8 (the modes N/4 points resolve) and its largest-norm column, formed at all N
+    targets, has no coefficient from mode N/8 on above the cut: content there would fold
+    onto the kept modes. Otherwise, and on a smaller grid, it is formed densely, one N x N
+    array, with those rows and their transform freed first. At N = 1024 the rows and their
+    transform take 2.1 MB each, and U and G up to 2.1 MB each.
+    """
+    own, n = tgt is src, tgt.n
+    if n >= _GMRES_NODES and n % 4 == 0:
+        rows = kstar_matrix(src, 4) if own else normal_derivative_coupling(
+            src, discretize(tgt.curve, n // 4))
+        j, f = int(np.argmax(np.einsum("ij,ij->j", rows, rows))), np.fft.rfft(rows, axis=0)
+        scale = len(rows)  # f / scale are the Fourier coefficients
+        del rows
+        size = np.max(np.abs(f), axis=1)
+        top = np.max(size)
+        m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * top))
+        # the full-grid guard, taken only once the rows pass: a column's N-point transform
+        if m <= n // 8 and (np.max(np.abs(np.fft.rfft(_kernel_column(src, j, tgt))[n // 8 :]))
+                            <= _FOURIER_TOL * top * n / scale):
+            g = np.empty((2 * m - 1, src.n))
+            g[0] = f[0].real / scale
+            np.multiply(f[1:m].real, 2.0 / scale, out=g[1:m])
+            np.multiply(f[1:m].imag, -2.0 / scale, out=g[m:])
+            del f
+            # e^(ikt) at t = 2 pi i / N is the table entry of k i mod N
+            z = np.exp(2j * math.pi * np.arange(n) / n)[np.outer(np.arange(n), np.arange(1, m)) % n]
+            return _Factored(np.hstack([np.ones((n, 1)), z.real, z.imag]), g)
+        del f
+    return kstar_matrix(src) if own else normal_derivative_coupling(src, tgt)
+
+
+def _core_factor(k_in, lam: float, d: Discretization):
     """(U, G) with A11^-1 = (I + U G) / lam, A11 = `_augment(-k_in, lam, d)` = lam I - L, or None.
 
-    From _GMRES_NODES nodes, the real FFT of L's columns in the target variable is cut
-    after mode m - 1, past which every coefficient is within _FOURIER_TOL of the
-    largest: L ~ U G0 with U = [1, cos kt, sin kt] at the nodes, rank r = 2m - 1, and
-    G = (lam I_r - G0 U)^-1 G0 (Woodbury). The weighted-mean term is constant in the
-    target, so it lies in mode 0. A rank past N/4, or a smaller grid, takes the dense
-    solve (None), chosen before any other transform when the largest-norm column alone
-    already has a coefficient past the cut in the modes that pass N/4. The transform runs in
-    column blocks of 2^17 entries, with a running per-mode max of |coefficient|, and keeps
-    the modes a rank up to N/4 uses: 2.1 MB at N = 1024, where the whole one took 12.6 MB.
+    From K*_in's `_Factored` U G0 (None, for the dense solve, when K*_in is dense): the
+    weighted-mean term is constant in the target, so L = U (G0 - e_0 w^T / sum w) when
+    lam >= 0, and G = (lam I_r - G_L U)^-1 G_L (Woodbury), r = 2m - 1 < N/4. U is K*_in's;
+    the r x r inverse is formed first, so the step holds one r x N array beside G0 and G.
     """
-    n, what = d.n, f"transmission core block (lam={lam})"
-    if n >= _GMRES_NODES:
-        mean = (lam >= 0.0) * n * d.weights / np.sum(d.weights)
-        # a coefficient past mode 0 is at most sqrt(N) times its column's 2-norm; with
-        # mode 0's largest added that bounds them all, with room for rounding, so a tail
-        # coefficient above _FOURIER_TOL times the bound means the dense solve
-        sq, m, keep = np.einsum("ij,ij->j", k_in, k_in), n, (n // 4 + 1) // 2
-        tail = np.fft.rfft(k_in[:, np.argmax(sq)])[keep:]
-        bound = math.sqrt(n * np.max(sq)) + np.max(np.abs(np.sum(k_in, axis=0) - mean))
-        if np.max(np.abs(tail)) <= _FOURIER_TOL * bound:
-            size, low, step = np.zeros(n // 2 + 1), np.empty((keep, n), complex), 2**17 // n
-            for lo in range(0, n, step):
-                f = np.fft.rfft(k_in[:, lo : lo + step].T)
-                f[:, 0] -= mean[lo : lo + step]
-                np.maximum(size, np.max(np.abs(f), axis=0), out=size)
-                low[:, lo : lo + step] = f[:, :keep].T
-            m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * np.max(size)))
-        if 2 * m - 1 <= n // 4:
-            kt = np.outer(d.t, np.arange(1, m))
-            u = np.hstack([np.ones((n, 1)), np.cos(kt), np.sin(kt)])
-            g = np.vstack([low[:1].real, 2.0 * low[1:m].real, -2.0 * low[1:m].imag]) / n
-            return u, _solve(lam * np.eye(2 * m - 1) - g @ u, g, what)
-    return None
+    if not isinstance(k_in, _Factored):
+        return None
+    u, g = k_in.u, k_in.g.copy()
+    g[0] -= (lam >= 0.0) * d.weights / np.sum(d.weights)
+    r = len(g)
+    inv = _solve(lam * np.eye(r) - g @ u, np.eye(r), f"transmission core block (lam={lam})")
+    return u, inv @ g
 
 
 def _woodbury(u: np.ndarray, g: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
@@ -411,12 +462,18 @@ def _woodbury(u: np.ndarray, g: np.ndarray, lam: float, b: np.ndarray) -> np.nda
     return (u @ (g @ b) + b) / lam
 
 
-def _core_solve(k_in: np.ndarray, lam: float, d: Discretization, core, *blocks) -> list:
-    """A11^-1 applied to each block: by `_core_factor`'s factors core, or densely if None."""
+def _core_solve(k_in, lam: float, d: Discretization, core, *blocks) -> list:
+    """A11^-1 applied to each block: by `_core_factor`'s factors core, or densely if None.
+
+    Of a `_Factored` block only U is solved; the result keeps its G.
+    """
+    cols = [b.u if isinstance(b, _Factored) else b for b in blocks]
     if core:
-        return [_woodbury(*core, lam, b) for b in blocks]
-    y = _solve(_augment(-k_in, lam, d), np.hstack(blocks), f"transmission core block (lam={lam})")
-    return np.split(y, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)
+        out = [_woodbury(*core, lam, b) for b in cols]
+    else:
+        y = _solve(_augment(-k_in, lam, d), np.hstack(cols), f"transmission core block (lam={lam})")
+        out = np.split(y, np.cumsum([b.shape[1] for b in cols[:-1]]), axis=1)
+    return [_Factored(x, b.g) if isinstance(b, _Factored) else x for x, b in zip(out, blocks)]
 
 
 def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
@@ -469,12 +526,11 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
 
 
 def _assembled(inc: CoatedInclusion, n: int):
-    """Both grids and the contrast-independent blocks (K*_in, K*_out, C_oi, C_io)."""
+    """Both grids and the contrast-independent blocks (K*_in, K*_out, C_oi, C_io), by `_block`."""
     d_in = discretize(inc.inner, n)
     d_out = discretize(inc.outer, n)
-    k_in, k_out = kstar_matrix(d_in), kstar_matrix(d_out)
-    c_oi, c_io = normal_derivative_coupling(d_out, d_in), normal_derivative_coupling(d_in, d_out)
-    return d_in, d_out, (k_in, k_out, c_oi, c_io)
+    pairs = ((d_in, d_in), (d_out, d_out), (d_out, d_in), (d_in, d_out))
+    return d_in, d_out, tuple(_block(src, tgt) for src, tgt in pairs)
 
 
 def solve_both_axes(

@@ -10,6 +10,7 @@ from neutral_lab.geometry import confocal_pair, discretize, make_ellipse
 from neutral_lab.layerpot import (
     NEAR_FACTOR,
     _interpolated,
+    _kernel_column,
     _near_zone,
     _normal_kernel,
     _offsets,
@@ -101,6 +102,22 @@ def test_weights_are_left_eigenvector_of_kstar():
         d = discretize(curve, 128)
         k = kstar_matrix(d)
         assert np.max(np.abs(d.weights @ k - 0.5 * d.weights)) < 1e-14
+
+
+@pytest.mark.parametrize("step", [1, 4])
+def test_block_rows_and_columns_are_the_whole_blocks(step):
+    # the rows at every step-th node and the plain columns of K* and of a coupling,
+    # bit for bit: one kernel, its diagonal kappa w/(4 pi) on the own grid
+    inc = confocal_pair(1.0, 0.3, 1.5)
+    d_in, d_out = discretize(inc.inner, 64), discretize(inc.outer, 64)
+    k = kstar_matrix(d_in)
+    assert np.array_equal(kstar_matrix(d_in, step), k[::step])
+    coupling = normal_derivative_coupling(d_out, d_in)
+    coarse = discretize(inc.inner, 64 // step)
+    assert np.array_equal(normal_derivative_coupling(d_out, coarse), coupling[::step])
+    for j in (0, 5, 63):
+        assert np.array_equal(_kernel_column(d_in, j, d_in), k[:, j])
+        assert np.array_equal(_kernel_column(d_out, j, d_in), coupling[:, j])
 
 
 def test_jump_relation_generic_curve():

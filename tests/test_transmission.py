@@ -408,8 +408,14 @@ def test_core_flux_is_interior_normal_derivative(am1, r0):
 
 
 def _full_system_solve(inc, p, n):
-    """Reference: the whole 2N x 2N block system, one dense solve per axis."""
-    d_in, d_out, (k_in, k_out, c_oi, c_io) = transmission._assembled(inc, n)
+    """Reference: the whole 2N x 2N block system, one dense solve per axis.
+
+    Its blocks are formed densely by layerpot itself, whatever route the solver takes.
+    """
+    d_in, d_out = discretize(inc.inner, n), discretize(inc.outer, n)
+    k_in, k_out = layerpot.kstar_matrix(d_in), layerpot.kstar_matrix(d_out)
+    c_oi = layerpot.normal_derivative_coupling(d_out, d_in)
+    c_io = layerpot.normal_derivative_coupling(d_in, d_out)
     cp = contrasts(p)
     out = []
     for j in (0, 1):
@@ -433,8 +439,10 @@ LAURENT = LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5)
 
 # (am1, r0, sigma_c, n, low_rank); am1 "laurent" is LAURENT. Below 512 nodes the core
 # block is solved densely; from 512 through K*_in's low Fourier modes, unless their rank
-# passes N/4 (a-1 = 0.6 has rank 213 at 512 nodes and 215 at 1024, a-1 = 0.8 rank 489),
-# and then GMRES applies the coating Schur part without forming it
+# passes N/4 (a-1 = 0.6 has rank 213 at 512 nodes and 219 at 1024, a-1 = 0.8 rank 489),
+# and then GMRES applies the coating Schur part without forming it. At r0 = 1.26 and
+# 1024 nodes the couplings have rank past N/4 and are formed densely while both K* are
+# held as Fourier factors: a mixed route
 ELIMINATION_CASES = [
     *((am1, r0, sc, n, n >= 512 and am1 <= 0.2) for am1, r0 in [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)]
       for sc in [0.0, 0.2, 5.0, math.inf] for n in [64, 256, 512]),
@@ -445,6 +453,7 @@ ELIMINATION_CASES = [
     (0.6, 1.25, math.inf, 1024, True),
     ("laurent", 1.5, 5.0, 1024, True),
     (0.2, 1.01, 0.0, 1024, True),
+    (0.3, 1.26, 5.0, 1024, True),
 ]
 
 
@@ -458,6 +467,12 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, co
     pairs = solve_both_axes(inc, p, n=n)
     assert len(core_solves) == 1
     assert (core_solves[0] <= n // 4) if low_rank else (core_solves[0] == n)
+    if (am1, r0) == (0.3, 1.26):
+        (kept,) = transmission._kept.values()
+        k_out, c_io = kept.core[:2]
+        assert isinstance(kept.k_in, transmission._Factored)
+        assert isinstance(k_out, transmission._Factored)
+        assert isinstance(kept.c_oi, np.ndarray) and isinstance(c_io, np.ndarray)
     for pair, ref in zip(pairs, _full_system_solve(inc, p, n)):
         for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
             # the core flux vanishes for sigma_c = inf; dh/dnu is O(1) there
@@ -465,27 +480,27 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, co
 
 
 def _arrays(value):
-    """Every array in a value, through tuples and lists."""
+    """Every array in a value, through tuples, lists and factored blocks."""
     if isinstance(value, np.ndarray):
         return [value]
+    if isinstance(value, transmission._Factored):
+        value = (value.u, value.g)
     if isinstance(value, (tuple, list)):
         return [a for v in value for a in _arrays(v)]
     return []
 
 
 def test_a_low_rank_elimination_forms_neither_x_oi_nor_the_schur_part():
-    # its N x N arrays are the assembled blocks; A11^-1 is held as its Woodbury factors
+    # every block is held as Fourier factors and A11^-1 as its Woodbury factors: no N x N
+    # array is held. K*_in has rank 101, and its U is the Woodbury U
     inc, n = laurent_domain(LAURENT), 1024
     solve_both_axes(inc, ConductivityProfile(5.0, 1.0, (0.5, 3.0)), n=n)
     (kept,) = transmission._kept.values()
     assert kept.x_oi is None and kept.schur == []
     arrays = _arrays([getattr(kept, f.name) for f in dataclasses.fields(kept)])
-    square = [a for a in arrays if a.shape == (n, n)]
-    _, _, blocks = transmission._assembled(inc, n)
-    assert len(square) == 4
-    assert all(any(np.array_equal(a, b) for a in square) for b in blocks)
+    assert all(a.ndim == 1 or min(a.shape) < n // 4 for a in arrays)
     u, g = kept.core[2:]
-    assert u.shape == (n, 101) and g.shape == (101, n)
+    assert u is kept.k_in.u and u.shape == (n, 101) and g.shape == (101, n)
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -526,21 +541,24 @@ HIGH_RANK = {"confocal-0.8": lambda: confocal_pair(1.0, 0.8, 1.5),
 
 @pytest.mark.parametrize("name", HIGH_RANK)
 def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatch, core_solves):
-    # the column of largest norm already has a coefficient past the rank cut, so
-    # K*_in is solved densely with that one column transformed
+    # the rows at every fourth node already have a coefficient past mode N/8, so K*_in is
+    # formed densely with only those rows transformed and no full-grid column formed
     inc = HIGH_RANK[name]()
-    shapes, rfft = [], np.fft.rfft
+    shapes, rfft, columns = [], np.fft.rfft, []
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: shapes.append(a.shape)
                         or rfft(a, *args, **kw))
+    monkeypatch.setattr(transmission, "_kernel_column", lambda *a: columns.append(a))
     d = discretize(inc.inner, 512)
-    k_in, b = transmission.kstar_matrix(d), d.normals
+    k_in, b = transmission._block(d, d), d.normals
+    assert shapes == [(128, 512)] and columns == []
+    assert np.array_equal(k_in, layerpot.kstar_matrix(d))
     x, = transmission._core_solve(k_in, 0.5, d, transmission._core_factor(k_in, 0.5, d), b)
-    assert core_solves == [512] and shapes == [(512,)]
+    assert core_solves == [512]
     assert np.array_equal(x, np.linalg.solve(transmission._augment(-k_in, 0.5, d), b))
 
 
 def _whole_transform_factors(k_in, lam, d):
-    """`_core_factor`'s (U, G) from the whole real FFT of K*_in's columns, or None."""
+    """Woodbury factors (U, G) from the whole real FFT of a dense K*_in's columns, or None."""
     n = d.n
     f = np.fft.rfft(k_in, axis=0)
     f[0] -= (lam >= 0.0) * n * d.weights / np.sum(d.weights)
@@ -563,44 +581,96 @@ CORES = {"disk": lambda: confocal_pair(1.0, 0.0, 1.5),
 @pytest.mark.parametrize("lam", [0.75, -0.5])
 @pytest.mark.parametrize("n", [512, 1024])
 @pytest.mark.parametrize("name", CORES)
-def test_the_streamed_core_transform_gives_the_whole_transforms_factors(name, n, lam):
-    # a-1 = 0.6 has rank 213 at 512 nodes, past N/4, and 215 at 1024
+def test_the_core_factors_from_coarse_rows_match_the_whole_transforms(name, n, lam):
+    # A11^-1 by the factors of K*_in's rows at every fourth node against A11^-1 by the
+    # whole transform of the dense K*_in; a-1 = 0.6 has rank 213 at 512 nodes, past N/4
     d = discretize(CORES[name]().inner, n)
-    k_in = transmission.kstar_matrix(d)
-    got, want = transmission._core_factor(k_in, lam, d), _whole_transform_factors(k_in, lam, d)
+    got = transmission._core_factor(transmission._block(d, d), lam, d)
+    want = _whole_transform_factors(layerpot.kstar_matrix(d), lam, d)
     assert (got is None) == (want is None) == (name == "confocal-0.6" and n == 512)
-    assert got is None or all(np.array_equal(a, b) for a, b in zip(got, want))
+    if got:
+        v = np.random.default_rng(5).standard_normal((n, 4))
+        ref = transmission._woodbury(*want, lam, v)
+        err = np.linalg.norm(transmission._woodbury(*got, lam, v) - ref, axis=0)
+        assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=0)), err
 
 
-@pytest.mark.parametrize("name", ["disk", "confocal-0.3", "laurent"])
-def test_the_streamed_core_transform_holds_less_than_the_whole_transform(name):
+@pytest.mark.parametrize("name", CORES)
+def test_the_factored_core_assembly_holds_less_than_the_whole_transform(name):
+    # K*_in from its rows at every fourth node to the Woodbury factors, at ranks 1 to 219;
     # the whole N x (N/2 + 1) complex transform alone is 8.4 MB at 1024 nodes
     d = discretize(CORES[name]().inner, 1024)
-    k_in = transmission.kstar_matrix(d)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        assert transmission._core_factor(k_in, 0.75, d) is not None
+        assert transmission._core_factor(transmission._block(d, d), 0.75, d) is not None
         transient = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert transient < 1024 * 513 * 16
 
 
-class _CountedMatmul(np.ndarray):
-    """A view of a block that appends "C" to `events` per product taken with it."""
+# The rows at every fourth node fold a ripple of mode 259 on the core onto mode 3, at 512
+# and 1024 nodes; only the full-grid column shows it
+RIPPLE = CoatedInclusion(Curve(np.r_[1.0, np.zeros(257), 1e-10], 1), make_ellipse(0.0, 1.5, 1.5))
+BLOCKS = {"confocal": lambda a, r0: confocal_pair(1.0, a, r0),
+          "laurent": lambda a, r0: laurent_domain(LAURENT), "ripple": lambda a, r0: RIPPLE}
+ROUTE_CASES = [("confocal", a, r0) for a in (0.0, 0.05, 0.3, 0.6) for r0 in (1.25, 1.5, 2.5)
+               if a or r0 == 1.5] + [("confocal", 0.8, 1.5), ("laurent", 0.2, 1.5),
+                                     ("ripple", 0.0, 1.5)]
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("kind, am1, r0", ROUTE_CASES, ids=["-".join(map(str, c)) for c in ROUTE_CASES])
+def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n):
+    # each block held as Fourier factors, applied from either side to 4 seeded vectors,
+    # against the dense block, relative to its largest column norm (at most its 2-norm)
+    inc = BLOCKS[kind](am1, r0)
+    d_in, d_out = discretize(inc.inner, n), discretize(inc.outer, n)
+    names = ("K*_in", "K*_out", "C_oi", "C_io")
+    pairs = ((d_in, d_in), (d_out, d_out), (d_out, d_in), (d_in, d_out))
+    v = np.random.default_rng(11).standard_normal((n, 4))
+    factored = set()
+    for name, (src, tgt) in zip(names, pairs):
+        block = transmission._block(src, tgt)
+        dense = (layerpot.kstar_matrix(src) if src is tgt
+                 else layerpot.normal_derivative_coupling(src, tgt))
+        if isinstance(block, np.ndarray):
+            assert np.array_equal(block, dense)
+            continue
+        factored.add(name)
+        assert block.u.shape[1] < n // 4
+        scale = np.max(np.linalg.norm(dense, axis=0)) * np.linalg.norm(v, axis=0)
+        for got, want in ((block @ v, dense @ v), ((v.T @ block).T, (v.T @ dense).T)):
+            err = np.linalg.norm(got - want, axis=0)
+            assert np.all(err <= 1e-12 * scale), (name, err / scale)
+    if kind == "ripple":  # the ripple sends the blocks with core targets dense
+        assert factored == ({"K*_out", "C_io"} if n == 1024 else {"K*_out"})
+    elif am1 == 0.8:  # a flat core: K*_in has rank 489 at 512 nodes
+        assert "K*_in" not in factored and "K*_out" in factored
+    elif n == 1024 and r0 == 1.25:  # couplings of rank past N/4
+        assert factored == {"K*_in", "K*_out"}
+    elif n == 1024 or r0 == 2.5:
+        assert factored >= {"K*_out", "C_io"} and ("K*_in" in factored) == (n == 1024 or am1 < 0.6)
+
+
+class _CountedMatmul:
+    """A block that appends "C" to `events` per product taken with it."""
 
     events: list = []
 
+    def __init__(self, block):
+        self.block = block
+
     def __matmul__(self, other):
         self.events.append("C")
-        return np.asarray(self) @ other
+        return self.block @ other
 
 
 def test_a_one_step_coating_solve_multiplies_by_c_oi_only_inside_its_schur_products(monkeypatch):
-    # on a confocal pair GMRES takes one step per axis: one Arnoldi product S and one
+    # on concentric disks GMRES takes one step per axis: one Arnoldi product S and one
     # true-residual check; phi and the flux reuse the C_oi psi of that check
-    inc, p = confocal_pair(1.0, 0.2, 1.5), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    inc, p = confocal_pair(1.0, 0.0, 1.5), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     elim, want = transmission._solved(inc, p, 512)
     assert elim.core is not None
     events, product, gmres = [], transmission._Elimination._product, transmission._gmres
@@ -608,7 +678,7 @@ def test_a_one_step_coating_solve_multiplies_by_c_oi_only_inside_its_schur_produ
                         lambda self, v: events.append("S") or product(self, v))
     monkeypatch.setattr(transmission, "_gmres", lambda *a: events.append("gmres") or gmres(*a))
     monkeypatch.setattr(_CountedMatmul, "events", events)
-    counted = dataclasses.replace(elim, c_oi=elim.c_oi.view(_CountedMatmul))
+    counted = dataclasses.replace(elim, c_oi=_CountedMatmul(elim.c_oi))
     got = counted.solve(zip(contrasts(p).mu, (pair.h for pair in want), (1, 2)))
     assert events == ["gmres", "S", "C", "S", "C"] * 2
     for a, b in zip(got, want):

@@ -227,8 +227,8 @@ class _Elimination:
     low-rank route) core is (K*_out, C_io, U, G), A11^-1 = (I + U G) / lam with U K*_in's
     own, and GMRES applies S unformed: with the check's C_oi psi reused, a one-step solve
     makes 7 block products (3 Arnoldi, 3 check, K*_in phi), each 2 N r flops for a
-    factored block of rank r. At N = 1024 with every block factored (ranks 1 to 219) it
-    holds no N x N array, 8 to 13 MB in all. Elsewhere x_oi = A11^-1 C_oi (factored
+    factored block of rank r. At N = 1024 with every block factored (ranks up to 255) it
+    holds no N x N array, 8 to 19 MB in all. Elsewhere x_oi = A11^-1 C_oi (factored
     as (A11^-1 U) G when C_oi is) and S are formed: with K*_in and S that is two to four
     N x N arrays, 2 MB at N = 256 and up to 32 MB at N = 1024. schur holds the formed S,
     which the low-rank route forms and keeps, one N x N array, at its first dense coating
@@ -406,11 +406,11 @@ def _block(src: Discretization, tgt: Discretization):
     """The block from src's nodes to tgt's: K* on src's grid when tgt is src, else the coupling.
 
     From _GMRES_NODES nodes (N a multiple of 4) it is formed first at every fourth target
-    node: `kstar_matrix`'s step, the coupling's N/4-node target grid. The real FFT of those
-    rows in the target variable is cut after mode m - 1, past which every coefficient is
-    within _FOURIER_TOL of the largest. The block is held as `_Factored`, rank 2m - 1 < N/4,
-    if m <= N/8 (the modes N/4 points resolve) and its largest-norm column, formed at all N
-    targets, has no coefficient from mode N/8 on above the cut: content there would fold
+    node: `kstar_matrix`'s step, the coupling's N/4-node target grid. Those N/4 rows resolve
+    the modes below N/8 in the target variable; their real FFT is cut after mode m - 1 < N/8,
+    past which every such coefficient is within _FOURIER_TOL of the largest. The block is
+    held as `_Factored`, rank 2m - 1 < N/4, when its largest-norm column, formed at all N
+    targets, has no coefficient from mode N/8 on above that bound: content there would fold
     onto the kept modes. Otherwise, and on a smaller grid, it is formed densely, one N x N
     array, with those rows and their transform freed first. At N = 1024 the rows and their
     transform take 2.1 MB each, and U and G up to 2.1 MB each.
@@ -422,12 +422,11 @@ def _block(src: Discretization, tgt: Discretization):
         j, f = int(np.argmax(np.einsum("ij,ij->j", rows, rows))), np.fft.rfft(rows, axis=0)
         scale = len(rows)  # f / scale are the Fourier coefficients
         del rows
-        size = np.max(np.abs(f), axis=1)
+        size = np.max(np.abs(f[: n // 8]), axis=1)
         top = np.max(size)
         m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * top))
-        # the full-grid guard, taken only once the rows pass: a column's N-point transform
-        if m <= n // 8 and (np.max(np.abs(np.fft.rfft(_kernel_column(src, j, tgt))[n // 8 :]))
-                            <= _FOURIER_TOL * top * n / scale):
+        if np.max(np.abs(np.fft.rfft(_kernel_column(src, j, tgt))[n // 8 :])) <= (
+                _FOURIER_TOL * top * n / scale):
             g = np.empty((2 * m - 1, src.n))
             g[0] = f[0].real / scale
             np.multiply(f[1:m].real, 2.0 / scale, out=g[1:m])

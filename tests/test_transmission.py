@@ -441,8 +441,8 @@ LAURENT = LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5)
 # block is solved densely; from 512 through K*_in's low Fourier modes, unless their rank
 # passes N/4 (a-1 = 0.6 has rank 213 at 512 nodes and 219 at 1024, a-1 = 0.8 rank 489),
 # and then GMRES applies the coating Schur part without forming it. At r0 = 1.26 and
-# 1024 nodes the couplings have rank past N/4 and are formed densely while both K* are
-# held as Fourier factors: a mixed route
+# 1024 nodes C_oi has rank past N/4 and is formed densely while the other three blocks
+# are held as Fourier factors (C_io at rank 255): a mixed route
 ELIMINATION_CASES = [
     *((am1, r0, sc, n, n >= 512 and am1 <= 0.2) for am1, r0 in [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)]
       for sc in [0.0, 0.2, 5.0, math.inf] for n in [64, 256, 512]),
@@ -467,12 +467,10 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, co
     pairs = solve_both_axes(inc, p, n=n)
     assert len(core_solves) == 1
     assert (core_solves[0] <= n // 4) if low_rank else (core_solves[0] == n)
-    if (am1, r0) == (0.3, 1.26):
+    if (am1, r0) == (0.3, 1.26):  # the mixed route: C_oi alone is formed densely
         (kept,) = transmission._kept.values()
-        k_out, c_io = kept.core[:2]
-        assert isinstance(kept.k_in, transmission._Factored)
-        assert isinstance(k_out, transmission._Factored)
-        assert isinstance(kept.c_oi, np.ndarray) and isinstance(c_io, np.ndarray)
+        assert isinstance(kept.c_oi, np.ndarray)
+        assert all(isinstance(b, transmission._Factored) for b in (kept.k_in, *kept.core[:2]))
     for pair, ref in zip(pairs, _full_system_solve(inc, p, n)):
         for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
             # the core flux vanishes for sigma_c = inf; dh/dnu is O(1) there
@@ -541,16 +539,16 @@ HIGH_RANK = {"confocal-0.8": lambda: confocal_pair(1.0, 0.8, 1.5),
 
 @pytest.mark.parametrize("name", HIGH_RANK)
 def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatch, core_solves):
-    # the rows at every fourth node already have a coefficient past mode N/8, so K*_in is
-    # formed densely with only those rows transformed and no full-grid column formed
+    # the largest-norm column, formed at all 512 nodes, has coefficients past mode N/8,
+    # so K*_in is formed densely with only its rows at every fourth node and that one
+    # column transformed
     inc = HIGH_RANK[name]()
-    shapes, rfft, columns = [], np.fft.rfft, []
+    shapes, rfft = [], np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: shapes.append(a.shape)
                         or rfft(a, *args, **kw))
-    monkeypatch.setattr(transmission, "_kernel_column", lambda *a: columns.append(a))
     d = discretize(inc.inner, 512)
     k_in, b = transmission._block(d, d), d.normals
-    assert shapes == [(128, 512)] and columns == []
+    assert shapes == [(128, 512), (512,)]
     assert np.array_equal(k_in, layerpot.kstar_matrix(d))
     x, = transmission._core_solve(k_in, 0.5, d, transmission._core_factor(k_in, 0.5, d), b)
     assert core_solves == [512]

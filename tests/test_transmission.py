@@ -900,10 +900,12 @@ TANGENT_DIRECTIONS = [
     (Curve(np.zeros(1, complex), 0), Curve(np.array([0.1j, 0.4, 0.0, -0.3]), -2)),
     (Curve(np.array([0.2, -0.1j]), -1), Curve(np.array([0.5, 0.2]), 2)),
 ]
-SOLVE_TANGENT_CASES = {  # (map, sigma_c, N): lam = 3/4, -1/2 and 1/2
+SOLVE_TANGENT_CASES = {  # (map, sigma_c, N): lam = 3/4, -1/2, 1/2 and 3/4
     "laurent-n64": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 5.0, 64),
     "refined-r0=1.08-n64": (LaurentMap({1: 1.0, -1: 0.2, 2: -0.03, -2: 0.02}, 1.08), 0.0, 64),
     "low-rank-core-n512": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), math.inf, 512),
+    # every block held as Fourier factors: the derivative applies C_io through them
+    "factored-blocks-n1024": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 5.0, 1024),
 }
 
 
@@ -917,6 +919,8 @@ def test_solve_tangent_matches_central_differences_of_the_densities(name, monkey
     ss, sm, h = 1.0, np.array([0.7, 2.0]), 1e-6
     inc, p = laurent_domain(m), ConductivityProfile(sigma_c, ss, tuple(sm))
     elim, pairs = transmission._solved(inc, p, n)
+    blocks = (elim.k_in, elim.c_oi, *(elim.core or ())[:2])
+    assert all(isinstance(b, transmission._Factored) for b in blocks) == (n == 1024)
     t_in, t_out = (discretize_tangent(d, [dc[i] for dc in TANGENT_DIRECTIONS])
                    for i, d in enumerate((elim.d_in, elim.d_out)))
     refined, interpolated = [], layerpot._interpolated  # one per refined coupling derivative

@@ -130,12 +130,15 @@ def single_layer_grad_off(src: Discretization, density, targets) -> np.ndarray:
     return _off_fields(src, density, targets, grad=True)[1]
 
 
-def _normal_kernel(src: Discretization, normals: np.ndarray, dx, dy, r2, out=None) -> np.ndarray:
-    """The n.grad S kernel <x - y, nu_x>/|x - y|^2 w_y/(2 pi) at targets x, normals nu_x; in out."""
+def _normal_kernel(weights: np.ndarray, normals: np.ndarray, dx, dy, r2, out=None) -> np.ndarray:
+    """The n.grad S kernel <x - y, nu_x>/|x - y|^2 w_y/(2 pi) at targets x, normals nu_x; in out.
+
+    weights are the columns' source weights w_y.
+    """
     kern = np.multiply(dx, normals[:, None, 0], out=out)
     kern += dy * normals[:, None, 1]
     kern /= r2
-    kern *= src.weights
+    kern *= weights
     kern /= 2 * math.pi
     return kern
 
@@ -200,7 +203,7 @@ def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, ste
             r2[np.arange(len(r2)), step * np.arange(lo, lo + len(r2))] = 1.0
         elif math.sqrt(float(r2.min())) < limit:
             return None
-        kern = _normal_kernel(src, normals[lo : lo + rows], dx, dy, r2,
+        kern = _normal_kernel(src.weights, normals[lo : lo + rows], dx, dy, r2,
                               None if out is None else out[lo : lo + rows])
     return kern if out is None else out
 
@@ -213,8 +216,13 @@ def kstar_matrix(src: Discretization, step: int = 1) -> np.ndarray:
     """
     kern = _plain_kernel(src, src.nodes[::step], src.normals[::step], step)
     rows = np.arange(len(kern))
-    kern[rows, step * rows] = (0.5 * src.curvature * src.weights / (2 * math.pi))[::step]
+    kern[rows, step * rows] = _kstar_diagonal(src)[::step]
     return kern
+
+
+def _kstar_diagonal(src: Discretization) -> np.ndarray:
+    """`kstar_matrix`'s diagonal: the limiting kernel kappa/2 times w/(2 pi)."""
+    return 0.5 * src.curvature * src.weights / (2 * math.pi)
 
 
 def _kernel_column(src: Discretization, j: int, tgt: Discretization) -> np.ndarray:
@@ -223,13 +231,13 @@ def _kernel_column(src: Discretization, j: int, tgt: Discretization) -> np.ndarr
     One source node against every target node, without a near-zone check. On the
     source's own grid (tgt is src) entry j holds `kstar_matrix`'s diagonal.
     """
-    dx, dy, r2 = (a[:, 0] for a in _offsets(tgt.nodes, src.nodes[j : j + 1]))
+    dx, dy, r2 = _offsets(tgt.nodes, src.nodes[j : j + 1])
     own = tgt is src
     if own:
         r2[j] = 1.0
-    col = (dx * tgt.normals[:, 0] + dy * tgt.normals[:, 1]) / r2 * src.weights[j] / (2 * math.pi)
+    col = _normal_kernel(src.weights[j : j + 1], tgt.normals, dx, dy, r2)[:, 0]
     if own:
-        col[j] = 0.5 * src.curvature[j] * src.weights[j] / (2 * math.pi)
+        col[j] = _kstar_diagonal(src)[j]
     return col
 
 
@@ -246,18 +254,20 @@ def kstar_tangent(src: Discretization, dsrc: GridTangent, density) -> np.ndarray
     return out
 
 
-def normal_derivative_coupling(src: Discretization, tgt: Discretization) -> np.ndarray:
-    """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes.
+def normal_derivative_coupling(src: Discretization, tgt: Discretization,
+                               step: int = 1) -> np.ndarray:
+    """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes, its rows at every step-th one.
 
     Plain trapezoid weights outside the source's near zone. When target nodes
     lie inside it (a thin shell), the same kernel is formed on the grid refined
     for the smallest target distance and reduced to the n source columns
     (`_near_rows`); a target on the source curve is refused.
     """
-    kern = _plain_kernel(src, tgt.nodes, tgt.normals)
+    pts, normals = tgt.nodes[::step], tgt.normals[::step]
+    kern = _plain_kernel(src, pts, normals)
     if kern is not None:
         return kern
-    return _near_rows(src, tgt.nodes, tgt.normals, min_target_distance(src, tgt.nodes))
+    return _near_rows(src, pts, normals, min_target_distance(src, pts))
 
 
 def coupling_tangent(src: Discretization, dsrc: GridTangent, tgt: Discretization,
@@ -354,7 +364,7 @@ def _near_rows(src: Discretization, pts: np.ndarray, normals: np.ndarray, dist: 
     block = max(1, int(4e6) // fine.n)
     for lo in range(0, len(pts), block):
         s = slice(lo, lo + block)
-        kern = _normal_kernel(fine, normals[s], *_offsets(pts[s], fine.nodes))
+        kern = _normal_kernel(fine.weights, normals[s], *_offsets(pts[s], fine.nodes))
         spec = np.fft.rfft(kern, axis=1)[:, : src.n // 2 + 1]
         del kern
         rows[s] = np.fft.irfft(spec, n=src.n, axis=1)

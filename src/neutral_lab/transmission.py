@@ -16,8 +16,8 @@ perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. From 512 nodes each block is held as Fourier factors in
-its target variable where the rows at every fourth target node resolve it, else
-formed densely (`_block`). The system is solved by eliminating the core block,
+its target variable where its rows at every fourth (or second) target node resolve
+it, else formed densely (`_block`). The system is solved by eliminating the core block,
 which does not depend on mu (`_core_factor`), then per axis the N x N coating
 Schur complement mu I + S, a compact perturbation of mu I, by one method for the
 solve and its derivative (`_Elimination._coating`, GMRES from 512 nodes); a product one
@@ -71,12 +71,14 @@ PROBE_POINTS = 64
 _PROBE_SCALE = 3.0  # the default probe radius, in outer max radii
 _CORE_MIN = 5  # fewest core points: the quadratic fit of the Newtonian check has 5 unknowns
 # coating solves on grids of at least _GMRES_NODES nodes use GMRES, which stops
-# once the true residual is within _GMRES_TOL of |b|, or at _GMRES_CAP iterations
+# once the true residual is within _GMRES_TOL of |b|, or at _GMRES_CAP iterations;
+# `_block` cuts a factored block's modes at the same _GMRES_TOL
 _GMRES_NODES = 512
 _GMRES_TOL = 1e-14
 _GMRES_CAP = 60
-# from _GMRES_NODES nodes the core block is solved through K*_in's low Fourier modes,
-# cut after the last mode with a coefficient above _FOURIER_TOL times the largest
+# from _GMRES_NODES nodes a block held by its low Fourier modes in the target variable
+# (`_block`) goes dense when its full-grid column has a coefficient past those modes
+# above _FOURIER_TOL times the largest
 _FOURIER_TOL = 1e-13
 
 
@@ -405,26 +407,30 @@ def _dense(block) -> np.ndarray:
 def _block(src: Discretization, tgt: Discretization):
     """The block from src's nodes to tgt's: K* on src's grid when tgt is src, else the coupling.
 
-    From _GMRES_NODES nodes (N a multiple of 4) it is formed first at every fourth target
-    node: `kstar_matrix`'s step, the coupling's N/4-node target grid. Those N/4 rows resolve
-    the modes below N/8 in the target variable; their real FFT is cut after mode m - 1 < N/8,
-    past which every such coefficient is within _FOURIER_TOL of the largest. The block is
-    held as `_Factored`, rank 2m - 1 < N/4, when its largest-norm column, formed at all N
-    targets, has no coefficient from mode N/8 on above that bound: content there would fold
-    onto the kept modes. Otherwise, and on a smaller grid, it is formed densely, one N x N
-    array, with those rows and their transform freed first. At N = 1024 the rows and their
-    transform take 2.1 MB each, and U and G up to 2.1 MB each.
+    From _GMRES_NODES nodes it is formed first at every s-th target node, s = gcd(N, 4)
+    (`kstar_matrix`'s and the coupling's step); those N/s rows resolve the modes below N/8
+    in the target variable. Their real FFT is cut after mode m - 1 < N/8, past which each
+    mode's coefficients, transformed over the source nodes as well, are within _GMRES_TOL
+    of the largest, so what the cut drops stays below GMRES's acceptance.
+    The rounding of near-diagonal entries floors one column's coefficients near 6e-14 of
+    the largest at N = 1024; over the source modes it spreads out, to about 2e-15. The
+    block is held as `_Factored`, rank 2m - 1 < N/4, when its largest-norm column, formed
+    at all N targets, has no coefficient from mode N/8 on above _FOURIER_TOL of the rows'
+    largest: content there would fold onto the kept modes. Otherwise, and on a smaller
+    grid, it is formed densely, one N x N array, with those rows and their transform freed
+    first. At N = 1024 the rows, their transform and its kept modes' source transform take
+    2.1 MB each, and U and G up to 2.1 MB each.
     """
     own, n = tgt is src, tgt.n
-    if n >= _GMRES_NODES and n % 4 == 0:
-        rows = kstar_matrix(src, 4) if own else normal_derivative_coupling(
-            src, discretize(tgt.curve, n // 4))
+    if n >= _GMRES_NODES:
+        step = math.gcd(n, 4)
+        rows = kstar_matrix(src, step) if own else normal_derivative_coupling(src, tgt, step)
         j, f = int(np.argmax(np.einsum("ij,ij->j", rows, rows))), np.fft.rfft(rows, axis=0)
         scale = len(rows)  # f / scale are the Fourier coefficients
         del rows
-        size = np.max(np.abs(f[: n // 8]), axis=1)
-        top = np.max(size)
-        m = len(size) - int(np.argmax(size[::-1] > _FOURIER_TOL * top))
+        top = np.max(np.abs(f[: n // 8]))
+        size = np.max(np.abs(np.fft.fft(f[: n // 8], axis=1)), axis=1)
+        m = len(size) - int(np.argmax(size[::-1] > _GMRES_TOL * np.max(size)))
         if np.max(np.abs(np.fft.rfft(_kernel_column(src, j, tgt))[n // 8 :])) <= (
                 _FOURIER_TOL * top * n / scale):
             g = np.empty((2 * m - 1, src.n))
@@ -433,8 +439,11 @@ def _block(src: Discretization, tgt: Discretization):
             np.multiply(f[1:m].imag, -2.0 / scale, out=g[m:])
             del f
             # e^(ikt) at t = 2 pi i / N is the table entry of k i mod N
-            z = np.exp(2j * math.pi * np.arange(n) / n)[np.outer(np.arange(n), np.arange(1, m)) % n]
-            return _Factored(np.hstack([np.ones((n, 1)), z.real, z.imag]), g)
+            e = np.exp(2j * math.pi * np.arange(n) / n)
+            k, u = np.outer(np.arange(n), np.arange(1, m)) % n, np.empty((n, 2 * m - 1))
+            u[:, 0] = 1.0
+            u[:, 1:m], u[:, m:] = e.real[k], e.imag[k]
+            return _Factored(u, g)
         del f
     return kstar_matrix(src) if own else normal_derivative_coupling(src, tgt)
 
@@ -483,7 +492,9 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
     factors the Hessenberg matrix H = QR, so the least-squares residual is |b| |Q[0, k+1]|
     and y solves R y = |b| Q[0, :k+1]. Once that residual reaches _GMRES_TOL |b|, each step
     checks the true residual |b - A x| against the same bound. None after _GMRES_CAP
-    iterations, or once a failed check's |b - A x| is no smaller than the last one's.
+    iterations, or once a failed check's |b - A x| has fallen by fewer than half as many
+    decades as the least-squares residual since the last check: it has stopped following
+    that residual at the rounding floor of the products, where it wanders by a few percent.
     """
     mean = d.weights / np.sum(d.weights) * (contrast >= 0.0)
 
@@ -498,7 +509,7 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
     basis = np.empty((_GMRES_CAP + 1, len(b)))
     basis[0] = b / beta
     hess = np.zeros((_GMRES_CAP + 1, _GMRES_CAP))
-    floor = math.inf  # the last failed check's true residual
+    floor, least = math.inf, 1.0  # the last failed check's true and least-squares residuals
     for k in range(_GMRES_CAP):
         v = apply(basis[k])[0]
         for _ in range(2):
@@ -509,15 +520,16 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
         q, r = np.linalg.qr(hess[: k + 2, : k + 1], mode="complete")
         if r[k, k] == 0.0:
             return None
-        if beta * abs(q[0, k + 1]) <= tol:
+        ls = beta * abs(q[0, k + 1])
+        if ls <= tol:
             x = np.linalg.solve(r[: k + 1], beta * q[0, : k + 1]) @ basis[: k + 1]
             ax, aux = apply(x)
             res = float(np.linalg.norm(b - ax))
             if res <= tol:
                 return x, aux
-            if res >= floor:
+            if res >= floor * math.sqrt(ls / least):
                 return None
-            floor = res
+            floor, least = res, ls
         if h == 0.0:
             return None
         basis[k + 1] = v / h

@@ -183,40 +183,48 @@ def _tangent_product(src, dsrc, pts, normals, dpts, dnormals, density, self_grid
     return out
 
 
-def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, step=0):
-    """`_normal_kernel` at the targets, formed in row blocks of about 2^13 entries.
+def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, step=0,
+                  source_step=1):
+    """`_normal_kernel` at the targets against every source_step-th source node, formed in
+    row blocks of about 2^13 entries.
 
-    A block's offsets stay in cache while its rows are formed in place in the
-    output. A single block is returned as formed: forming it in a separate
-    output raised the minor page faults of the N = 64 shape search about
-    threefold. None once a block holds a target in the source's near zone,
-    decided on its r2 before any division. On the source's own grid, its nodes
-    0, step, 2 step, ... as the targets (step > 0), target r's r2 at node step r
-    reads 1 and no target is refused.
+    The columns keep the fine grid's weights, so each entry is one of the whole block. A
+    block's offsets stay in cache while its rows are formed in place in the output. A
+    single block is returned as formed: forming it in a separate output raised the minor
+    page faults of the N = 64 shape search about threefold. None once a block holds a
+    target that a source node could put in the near zone, decided on its r2 before any
+    division: every source node lies within an arc of source_step // 2 node spacings at
+    the curve's largest speed from a formed one, so that arc is added to the limit. On
+    the source's own grid, its nodes 0, step, 2 step, ... as the targets (step > 0, a
+    multiple of source_step), target r's r2 at node step r reads 1 and no target is refused.
     """
-    limit = None if step else _near_zone(src, 0.0)[1]
-    rows = max(1, 2**13 // src.n)
-    out = None if rows >= len(pts) else np.empty((len(pts), src.n))
+    nodes, weights = src.nodes[::source_step], src.weights[::source_step]
+    if not step:
+        arc = source_step // 2 * 2 * math.pi * float(np.max(src.speed)) / src.n
+        limit = _near_zone(src, 0.0)[1] + arc
+    rows = max(1, 2**13 // len(nodes))
+    out = None if rows >= len(pts) else np.empty((len(pts), len(nodes)))
     for lo in range(0, len(pts), rows):
-        dx, dy, r2 = _offsets(pts[lo : lo + rows], src.nodes)
+        dx, dy, r2 = _offsets(pts[lo : lo + rows], nodes)
         if step:
-            r2[np.arange(len(r2)), step * np.arange(lo, lo + len(r2))] = 1.0
+            r2[np.arange(len(r2)), step // source_step * np.arange(lo, lo + len(r2))] = 1.0
         elif math.sqrt(float(r2.min())) < limit:
             return None
-        kern = _normal_kernel(src.weights, normals[lo : lo + rows], dx, dy, r2,
+        kern = _normal_kernel(weights, normals[lo : lo + rows], dx, dy, r2,
                               None if out is None else out[lo : lo + rows])
     return kern if out is None else out
 
 
-def kstar_matrix(src: Discretization, step: int = 1) -> np.ndarray:
+def kstar_matrix(src: Discretization, step: int = 1, source_step: int = 1) -> np.ndarray:
     """Nystrom matrix of K* on the source grid (weights folded in), its rows at every step-th node.
 
-    The diagonal carries the limiting kernel value kappa(x)/2, so entries are
-    kappa_i w_i /(4 pi) there; on a circle every entry is w_j/(4 pi).
+    Its columns are every source_step-th node (step a multiple of it), with the grid's
+    own weights. The diagonal carries the limiting kernel value kappa(x)/2, so entries
+    are kappa_i w_i /(4 pi) there; on a circle every entry is w_j/(4 pi).
     """
-    kern = _plain_kernel(src, src.nodes[::step], src.normals[::step], step)
+    kern = _plain_kernel(src, src.nodes[::step], src.normals[::step], step, source_step)
     rows = np.arange(len(kern))
-    kern[rows, step * rows] = _kstar_diagonal(src)[::step]
+    kern[rows, step // source_step * rows] = _kstar_diagonal(src)[::step]
     return kern
 
 
@@ -225,20 +233,22 @@ def _kstar_diagonal(src: Discretization) -> np.ndarray:
     return 0.5 * src.curvature * src.weights / (2 * math.pi)
 
 
-def _kernel_column(src: Discretization, j: int, tgt: Discretization) -> np.ndarray:
-    """Column j of the plain `_normal_kernel` block from src's nodes to all of tgt's.
+def _kernel_line(src: Discretization, tgt: Discretization, k: int, axis: int) -> np.ndarray:
+    """Column k (axis 0, at all of tgt's nodes) or row k (axis 1, against all of src's) of
+    the plain `_normal_kernel` block from src's nodes to tgt's, without a near-zone check.
 
-    One source node against every target node, without a near-zone check. On the
-    source's own grid (tgt is src) entry j holds `kstar_matrix`'s diagonal.
+    On the source's own grid (tgt is src) entry k holds `kstar_matrix`'s diagonal.
     """
-    dx, dy, r2 = _offsets(tgt.nodes, src.nodes[j : j + 1])
+    one = slice(k, k + 1)
+    rows, cols = (slice(None), one) if axis == 0 else (one, slice(None))
+    dx, dy, r2 = _offsets(tgt.nodes[rows], src.nodes[cols])
     own = tgt is src
     if own:
-        r2[j] = 1.0
-    col = _normal_kernel(src.weights[j : j + 1], tgt.normals, dx, dy, r2)[:, 0]
+        r2.flat[k] = 1.0
+    line = _normal_kernel(src.weights[cols], tgt.normals[rows], dx, dy, r2).ravel()
     if own:
-        col[j] = _kstar_diagonal(src)[j]
-    return col
+        line[k] = _kstar_diagonal(src)[k]
+    return line
 
 
 def kstar_tangent(src: Discretization, dsrc: GridTangent, density) -> np.ndarray:
@@ -255,17 +265,19 @@ def kstar_tangent(src: Discretization, dsrc: GridTangent, density) -> np.ndarray
 
 
 def normal_derivative_coupling(src: Discretization, tgt: Discretization,
-                               step: int = 1) -> np.ndarray:
+                               step: int = 1, source_step: int = 1) -> np.ndarray:
     """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes, its rows at every step-th one.
 
     Plain trapezoid weights outside the source's near zone. When target nodes
     lie inside it (a thin shell), the same kernel is formed on the grid refined
     for the smallest target distance and reduced to the n source columns
-    (`_near_rows`); a target on the source curve is refused.
+    (`_near_rows`); a target on the source curve is refused. With source_step > 1
+    the columns are every source_step-th source node, with the grid's own weights,
+    and None is returned where the plain kernel could not serve every source node.
     """
     pts, normals = tgt.nodes[::step], tgt.normals[::step]
-    kern = _plain_kernel(src, pts, normals)
-    if kern is not None:
+    kern = _plain_kernel(src, pts, normals, source_step=source_step)
+    if kern is not None or source_step > 1:
         return kern
     return _near_rows(src, pts, normals, min_target_distance(src, pts))
 
@@ -288,15 +300,16 @@ def coupling_tangent(src: Discretization, dsrc: GridTangent, tgt: Discretization
 
 
 def _interpolated(density, m: int) -> np.ndarray:
-    """Density columns (n, k) as trigonometric interpolants at m equispaced nodes, times m/n.
+    """Density columns (n, k) as their trigonometric interpolants at m >= n equispaced nodes.
 
     The transpose of `_near_rows`' reduction: the n lowest modes, with the
-    Nyquist bin split symmetrically, so (rows of _near_rows) @ density equals
-    (the fine-grid kernel) @ _interpolated(density, fine.n).
+    Nyquist bin of an even n split symmetrically (an odd n has none), so (rows of
+    _near_rows) @ density equals (the fine-grid kernel) @ _interpolated(density, fine.n).
     """
     n = len(density)
     spec = np.fft.rfft(density, axis=0)
-    spec[n // 2] /= 2
+    if n % 2 == 0:
+        spec[n // 2] /= 2
     return np.fft.irfft(spec, n=m, axis=0) * (m / n)
 
 

@@ -16,8 +16,9 @@ perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. From 512 nodes each block is held as Fourier factors in
-its target variable where its rows at every fourth (or second) target node resolve
-it, else formed densely (`_block`). The system is solved by eliminating the core block,
+its target variable where its sample at every fourth (or second) target and source
+node resolves it, or else its rows at those targets against every source node do;
+any other block is formed densely (`_block`). The system is solved by eliminating the core block,
 which does not depend on mu (`_core_factor`), then per axis the N x N coating
 Schur complement mu I + S, a compact perturbation of mu I, by one method for the
 solve and its derivative (`_Elimination._coating`, GMRES from 512 nodes); a product one
@@ -51,7 +52,8 @@ from .geometry import (
     discretize,
 )
 from .layerpot import (
-    _kernel_column,
+    _interpolated,
+    _kernel_line,
     _near_zone,
     _off_fields,
     _offsets,
@@ -407,44 +409,64 @@ def _dense(block) -> np.ndarray:
 def _block(src: Discretization, tgt: Discretization):
     """The block from src's nodes to tgt's: K* on src's grid when tgt is src, else the coupling.
 
-    From _GMRES_NODES nodes it is formed first at every s-th target node, s = gcd(N, 4)
-    (`kstar_matrix`'s and the coupling's step); those N/s rows resolve the modes below N/8
-    in the target variable. Their real FFT is cut after mode m - 1 < N/8, past which each
-    mode's coefficients, transformed over the source nodes as well, are within _GMRES_TOL
-    of the largest, so what the cut drops stays below GMRES's acceptance.
-    The rounding of near-diagonal entries floors one column's coefficients near 6e-14 of
-    the largest at N = 1024; over the source modes it spreads out, to about 2e-15. The
-    block is held as `_Factored`, rank 2m - 1 < N/4, when its largest-norm column, formed
-    at all N targets, has no coefficient from mode N/8 on above _FOURIER_TOL of the rows'
-    largest: content there would fold onto the kept modes. Otherwise, and on a smaller
-    grid, it is formed densely, one N x N array, with those rows and their transform freed
-    first. At N = 1024 the rows, their transform and its kept modes' source transform take
-    2.1 MB each, and U and G up to 2.1 MB each.
+    From _GMRES_NODES nodes it is first sampled at every s-th target node and every s-th
+    source node, s = gcd(N, 4), with the grid's own weights (`kstar_matrix`'s and the
+    coupling's steps), so each entry is one of the N x N block; those (N/s)^2 entries
+    resolve the modes below N/8 in both variables. The real FFT of the sample over the
+    target nodes is cut after mode m - 1 < N/8, past which each mode's coefficients,
+    transformed over the source nodes as well, are within _GMRES_TOL of the largest, so
+    what the cut drops stays below GMRES's acceptance. The kept coefficient rows are
+    interpolated from the N/s sampled source nodes to all N (`_interpolated`), and the
+    block is held as `_Factored`, rank 2m - 1 < N/4. Two guards read the whole grid, each
+    for content from mode N/8 on, which would fold onto the kept modes:
+    - the largest-norm column, formed at all N targets, above _FOURIER_TOL of the
+      sample's largest target coefficient: the block is formed densely at once, one
+      N x N array, with the sample and its transform freed first;
+    - the largest-norm row, formed against all N sources, above _FOURIER_TOL of its own
+      largest coefficient: the same steps run again on the rows at every s-th target
+      node against every source node, where only the column guard applies. So do
+      couplings whose targets a source node between the sampled ones could put in the
+      near zone; the refinement of those rows stays as it was.
+    A smaller grid forms the block densely. At N = 1024 the sample and each of its
+    transforms take about 0.5 MB, U and G up to 2.1 MB each; the rows against every
+    source node and their transforms take 2.1 MB each.
     """
     own, n = tgt is src, tgt.n
     if n >= _GMRES_NODES:
         step = math.gcd(n, 4)
-        rows = kstar_matrix(src, step) if own else normal_derivative_coupling(src, tgt, step)
-        j, f = int(np.argmax(np.einsum("ij,ij->j", rows, rows))), np.fft.rfft(rows, axis=0)
-        scale = len(rows)  # f / scale are the Fourier coefficients
-        del rows
-        top = np.max(np.abs(f[: n // 8]))
-        size = np.max(np.abs(np.fft.fft(f[: n // 8], axis=1)), axis=1)
-        m = len(size) - int(np.argmax(size[::-1] > _GMRES_TOL * np.max(size)))
-        if np.max(np.abs(np.fft.rfft(_kernel_column(src, j, tgt))[n // 8 :])) <= (
-                _FOURIER_TOL * top * n / scale):
-            g = np.empty((2 * m - 1, src.n))
+        for source in (step, 1):
+            sample = (kstar_matrix(src, step, source) if own
+                      else normal_derivative_coupling(src, tgt, step, source))
+            if sample is None:
+                continue
+            i, j = (int(np.argmax(np.einsum("ij,ij->" + a, sample, sample))) for a in "ij")
+            f, scale = np.fft.rfft(sample, axis=0), len(sample)  # f / scale: the coefficients
+            del sample
+            top = np.max(np.abs(f[: n // 8]))
+            if np.max(np.abs(np.fft.rfft(_kernel_line(src, tgt, source * j, 0))[n // 8 :])) > (
+                    _FOURIER_TOL * top * n / scale):
+                del f
+                break
+            if source > 1:
+                row = np.abs(np.fft.rfft(_kernel_line(src, tgt, step * i, 1)))
+                if np.max(row[n // 8 :]) > _FOURIER_TOL * np.max(row):
+                    del f
+                    continue
+            size = np.max(np.abs(np.fft.fft(f[: n // 8], axis=1)), axis=1)
+            m = len(size) - int(np.argmax(size[::-1] > _GMRES_TOL * np.max(size)))
+            g = np.empty((2 * m - 1, f.shape[1]))
             g[0] = f[0].real / scale
             np.multiply(f[1:m].real, 2.0 / scale, out=g[1:m])
             np.multiply(f[1:m].imag, -2.0 / scale, out=g[m:])
             del f
+            if source > 1:
+                g = _interpolated(g.T, n).T
             # e^(ikt) at t = 2 pi i / N is the table entry of k i mod N
             e = np.exp(2j * math.pi * np.arange(n) / n)
             k, u = np.outer(np.arange(n), np.arange(1, m)) % n, np.empty((n, 2 * m - 1))
             u[:, 0] = 1.0
             u[:, 1:m], u[:, m:] = e.real[k], e.imag[k]
             return _Factored(u, g)
-        del f
     return kstar_matrix(src) if own else normal_derivative_coupling(src, tgt)
 
 

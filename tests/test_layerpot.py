@@ -10,7 +10,7 @@ from neutral_lab.geometry import confocal_pair, discretize, make_ellipse
 from neutral_lab.layerpot import (
     NEAR_FACTOR,
     _interpolated,
-    _kernel_column,
+    _kernel_line,
     _near_zone,
     _normal_kernel,
     _offsets,
@@ -106,17 +106,23 @@ def test_weights_are_left_eigenvector_of_kstar():
 
 @pytest.mark.parametrize("step", [1, 2, 4])
 def test_block_rows_and_columns_are_the_whole_blocks(step):
-    # the rows at every step-th node and the plain columns of K* and of a coupling,
-    # bit for bit: one kernel, its diagonal kappa w/(4 pi) on the own grid
+    # the rows at every step-th node, their entries at every step-th source node, and the
+    # plain columns and rows of K* and of a coupling, bit for bit: one kernel, its
+    # diagonal kappa w/(4 pi) on the own grid
     inc = confocal_pair(1.0, 0.3, 1.5)
-    d_in, d_out = discretize(inc.inner, 64), discretize(inc.outer, 64)
+    d_in, d_out = discretize(inc.inner, 256), discretize(inc.outer, 256)
     k = kstar_matrix(d_in)
     assert np.array_equal(kstar_matrix(d_in, step), k[::step])
+    assert np.array_equal(kstar_matrix(d_in, step, step), k[::step, ::step])
     coupling = normal_derivative_coupling(d_out, d_in)
     assert np.array_equal(normal_derivative_coupling(d_out, d_in, step), coupling[::step])
-    for j in (0, 5, 63):
-        assert np.array_equal(_kernel_column(d_in, j, d_in), k[:, j])
-        assert np.array_equal(_kernel_column(d_out, j, d_in), coupling[:, j])
+    assert np.array_equal(normal_derivative_coupling(d_out, d_in, step, step),
+                          coupling[::step, ::step])
+    for j in (0, 5, 255):
+        assert np.array_equal(_kernel_line(d_in, d_in, j, 0), k[:, j])
+        assert np.array_equal(_kernel_line(d_out, d_in, j, 0), coupling[:, j])
+        assert np.array_equal(_kernel_line(d_in, d_in, j, 1), k[j])
+        assert np.array_equal(_kernel_line(d_out, d_in, j, 1), coupling[j])
 
 
 def test_jump_relation_generic_curve():
@@ -251,6 +257,23 @@ def test_interpolated_is_the_transpose_of_the_near_reduction():
     assert fine.n > 4 * src.n
     assert np.max(np.abs(kern @ _interpolated(modes, fine.n) - reduced)) < 1e-12 * np.max(
         np.abs(reduced))
+
+
+@pytest.mark.parametrize("n", [9, 511, 512])
+def test_interpolated_trigonometric_polynomials_are_their_own_interpolants(n):
+    # a trigonometric polynomial of degree n // 2 at n nodes, its top cosine the Nyquist
+    # mode when n is even (an odd n has none and takes the top sine too), interpolated to
+    # 4n nodes; each mode k at node j of m is evaluated at the exact angle 2 pi (k j mod m) / m
+    def poly(m):
+        def mode(k, f):
+            return f(2 * math.pi * (k * np.arange(m) % m) / m)
+
+        top = n // 2
+        return (mode(top, np.cos) + 0.3 * mode(1, np.sin) + 0.2 * mode(3, np.cos) - 0.1
+                + (n % 2) * 0.5 * mode(top, np.sin))
+
+    got = _interpolated(np.column_stack([poly(n), -2.0 * poly(n)]), 4 * n)
+    assert np.max(np.abs(got - np.column_stack([poly(4 * n), -2.0 * poly(4 * n)]))) <= 1e-13
 
 
 def test_single_layer_grad_near_density_columns(circle):

@@ -543,15 +543,15 @@ HIGH_RANK = {"confocal-0.8": lambda: confocal_pair(1.0, 0.8, 1.5),
 @pytest.mark.parametrize("name", HIGH_RANK)
 def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatch, core_solves):
     # the largest-norm column, formed at all 512 nodes, has coefficients past mode N/8,
-    # so K*_in is formed densely with only its rows at every fourth node and that one
-    # column transformed
+    # so K*_in is formed densely with only its sample at every fourth target and source
+    # node and that one column transformed: no rows against every source node are formed
     inc = HIGH_RANK[name]()
     shapes, rfft = [], np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: shapes.append(a.shape)
                         or rfft(a, *args, **kw))
     d = discretize(inc.inner, 512)
     k_in, b = transmission._block(d, d), d.normals
-    assert shapes == [(128, 512), (512,)]
+    assert shapes == [(128, 128), (512,)]
     assert np.array_equal(k_in, layerpot.kstar_matrix(d))
     x, = transmission._core_solve(k_in, 0.5, d, transmission._core_factor(k_in, 0.5, d), b)
     assert core_solves == [512]
@@ -583,7 +583,7 @@ CORES = {"disk": lambda: confocal_pair(1.0, 0.0, 1.5),
 @pytest.mark.parametrize("n", [512, 1024])
 @pytest.mark.parametrize("name", CORES)
 def test_the_core_factors_from_coarse_rows_match_the_whole_transforms(name, n, lam):
-    # A11^-1 by the factors of K*_in's rows at every fourth node against A11^-1 by the
+    # A11^-1 by the factors of K*_in's sample at every fourth node against A11^-1 by the
     # whole transform of the dense K*_in; a-1 = 0.6 has rank 213 at 512 nodes, past N/4
     d = discretize(CORES[name]().inner, n)
     got = transmission._core_factor(transmission._block(d, d), lam, d)
@@ -598,7 +598,7 @@ def test_the_core_factors_from_coarse_rows_match_the_whole_transforms(name, n, l
 
 @pytest.mark.parametrize("name", CORES)
 def test_the_factored_core_assembly_holds_less_than_the_whole_transform(name):
-    # K*_in from its rows at every fourth node to the Woodbury factors, at ranks 1 to 229;
+    # K*_in from its sample at every fourth node to the Woodbury factors, at ranks 1 to 229;
     # the whole N x (N/2 + 1) complex transform alone is 8.4 MB at 1024 nodes
     d = discretize(CORES[name]().inner, 1024)
     tracemalloc.start()
@@ -611,8 +611,8 @@ def test_the_factored_core_assembly_holds_less_than_the_whole_transform(name):
     assert transient < 1024 * 513 * 16
 
 
-# The rows at every fourth node fold a ripple of mode 259 on the core onto mode 3, at 512
-# and 1024 nodes; only the full-grid column shows it
+# A sample at every fourth node folds a ripple of mode 259 on the core onto mode 3, at 512
+# and 1024 nodes; only the full-grid column (core targets) or row (core sources) shows it
 RIPPLE = CoatedInclusion(Curve(np.r_[1.0, np.zeros(257), 1e-10], 1), make_ellipse(0.0, 1.5, 1.5))
 BLOCKS = {"confocal": lambda a, r0: confocal_pair(1.0, a, r0),
           "laurent": lambda a, r0: laurent_domain(LAURENT), "ripple": lambda a, r0: RIPPLE}
@@ -627,7 +627,7 @@ ROUTE_CASES = [(*shape, n) for n in (512, 1024) for shape in ROUTE_SHAPES] + [
 
 @pytest.mark.parametrize("kind, am1, r0, n", ROUTE_CASES,
                          ids=["-".join(map(str, c)) for c in ROUTE_CASES])
-def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n):
+def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch):
     # each block held as Fourier factors, applied from either side to 4 seeded vectors,
     # against the dense block, relative to its largest column norm (at most its 2-norm)
     inc = BLOCKS[kind](am1, r0)
@@ -635,8 +635,13 @@ def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n):
     names = ("K*_in", "K*_out", "C_oi", "C_io")
     pairs = ((d_in, d_in), (d_out, d_out), (d_out, d_in), (d_in, d_out))
     v = np.random.default_rng(11).standard_normal((n, 4))
-    factored = set()
+    formed = []  # the arguments of each array `_block` forms: the steps come last
+    for fn in ("kstar_matrix", "normal_derivative_coupling"):
+        monkeypatch.setattr(transmission, fn, lambda *a, form=getattr(transmission, fn):
+                            formed.append(a) or form(*a))
+    factored, every_source = set(), set()
     for name, (src, tgt) in zip(names, pairs):
+        formed.clear()
         block = transmission._block(src, tgt)
         dense = (layerpot.kstar_matrix(src) if src is tgt
                  else layerpot.normal_derivative_coupling(src, tgt))
@@ -644,6 +649,10 @@ def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n):
             assert np.array_equal(block, dense)
             continue
         factored.add(name)
+        step, source_step = formed[-1][-2:]  # the sample the factors come from
+        assert step == math.gcd(n, 4) and source_step in (step, 1)
+        if source_step == 1:
+            every_source.add(name)
         assert block.u.shape[1] < n // 4
         scale = np.max(np.linalg.norm(dense, axis=0)) * np.linalg.norm(v, axis=0)
         for got, want in ((block @ v, dense @ v), ((v.T @ block).T, (v.T @ dense).T)):
@@ -659,6 +668,32 @@ def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n):
         assert factored == {"K*_in", "K*_out"}
     elif n == 1024 or r0 == 2.5:
         assert factored >= {"K*_out", "C_io"} and ("K*_in" in factored) == (n == 1024 or am1 < 0.6)
+    # the full-grid row of C_io shows source content from mode N/8 on where the core has a
+    # ripple past it or is flat (a-1 = 0.8 at 1024 nodes, a-1 = 0.6 at 512): those factors
+    # come from the rows against every source node, all others from the sample at every
+    # fourth (second) source node
+    rows = (kind == "ripple" or am1 == 0.8) and n == 1024 or (am1, r0, n) == (0.6, 2.5, 512)
+    assert every_source == ({"C_io"} if rows else set())
+
+
+def test_a_coupling_whose_unsampled_source_nodes_reach_the_near_zone_is_refined(monkeypatch):
+    # every fourth target lies 0.1995 off the unit circle, radially above a source node
+    # that is not sampled: the sampled nodes two spacings away lie outside the near zone
+    # (0.2), the node between them inside it. The sample is refused, and the rows at every
+    # fourth target against every source node are refined, then the dense block
+    n = 512
+    src = discretize(Curve(np.array([1.0 + 0j]), 1), n)
+    tgt = discretize(Curve(np.array([1.1995 * np.exp(4j * math.pi / n)]), 1), n)
+    pts, limit = tgt.nodes[::4], layerpot._near_zone(src, 0.0)[1]
+    sampled = math.sqrt(layerpot._offsets(pts, src.nodes[::4])[2].min())
+    assert layerpot.min_target_distance(src, pts) < limit < sampled
+    assert layerpot.normal_derivative_coupling(src, tgt, 4, 4) is None
+    refined, near_rows = [], layerpot._near_rows
+    monkeypatch.setattr(layerpot, "_near_rows",
+                        lambda s, p, *a: refined.append(len(p)) or near_rows(s, p, *a))
+    block = transmission._block(src, tgt)
+    assert refined == [n // 4, n]
+    assert np.array_equal(block, layerpot.normal_derivative_coupling(src, tgt))
 
 
 class _CountedMatmul:

@@ -76,10 +76,9 @@ def _near_zone(src: Discretization, dist):
     return dist < limit, limit
 
 
-def _far_offsets(src: Discretization, targets):
-    """`_offsets` of targets from the nodes; a near-zone target, read off r2, is refused."""
-    dx, dy, r2 = _offsets(_targets_xy(targets), src.nodes)
-    dist = math.sqrt(float(r2.min(initial=math.inf)))
+def _refuse_near(src: Discretization, pts: np.ndarray) -> None:
+    """Refuse targets in the near zone, at their smallest distance to the nodes."""
+    dist = min_target_distance(src, pts)
     near, limit = _near_zone(src, dist)
     if near:
         raise NearEvaluationError(
@@ -88,7 +87,28 @@ def _far_offsets(src: Discretization, targets):
             distance=dist,
             limit=limit,
         )
-    return dx, dy, r2
+
+
+def _kernel_rows(pts: np.ndarray, src: Discretization, *kernels, far=False) -> list:
+    """An (m, n) array per kernel, formed in place by kernel(dx, dy, r2, out) from row blocks of
+    about 2^13 entries of the targets' `_offsets`, which stay in cache; far refuses first."""
+    out = [np.empty((len(pts), src.n)) for _ in kernels]
+    rows, limit = max(1, 2**13 // src.n), _near_zone(src, 0.0)[1] if far else -math.inf
+    for lo in range(0, len(pts), rows):
+        dx, dy, r2 = _offsets(pts[lo : lo + rows], src.nodes)
+        if math.sqrt(float(r2.min())) < limit:
+            _refuse_near(src, pts)
+        for a, kernel in zip(out, kernels):
+            kernel(dx, dy, r2, a[lo : lo + rows])
+    return out
+
+
+def _layer_kernels(src: Discretization, pts: np.ndarray, value=True, grad=True, far=True):
+    """The single layer's [ln r] if value, then [dx/r2, dy/r2] if grad, by `_kernel_rows`."""
+    forms = [lambda dx, dy, r2, out: np.multiply(np.log(r2, out=out), 0.5, out=out)] * value
+    forms += [lambda dx, dy, r2, out: np.divide(dx, r2, out=out),
+              lambda dx, dy, r2, out: np.divide(dy, r2, out=out)] * grad
+    return _kernel_rows(pts, src, *forms, far=far)
 
 
 def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
@@ -96,13 +116,13 @@ def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
     return _off_fields(src, density, targets, value=True)[0]
 
 
-def _off_fields(src: Discretization, density, targets, value=False, grad=False):
-    """(S[density], grad S[density]) off the curve from one offsets pass; None if not asked."""
+def _off_fields(src: Discretization, density, targets, value=False, grad=False, kernels=None):
+    """(S[density], grad S[density]) by `_layer_kernels` (or the given ones); None if unasked."""
     rho = _check_density(src, density)
-    dx, dy, r2 = _far_offsets(src, targets)
+    kern = _layer_kernels(src, _targets_xy(targets), value, grad) if kernels is None else kernels
     rw = (rho.T * src.weights).T
-    s = (0.5 * np.log(r2)) @ rw / (2 * math.pi) if value else None
-    g = np.stack([(dx / r2) @ rw, (dy / r2) @ rw], axis=1) / (2 * math.pi) if grad else None
+    s = kern[0] @ rw / (2 * math.pi) if value else None
+    g = np.stack([kern[-2] @ rw, kern[-1] @ rw], axis=1) / (2 * math.pi) if grad else None
     return s, g
 
 
@@ -114,13 +134,12 @@ def single_layer_off_tangent(src: Discretization, dsrc: GridTangent, density, ta
     (D, m)); shape (D, m) or (D, m, k).
     """
     rho = _check_density(src, density)
-    dx, dy, r2 = _far_offsets(src, targets)
+    logr, gx, gy = _layer_kernels(src, _targets_xy(targets))
     cols = rho.reshape(src.n, -1)
     wrho = (cols.T * src.weights).T
     # d ln r = <x - y, dx - dy>/r2: the target part scales rows, the node part the density
-    out = 0.5 * np.log(r2) @ (dsrc.weights[:, :, None] * cols)
-    for g, dp, dn in ((dx / r2, dtargets.real, dsrc.nodes.real),
-                      (dy / r2, dtargets.imag, dsrc.nodes.imag)):
+    out = logr @ (dsrc.weights[:, :, None] * cols)
+    for g, dp, dn in ((gx, dtargets.real, dsrc.nodes.real), (gy, dtargets.imag, dsrc.nodes.imag)):
         out += dp[:, :, None] * (g @ wrho) - g @ (dn[:, :, None] * wrho)
     return out.reshape(out.shape[:2] + rho.shape[1:]) / (2 * math.pi)
 
@@ -302,15 +321,24 @@ def coupling_tangent(src: Discretization, dsrc: GridTangent, tgt: Discretization
 def _interpolated(density, m: int) -> np.ndarray:
     """Density columns (n, k) as their trigonometric interpolants at m >= n equispaced nodes.
 
-    The transpose of `_near_rows`' reduction: the n lowest modes, with the
-    Nyquist bin of an even n split symmetrically (an odd n has none), so (rows of
-    _near_rows) @ density equals (the fine-grid kernel) @ _interpolated(density, fine.n).
+    The transpose of `_reduced`: the n lowest modes, with the Nyquist bin of an even
+    n split symmetrically (an odd n has none), so (rows of _near_rows) @ density equals
+    (the fine-grid kernel) @ _interpolated(density, fine.n). At m = n: the density, rounded.
     """
     n = len(density)
     spec = np.fft.rfft(density, axis=0)
-    if n % 2 == 0:
+    if n % 2 == 0 and m > n:
         spec[n // 2] /= 2
     return np.fft.irfft(spec, n=m, axis=0) * (m / n)
+
+
+def _reduced(values, n: int) -> np.ndarray:
+    """The transpose of `_interpolated` from n nodes along the node axis of values on m >= n
+    nodes (a vector's only axis, else the second to last); m = n keeps the values."""
+    axis = 0 if np.ndim(values) == 1 else -2
+    if values.shape[axis] == n:
+        return values
+    return np.fft.irfft(np.fft.rfft(values, axis=axis), n, axis=axis)
 
 
 def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
@@ -368,9 +396,7 @@ def _near_rows(src: Discretization, pts: np.ndarray, normals: np.ndarray, dist: 
     """n.grad S rows, shape (m, n), at targets as close as dist to the curve.
 
     `_normal_kernel` is formed on the refined grid in blocks of about 4e6
-    entries, and each block is reduced to the n coarse columns by the
-    transpose of trigonometric interpolation: keep the n lowest modes, the
-    Nyquist bin split symmetrically (its real part).
+    entries, and each block is reduced to the n coarse columns by `_reduced`.
     """
     fine = _refined_grid(src, dist)
     rows = np.empty((len(pts), src.n))
@@ -378,9 +404,7 @@ def _near_rows(src: Discretization, pts: np.ndarray, normals: np.ndarray, dist: 
     for lo in range(0, len(pts), block):
         s = slice(lo, lo + block)
         kern = _normal_kernel(fine.weights, normals[s], *_offsets(pts[s], fine.nodes))
-        spec = np.fft.rfft(kern, axis=1)[:, : src.n // 2 + 1]
-        del kern
-        rows[s] = np.fft.irfft(spec, n=src.n, axis=1)
+        rows[s] = _reduced(kern.T, src.n).T
     return rows
 
 

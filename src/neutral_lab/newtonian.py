@@ -26,8 +26,8 @@ import numpy as np
 from .errors import ValidationError
 from .geometry import CoatedInclusion, Discretization, discretize
 from .layerpot import (
-    _far_offsets,
-    _offsets,
+    _kernel_rows,
+    _layer_kernels,
     _refined_grid,
     _targets_xy,
     min_target_distance,
@@ -41,15 +41,17 @@ _SHELL_POINTS = 32  # mid-shell points of the harmonicity check
 _STEP_FACTOR = 2e-4  # five-point Laplacian step, in outer diameters
 
 
-def _boundary_reduction(src: Discretization, dx, dy, r2) -> np.ndarray:
-    flux = -(dx * src.normals[None, :, 0] + dy * src.normals[None, :, 1])
-    integrand = flux * (np.log(r2) - 1.0) * 0.25
-    return integrand @ src.weights / (2 * math.pi)
+def _boundary_reduction(src: Discretization, pts: np.ndarray, far=False) -> np.ndarray:
+    def integrand(dx, dy, r2, out):
+        flux = -(dx * src.normals[None, :, 0] + dy * src.normals[None, :, 1])
+        out[...] = flux * (np.log(r2) - 1.0) * 0.25
+
+    return _kernel_rows(pts, src, integrand, far=far)[0] @ src.weights / (2 * math.pi)
 
 
 def newtonian_potential(src: Discretization, targets) -> np.ndarray:
     """N_D at targets (either side of the curve, outside the near zone)."""
-    return _boundary_reduction(src, *_far_offsets(src, targets))
+    return _boundary_reduction(src, _targets_xy(targets), far=True)
 
 
 def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
@@ -64,15 +66,14 @@ def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
 def newtonian_potential_near(src: Discretization, targets) -> np.ndarray:
     """N_D at targets that may sit close to the curve (adaptive upsampling)."""
     pts = _targets_xy(targets)
-    fine = _refined_grid(src, min_target_distance(src, pts))
-    return _boundary_reduction(fine, *_offsets(pts, fine.nodes))
+    return _boundary_reduction(_refined_grid(src, min_target_distance(src, pts)), pts)
 
 
 def newtonian_gradient_near(src: Discretization, targets) -> np.ndarray:
     """grad N_D near the curve (adaptive upsampling; never on it)."""
     pts = _targets_xy(targets)
     fine = _refined_grid(src, min_target_distance(src, pts))
-    logr = 0.5 * np.log(_offsets(pts, fine.nodes)[2])
+    logr, = _layer_kernels(fine, pts, grad=False, far=False)
     # grad N = -(S[n1], S[n2]): single layer *values* with the normals as density columns
     return -(logr @ (fine.normals * fine.weights[:, None])) / (2 * math.pi)
 

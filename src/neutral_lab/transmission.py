@@ -15,17 +15,18 @@ The representation stays valid in the perfectly insulating (sigma_c = 0) and
 perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
-at the extreme contrasts. From 512 nodes each block is held as Fourier factors in
-its target variable where its sample at every fourth (or second) target and source
-node resolves it, or else its rows at those targets against every source node do;
-any other block is formed densely (`_block`). The system is solved by eliminating the core block,
-which does not depend on mu (`_core_factor`), then per axis the N x N coating
-Schur complement mu I + S, a compact perturbation of mu I, by one method for the
-solve and its derivative (`_Elimination._coating`, GMRES from 512 nodes); a product one
-stage forms is handed on, never formed twice. The elimination is an immutable value
-(`_Elimination` says what each route holds) that a one-slot memo keyed on both curves'
-coefficients, N, lam and the backgrounds holds for the public calls and the search's
-evaluations (a sigma_m sweep eliminates once); the last evaluation holds it for the Jacobian.
+at the extreme contrasts. From 512 nodes each block is held as Fourier factors in its target
+variable, its coefficient rows on the source nodes of its sample at every fourth (or second)
+target and source node where that resolves it, or else its rows at those targets against every
+source node do (a product reduces its operand to those nodes first); any other block is formed
+densely (`_block`). The system is solved by eliminating the core block, which does not depend
+on mu (`_core_factor`), then per axis the N x N coating Schur complement mu I + S, a compact
+perturbation of mu I, by one method for the solve and its derivative (`_Elimination._coating`,
+GMRES from 512 nodes); a product one stage forms is handed on, never formed twice. The
+elimination is an immutable value (`_Elimination` says what each route holds) that a one-slot
+memo keyed on both curves' coefficients, N, lam and the backgrounds holds for the public calls
+and the search's evaluations (a sigma_m sweep eliminates once, and `eval_u` forms its kernels
+once); the last evaluation holds it for the Jacobian.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -54,9 +55,11 @@ from .geometry import (
 from .layerpot import (
     _interpolated,
     _kernel_line,
+    _layer_kernels,
     _near_zone,
     _off_fields,
     _offsets,
+    _reduced,
     _targets_xy,
     coupling_tangent,
     kstar_matrix,
@@ -228,11 +231,11 @@ class _Elimination:
     and phi = y + A11^-1 C_oi psi; sides holds (dh/dnu on the core, y, b) per background,
     y = A11^-1 b1 and b the coating right side plus C_io y. Each block is a dense N x N
     array or, from 512 nodes, a `_Factored` one (`_block`). When K*_in is factored (the
-    low-rank route) core is (K*_out, C_io, U, G), A11^-1 = (I + U G) / lam with U K*_in's
-    own, and GMRES applies S unformed: with the check's C_oi psi reused, a one-step solve
-    makes 7 block products (3 Arnoldi, 3 check, K*_in phi), each 2 N r flops for a
-    factored block of rank r. At N = 1024 with every block factored (ranks up to 255) it
-    holds no N x N array, 8 to 19 MB in all. Elsewhere x_oi = A11^-1 C_oi (factored
+    low-rank route) core is (K*_out, C_io, *`_core_factor`), U K*_in's own, and GMRES
+    applies S unformed: with the check's C_oi psi reused, a one-step solve makes 7 block
+    products (3 Arnoldi, 3 check, K*_in phi), each (N + N/4) r multiply-adds and two FFTs
+    for a factored block of rank r. At N = 1024 with every block factored (ranks up to 249)
+    it holds no N x N array, 3 to 9 MB in all. Elsewhere x_oi = A11^-1 C_oi (factored
     as (A11^-1 U) G when C_oi is) and S are formed: with K*_in and S that is two to four
     N x N arrays, 2 MB at N = 256 and up to 32 MB at N = 1024. schur holds the formed S,
     which the low-rank route forms and keeps, one N x N array, at its first dense coating
@@ -333,6 +336,7 @@ class _Elimination:
 
 
 _kept: dict = {}  # the last mu-free elimination under its key; a miss frees it first
+_fields: dict = {}  # `eval_u`'s kernels of the two latest point sets; a miss of _kept empties it
 
 
 def _eliminate(d_in, d_out, parts, lam, backgrounds) -> _Elimination:
@@ -365,6 +369,7 @@ def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds) -> _Elim
     entry = _kept.get(key := (*curves, n, lam, backgrounds))
     if entry is None:  # a local, so a concurrent miss in another thread cannot pull it away
         _kept.clear()
+        _fields.clear()
         entry = _kept[key] = _eliminate(*_assembled(inc, n), lam, backgrounds)
     return entry
 
@@ -384,8 +389,9 @@ def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Factored:
-    """An operator block held as U G: U = [1, cos kt, sin kt] (k = 1..m-1) at its target nodes
-    t, G the (2m - 1) x N Fourier coefficient rows; read-only. `@` applies it from either side."""
+    """An operator block held as U G R: U = [1, cos kt, sin kt] (k = 1..m-1) at its N target
+    nodes t, G the (2m - 1) x n Fourier coefficient rows at every (N/n)-th source node and R
+    `_reduced`'s map to them; read-only. `@` applies it from either side."""
 
     u: np.ndarray
     g: np.ndarray
@@ -395,15 +401,19 @@ class _Factored:
         self.u.flags.writeable = self.g.flags.writeable = False
 
     def __matmul__(self, x):
-        return self.u @ (self.g @ x)
+        if isinstance(x, _Factored):  # the formed Schur part's C_io A11^-1 C_oi
+            return x.__rmatmul__(self)
+        return self.u @ (self.g @ _reduced(x, self.g.shape[1]))
 
-    def __rmatmul__(self, x):
-        return (x @ self.u) @ self.g
+    def __rmatmul__(self, x):  # G R is G interpolated to all N source nodes
+        return (x @ self.u) @ _interpolated(self.g.T, len(self.u)).T
 
 
 def _dense(block) -> np.ndarray:
     """A block as one N x N array."""
-    return block.u @ block.g if isinstance(block, _Factored) else block
+    if isinstance(block, _Factored):
+        return block.u @ _interpolated(block.g.T, len(block.u)).T
+    return block
 
 
 def _block(src: Discretization, tgt: Discretization):
@@ -415,9 +425,9 @@ def _block(src: Discretization, tgt: Discretization):
     resolve the modes below N/8 in both variables. The real FFT of the sample over the
     target nodes is cut after mode m - 1 < N/8, past which each mode's coefficients,
     transformed over the source nodes as well, are within _GMRES_TOL of the largest, so
-    what the cut drops stays below GMRES's acceptance. The kept coefficient rows are
-    interpolated from the N/s sampled source nodes to all N (`_interpolated`), and the
-    block is held as `_Factored`, rank 2m - 1 < N/4. Two guards read the whole grid, each
+    what the cut drops stays below GMRES's acceptance. The block is held as `_Factored`,
+    rank 2m - 1 < N/4, its kept coefficient rows G on the N/s sampled source nodes and U
+    built by one inverse real FFT. Two guards read the whole grid, each
     for content from mode N/8 on, which would fold onto the kept modes:
     - the largest-norm column, formed at all N targets, above _FOURIER_TOL of the
       sample's largest target coefficient: the block is formed densely at once, one
@@ -428,8 +438,8 @@ def _block(src: Discretization, tgt: Discretization):
       couplings whose targets a source node between the sampled ones could put in the
       near zone; the refinement of those rows stays as it was.
     A smaller grid forms the block densely. At N = 1024 the sample and each of its
-    transforms take about 0.5 MB, U and G up to 2.1 MB each; the rows against every
-    source node and their transforms take 2.1 MB each.
+    transforms take about 0.5 MB, U up to 2.1 MB and G up to 0.5 MB (rank 150: 1.2 MB
+    and 0.3 MB); the rows against every source node, their transforms and G take 2.1 MB each.
     """
     own, n = tgt is src, tgt.n
     if n >= _GMRES_NODES:
@@ -459,37 +469,34 @@ def _block(src: Discretization, tgt: Discretization):
             np.multiply(f[1:m].real, 2.0 / scale, out=g[1:m])
             np.multiply(f[1:m].imag, -2.0 / scale, out=g[m:])
             del f
-            if source > 1:
-                g = _interpolated(g.T, n).T
-            # e^(ikt) at t = 2 pi i / N is the table entry of k i mod N
-            e = np.exp(2j * math.pi * np.arange(n) / n)
-            k, u = np.outer(np.arange(n), np.arange(1, m)) % n, np.empty((n, 2 * m - 1))
-            u[:, 0] = 1.0
-            u[:, 1:m], u[:, m:] = e.real[k], e.imag[k]
-            return _Factored(u, g)
+            # U's columns are the inverse real FFTs of unit spectra: 1, cos kt and sin kt
+            spec, k = np.zeros((m, 2 * m - 1), complex), np.arange(1, m)
+            spec[0, 0], spec[k, k], spec[k, k + m - 1] = n, n / 2, -0.5j * n
+            return _Factored(np.fft.irfft(spec, n, axis=0), g)
     return kstar_matrix(src) if own else normal_derivative_coupling(src, tgt)
 
 
 def _core_factor(k_in, lam: float, d: Discretization):
-    """(U, G) with A11^-1 = (I + U G) / lam, A11 = `_augment(-k_in, lam, d)` = lam I - L, or None.
-
-    From K*_in's `_Factored` U G0 (None, for the dense solve, when K*_in is dense): the
-    weighted-mean term is constant in the target, so L = U (G0 - e_0 w^T / sum w) when
-    lam >= 0, and G = (lam I_r - G_L U)^-1 G_L (Woodbury), r = 2m - 1 < N/4. U is K*_in's;
-    the r x r inverse is formed first, so the step holds one r x N array beside G0 and G.
+    """(U, G, a, w): A11^-1 b = (b + U (G R b - a w^T b)) / lam, A11 = `_augment(-k_in, lam, d)`
+    = lam I - L, or None. From K*_in's `_Factored` U G0 R (None, for the dense solve, when
+    K*_in is dense): the weighted-mean term is constant in the target, so L = U G_L with
+    G_L = G0 R - e_0 w^T, w the weights over their sum when lam >= 0 (else 0). Woodbury:
+    G = (lam I_r - G_L U)^-1 G0, r = 2m - 1 < N/4, and a is that inverse's first column, so
+    no factor is widened to N. U's modes are below n/2, so R U = (N/n) U at the n nodes.
     """
     if not isinstance(k_in, _Factored):
         return None
-    u, g = k_in.u, k_in.g.copy()
-    g[0] -= (lam >= 0.0) * d.weights / np.sum(d.weights)
-    r = len(g)
-    inv = _solve(lam * np.eye(r) - g @ u, np.eye(r), f"transmission core block (lam={lam})")
-    return u, inv @ g
+    u, g = k_in.u, k_in.g
+    step, mean = len(u) // g.shape[1], d.weights / np.sum(d.weights) * (lam >= 0.0)
+    gu = step * (g @ u[::step])
+    gu[0] -= mean @ u
+    inv = _solve(lam * np.eye(len(g)) - gu, np.eye(len(g)), f"transmission core block (lam={lam})")
+    return u, inv @ g, inv[:, 0], mean
 
 
-def _woodbury(u: np.ndarray, g: np.ndarray, lam: float, b: np.ndarray) -> np.ndarray:
-    """A11^-1 b = (b + U (G b)) / lam by `_core_factor`'s factors."""
-    return (u @ (g @ b) + b) / lam
+def _woodbury(u, g, a, mean, lam: float, b: np.ndarray) -> np.ndarray:
+    """A11^-1 b by `_core_factor`'s factors."""
+    return (u @ (g @ _reduced(b, g.shape[1]) - np.multiply.outer(a, mean @ b)) + b) / lam
 
 
 def _core_solve(k_in, lam: float, d: Discretization, core, *blocks) -> list:
@@ -607,12 +614,19 @@ def eval_u(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Field values and gradients u, grad u at points outside both near zones.
 
-    One offsets pass per grid gives both (`layerpot._off_fields`). inc and p are not read:
-    the pair carries its grids and densities; benchmark code calls it with these arguments.
+    Each grid's kernels at the points (`layerpot._layer_kernels`, 3 m N floats) are formed once
+    per kept elimination (_fields holds those of the two latest point sets, a sigma_m sweep's
+    exterior and core points, with the grids they are keyed on), so each density takes three
+    products. inc and p are not read: benchmark code calls it with these arguments.
     """
-    pts = _targets_xy(points)
-    (s_in, g_in), (s_out, g_out) = (_off_fields(d, rho, pts, value=True, grad=True) for d, rho
-                                    in ((pair.disc_inner, pair.phi), (pair.disc_outer, pair.psi)))
+    pts, grids = _targets_xy(points), (pair.disc_inner, pair.disc_outer)
+    key = (*map(id, grids), pts.tobytes())
+    entry = _fields.pop(key, None) or (grids, [_layer_kernels(d, pts) for d in grids])
+    for old in list(_fields)[:-1]:  # a copy of the keys: another thread may change _fields
+        _fields.pop(old, None)
+    _fields[key] = entry  # the latest last
+    (s_in, g_in), (s_out, g_out) = (_off_fields(d, rho, pts, True, True, kern) for d, rho, kern
+                                    in zip(grids, (pair.phi, pair.psi), entry[1]))
     return pair.h.value(pts) + s_in + s_out, pair.h.gradient(pts) + g_in + g_out
 
 

@@ -7,8 +7,10 @@ from neutral_lab import transmission
 
 @pytest.fixture(autouse=True)
 def _no_kept_elimination():
-    """Start every test with no kept elimination, so no result depends on test order."""
+    """Start every test with no kept elimination nor field kernels, so no result depends on
+    test order."""
     transmission._kept.clear()
+    transmission._fields.clear()
     yield
 
 

@@ -14,6 +14,7 @@ from neutral_lab.layerpot import (
     _near_zone,
     _normal_kernel,
     _offsets,
+    _reduced,
     _refined_grid,
     feature_size,
     kstar_matrix,
@@ -274,6 +275,19 @@ def test_interpolated_trigonometric_polynomials_are_their_own_interpolants(n):
 
     got = _interpolated(np.column_stack([poly(n), -2.0 * poly(n)]), 4 * n)
     assert np.max(np.abs(got - np.column_stack([poly(4 * n), -2.0 * poly(4 * n)]))) <= 1e-13
+
+
+@pytest.mark.parametrize("n, m", [(256, 1024), (257, 514), (128, 512), (511, 1022)])
+def test_reduced_is_the_transpose_of_interpolated(n, m):
+    # x . (I y) = (I^T x) . y for seeded x on m nodes and y on n, I = _interpolated from n
+    # to m, for a vector, columns and a stack of columns; an odd n has no Nyquist bin
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((2, m, 3)), rng.standard_normal((n, 3))
+    want = np.einsum("smk,mk->sk", x, _interpolated(y, m))
+    for got in (np.einsum("snk,nk->sk", _reduced(x, n), y),
+                [[_reduced(x[s, :, k], n) @ y[:, k] for k in range(3)] for s in range(2)]):
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert _reduced(x, m) is x
 
 
 def test_single_layer_grad_near_density_columns(circle):

@@ -17,6 +17,7 @@ from neutral_lab.geometry import (
     make_ellipse,
 )
 from neutral_lab.designer import confocal_design
+from neutral_lab.layerpot import _refined_grid, min_target_distance
 from neutral_lab.newtonian import (
     combined_identity_check,
     fit_quadratic,
@@ -186,3 +187,29 @@ def test_free_bvp_detects_wrong_shear(design_case):
     rep = free_bvp_residual(inc, dr.f, dr.shear - 0.1 * dr.f)
     assert rep.inner_bc_residual > 1e-2
     assert rep.harmonicity_residual < 1e-5  # still harmonic, only the BC breaks
+
+
+def test_row_blocks_give_the_whole_grid_kernels_bit_for_bit(ellipse21):
+    # 100 targets against 256 nodes take four row blocks of 32; the whole offset arrays,
+    # formed at once, give the same numbers to the last bit
+    t = np.linspace(0.0, 2 * np.pi, 100, endpoint=False)
+    pts = np.column_stack([2.5 * np.cos(t), 1.6 * np.sin(t)])
+    near = np.column_stack([2.02 * np.cos(t), 1.02 * np.sin(t)])
+
+    def whole(src, targets):
+        dx = targets[:, None, 0] - src.nodes[None, :, 0]
+        dy = targets[:, None, 1] - src.nodes[None, :, 1]
+        return dx, dy, dx * dx + dy * dy
+
+    def potential(src, targets):
+        dx, dy, r2 = whole(src, targets)
+        flux = -(dx * src.normals[None, :, 0] + dy * src.normals[None, :, 1])
+        return flux * (np.log(r2) - 1.0) * 0.25 @ src.weights / (2 * math.pi)
+
+    fine = _refined_grid(ellipse21, min_target_distance(ellipse21, near))
+    assert fine.n > ellipse21.n
+    assert np.array_equal(newtonian_potential(ellipse21, pts), potential(ellipse21, pts))
+    assert np.array_equal(newtonian_potential_near(ellipse21, near), potential(fine, near))
+    logr = 0.5 * np.log(whole(fine, near)[2])
+    assert np.array_equal(newtonian_gradient_near(ellipse21, near),
+                          -(logr @ (fine.normals * fine.weights[:, None])) / (2 * math.pi))

@@ -500,8 +500,8 @@ def test_a_low_rank_elimination_forms_neither_x_oi_nor_the_schur_part():
     assert kept.x_oi is None and kept.schur == []
     arrays = _arrays([getattr(kept, f.name) for f in dataclasses.fields(kept)])
     assert all(a.ndim == 1 or min(a.shape) < n // 4 for a in arrays)
-    u, g = kept.core[2:]
-    assert u is kept.k_in.u and u.shape == (n, 107) and g.shape == (107, n)
+    u, g = kept.core[2:4]
+    assert u is kept.k_in.u and u.shape == (n, 107) and g.shape == (107, n // 4)
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -516,9 +516,9 @@ def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch):
         gave_up.append(x is None)
         return x
 
-    def counted_woodbury(u, g, lam, b):
-        formed.append(b.shape == (512, 512))  # A11^-1 C_oi: only the Schur part needs it
-        return woodbury(u, g, lam, b)
+    def counted_woodbury(*args):
+        formed.append(args[-1].shape == (512, 512))  # A11^-1 C_oi: only the Schur part needs it
+        return woodbury(*args)
 
     monkeypatch.setattr(transmission, "_gmres", counted_gmres)
     monkeypatch.setattr(transmission, "_woodbury", counted_woodbury)
@@ -559,7 +559,8 @@ def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatc
 
 
 def _whole_transform_factors(k_in, lam, d):
-    """Woodbury factors (U, G) from the whole real FFT of a dense K*_in's columns, or None."""
+    """Woodbury factors (U, G, 0, 0) from the whole real FFT of a dense K*_in's columns, or
+    None: the mean row is folded into G, so no rank-one term is left."""
     n = d.n
     f = np.fft.rfft(k_in, axis=0)
     f[0] -= (lam >= 0.0) * n * d.weights / np.sum(d.weights)
@@ -570,7 +571,7 @@ def _whole_transform_factors(k_in, lam, d):
     kt = np.outer(d.t, np.arange(1, m))
     u = np.hstack([np.ones((n, 1)), np.cos(kt), np.sin(kt)])
     g = np.vstack([f[:1].real, 2.0 * f[1:m].real, -2.0 * f[1:m].imag]) / n
-    return u, np.linalg.solve(lam * np.eye(2 * m - 1) - g @ u, g)
+    return u, np.linalg.solve(lam * np.eye(2 * m - 1) - g @ u, g), np.zeros(2 * m - 1), np.zeros(n)
 
 
 CORES = {"disk": lambda: confocal_pair(1.0, 0.0, 1.5),
@@ -628,8 +629,10 @@ ROUTE_CASES = [(*shape, n) for n in (512, 1024) for shape in ROUTE_SHAPES] + [
 @pytest.mark.parametrize("kind, am1, r0, n", ROUTE_CASES,
                          ids=["-".join(map(str, c)) for c in ROUTE_CASES])
 def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch):
-    # each block held as Fourier factors, applied from either side to 4 seeded vectors,
-    # against the dense block, relative to its largest column norm (at most its 2-norm)
+    # each block held as Fourier factors, applied from either side to 4 seeded vectors (one
+    # alone, the four, and stacked twice), formed by `_dense` and multiplied by the factored
+    # block before it, against the dense blocks, relative to the largest column norms (at
+    # most the 2-norms)
     inc = BLOCKS[kind](am1, r0)
     d_in, d_out = discretize(inc.inner, n), discretize(inc.outer, n)
     names = ("K*_in", "K*_out", "C_oi", "C_io")
@@ -639,7 +642,7 @@ def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch
     for fn in ("kstar_matrix", "normal_derivative_coupling"):
         monkeypatch.setattr(transmission, fn, lambda *a, form=getattr(transmission, fn):
                             formed.append(a) or form(*a))
-    factored, every_source = set(), set()
+    factored, every_source, last = set(), set(), None
     for name, (src, tgt) in zip(names, pairs):
         formed.clear()
         block = transmission._block(src, tgt)
@@ -653,11 +656,22 @@ def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch
         assert step == math.gcd(n, 4) and source_step in (step, 1)
         if source_step == 1:
             every_source.add(name)
-        assert block.u.shape[1] < n // 4
-        scale = np.max(np.linalg.norm(dense, axis=0)) * np.linalg.norm(v, axis=0)
-        for got, want in ((block @ v, dense @ v), ((v.T @ block).T, (v.T @ dense).T)):
-            err = np.linalg.norm(got - want, axis=0)
-            assert np.all(err <= 1e-12 * scale), (name, err / scale)
+        assert block.u.shape[1] < n // 4 and block.g.shape[1] == n // source_step
+        norm, stacked = np.max(np.linalg.norm(dense, axis=0)), np.stack([v, -2.0 * v])
+        # (got, want, operand, its node axis, scale): error within 1e-12 scale |operand|
+        cases = [(block @ v, dense @ v, v, 0, norm), (v.T @ block, v.T @ dense, v.T, 1, norm),
+                 (block @ v[:, 0], dense @ v[:, 0], v[:, 0], 0, norm),
+                 (v[:, 0] @ block, v[:, 0] @ dense, v[:, 0], 0, norm),
+                 (block @ stacked, dense @ stacked, stacked, 1, norm),
+                 (transmission._dense(block), dense, np.eye(n), 0, norm)]
+        if last:  # the factored block before it times this one, formed, then applied: the
+            # error is at most the first's Frobenius norm (at least its 2-norm) times the
+            # second's
+            cases.append(((last[0] @ block) @ v, last[1] @ (dense @ v), v, 0, last[2] * norm))
+        for got, want, x, axis, scale in cases:
+            err = np.linalg.norm(got - want, axis=axis)
+            assert np.all(err <= 1e-12 * scale * np.linalg.norm(x, axis=axis)), name
+        last = block, dense, np.linalg.norm(dense)
     if n % 4:  # the routes the same shell takes at 512 and 1024 nodes
         assert factored == (set(names) if n > 1000 else {"K*_in", "K*_out"})
     elif kind == "ripple":  # the ripple sends the blocks with core targets dense
@@ -755,6 +769,43 @@ def test_eval_u_is_the_sum_of_the_plain_evaluators():
             assert str(got.value) == str(want.value)
             assert (got.value.distance, got.value.limit) == (want.value.distance, want.value.limit)
 
+
+def _plain_fields(pair, pts):
+    """u and grad u by the plain single layer evaluators."""
+    u, g = pair.h.value(pts), pair.h.gradient(pts)
+    for d, rho in ((pair.disc_inner, pair.phi), (pair.disc_outer, pair.psi)):
+        u, g = u + single_layer_off(d, rho, pts), g + single_layer_grad_off(d, rho, pts)
+    return u, g
+
+
+def test_eval_u_keeps_the_kernels_of_two_point_sets_for_the_kept_elimination():
+    # the latest two point sets' kernels are kept with the grids they are keyed on; a
+    # near-zone set is refused before anything is kept; a miss of the kept elimination
+    # empties them, and a pair of an elimination no longer kept still evaluates as the
+    # plain evaluators do
+    inc, p = confocal_pair(1.0, 0.2, 1.5), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    t = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+    sets = [r * np.column_stack([np.cos(t), np.sin(t)]) for r in (3.0, 4.0, 5.0)]
+    pairs = solve_both_axes(inc, p, 64)
+    grids = (pairs[0].disc_inner, pairs[0].disc_outer)
+    for k, pts in enumerate(sets + sets[1:]):
+        for pair in pairs:
+            got = eval_u(inc, pair, p, pts)
+            assert all(np.array_equal(a, b) for a, b in zip(got, _plain_fields(pair, pts)))
+        kept = list(transmission._fields.items())
+        assert len(kept) == min(k + 1, 2) and kept[-1][0][2] == pts.tobytes()
+        assert all(entry[0] == grids and len(entry[1]) == 2 for _, entry in kept)
+    near = np.vstack([sets[0], [grids[1].nodes[3] * 1.001]])
+    with pytest.raises(NearEvaluationError):
+        eval_u(inc, pairs[0], p, near)
+    assert list(transmission._fields.items()) == kept
+    solve_both_axes(confocal_pair(1.0, 0.3, 1.5), p, 64)  # a miss
+    assert transmission._fields == {}
+    got = eval_u(inc, pairs[1], p, sets[0])
+    assert all(np.array_equal(a, b) for a, b in zip(got, _plain_fields(pairs[1], sets[0])))
+    with pytest.raises(NearEvaluationError):
+        eval_u(inc, pairs[1], p, near)
+    assert [entry[0] for entry in transmission._fields.values()] == [grids]
 
 
 def _formed(schur):

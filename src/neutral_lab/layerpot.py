@@ -346,31 +346,25 @@ def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
 
     ln|z(t)-z(s)| = ln|2 sin((t-s)/2)| + smooth; the log part acts diagonally
     in Fourier space with multipliers -1/(2|k|) (0 for k = 0), the smooth part
-    goes through the trapezoid rule with diagonal limit ln|z'(t)|.
+    goes through the trapezoid rule with diagonal limit ln|z'(t)|. Off the diagonal
+    the smooth part is (1/2) ln r^2 less ln|2 sin((t-s)/2)|, a circulant whose
+    trapezoid sum joins the multipliers as the DFT of -ln(2 sin(pi j/n)) / n (0 at
+    j = 0), so one n x n log is formed: of r^2, its diagonal set to |z'|^2 first.
     """
     rho = _check_density(src, density)
     n = src.n
     g = (rho.T * src.speed).T
 
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    mult = np.zeros(n)
-    nonzero = freqs != 0
-    mult[nonzero] = -0.5 / np.abs(freqs[nonzero])
+    k = np.arange(1, n)
+    mult = np.fft.fft(np.append(0.0, -np.log(2.0 * np.sin(math.pi / n * k)))).real / n
+    mult[1:] -= 0.5 / np.minimum(k, n - k)  # -1/(2|k|) at the signed frequencies
     log_part = np.fft.ifft((np.fft.fft(g, axis=0).T * mult).T, axis=0)
     if np.isrealobj(rho):
         log_part = log_part.real
 
-    z = src.nodes_z
-    dz = np.abs(z[:, None] - z[None, :])
-    dt = src.t[:, None] - src.t[None, :]
-    sins = np.abs(2.0 * np.sin(0.5 * dt))
-    np.fill_diagonal(dz, 1.0)
-    np.fill_diagonal(sins, 1.0)
-    remainder = np.log(dz / sins)
-    np.fill_diagonal(remainder, np.log(src.speed))
-    smooth_part = (remainder @ g) / n
-
-    return smooth_part + log_part
+    r2 = _offsets(src.nodes, src.nodes)[2]
+    r2.flat[:: n + 1] = src.speed * src.speed
+    return np.log(r2, out=r2) @ g * (0.5 / n) + log_part
 
 
 def _refined_grid(src: Discretization, dist: float) -> Discretization:

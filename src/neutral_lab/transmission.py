@@ -22,11 +22,13 @@ source node do (a product reduces its operand to those nodes first); any other b
 densely (`_block`). The system is solved by eliminating the core block, which does not depend
 on mu (`_core_factor`), then per axis the N x N coating Schur complement mu I + S, a compact
 perturbation of mu I, by one method for the solve and its derivative (`_Elimination._coating`,
-GMRES from 512 nodes); a product one stage forms is handed on, never formed twice. The
-elimination is an immutable value (`_Elimination` says what each route holds) that a one-slot
-memo keyed on both curves' coefficients, N, lam and the backgrounds holds for the public calls
-and the search's evaluations (a sigma_m sweep eliminates once, and `eval_u` forms its kernels
-once); the last evaluation holds it for the Jacobian.
+GMRES where K*_inner is factored), or from 256 nodes with a dense K*_inner by GMRES on the
+whole system, eliminating on demand (`_Coupled`); a product one stage forms is handed on, never
+formed twice. The kept state is an immutable value (`_Elimination` and `_Coupled` say what
+each route holds) that a one-slot memo keyed on both curves' coefficients, N, lam and the
+backgrounds holds for the public calls and the search's evaluations (a sigma_m sweep
+eliminates once, and `eval_u` forms its kernels once); the last evaluation holds it for the
+Jacobian.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,15 +78,16 @@ DEFAULT_NODES = 256
 PROBE_POINTS = 64
 _PROBE_SCALE = 3.0  # the default probe radius, in outer max radii
 _CORE_MIN = 5  # fewest core points: the quadratic fit of the Newtonian check has 5 unknowns
-# coating solves on grids of at least _GMRES_NODES nodes use GMRES, which stops
-# once the true residual is within _GMRES_TOL of |b|, or at _GMRES_CAP iterations;
+# single right sides on grids of at least _GMRES_NODES nodes are solved by GMRES, which
+# stops once the true residual is within _GMRES_TOL of |b|, or at _GMRES_CAP iterations;
 # `_block` cuts a factored block's modes at the same _GMRES_TOL
-_GMRES_NODES = 512
+_GMRES_NODES = 256
 _GMRES_TOL = 1e-14
 _GMRES_CAP = 60
-# from _GMRES_NODES nodes a block held by its low Fourier modes in the target variable
-# (`_block`) goes dense when its full-grid column has a coefficient past those modes
+# from _SAMPLE_NODES nodes a block is held by its low Fourier modes in the target variable
+# (`_block`), and goes dense when its full-grid column has a coefficient past those modes
 # above _FOURIER_TOL times the largest
+_SAMPLE_NODES = 512
 _FOURIER_TOL = 1e-13
 
 
@@ -233,14 +237,15 @@ class _Elimination:
     array or, from 512 nodes, a `_Factored` one (`_block`). When K*_in is factored (the
     low-rank route) core is (K*_out, C_io, *`_core_factor`), U K*_in's own, and GMRES
     applies S unformed: with the check's C_oi psi reused, a one-step solve makes 7 block
-    products (3 Arnoldi, 3 check, K*_in phi), each (N + N/4) r multiply-adds and two FFTs
-    for a factored block of rank r. At N = 1024 with every block factored (ranks up to 249)
-    it holds no N x N array, 3 to 9 MB in all. Elsewhere x_oi = A11^-1 C_oi (factored
-    as (A11^-1 U) G when C_oi is) and S are formed: with K*_in and S that is two to four
-    N x N arrays, 2 MB at N = 256 and up to 32 MB at N = 1024. schur holds the formed S,
-    which the low-rank route forms and keeps, one N x N array, at its first dense coating
-    solve (GMRES gave up, or several right sides). `solve_tangent` differentiates `solve`'s
-    densities only, through `_coating` and, low-rank, core's factors.
+    products (3 Arnoldi, 3 check, K*_in phi), each (N + N/4) r multiply-adds for a factored
+    block of rank r, K*_out and C_oi sharing one reduction (`_products`). At N = 1024 with
+    every block factored (ranks up to 249) it holds no N x N array, 3 to 9 MB in all.
+    Elsewhere (below 256 nodes, or formed by `_Coupled`) x_oi = A11^-1 C_oi (factored as
+    (A11^-1 U) G when C_oi is) and S are formed, and each coating solve is one LU: with K*_in
+    and S that is two to four N x N arrays, 2 MB at N = 256 and up to 32 MB at N = 1024.
+    schur holds the formed S, which the low-rank route forms and keeps, one N x N array, at
+    its first dense coating solve (GMRES gave up, or several right sides). `solve_tangent`
+    differentiates `solve`'s densities only, through `_coating` and, low-rank, core's factors.
     """
 
     d_in: Discretization
@@ -264,27 +269,25 @@ class _Elimination:
             pairs.append(DensityPair(phi, psi, axis, h, self.d_in, self.d_out, flux))
         return pairs
 
-    def _coupled(self, v: np.ndarray):
-        """(C_oi v, A11^-1 C_oi v) on the low-rank route."""
-        c = self.c_oi @ v
-        return c, _woodbury(*self.core[2:], self.lam, c)
-
-    def _product(self, v: np.ndarray):
-        """(S v, `_coupled(v)`) on the low-rank route, S v = -K*_out v - C_io A11^-1 C_oi v."""
-        coupled = self._coupled(v)
-        return -(self.core[0] @ v) - self.core[1] @ coupled[1], coupled
+    def _product(self, v: np.ndarray, shift):
+        """(shift(S v, v), (C_oi v, A11^-1 C_oi v)) on the low-rank route, S v = -K*_out v -
+        C_io A11^-1 C_oi v."""
+        k_v, c_v = _products(v, self.core[0], self.c_oi)
+        w = _woodbury(*self.core[2:], self.lam, c_v)
+        return shift(-k_v - self.core[1] @ w, v), (c_v, w)
 
     def _coating(self, mu: float, y: np.ndarray, b: np.ndarray):
         """(phi, psi, C_oi psi or None): (mu I + S) psi = b, phi = y + A11^-1 C_oi psi.
 
-        b is (N,) or (N, k). One right side from _GMRES_NODES nodes is solved by `_gmres`;
-        several right sides, a smaller grid, or GMRES giving up take one dense LU of the
-        augmented copy. On the low-rank route `_gmres` returns the `_coupled` psi of the
-        true-residual check that accepted psi, so psi meets no N x N block again here.
+        b is (N,) or (N, k). On the low-rank route one right side from _GMRES_NODES nodes
+        is solved by `_gmres`, which returns the C_oi psi and A11^-1 C_oi psi of the check
+        that accepted psi, so psi meets no N x N block again here. Several right sides, the
+        dense route, or GMRES giving up take one dense LU of the augmented copy.
         """
-        krylov = b.ndim == 1 and self.d_out.n >= _GMRES_NODES
-        product = self._product if self.core else lambda v: (self.schur[0] @ v, None)
-        solved = _gmres(product, mu, self.d_out, b) if krylov else None
+        solved = None
+        if self.core and b.ndim == 1 and self.d_out.n >= _GMRES_NODES:
+            shift = _shift(mu, self.d_out)
+            solved = _gmres(lambda v: self._product(v, shift), b)
         if solved is None:
             if not self.schur:  # the low-rank route forms S once, for this and later LUs
                 k_out, c_io, *core = self.core
@@ -296,7 +299,7 @@ class _Elimination:
         psi, coupled = solved
         if not self.core:
             return y + self.x_oi @ psi, psi, None
-        c_psi, w = coupled or self._coupled(psi)
+        c_psi, w = coupled or (c := self.c_oi @ psi, _woodbury(*self.core[2:], self.lam, c))
         return y + w, psi, c_psi
 
     def solve_tangent(self, pairs, mu, t_in: GridTangent, t_out: GridTangent, dmu):
@@ -335,15 +338,56 @@ class _Elimination:
         return dphi, dpsi
 
 
-_kept: dict = {}  # the last mu-free elimination under its key; a miss frees it first
+@dataclass(frozen=True, eq=False)
+class _Coupled:
+    """From _GMRES_NODES nodes where K*_in is dense: the blocks (K*_in, K*_out, C_oi, C_io) of
+    one geometry, N, lam and right sides rhs, (dh/dnu on the core, on the coating) per
+    background; read-only. `_gmres` solves each on the coupled system [lam I - K*_in, -C_oi;
+    -C_io, mu I - K*_out], each diagonal block `_shift`ed, and the check that accepts (phi, psi)
+    gives K*_in phi and C_oi psi for the core flux. Several right sides, or GMRES giving up,
+    take `dense`."""
+
+    d_in: Discretization
+    d_out: Discretization
+    parts: tuple
+    lam: float
+    rhs: list
+
+    def solve(self, cases) -> list[DensityPair]:
+        """Densities for each case (mu, h, axis), all by `dense` if GMRES gives up on one."""
+        pairs, n, grids = [], self.d_in.n, (self.d_in, self.d_out)
+        for (mu, h, axis), (r1, r2) in zip(cases := list(cases), self.rhs):
+            b = np.concatenate([r - _weighted_mean(r, d.weights) for r, d in zip((r1, r2), grids)])
+            shifts = _shift(self.lam, self.d_in), _shift(mu, self.d_out)
+            if (solved := _gmres(lambda v: self._product(v, shifts), b)) is None:
+                return self.dense.solve(cases)
+            x, (k_phi, c_psi) = solved[0], solved[1] or (0.0, 0.0)
+            flux = r1 + (k_phi - 0.5 * x[:n]) + c_psi
+            pairs.append(DensityPair(x[:n], x[n:], axis, h, self.d_in, self.d_out, flux))
+        return pairs
+
+    def _product(self, v: np.ndarray, shifts):
+        """(A v, (K*_in phi, C_oi psi)) for v = (phi, psi), A the coupled system."""
+        (k_in, k_out, c_oi, c_io), n = self.parts, self.d_in.n
+        (k_phi, c_phi), (c_psi, k_psi) = _products(v[:n], k_in, c_io), _products(v[n:], c_oi, k_out)
+        return np.concatenate([shifts[0](-(k_phi + c_psi), v[:n]),
+                               shifts[1](-(c_phi + k_psi), v[n:])]), (k_phi, c_psi)
+
+    @cached_property
+    def dense(self) -> _Elimination:
+        """The `_Elimination` of these blocks, formed at the first read; GMRES never reads it."""
+        return _eliminate(self.d_in, self.d_out, self.parts, self.lam, self.rhs)
+
+    solve_tangent = property(lambda self: self.dense.solve_tangent)
+
+
+_kept: dict = {}  # the last `_Elimination` or `_Coupled` under its key; a miss frees it first
 _fields: dict = {}  # `eval_u`'s kernels of the two latest point sets; a miss of _kept empties it
 
 
-def _eliminate(d_in, d_out, parts, lam, backgrounds) -> _Elimination:
-    """The `_Elimination` of the assembled blocks for core contrast lam."""
+def _eliminate(d_in, d_out, parts, lam, rhs) -> _Elimination:
+    """The `_Elimination` of the assembled blocks for core contrast lam and `_elimination`'s rhs."""
     k_in, k_out, c_oi, c_io = parts
-    rhs = [tuple(np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
-           for h in backgrounds]
     # the continuous right sides have exact mean zero; project off the
     # quadrature-level remainder so the rank-one terms see clean data
     b1 = np.column_stack([r - _weighted_mean(r, d_in.weights) for r, _ in rhs])
@@ -356,22 +400,36 @@ def _eliminate(d_in, d_out, parts, lam, backgrounds) -> _Elimination:
             x_oi = np.ascontiguousarray(x_oi)
     sides = tuple((r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1)
                   for (r1, r2), y1 in zip(rhs, y.T))
-    grids = [a for d in (d_in, d_out) for a in vars(d).values() if isinstance(a, np.ndarray)]
-    for a in (k_in, c_oi, *schur, *(core or [x_oi]), *(v for side in sides for v in side), *grids):
-        if isinstance(a, np.ndarray):  # a `_Factored` block is read-only already
-            a.flags.writeable = False
+    _read_only(*schur, *(core or [x_oi]), *(v for side in sides for v in side))
     return _Elimination(d_in, d_out, lam, k_in, c_oi, x_oi, core, schur, sides)
 
 
-def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds) -> _Elimination:
-    """The kept elimination for this key; a miss forms and keeps a new one."""
+def _read_only(*arrays) -> None:
+    for a in arrays:  # a `_Factored` block is read-only already
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+
+
+def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds):
+    """The kept `_Elimination` or `_Coupled` for this key; a miss forms and keeps a new one."""
     curves = [(c.k_min, c.coeffs.dtype.str, c.coeffs.tobytes()) for c in (inc.inner, inc.outer)]
     entry = _kept.get(key := (*curves, n, lam, backgrounds))
     if entry is None:  # a local, so a concurrent miss in another thread cannot pull it away
         _kept.clear()
         _fields.clear()
-        entry = _kept[key] = _eliminate(*_assembled(inc, n), lam, backgrounds)
+        d_in, d_out, parts = _assembled(inc, n)
+        _read_only(*parts, *vars(d_in).values(), *vars(d_out).values())
+        rhs = [tuple(np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
+               for h in backgrounds]
+        route = _Coupled if n >= _GMRES_NODES and isinstance(parts[0], np.ndarray) else _eliminate
+        entry = _kept[key] = route(d_in, d_out, parts, lam, rhs)
     return entry
+
+
+def _shift(contrast: float, d: Discretization):
+    """(B v, v) -> B v plus what `_augment(B, contrast, d)` adds to B, times v."""
+    mean = d.weights / np.sum(d.weights) * (contrast >= 0.0)
+    return lambda bv, v: bv + contrast * v + mean @ v
 
 
 def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
@@ -409,6 +467,13 @@ class _Factored:
         return (x @ self.u) @ _interpolated(self.g.T, len(self.u)).T
 
 
+def _products(v: np.ndarray, *blocks) -> list:
+    """block @ v for each block; the `_Factored` ones of one G width share one `_reduced` v."""
+    r = {b.g.shape[1]: None for b in blocks if isinstance(b, _Factored)}
+    r = {w: _reduced(v, w) for w in r}
+    return [b.u @ (b.g @ r[b.g.shape[1]]) if isinstance(b, _Factored) else b @ v for b in blocks]
+
+
 def _dense(block) -> np.ndarray:
     """A block as one N x N array."""
     if isinstance(block, _Factored):
@@ -419,7 +484,7 @@ def _dense(block) -> np.ndarray:
 def _block(src: Discretization, tgt: Discretization):
     """The block from src's nodes to tgt's: K* on src's grid when tgt is src, else the coupling.
 
-    From _GMRES_NODES nodes it is first sampled at every s-th target node and every s-th
+    From _SAMPLE_NODES nodes it is first sampled at every s-th target node and every s-th
     source node, s = gcd(N, 4), with the grid's own weights (`kstar_matrix`'s and the
     coupling's steps), so each entry is one of the N x N block; those (N/s)^2 entries
     resolve the modes below N/8 in both variables. The real FFT of the sample over the
@@ -442,7 +507,7 @@ def _block(src: Discretization, tgt: Discretization):
     and 0.3 MB); the rows against every source node, their transforms and G take 2.1 MB each.
     """
     own, n = tgt is src, tgt.n
-    if n >= _GMRES_NODES:
+    if n >= _SAMPLE_NODES:
         step = math.gcd(n, 4)
         for source in (step, 1):
             sample = (kstar_matrix(src, step, source) if own
@@ -513,11 +578,11 @@ def _core_solve(k_in, lam: float, d: Discretization, core, *blocks) -> list:
     return [_Factored(x, b.g) if isinstance(b, _Factored) else x for x, b in zip(out, blocks)]
 
 
-def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
-    """(x, aux) with `_augment(B, contrast, d)` x = b, by unrestarted GMRES, or None.
+def _gmres(product, b: np.ndarray):
+    """(x, aux) with A x = b, by unrestarted GMRES, or None.
 
-    product(v) = (B v, aux), so B need not be formed nor its augmented copy; aux is the
-    one of the check that accepted x. Arnoldi orthogonalises twice (CGS2); each step
+    product(v) = (A v, aux), so A need not be formed (nor an augmented copy, see `_shift`);
+    aux is the one of the check that accepted x. Arnoldi orthogonalises twice (CGS2); each step
     factors the Hessenberg matrix H = QR, so the least-squares residual is |b| |Q[0, k+1]|
     and y solves R y = |b| Q[0, :k+1]. Once that residual reaches _GMRES_TOL |b|, each step
     checks the true residual |b - A x| against the same bound. None after _GMRES_CAP
@@ -525,12 +590,6 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
     decades as the least-squares residual since the last check: it has stopped following
     that residual at the rounding floor of the products, where it wanders by a few percent.
     """
-    mean = d.weights / np.sum(d.weights) * (contrast >= 0.0)
-
-    def apply(v):
-        bv, aux = product(v)
-        return bv + contrast * v + mean @ v, aux
-
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return np.zeros_like(b), None
@@ -540,7 +599,7 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
     hess = np.zeros((_GMRES_CAP + 1, _GMRES_CAP))
     floor, least = math.inf, 1.0  # the last failed check's true and least-squares residuals
     for k in range(_GMRES_CAP):
-        v = apply(basis[k])[0]
+        v = product(basis[k])[0]
         for _ in range(2):
             c = basis[: k + 1] @ v
             v -= c @ basis[: k + 1]
@@ -552,7 +611,7 @@ def _gmres(product, contrast: float, d: Discretization, b: np.ndarray):
         ls = beta * abs(q[0, k + 1])
         if ls <= tol:
             x = np.linalg.solve(r[: k + 1], beta * q[0, : k + 1]) @ basis[: k + 1]
-            ax, aux = apply(x)
+            ax, aux = product(x)
             res = float(np.linalg.norm(b - ax))
             if res <= tol:
                 return x, aux
@@ -736,7 +795,8 @@ class NeutralityReport(Report):
     ((2 lam - 1)/2) phi - du/dnu|- is reported, both sides vanishing there).
     The flux is `core_flux`, from the solve's own blocks, so this is the
     algebraic residual of the first block row: it checks the linear solve, not
-    the discretisation (the probe residual and core slope check accuracy).
+    the discretisation (the probe residual and core slope check accuracy): a few
+    1e-15 after a core solve, about 5e-14 (GMRES's acceptance) on `_Coupled`'s.
     coating_identity_residual compares psi with (2/(2 mu_j + 1)) n_j, which is
     an identity only for neutral configurations.
     """

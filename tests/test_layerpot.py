@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from neutral_lab.errors import NearEvaluationError, ValidationError
-from neutral_lab.geometry import confocal_pair, discretize, make_ellipse
+from neutral_lab.geometry import (
+    LaurentMap,
+    confocal_pair,
+    discretize,
+    laurent_domain,
+    make_ellipse,
+)
 from neutral_lab.layerpot import (
     NEAR_FACTOR,
     _interpolated,
@@ -161,6 +167,41 @@ def test_spectral_convergence_on_boundary():
     e64, e128 = err(64), err(128)
     assert e64 / max(e128, 1e-16) >= 10.0
     assert e128 < 1e-12
+
+
+def _kress_split_reference(src, density):
+    """S[density] on the curve by the full Kress remainder ln(|z(t) - z(s)| / |2 sin((t-s)/2)|)
+    formed entry by entry, its diagonal ln|z'(t)|, plus the log part's multipliers -1/(2|k|)."""
+    n, g = src.n, (density.T * src.speed).T
+    freqs = np.fft.fftfreq(n, d=1.0 / n)
+    mult = np.zeros(n)
+    mult[freqs != 0] = -0.5 / np.abs(freqs[freqs != 0])
+    log_part = np.fft.ifft((np.fft.fft(g, axis=0).T * mult).T, axis=0).real
+    z = src.nodes_z
+    dz = np.abs(z[:, None] - z[None, :])
+    sins = np.abs(2.0 * np.sin(0.5 * (src.t[:, None] - src.t[None, :])))
+    np.fill_diagonal(dz, 1.0)
+    np.fill_diagonal(sins, 1.0)
+    remainder = np.log(dz / sins)
+    np.fill_diagonal(remainder, np.log(src.speed))
+    return remainder @ g / n + log_part
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("name", ["confocal", "laurent", "thin-r0-1.01"])
+def test_on_boundary_single_layer_folds_the_circulant_log_into_its_multipliers(name, n):
+    # the ln|2 sin| part of the smooth remainder is summed through the Fourier multipliers,
+    # so only ln r^2 is formed entry by entry; both curves of each pair, normals as densities
+    # (the Newtonian gradient's) and a smooth scalar density
+    inc = {"confocal": lambda: confocal_pair(1.0, 0.3, 1.5),
+           "laurent": lambda: laurent_domain(LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5)),
+           "thin-r0-1.01": lambda: confocal_pair(1.0, 0.2, 1.01)}[name]()
+    for curve in (inc.inner, inc.outer):
+        d = discretize(curve, n)
+        for density in (d.normals, np.exp(2 * np.cos(d.t))):
+            want = _kress_split_reference(d, density)
+            got = single_layer_on_boundary(d, density)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_near_zone_refused(circle):

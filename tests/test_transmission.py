@@ -407,8 +407,9 @@ def test_core_flux_is_interior_normal_derivative(am1, r0):
         assert np.max(np.abs(pair.core_flux - np.sum(g_exact * d_in.normals, axis=1))) < 1e-12
 
 
-def _full_system_solve(inc, p, n):
-    """Reference: the whole 2N x 2N block system, one dense solve per axis.
+def _full_systems(inc, p, n):
+    """Reference: the whole 2N x 2N block system per axis, as (matrix, right side), then the
+    core grid, K*_in and C_oi.
 
     Its blocks are formed densely by layerpot itself, whatever route the solver takes.
     """
@@ -417,7 +418,7 @@ def _full_system_solve(inc, p, n):
     c_oi = layerpot.normal_derivative_coupling(d_out, d_in)
     c_io = layerpot.normal_derivative_coupling(d_in, d_out)
     cp = contrasts(p)
-    out = []
+    systems = []
     for j in (0, 1):
         a = np.block([[cp.lam * np.eye(n) - k_in, -c_oi], [-c_io, cp.mu[j] * np.eye(n) - k_out]])
         for contrast, d, rows in ((cp.lam, d_in, slice(0, n)), (cp.mu[j], d_out, slice(n, None))):
@@ -427,6 +428,15 @@ def _full_system_solve(inc, p, n):
             [d.normals[:, j] - np.dot(d.normals[:, j], d.weights) / np.sum(d.weights)
              for d in (d_in, d_out)]
         )
+        systems.append((a, b))
+    return systems, d_in, k_in, c_oi
+
+
+def _full_system_solve(inc, p, n):
+    """Reference: (phi, psi, core flux) per axis by one dense solve of `_full_systems`."""
+    systems, d_in, k_in, c_oi = _full_systems(inc, p, n)
+    out = []
+    for j, (a, b) in enumerate(systems):
         x = np.linalg.solve(a, b)
         phi, psi = x[:n], x[n:]
         out.append((phi, psi, d_in.normals[:, j] + k_in @ phi - 0.5 * phi + c_oi @ psi))
@@ -437,18 +447,24 @@ def _full_system_solve(inc, p, n):
 # 1024 nodes, and its core has Fourier rank 107
 LAURENT = LaurentMap({1: 1.0, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5)
 
-# (am1, r0, sigma_c, n, low_rank); am1 "laurent" is LAURENT. Below 512 nodes the core
-# block is solved densely; from 512 through K*_in's low Fourier modes, unless their rank
-# passes N/4 (a-1 = 0.6 has rank 213 at 512 nodes and 229 at 1024, a-1 = 0.8 rank 489),
-# and then GMRES applies the coating Schur part without forming it. At r0 = 1.26 and
-# 1024 nodes C_oi has rank past N/4 and is formed densely while the other three blocks
-# are held as Fourier factors (C_io at rank 255): a mixed route. At 514 and 1022 nodes,
-# not multiples of 4, the blocks are formed first at every second target node
+# (am1, r0, sigma_c, n, low_rank[, sigma_m]); am1 "laurent" is LAURENT, and sigma_m is
+# (0.5, 3.0) unless given. Below 256 nodes the core block is solved densely; from 256
+# GMRES solves the coupled 2N system through the four blocks and no core system is
+# solved, unless K*_in is factored (from 512 nodes, when its low Fourier modes' rank stays
+# below N/4: a-1 = 0.6 has rank 213 at 512 nodes and 229 at 1024, a-1 = 0.8 rank 489).
+# Then the core block is solved through those modes, and GMRES applies the coating Schur
+# part without forming it. At r0 = 1.26 and 1024 nodes C_oi has rank past N/4 and is
+# formed densely while the other three blocks are held as Fourier factors (C_io at rank
+# 255): a mixed route. At 514 and 1022 nodes, not multiples of 4, the blocks are formed
+# first at every second target node. THIN_FIELDS' insulating matrix puts mu_1 and mu_2
+# near +1/2, where the coupled system takes 10 to 12 GMRES steps
 ELIMINATION_CASES = [
     *((am1, r0, sc, n, n >= 512 and am1 <= 0.2) for am1, r0 in [(0.0, 1.5), (0.2, 1.5), (0.2, 1.01)]
       for sc in [0.0, 0.2, 5.0, math.inf] for n in [64, 256, 512]),
     *((0.6, 1.5, sc, 512, False) for sc in [0.0, 0.2, 5.0, math.inf]),
     (0.8, 1.5, 5.0, 512, False),
+    ("laurent", 1.5, 5.0, 256, False),
+    *((0.2, 1.01, sc, 256, False, (1e-8, 1e-12)) for sc in [0.0, 5.0]),
     (0.0, 1.5, 0.0, 1024, True),
     (0.2, 1.5, 5.0, 1024, True),
     (0.6, 1.25, math.inf, 1024, True),
@@ -460,16 +476,21 @@ ELIMINATION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("am1, r0, sigma_c, n, low_rank", ELIMINATION_CASES,
-                         ids=["-".join(map(str, c[:4])) for c in ELIMINATION_CASES])
-def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, core_solves):
-    # sigma_m on both sides of sigma_s = 1, so mu_1 > 0 > mu_2
+@pytest.mark.parametrize("am1, r0, sigma_c, n, low_rank, sigma_m",
+                         [(*c, (0.5, 3.0))[:6] for c in ELIMINATION_CASES],
+                         ids=["-".join(map(str, c[:4])) + "-insulating-matrix" * (len(c) > 5)
+                              for c in ELIMINATION_CASES])
+def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, sigma_m,
+                                               core_solves):
+    # sigma_m on both sides of sigma_s = 1 puts mu_1 > 0 > mu_2
     inc = laurent_domain(LAURENT) if am1 == "laurent" else confocal_pair(1.0, am1, r0)
-    p = ConductivityProfile(sigma_c, 1.0, (0.5, 3.0))
-    assert contrasts(p).mu[0] > 0.0 > contrasts(p).mu[1]
+    p = ConductivityProfile(sigma_c, 1.0, sigma_m)
+    assert (contrasts(p).mu[0] > 0.0 > contrasts(p).mu[1]) == (sigma_m == (0.5, 3.0))
     pairs = solve_both_axes(inc, p, n=n)
-    assert len(core_solves) == 1
-    assert (core_solves[0] <= n // 4) if low_rank else (core_solves[0] == n)
+    if low_rank:
+        assert len(core_solves) == 1 and core_solves[0] <= n // 4
+    else:  # the coupled system solves no core system
+        assert core_solves == ([] if n >= 256 else [n])
     if (am1, r0) == (0.3, 1.26):  # the mixed route: C_oi alone is formed densely
         (kept,) = transmission._kept.values()
         assert isinstance(kept.c_oi, np.ndarray)
@@ -533,6 +554,58 @@ def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch):
     assert formed.count(True) == 1
     assert kept[0] is kept[1] is kept[2] and len(kept[0].schur) == 1
     assert not kept[0].schur[0].flags.writeable
+
+
+def test_the_coupled_route_forms_the_elimination_once_and_only_when_asked(core_solves):
+    # from 256 nodes with K*_in dense, each right side runs GMRES on the coupled system
+    # through the four read-only blocks and solves no core system; the elimination is
+    # formed at most once, and a solve gives the same bytes before and after it is formed
+    inc, p = laurent_domain(LAURENT), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    elim, cold = transmission._solved(inc, p, 256)
+    assert isinstance(elim, transmission._Coupled) and core_solves == []
+    assert "dense" not in vars(elim)
+    assert not any(a.flags.writeable for a in elim.parts)
+    formed = elim.dense
+    assert elim.dense is formed and core_solves == [256]
+    assert formed.k_in is elim.parts[0] and formed.c_oi is elim.parts[2]
+    again, warm = transmission._solved(inc, p, 256)
+    assert again is elim and elim.dense is formed and core_solves == [256]
+    assert _same_densities(warm, cold)
+
+
+@pytest.mark.parametrize("sigma_c", [0.0, 5.0, math.inf])
+def test_the_coupled_gmres_solves_the_augmented_full_system(sigma_c):
+    # a right side with nonzero weighted means tells each diagonal block's weighted-mean
+    # term apart (the uniform fields' sides have none): lam = 3/4 and 1/2 and mu_1 = 3/2
+    # carry it, lam = -1/2 and mu_2 = -1 do not
+    inc, p = laurent_domain(LAURENT), ConductivityProfile(sigma_c, 1.0, (0.5, 3.0))
+    elim, _ = transmission._solved(inc, p, 256)
+    b = np.random.default_rng(3).standard_normal(512)
+    for (a, _), mu in zip(_full_systems(inc, p, 256)[0], contrasts(p).mu):
+        shifts = transmission._shift(elim.lam, elim.d_in), transmission._shift(mu, elim.d_out)
+        x, _ = transmission._gmres(lambda v: elim._product(v, shifts), b)
+        want = np.linalg.solve(a, b)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("am1", [0.2, "laurent"])
+def test_a_coupled_solve_that_gmres_gives_up_is_the_eager_dense_solve(am1, monkeypatch):
+    # with _GMRES_NODES past 256 the elimination is formed at once and each coating system
+    # solved by LU. A cap of one GMRES step gives up on every coupled right side (a
+    # confocal pair's take two steps), and the elimination formed then solves both axes,
+    # with the same bytes
+    inc = laurent_domain(LAURENT) if am1 == "laurent" else confocal_pair(1.0, am1, 1.5)
+    p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
+    monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
+    eager = solve_both_axes(inc, p, n=256)
+    transmission._kept.clear()
+    monkeypatch.setattr(transmission, "_GMRES_NODES", 256)
+    coupled = solve_both_axes(inc, p, n=256)
+    assert not _same_densities(coupled, eager)
+    monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
+    assert _same_densities(solve_both_axes(inc, p, n=256), eager)
+    (kept,) = transmission._kept.values()
+    assert isinstance(kept, transmission._Coupled) and "dense" in vars(kept)
 
 
 # cores whose K*_in has Fourier rank 489 and 469 at 512 nodes
@@ -737,7 +810,7 @@ def test_a_one_step_coating_solve_multiplies_by_c_oi_only_inside_its_schur_produ
     assert isinstance(elim.c_oi, transmission._Factored) == (n == 1024)
     events, product, gmres = [], transmission._Elimination._product, transmission._gmres
     monkeypatch.setattr(transmission._Elimination, "_product",
-                        lambda self, v: events.append("S") or product(self, v))
+                        lambda self, *a: events.append("S") or product(self, *a))
     monkeypatch.setattr(transmission, "_gmres", lambda *a: events.append("gmres") or gmres(*a))
     monkeypatch.setattr(_CountedMatmul, "events", events)
     counted = dataclasses.replace(elim, c_oi=_CountedMatmul(elim.c_oi))
@@ -808,9 +881,10 @@ def test_eval_u_keeps_the_kernels_of_two_point_sets_for_the_kept_elimination():
     assert [entry[0] for entry in transmission._fields.values()] == [grids]
 
 
-def _formed(schur):
-    """The `_gmres` product of a formed block: (schur v, nothing kept)."""
-    return lambda v: (schur @ v, None)
+def _formed(schur, mu, d):
+    """The `_gmres` product of a formed block, `_shift`ed by mu on grid d: nothing kept."""
+    shift = transmission._shift(mu, d)
+    return lambda v: (shift(schur @ v, v), None)
 
 
 class _Counting:
@@ -836,10 +910,10 @@ def test_gmres_agrees_with_the_dense_solve(axis):
     # mu_1 = 1.5 adds the weighted-mean term to the product, mu_2 = -1 does not
     schur, d, _, mu = _coating_system(laurent_domain(LAURENT))
     b = np.random.default_rng(3).standard_normal(64)
-    x, _ = transmission._gmres(_formed(schur), mu[axis], d, b)
+    x, _ = transmission._gmres(_formed(schur, mu[axis], d), b)
     want = np.linalg.solve(transmission._augment(schur.copy(), mu[axis], d), b)
     assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(transmission._gmres(_formed(schur), mu[axis], d, np.zeros(64))[0],
+    assert np.array_equal(transmission._gmres(_formed(schur, mu[axis], d), np.zeros(64))[0],
                           np.zeros(64))
 
 
@@ -848,7 +922,7 @@ def test_gmres_converges_in_one_step_on_a_one_step_krylov_space():
     # eigenvector of the rotation-invariant Schur part: one step and one true-residual check
     schur, d, b, mu = _coating_system(confocal_pair(1.0, 0.0, 1.5))
     products = [0]
-    x, _ = transmission._gmres(_Counting(_formed(schur), products), mu[0], d, b)
+    x, _ = transmission._gmres(_Counting(_formed(schur, mu[0], d), products), b)
     assert products == [2]
     want = np.linalg.solve(transmission._augment(schur.copy(), mu[0], d), b)
     assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
@@ -859,14 +933,14 @@ def test_gmres_past_its_cap_returns_none(monkeypatch):
     b = np.random.default_rng(3).standard_normal(64)
     monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
     products = [0]
-    assert transmission._gmres(_Counting(_formed(schur), products), mu[1], d, b) is None
+    assert transmission._gmres(_Counting(_formed(schur, mu[1], d), products), b) is None
     assert products == [1]
 
 
 def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
     # a non-confocal coating needs more than one GMRES iteration, so a cap of 1
-    # falls back to the dense solve every grid below 512 nodes takes. Every call
-    # reuses the kept elimination of the first, whose core block was solved densely
+    # falls back to the dense coating solve that _GMRES_NODES past 512 selects. Every
+    # call reuses the kept elimination of the first
     inc = laurent_domain(LAURENT)
     p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
@@ -889,9 +963,9 @@ def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch, core_s
     p = ConductivityProfile(0.0, 1.0, (1e-8, 1e-12))
     products, gmres = [], transmission._gmres
 
-    def counting(product, contrast, d, b):
+    def counting(product, b):
         products.append(0)
-        x = gmres(_Counting(product, products), contrast, d, b)
+        x = gmres(_Counting(product, products), b)
         assert x is None
         return x
 
@@ -1001,9 +1075,11 @@ TANGENT_DIRECTIONS = [
     (Curve(np.zeros(1, complex), 0), Curve(np.array([0.1j, 0.4, 0.0, -0.3]), -2)),
     (Curve(np.array([0.2, -0.1j]), -1), Curve(np.array([0.5, 0.2]), 2)),
 ]
-SOLVE_TANGENT_CASES = {  # (map, sigma_c, N): lam = 3/4, -1/2, 1/2 and 3/4
+SOLVE_TANGENT_CASES = {  # (map, sigma_c, N): lam = 3/4, -1/2, -1/2, 1/2 and 3/4
     "laurent-n64": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 5.0, 64),
     "refined-r0=1.08-n64": (LaurentMap({1: 1.0, -1: 0.2, 2: -0.03, -2: 0.02}, 1.08), 0.0, 64),
+    # GMRES on the coupled system; the derivative forms the elimination, as below 256 nodes
+    "coupled-n256": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 0.0, 256),
     "low-rank-core-n512": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), math.inf, 512),
     # every block held as Fourier factors: the derivative applies C_io through them
     "factored-blocks-n1024": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 5.0, 1024),
@@ -1020,7 +1096,7 @@ def test_solve_tangent_matches_central_differences_of_the_densities(name, monkey
     ss, sm, h = 1.0, np.array([0.7, 2.0]), 1e-6
     inc, p = laurent_domain(m), ConductivityProfile(sigma_c, ss, tuple(sm))
     elim, pairs = transmission._solved(inc, p, n)
-    blocks = (elim.k_in, elim.c_oi, *(elim.core or ())[:2])
+    blocks = getattr(elim, "parts", None) or (elim.k_in, elim.c_oi, *(elim.core or ())[:2])
     assert all(isinstance(b, transmission._Factored) for b in blocks) == (n == 1024)
     t_in, t_out = (discretize_tangent(d, [dc[i] for dc in TANGENT_DIRECTIONS])
                    for i, d in enumerate((elim.d_in, elim.d_out)))
@@ -1030,8 +1106,9 @@ def test_solve_tangent_matches_central_differences_of_the_densities(name, monkey
     dphi, dpsi = elim.solve_tangent(pairs, contrasts(p).mu, t_in, t_out,
                                     np.diag(ss * sm / (ss - sm) ** 2))
     assert len(refined) == (2 if name.startswith("refined") else 0)
-    # below 512 nodes the derivative solves the core densely again; from 512 it applies
-    # the evaluation's low-rank factors and solves no core system of its own
+    # below 512 nodes the elimination (formed for the derivative from 256) and the
+    # derivative each solve the core densely; from 512 the derivative applies the
+    # evaluation's low-rank factors and solves no core system of its own
     assert core_solves == ([core_solves[0]] if n >= 512 else [n, n])
     assert (core_solves[0] <= n // 4) == (n >= 512)
     fd = []
@@ -1046,3 +1123,21 @@ def test_solve_tangent_matches_central_differences_of_the_densities(name, monkey
     exact = np.stack([dphi, dpsi], axis=1).reshape(-1, 5)
     err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
     assert np.all(err <= 1e-6), err
+
+
+def test_a_coupled_solve_tangent_matches_the_eager_elimination(monkeypatch):
+    # at 256 nodes the derivative of the coupled solve's densities, through the elimination
+    # formed for it, against the derivative of the eager dense route's densities
+    m, sigma_c, n = SOLVE_TANGENT_CASES["coupled-n256"]
+    inc, p = laurent_domain(m), ConductivityProfile(sigma_c, 1.0, (0.7, 2.0))
+    got = []
+    for nodes in (256, math.inf):
+        monkeypatch.setattr(transmission, "_GMRES_NODES", nodes)
+        transmission._kept.clear()
+        elim, pairs = transmission._solved(inc, p, n)
+        t_in, t_out = (discretize_tangent(d, [dc[i] for dc in TANGENT_DIRECTIONS])
+                       for i, d in enumerate((pairs[0].disc_inner, pairs[0].disc_outer)))
+        got.append(elim.solve_tangent(pairs, contrasts(p).mu, t_in, t_out, np.eye(2)))
+    assert isinstance(elim, transmission._Elimination)
+    for coupled, eager in zip(*got):
+        assert np.max(np.abs(coupled - eager)) <= 1e-12 * np.max(np.abs(eager))

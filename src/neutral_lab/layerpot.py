@@ -25,6 +25,7 @@ from .geometry import Discretization, GridTangent, discretize, discretize_tangen
 NEAR_FACTOR = 0.2
 _REFINE_DECADES = 40.0  # target exp(-40) ~ 4e-18 quadrature tail
 _REFINE_CAP = 2**17
+_ROW_ENTRIES = 2**13  # kernel entries per row block, whose offsets stay in cache
 
 
 def feature_size(src: Discretization) -> float:
@@ -91,9 +92,9 @@ def _refuse_near(src: Discretization, pts: np.ndarray) -> None:
 
 def _kernel_rows(pts: np.ndarray, src: Discretization, *kernels, far=False) -> list:
     """An (m, n) array per kernel, formed in place by kernel(dx, dy, r2, out) from row blocks of
-    about 2^13 entries of the targets' `_offsets`, which stay in cache; far refuses first."""
+    about _ROW_ENTRIES entries of the targets' `_offsets`; far refuses first."""
     out = [np.empty((len(pts), src.n)) for _ in kernels]
-    rows, limit = max(1, 2**13 // src.n), _near_zone(src, 0.0)[1] if far else -math.inf
+    rows, limit = max(1, _ROW_ENTRIES // src.n), _near_zone(src, 0.0)[1] if far else -math.inf
     for lo in range(0, len(pts), rows):
         dx, dy, r2 = _offsets(pts[lo : lo + rows], src.nodes)
         if math.sqrt(float(r2.min())) < limit:
@@ -186,14 +187,14 @@ def _normal_kernel_tangent(src, dsrc: GridTangent, normals, dnormals, dpts, dx, 
 
 
 def _tangent_product(src, dsrc, pts, normals, dpts, dnormals, density, self_grid=False):
-    """`_normal_kernel_tangent` at the targets pts, in blocks of about 1e6 kernel entries.
+    """`_normal_kernel_tangent` at the targets pts, in row blocks of about _ROW_ENTRIES entries.
 
     On the source's own grid (self_grid) the diagonal is left out: r2 = inf there.
     """
     out = np.empty((len(dpts), len(pts), density.shape[1]))
-    block = max(1, 2**20 // src.n)
-    for lo in range(0, len(pts), block):
-        s = slice(lo, lo + block)
+    rows = max(1, _ROW_ENTRIES // src.n)
+    for lo in range(0, len(pts), rows):
+        s = slice(lo, lo + rows)
         dx, dy, r2 = _offsets(pts[s], src.nodes)
         if self_grid:
             r2[np.arange(len(r2)), np.arange(lo, lo + len(r2))] = np.inf
@@ -205,7 +206,7 @@ def _tangent_product(src, dsrc, pts, normals, dpts, dnormals, density, self_grid
 def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, step=0,
                   source_step=1):
     """`_normal_kernel` at the targets against every source_step-th source node, formed in
-    row blocks of about 2^13 entries.
+    row blocks of about _ROW_ENTRIES entries.
 
     The columns keep the fine grid's weights, so each entry is one of the whole block. A
     block's offsets stay in cache while its rows are formed in place in the output. A
@@ -221,7 +222,7 @@ def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, ste
     if not step:
         arc = source_step // 2 * 2 * math.pi * float(np.max(src.speed)) / src.n
         limit = _near_zone(src, 0.0)[1] + arc
-    rows = max(1, 2**13 // len(nodes))
+    rows = max(1, _ROW_ENTRIES // len(nodes))
     out = None if rows >= len(pts) else np.empty((len(pts), len(nodes)))
     for lo in range(0, len(pts), rows):
         dx, dy, r2 = _offsets(pts[lo : lo + rows], nodes)

@@ -19,16 +19,16 @@ at the extreme contrasts. From 512 nodes each block is held as Fourier factors i
 variable, its coefficient rows on the source nodes of its sample at every fourth (or second)
 target and source node where that resolves it, or else its rows at those targets against every
 source node do (a product reduces its operand to those nodes first); any other block is formed
-densely (`_block`). The system is solved by eliminating the core block, which does not depend
-on mu (`_core_factor`), then per axis the N x N coating Schur complement mu I + S, a compact
-perturbation of mu I, by one method for the solve and its derivative (`_Elimination._coating`,
-GMRES where K*_inner is factored), or from 256 nodes with a dense K*_inner by GMRES on the
-whole system, eliminating on demand (`_Coupled`); a product one stage forms is handed on, never
-formed twice. The kept state is an immutable value (`_Elimination` and `_Coupled` say what
-each route holds) that a one-slot memo keyed on both curves' coefficients, N, lam and the
-backgrounds holds for the public calls and the search's evaluations (a sigma_m sweep
-eliminates once, and `eval_u` forms its kernels once); the last evaluation holds it for the
-Jacobian.
+densely (`_block`). Below 256 nodes the core block, which does not depend on mu, is
+eliminated, and per axis the N x N coating Schur complement mu I + S, a compact perturbation
+of mu I, is solved by one LU (`_Elimination`, for the solve and its derivative). From 256
+nodes GMRES solves each right side (`_Krylov`): on that complement, applied unformed, where
+K*_inner is factored (`_core_factor`), else on the whole system; several right sides or a
+give-up form the elimination once. A product one stage forms is handed on, never formed twice.
+The kept state, one of those two immutable values, is held by a one-slot memo keyed on both
+curves' coefficients, N, lam and the backgrounds for the public calls and the search's
+evaluations (a sigma_m sweep eliminates once, and `eval_u` forms its kernels once); the last
+evaluation holds it for the Jacobian.
 
 Only diagonal matrix tensors diag(sigma_m^1, sigma_m^2) are supported: the
 axis-j solve uses the isotropic value sigma_m^j.
@@ -78,7 +78,7 @@ DEFAULT_NODES = 256
 PROBE_POINTS = 64
 _PROBE_SCALE = 3.0  # the default probe radius, in outer max radii
 _CORE_MIN = 5  # fewest core points: the quadratic fit of the Newtonian check has 5 unknowns
-# single right sides on grids of at least _GMRES_NODES nodes are solved by GMRES, which
+# from _GMRES_NODES nodes each right side is solved by GMRES (`_Krylov`), which
 # stops once the true residual is within _GMRES_TOL of |b|, or at _GMRES_CAP iterations;
 # `_block` cuts a factored block's modes at the same _GMRES_TOL
 _GMRES_NODES = 256
@@ -227,80 +227,50 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         raise SolverError(f"{what} singular", cond=float(np.linalg.cond(a))) from exc
 
 
+def _pair(value, case, r1, phi, psi, k_phi=None, c_psi=None) -> DensityPair:
+    """case (mu, h, axis)'s DensityPair on value's grids, core flux r1 + K*_in phi - phi / 2 +
+    C_oi psi (by value's blocks where not given); non-finite densities are a SolverError."""
+    if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
+        raise SolverError("transmission solve produced non-finite densities")
+    k_in, _, c_oi, _ = value.parts
+    k_phi = k_in @ phi if k_phi is None else k_phi
+    flux = r1 + (k_phi - 0.5 * phi) + (c_oi @ psi if c_psi is None else c_psi)
+    return DensityPair(phi, psi, case[2], case[1], value.d_in, value.d_out, flux)
+
+
 @dataclass(frozen=True, eq=False)
 class _Elimination:
-    """The mu-free core elimination of one geometry, N, lam and backgrounds; read-only.
+    """The formed mu-free core elimination of one geometry, N, lam and backgrounds; read-only.
 
-    With A11 = lam I - K*_in and S = -K*_out - C_io A11^-1 C_oi, psi solves (mu I + S) psi = b
-    and phi = y + A11^-1 C_oi psi; sides holds (dh/dnu on the core, y, b) per background,
-    y = A11^-1 b1 and b the coating right side plus C_io y. Each block is a dense N x N
-    array or, from 512 nodes, a `_Factored` one (`_block`). When K*_in is factored (the
-    low-rank route) core is (K*_out, C_io, *`_core_factor`), U K*_in's own, and GMRES
-    applies S unformed: with the check's C_oi psi reused, a one-step solve makes 7 block
-    products (3 Arnoldi, 3 check, K*_in phi), each (N + N/4) r multiply-adds for a factored
-    block of rank r, K*_out and C_oi sharing one reduction (`_products`). At N = 1024 with
-    every block factored (ranks up to 249) it holds no N x N array, 3 to 9 MB in all.
-    Elsewhere (below 256 nodes, or formed by `_Coupled`) x_oi = A11^-1 C_oi (factored as
-    (A11^-1 U) G when C_oi is) and S are formed, and each coating solve is one LU: with K*_in
-    and S that is two to four N x N arrays, 2 MB at N = 256 and up to 32 MB at N = 1024.
-    schur holds the formed S, which the low-rank route forms and keeps, one N x N array, at
-    its first dense coating solve (GMRES gave up, or several right sides). `solve_tangent`
-    differentiates `solve`'s densities only, through `_coating` and, low-rank, core's factors.
+    With A11 = lam I - K*_in, x_oi = A11^-1 C_oi and S = -K*_out - C_io x_oi, psi solves
+    (mu I + S) psi = b by one LU and phi = y + x_oi psi; sides holds (dh/dnu on the core, y,
+    b) per background, y = A11^-1 b1 and b the coating right side plus C_io y. parts holds
+    (K*_in, K*_out, C_oi, C_io), each dense or, from 512 nodes, `_Factored` (`_block`); A11 is
+    solved by core, K*_in's Woodbury factors, or by one LU where core is None, and x_oi keeps
+    C_oi's G. With the four blocks, x_oi and S that is up to six N x N arrays, 3 MB at N = 256
+    and 48 MB at N = 1024. `solve_tangent` differentiates `solve`'s densities only.
     """
 
     d_in: Discretization
     d_out: Discretization
     lam: float
-    k_in: np.ndarray
-    c_oi: np.ndarray
-    x_oi: np.ndarray | None
+    parts: tuple
     core: tuple | None
-    schur: list
+    x_oi: np.ndarray
+    schur: np.ndarray
     sides: tuple
 
     def solve(self, cases) -> list[DensityPair]:
         """Densities for each case (mu, h, axis), in the order of the backgrounds."""
-        pairs = []
-        for (mu, h, axis), (r1, y1, b2) in zip(cases, self.sides):
-            phi, psi, c = self._coating(mu, y1, b2)
-            if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
-                raise SolverError("transmission solve produced non-finite densities")
-            flux = r1 + (self.k_in @ phi - 0.5 * phi) + (self.c_oi @ psi if c is None else c)
-            pairs.append(DensityPair(phi, psi, axis, h, self.d_in, self.d_out, flux))
-        return pairs
-
-    def _product(self, v: np.ndarray, shift):
-        """(shift(S v, v), (C_oi v, A11^-1 C_oi v)) on the low-rank route, S v = -K*_out v -
-        C_io A11^-1 C_oi v."""
-        k_v, c_v = _products(v, self.core[0], self.c_oi)
-        w = _woodbury(*self.core[2:], self.lam, c_v)
-        return shift(-k_v - self.core[1] @ w, v), (c_v, w)
+        return [_pair(self, case, r1, *self._coating(case[0], y1, b2))
+                for case, (r1, y1, b2) in zip(cases, self.sides)]
 
     def _coating(self, mu: float, y: np.ndarray, b: np.ndarray):
-        """(phi, psi, C_oi psi or None): (mu I + S) psi = b, phi = y + A11^-1 C_oi psi.
-
-        b is (N,) or (N, k). On the low-rank route one right side from _GMRES_NODES nodes
-        is solved by `_gmres`, which returns the C_oi psi and A11^-1 C_oi psi of the check
-        that accepted psi, so psi meets no N x N block again here. Several right sides, the
-        dense route, or GMRES giving up take one dense LU of the augmented copy.
-        """
-        solved = None
-        if self.core and b.ndim == 1 and self.d_out.n >= _GMRES_NODES:
-            shift = _shift(mu, self.d_out)
-            solved = _gmres(lambda v: self._product(v, shift), b)
-        if solved is None:
-            if not self.schur:  # the low-rank route forms S once, for this and later LUs
-                k_out, c_io, *core = self.core
-                x_oi, = _core_solve(self.k_in, self.lam, self.d_in, core, self.c_oi)
-                self.schur.append(-_dense(k_out) - c_io @ x_oi)
-                self.schur[0].flags.writeable = False
-            s = _augment(self.schur[0].copy(), mu, self.d_out)
-            solved = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})"), None
-        psi, coupled = solved
-        if not self.core:
-            return y + self.x_oi @ psi, psi, None
-        c_psi, w = coupled or (c := self.c_oi @ psi, _woodbury(*self.core[2:], self.lam, c))
-        return y + w, psi, c_psi
+        """(phi, psi): (mu I + S) psi = b by one LU of the augmented copy of S, and
+        phi = y + x_oi psi; b is (N,) or (N, k)."""
+        s = _augment(self.schur.copy(), mu, self.d_out)
+        psi = _solve(s, b, f"transmission coating block (lam={self.lam}, mu={mu})")
+        return y + self.x_oi @ psi, psi
 
     def solve_tangent(self, pairs, mu, t_in: GridTangent, t_out: GridTangent, dmu):
         """(dphi, dpsi), each (2, N, D + C): the derivative of `pairs`, solved here at mu.
@@ -326,47 +296,59 @@ class _Elimination:
                 fi -= (_mean_tangent(d.normals, dnu, d, t)
                        + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
                 f.append(fi)
-            core = self.core[2:] if self.core else None
-            v1, = _core_solve(self.k_in, lam, d_in, core, f[0].transpose(1, 0, 2).reshape(n, -1))
+            v1, = _core_solve(self.parts[0], lam, d_in, self.core,
+                              f[0].transpose(1, 0, 2).reshape(n, -1))
             v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
             dphi[:, :, :dim] = v1
-            c_io = self.core[1] if self.core else normal_derivative_coupling(d_in, d_out)
-            dpsi[:, :, :dim] = f[1].transpose(2, 1, 0) + c_io @ v1
+            dpsi[:, :, :dim] = f[1].transpose(2, 1, 0) + self.parts[3] @ v1
         dpsi[:, :, dim:] = -psi.T[:, :, None] * dmu[:, None, :]
         for j, mu_j in enumerate(mu):
-            dphi[j], dpsi[j], _ = self._coating(mu_j, dphi[j], dpsi[j])
+            dphi[j], dpsi[j] = self._coating(mu_j, dphi[j], dpsi[j])
         return dphi, dpsi
 
 
 @dataclass(frozen=True, eq=False)
-class _Coupled:
-    """From _GMRES_NODES nodes where K*_in is dense: the blocks (K*_in, K*_out, C_oi, C_io) of
-    one geometry, N, lam and right sides rhs, (dh/dnu on the core, on the coating) per
-    background; read-only. `_gmres` solves each on the coupled system [lam I - K*_in, -C_oi;
-    -C_io, mu I - K*_out], each diagonal block `_shift`ed, and the check that accepts (phi, psi)
-    gives K*_in phi and C_oi psi for the core flux. Several right sides, or GMRES giving up,
-    take `dense`."""
+class _Krylov:
+    """From _GMRES_NODES nodes: `_Elimination`'s grids, lam, parts and core, and rhs, (dh/dnu
+    on the core, on the coating) per background; read-only. `_gmres` solves each right side:
+    with core, `_Elimination`'s coating system with S applied unformed (`_schur`), where a
+    one-step solve makes 7 block products (3 Arnoldi, 3 check, K*_in phi), each (N + N/4) r
+    multiply-adds for a factored block of rank r, and with every block factored (N = 1024,
+    ranks up to 249) no N x N array is held, 3 to 9 MB in all; else the coupled system
+    [lam I - K*_in, -C_oi; -C_io, mu I - K*_out], each diagonal block `_shift`ed (`_coupled`).
+    The check that accepts gives the products phi and the core flux need. Several right sides
+    (`solve_tangent`), or GMRES giving up on any case, take `dense`."""
 
     d_in: Discretization
     d_out: Discretization
-    parts: tuple
     lam: float
+    parts: tuple
+    core: tuple | None
     rhs: list
 
     def solve(self, cases) -> list[DensityPair]:
         """Densities for each case (mu, h, axis), all by `dense` if GMRES gives up on one."""
-        pairs, n, grids = [], self.d_in.n, (self.d_in, self.d_out)
-        for (mu, h, axis), (r1, r2) in zip(cases := list(cases), self.rhs):
-            b = np.concatenate([r - _weighted_mean(r, d.weights) for r, d in zip((r1, r2), grids)])
-            shifts = _shift(self.lam, self.d_in), _shift(mu, self.d_out)
-            if (solved := _gmres(lambda v: self._product(v, shifts), b)) is None:
+        pairs, n, product = [], self.d_in.n, self._schur if self.core else self._coupled
+        for case, (r1, y, b) in zip(cases := list(cases), self.sides):
+            shifts = _shift(self.lam, self.d_in), _shift(case[0], self.d_out)
+            if (solved := _gmres(lambda v: product(v, shifts), b)) is None:
                 return self.dense.solve(cases)
-            x, (k_phi, c_psi) = solved[0], solved[1] or (0.0, 0.0)
-            flux = r1 + (k_phi - 0.5 * x[:n]) + c_psi
-            pairs.append(DensityPair(x[:n], x[n:], axis, h, self.d_in, self.d_out, flux))
+            x, aux = solved
+            if self.core:  # x is psi; the check gave C_oi psi and A11^-1 C_oi psi
+                c_psi, w = aux or (c := self.parts[2] @ x, _woodbury(*self.core, self.lam, c))
+                pairs.append(_pair(self, case, r1, y + w, x, None, c_psi))
+            else:  # x is (phi, psi); the check gave K*_in phi and C_oi psi
+                pairs.append(_pair(self, case, r1, x[:n], x[n:], *(aux or (0.0, 0.0))))
         return pairs
 
-    def _product(self, v: np.ndarray, shifts):
+    def _schur(self, v: np.ndarray, shifts):
+        """(S v shifted, (C_oi v, A11^-1 C_oi v)), S v = -K*_out v - C_io A11^-1 C_oi v."""
+        _, k_out, c_oi, c_io = self.parts
+        k_v, c_v = _products(v, k_out, c_oi)
+        w = _woodbury(*self.core, self.lam, c_v)
+        return shifts[1](-k_v - c_io @ w, v), (c_v, w)
+
+    def _coupled(self, v: np.ndarray, shifts):
         """(A v, (K*_in phi, C_oi psi)) for v = (phi, psi), A the coupled system."""
         (k_in, k_out, c_oi, c_io), n = self.parts, self.d_in.n
         (k_phi, c_phi), (c_psi, k_psi) = _products(v[:n], k_in, c_io), _products(v[n:], c_oi, k_out)
@@ -374,34 +356,47 @@ class _Coupled:
                                shifts[1](-(c_phi + k_psi), v[n:])]), (k_phi, c_psi)
 
     @cached_property
+    def sides(self) -> tuple:
+        """`_Elimination`'s sides with core, else (dh/dnu on the core, None, the coupled side,
+        each half less its weighted mean) per background."""
+        if self.core:
+            return _sides(self.d_in, self.d_out, self.lam, self.parts, self.core, self.rhs)[0]
+        return tuple((r1, None, np.concatenate([r1 - _weighted_mean(r1, self.d_in.weights),
+                                                r2 - _weighted_mean(r2, self.d_out.weights)]))
+                     for r1, r2 in self.rhs)
+
+    @cached_property
     def dense(self) -> _Elimination:
         """The `_Elimination` of these blocks, formed at the first read; GMRES never reads it."""
-        return _eliminate(self.d_in, self.d_out, self.parts, self.lam, self.rhs)
+        return _eliminate(self.d_in, self.d_out, self.lam, self.parts, self.core, self.rhs)
 
     solve_tangent = property(lambda self: self.dense.solve_tangent)
 
 
-_kept: dict = {}  # the last `_Elimination` or `_Coupled` under its key; a miss frees it first
+_kept: dict = {}  # the last `_Elimination` or `_Krylov` under its key; a miss frees it first
 _fields: dict = {}  # `eval_u`'s kernels of the two latest point sets; a miss of _kept empties it
 
 
-def _eliminate(d_in, d_out, parts, lam, rhs) -> _Elimination:
-    """The `_Elimination` of the assembled blocks for core contrast lam and `_elimination`'s rhs."""
-    k_in, k_out, c_oi, c_io = parts
+def _sides(d_in, d_out, lam: float, parts, core, rhs, *blocks):
+    """(`_Elimination`'s sides for rhs, then A11^-1 of each block by `_core_solve`)."""
     # the continuous right sides have exact mean zero; project off the
     # quadrature-level remainder so the rank-one terms see clean data
     b1 = np.column_stack([r - _weighted_mean(r, d_in.weights) for r, _ in rhs])
-    if core := _core_factor(k_in, lam, d_in):  # the low-rank route forms neither S nor x_oi
-        x_oi, y, schur, core = None, _woodbury(*core, lam, b1), [], (k_out, c_io, *core)
-    else:
-        x_oi, y = _core_solve(k_in, lam, d_in, None, c_oi, b1)
-        schur = [-_dense(k_out) - c_io @ x_oi]
-        if isinstance(x_oi, np.ndarray):  # the dense solve's N x (N + 2) y fragmented the heap
-            x_oi = np.ascontiguousarray(x_oi)
-    sides = tuple((r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + c_io @ y1)
+    *solved, y = _core_solve(parts[0], lam, d_in, core, *blocks, b1)
+    sides = tuple((r1, y1.copy(), r2 - _weighted_mean(r2, d_out.weights) + parts[3] @ y1)
                   for (r1, r2), y1 in zip(rhs, y.T))
-    _read_only(*schur, *(core or [x_oi]), *(v for side in sides for v in side))
-    return _Elimination(d_in, d_out, lam, k_in, c_oi, x_oi, core, schur, sides)
+    _read_only(*(v for side in sides for v in side))
+    return sides, *solved
+
+
+def _eliminate(d_in, d_out, lam: float, parts, core, rhs) -> _Elimination:
+    """The `_Elimination` of the assembled blocks, core contrast lam, core and rhs."""
+    sides, x_oi = _sides(d_in, d_out, lam, parts, core, rhs, parts[2])
+    schur = -_dense(parts[1]) - parts[3] @ x_oi
+    if isinstance(x_oi, np.ndarray):  # the dense solve's N x (N + 2) y fragmented the heap
+        x_oi = np.ascontiguousarray(x_oi)
+    _read_only(schur, x_oi)
+    return _Elimination(d_in, d_out, lam, parts, core, x_oi, schur, sides)
 
 
 def _read_only(*arrays) -> None:
@@ -411,18 +406,20 @@ def _read_only(*arrays) -> None:
 
 
 def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds):
-    """The kept `_Elimination` or `_Coupled` for this key; a miss forms and keeps a new one."""
+    """The kept `_Elimination` or `_Krylov` for this key; a miss forms and keeps a new one."""
     curves = [(c.k_min, c.coeffs.dtype.str, c.coeffs.tobytes()) for c in (inc.inner, inc.outer)]
     entry = _kept.get(key := (*curves, n, lam, backgrounds))
     if entry is None:  # a local, so a concurrent miss in another thread cannot pull it away
         _kept.clear()
         _fields.clear()
         d_in, d_out, parts = _assembled(inc, n)
-        _read_only(*parts, *vars(d_in).values(), *vars(d_out).values())
         rhs = [tuple(np.sum(h.gradient(d.nodes) * d.normals, axis=1) for d in (d_in, d_out))
                for h in backgrounds]
-        route = _Coupled if n >= _GMRES_NODES and isinstance(parts[0], np.ndarray) else _eliminate
-        entry = _kept[key] = route(d_in, d_out, parts, lam, rhs)
+        core = _core_factor(parts[0], lam, d_in)
+        _read_only(*parts, *(core or ()), *(r for side in rhs for r in side),
+                   *vars(d_in).values(), *vars(d_out).values())
+        route = _Krylov if n >= _GMRES_NODES else _eliminate
+        entry = _kept[key] = route(d_in, d_out, lam, parts, core, rhs)
     return entry
 
 
@@ -796,7 +793,7 @@ class NeutralityReport(Report):
     The flux is `core_flux`, from the solve's own blocks, so this is the
     algebraic residual of the first block row: it checks the linear solve, not
     the discretisation (the probe residual and core slope check accuracy): a few
-    1e-15 after a core solve, about 5e-14 (GMRES's acceptance) on `_Coupled`'s.
+    1e-15 after a core solve, about 5e-14 (GMRES's acceptance) after a coupled one.
     coating_identity_residual compares psi with (2/(2 mu_j + 1)) n_j, which is
     an identity only for neutral configurations.
     """

@@ -223,8 +223,8 @@ def test_kept_elimination_holds_read_only_arrays(design_case):
     inc, _, p = design_case
     pairs = solve_both_axes(inc, p, n=64)
     (kept,) = transmission._kept.values()
-    blocks = (kept.k_in, kept.c_oi, kept.x_oi, *kept.schur)
-    assert [b.shape for b in blocks] == [(64, 64)] * 4
+    blocks = (*kept.parts, kept.x_oi, kept.schur)
+    assert [b.shape for b in blocks] == [(64, 64)] * 6
     grids = [getattr(d, f) for d in (kept.d_in, kept.d_out)
              for f in ("t", "nodes", "normals", "weights")]
     for a in [*blocks, *(v for side in kept.sides for v in side), *grids]:
@@ -239,7 +239,7 @@ def test_kept_elimination_holds_read_only_arrays(design_case):
 def test_a_miss_frees_the_kept_elimination_before_building(design_case, monkeypatch):
     inc, _, p = design_case
     solve_both_axes(inc, p, n=64)
-    old = weakref.ref(next(iter(transmission._kept.values())).k_in)
+    old = weakref.ref(next(iter(transmission._kept.values())).parts[0])
     alive, real = [], transmission.kstar_matrix
 
     def kstar(disc):
@@ -493,8 +493,9 @@ def test_block_elimination_matches_full_system(am1, r0, sigma_c, n, low_rank, si
         assert core_solves == ([] if n >= 256 else [n])
     if (am1, r0) == (0.3, 1.26):  # the mixed route: C_oi alone is formed densely
         (kept,) = transmission._kept.values()
-        assert isinstance(kept.c_oi, np.ndarray)
-        assert all(isinstance(b, transmission._Factored) for b in (kept.k_in, *kept.core[:2]))
+        k_in, k_out, c_oi, c_io = kept.parts
+        assert isinstance(c_oi, np.ndarray) and kept.core is not None
+        assert all(isinstance(b, transmission._Factored) for b in (k_in, k_out, c_io))
     for pair, ref in zip(pairs, _full_system_solve(inc, p, n)):
         for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
             # the core flux vanishes for sigma_c = inf; dh/dnu is O(1) there
@@ -513,36 +514,34 @@ def _arrays(value):
 
 
 def test_a_low_rank_elimination_forms_neither_x_oi_nor_the_schur_part():
-    # every block is held as Fourier factors and A11^-1 as its Woodbury factors: no N x N
-    # array is held. K*_in has rank 107, and its U is the Woodbury U
+    # every block is held as Fourier factors and A11^-1 as its Woodbury factors, and GMRES
+    # forms no elimination: no N x N array is held. K*_in has rank 107, and its U is the
+    # Woodbury U
     inc, n = laurent_domain(LAURENT), 1024
     solve_both_axes(inc, ConductivityProfile(5.0, 1.0, (0.5, 3.0)), n=n)
     (kept,) = transmission._kept.values()
-    assert kept.x_oi is None and kept.schur == []
-    arrays = _arrays([getattr(kept, f.name) for f in dataclasses.fields(kept)])
+    assert isinstance(kept, transmission._Krylov) and "dense" not in vars(kept)
+    arrays = _arrays(list(vars(kept).values()))
     assert all(a.ndim == 1 or min(a.shape) < n // 4 for a in arrays)
-    u, g = kept.core[2:4]
-    assert u is kept.k_in.u and u.shape == (n, 107) and g.shape == (107, n // 4)
+    u, g = kept.core[:2]
+    assert u is kept.parts[0].u and u.shape == (n, 107) and g.shape == (107, n // 4)
     assert not any(a.flags.writeable for a in arrays)
 
 
 def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch):
-    # the stall test's geometry and matrix, scaled twice: every coating GMRES gives up,
-    # and the first dense solve forms the Schur part that the later ones reuse
+    # the stall test's geometry and matrix, scaled twice: the coating GMRES of the first
+    # axis gives up in every call, and the first call forms the elimination (A11^-1 C_oi
+    # and the Schur part) that solves both axes of it and of the later calls
     inc = confocal_pair(1.0, 0.2, 1.01)
-    gave_up, formed, gmres, woodbury = [], [], transmission._gmres, transmission._woodbury
+    gave_up, formed, gmres, eliminate = [], [], transmission._gmres, transmission._eliminate
 
     def counted_gmres(*args):
         x = gmres(*args)
         gave_up.append(x is None)
         return x
 
-    def counted_woodbury(*args):
-        formed.append(args[-1].shape == (512, 512))  # A11^-1 C_oi: only the Schur part needs it
-        return woodbury(*args)
-
     monkeypatch.setattr(transmission, "_gmres", counted_gmres)
-    monkeypatch.setattr(transmission, "_woodbury", counted_woodbury)
+    monkeypatch.setattr(transmission, "_eliminate", lambda *a: formed.append(a) or eliminate(*a))
     kept = []
     for scale in (1.0, 2.0, 4.0):
         p = ConductivityProfile(0.0, 1.0, (1e-8 * scale, 1e-12 * scale))
@@ -550,26 +549,29 @@ def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch):
             for got, want in zip((pair.phi, pair.psi, pair.core_flux), ref):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
         kept.extend(transmission._kept.values())
-    assert gave_up == [True] * 6
-    assert formed.count(True) == 1
-    assert kept[0] is kept[1] is kept[2] and len(kept[0].schur) == 1
-    assert not kept[0].schur[0].flags.writeable
+    assert gave_up == [True] * 3
+    assert len(formed) == 1
+    assert kept[0] is kept[1] is kept[2] and kept[0].dense.core is kept[0].core
+    assert not kept[0].dense.schur.flags.writeable
 
 
-def test_the_coupled_route_forms_the_elimination_once_and_only_when_asked(core_solves):
-    # from 256 nodes with K*_in dense, each right side runs GMRES on the coupled system
-    # through the four read-only blocks and solves no core system; the elimination is
-    # formed at most once, and a solve gives the same bytes before and after it is formed
+@pytest.mark.parametrize("n, core", [(256, []), (1024, [107])], ids=["coupled-n256", "schur-n1024"])
+def test_the_gmres_route_forms_the_elimination_once_and_only_when_asked(n, core, core_solves):
+    # from 256 nodes each right side runs GMRES through the four read-only blocks: on the
+    # coupled system where K*_in is dense, which solves no core system, and on the coating
+    # system where K*_in is factored, which solves the rank-107 Woodbury system once. The
+    # elimination is formed at most once, by a dense core solve or by those factors, and a
+    # solve gives the same bytes before and after it is formed
     inc, p = laurent_domain(LAURENT), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
-    elim, cold = transmission._solved(inc, p, 256)
-    assert isinstance(elim, transmission._Coupled) and core_solves == []
-    assert "dense" not in vars(elim)
-    assert not any(a.flags.writeable for a in elim.parts)
+    elim, cold = transmission._solved(inc, p, n)
+    assert isinstance(elim, transmission._Krylov) and core_solves == core
+    assert (elim.core is None) == (n == 256) and "dense" not in vars(elim)
+    assert not any(a.flags.writeable for a in _arrays(elim.parts))
     formed = elim.dense
-    assert elim.dense is formed and core_solves == [256]
-    assert formed.k_in is elim.parts[0] and formed.c_oi is elim.parts[2]
-    again, warm = transmission._solved(inc, p, 256)
-    assert again is elim and elim.dense is formed and core_solves == [256]
+    assert elim.dense is formed and core_solves == (core or [256])
+    assert formed.parts is elim.parts and formed.core is elim.core
+    again, warm = transmission._solved(inc, p, n)
+    assert again is elim and elim.dense is formed and core_solves == (core or [256])
     assert _same_densities(warm, cold)
 
 
@@ -583,29 +585,33 @@ def test_the_coupled_gmres_solves_the_augmented_full_system(sigma_c):
     b = np.random.default_rng(3).standard_normal(512)
     for (a, _), mu in zip(_full_systems(inc, p, 256)[0], contrasts(p).mu):
         shifts = transmission._shift(elim.lam, elim.d_in), transmission._shift(mu, elim.d_out)
-        x, _ = transmission._gmres(lambda v: elim._product(v, shifts), b)
+        x, _ = transmission._gmres(lambda v: elim._coupled(v, shifts), b)
         want = np.linalg.solve(a, b)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("am1", [0.2, "laurent"])
-def test_a_coupled_solve_that_gmres_gives_up_is_the_eager_dense_solve(am1, monkeypatch):
-    # with _GMRES_NODES past 256 the elimination is formed at once and each coating system
-    # solved by LU. A cap of one GMRES step gives up on every coupled right side (a
-    # confocal pair's take two steps), and the elimination formed then solves both axes,
-    # with the same bytes
+@pytest.mark.parametrize("am1, n", [(0.2, 256), ("laurent", 256), ("laurent", 512)],
+                         ids=["confocal-coupled-n256", "laurent-coupled-n256",
+                              "laurent-schur-n512"])
+def test_a_solve_that_gmres_gives_up_is_the_eager_dense_solve(am1, n, monkeypatch):
+    # with _GMRES_NODES past n the elimination is formed at once (at 512 nodes by K*_in's
+    # Woodbury factors) and each coating system solved by LU. A cap of one GMRES step gives
+    # up on every right side (a confocal pair's coupled system takes two steps, the Laurent
+    # map's coating system six), and the elimination formed then solves both axes, with
+    # the same bytes
     inc = laurent_domain(LAURENT) if am1 == "laurent" else confocal_pair(1.0, am1, 1.5)
     p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
-    eager = solve_both_axes(inc, p, n=256)
+    eager = solve_both_axes(inc, p, n=n)
     transmission._kept.clear()
     monkeypatch.setattr(transmission, "_GMRES_NODES", 256)
-    coupled = solve_both_axes(inc, p, n=256)
-    assert not _same_densities(coupled, eager)
+    krylov = solve_both_axes(inc, p, n=n)
+    assert not _same_densities(krylov, eager)
     monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
-    assert _same_densities(solve_both_axes(inc, p, n=256), eager)
+    assert _same_densities(solve_both_axes(inc, p, n=n), eager)
     (kept,) = transmission._kept.values()
-    assert isinstance(kept, transmission._Coupled) and "dense" in vars(kept)
+    assert isinstance(kept, transmission._Krylov) and "dense" in vars(kept)
+    assert (kept.core is None) == (n == 256)
 
 
 # cores whose K*_in has Fourier rank 489 and 469 at 512 nodes
@@ -806,14 +812,15 @@ def test_a_one_step_coating_solve_multiplies_by_c_oi_only_inside_its_schur_produ
     # within GMRES's acceptance; at 1024 nodes every block is factored, C_oi included
     inc, p = confocal_pair(1.0, am1, 1.5), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     elim, want = transmission._solved(inc, p, n)
+    k_in, k_out, c_oi, c_io = elim.parts
     assert elim.core is not None
-    assert isinstance(elim.c_oi, transmission._Factored) == (n == 1024)
-    events, product, gmres = [], transmission._Elimination._product, transmission._gmres
-    monkeypatch.setattr(transmission._Elimination, "_product",
+    assert isinstance(c_oi, transmission._Factored) == (n == 1024)
+    events, product, gmres = [], transmission._Krylov._schur, transmission._gmres
+    monkeypatch.setattr(transmission._Krylov, "_schur",
                         lambda self, *a: events.append("S") or product(self, *a))
     monkeypatch.setattr(transmission, "_gmres", lambda *a: events.append("gmres") or gmres(*a))
     monkeypatch.setattr(_CountedMatmul, "events", events)
-    counted = dataclasses.replace(elim, c_oi=_CountedMatmul(elim.c_oi))
+    counted = dataclasses.replace(elim, parts=(k_in, k_out, _CountedMatmul(c_oi), c_io))
     got = counted.solve(zip(contrasts(p).mu, (pair.h for pair in want), (1, 2)))
     assert events == ["gmres", "S", "C", "S", "C"] * 2
     for a, b in zip(got, want):
@@ -902,7 +909,7 @@ def _coating_system(inc):
     """(schur, d_out, axis-1 coating right side, mu) of a 64-node elimination of inc."""
     p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     elim, _ = transmission._solved(inc, p, 64)
-    return elim.schur[0], elim.d_out, elim.sides[0][2], contrasts(p).mu
+    return elim.schur, elim.d_out, elim.sides[0][2], contrasts(p).mu
 
 
 @pytest.mark.parametrize("axis", [0, 1])
@@ -937,49 +944,26 @@ def test_gmres_past_its_cap_returns_none(monkeypatch):
     assert products == [1]
 
 
-def test_gmres_past_its_cap_takes_the_dense_solve(monkeypatch):
-    # a non-confocal coating needs more than one GMRES iteration, so a cap of 1
-    # falls back to the dense coating solve that _GMRES_NODES past 512 selects. Every
-    # call reuses the kept elimination of the first
-    inc = laurent_domain(LAURENT)
-    p = ConductivityProfile(5.0, 1.0, (0.5, 3.0))
-    monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
-    dense = solve_both_axes(inc, p, n=512)
-    kept = list(transmission._kept.values())
-    monkeypatch.setattr(transmission, "_GMRES_NODES", 512)
-    gmres = solve_both_axes(inc, p, n=512)
-    assert not _same_densities(gmres, dense)
-    monkeypatch.setattr(transmission, "_GMRES_CAP", 1)
-    assert _same_densities(solve_both_axes(inc, p, n=512), dense)
-    assert list(transmission._kept.values()) == kept
-
-
 def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch, core_solves):
     # THIN_FIELDS' 0.2-1.01-0.0-insulating-matrix-n512: the least-squares residual
     # falls below 1e-14 |b| after 13 or 15 iterations while rounding holds |b - Sx| at
-    # 1.6-2.9e-14 |b|, so GMRES gives up after two checks (16 and 18 products of the
-    # unformed Schur part) instead of running to its 60-iteration cap
+    # 1.6-2.9e-14 |b|, so GMRES gives up on each axis after two checks (16 and 18
+    # products of the unformed Schur part) instead of running to its 60-iteration cap
     inc = confocal_pair(1.0, 0.2, 1.01)
     p = ConductivityProfile(0.0, 1.0, (1e-8, 1e-12))
-    products, gmres = [], transmission._gmres
-
-    def counting(product, b):
+    elim, stalled = transmission._solved(inc, p, 512)
+    assert elim.core is not None and "dense" in vars(elim)
+    products = []
+    for mu, (_, _, b) in zip(contrasts(p).mu, elim.sides):
+        shifts = None, transmission._shift(mu, elim.d_out)
         products.append(0)
-        x = gmres(_Counting(product, products), b)
-        assert x is None
-        return x
-
-    monkeypatch.setattr(transmission, "_gmres", counting)
-    stalled = solve_both_axes(inc, p, n=512)
-    assert len(products) == 2 and max(products) <= 20, products
-    # the second call reuses the kept elimination, so both solve its coating systems
-    # with the same low-rank core elimination, and only the coating path differs
+        assert transmission._gmres(_Counting(lambda v: elim._schur(v, shifts), products), b) is None
+    assert max(products) <= 20, products
+    # the solve that gave up is the eager elimination by the same low-rank core factors
     assert len(core_solves) == 1 and core_solves[0] <= 512 // 4
-    kept = list(transmission._kept.values())
+    transmission._kept.clear()
     monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
     assert _same_densities(stalled, solve_both_axes(inc, p, n=512))
-    assert len(products) == 2
-    assert list(transmission._kept.values()) == kept
 
 
 @pytest.mark.parametrize("failing_call", [1, 2])
@@ -1096,16 +1080,19 @@ def test_solve_tangent_matches_central_differences_of_the_densities(name, monkey
     ss, sm, h = 1.0, np.array([0.7, 2.0]), 1e-6
     inc, p = laurent_domain(m), ConductivityProfile(sigma_c, ss, tuple(sm))
     elim, pairs = transmission._solved(inc, p, n)
-    blocks = getattr(elim, "parts", None) or (elim.k_in, elim.c_oi, *(elim.core or ())[:2])
-    assert all(isinstance(b, transmission._Factored) for b in blocks) == (n == 1024)
+    assert all(isinstance(b, transmission._Factored) for b in elim.parts) == (n == 1024)
     t_in, t_out = (discretize_tangent(d, [dc[i] for dc in TANGENT_DIRECTIONS])
                    for i, d in enumerate((elim.d_in, elim.d_out)))
     refined, interpolated = [], layerpot._interpolated  # one per refined coupling derivative
     monkeypatch.setattr(layerpot, "_interpolated",
                         lambda *a: refined.append(a[1]) or interpolated(*a))
+    assembled = []  # the derivative takes every block from the kept value
+    for block in ("kstar_matrix", "normal_derivative_coupling"):
+        monkeypatch.setattr(transmission, block, lambda *a, real=getattr(transmission, block):
+                            assembled.append(a) or real(*a))
     dphi, dpsi = elim.solve_tangent(pairs, contrasts(p).mu, t_in, t_out,
                                     np.diag(ss * sm / (ss - sm) ** 2))
-    assert len(refined) == (2 if name.startswith("refined") else 0)
+    assert len(refined) == (2 if name.startswith("refined") else 0) and assembled == []
     # below 512 nodes the elimination (formed for the derivative from 256) and the
     # derivative each solve the core densely; from 512 the derivative applies the
     # evaluation's low-rank factors and solves no core system of its own

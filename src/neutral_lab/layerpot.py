@@ -66,8 +66,8 @@ def _offsets(pts: np.ndarray, nodes: np.ndarray):
 def min_target_distance(src: Discretization, targets) -> float:
     """Smallest target-to-node distance; targets go in cache-sized blocks."""
     pts = _targets_xy(targets)
-    step = max(1, 2**14 // src.n)
-    mins = (_offsets(pts[lo : lo + step], src.nodes)[2].min() for lo in range(0, len(pts), step))
+    rows = max(1, _ROW_ENTRIES // src.n)
+    mins = (_offsets(pts[lo : lo + rows], src.nodes)[2].min() for lo in range(0, len(pts), rows))
     return math.sqrt(min(mins, default=math.inf))
 
 
@@ -203,31 +203,30 @@ def _tangent_product(src, dsrc, pts, normals, dpts, dnormals, density, self_grid
     return out
 
 
-def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, step=0,
-                  source_step=1):
-    """`_normal_kernel` at the targets against every source_step-th source node, formed in
-    row blocks of about _ROW_ENTRIES entries.
+def _plain_kernel(src: Discretization, tgt: Discretization, step: int, own: bool):
+    """`_normal_kernel` at every step-th node of tgt against every step-th source node, formed
+    in row blocks of about _ROW_ENTRIES entries.
 
     The columns keep the fine grid's weights, so each entry is one of the whole block. A
     block's offsets stay in cache while its rows are formed in place in the output. A
     single block is returned as formed: forming it in a separate output raised the minor
-    page faults of the N = 64 shape search about threefold. None once a block holds a
-    target that a source node could put in the near zone, decided on its r2 before any
-    division: every source node lies within an arc of source_step // 2 node spacings at
-    the curve's largest speed from a formed one, so that arc is added to the limit. On
-    the source's own grid, its nodes 0, step, 2 step, ... as the targets (step > 0, a
-    multiple of source_step), target r's r2 at node step r reads 1 and no target is refused.
+    page faults of the N = 64 shape search about threefold. On the source's own grid (own,
+    tgt is src) target r's r2 at its own node reads 1, and no target is refused. Else None
+    once a block holds a target that a source node could put in the near zone, decided on
+    its r2 before any division: every source node lies within an arc of step // 2 node
+    spacings at the curve's largest speed from a formed one, so that arc is added to the limit.
     """
-    nodes, weights = src.nodes[::source_step], src.weights[::source_step]
-    if not step:
-        arc = source_step // 2 * 2 * math.pi * float(np.max(src.speed)) / src.n
+    nodes, weights = src.nodes[::step], src.weights[::step]
+    pts, normals = tgt.nodes[::step], tgt.normals[::step]
+    if not own:
+        arc = step // 2 * 2 * math.pi * float(np.max(src.speed)) / src.n
         limit = _near_zone(src, 0.0)[1] + arc
     rows = max(1, _ROW_ENTRIES // len(nodes))
     out = None if rows >= len(pts) else np.empty((len(pts), len(nodes)))
     for lo in range(0, len(pts), rows):
         dx, dy, r2 = _offsets(pts[lo : lo + rows], nodes)
-        if step:
-            r2[np.arange(len(r2)), step // source_step * np.arange(lo, lo + len(r2))] = 1.0
+        if own:
+            r2[np.arange(len(r2)), np.arange(lo, lo + len(r2))] = 1.0
         elif math.sqrt(float(r2.min())) < limit:
             return None
         kern = _normal_kernel(weights, normals[lo : lo + rows], dx, dy, r2,
@@ -235,16 +234,16 @@ def _plain_kernel(src: Discretization, pts: np.ndarray, normals: np.ndarray, ste
     return kern if out is None else out
 
 
-def kstar_matrix(src: Discretization, step: int = 1, source_step: int = 1) -> np.ndarray:
-    """Nystrom matrix of K* on the source grid (weights folded in), its rows at every step-th node.
+def kstar_matrix(src: Discretization, step: int = 1) -> np.ndarray:
+    """Nystrom matrix of K* on the source grid (weights folded in), its entries at every
+    step-th target and source node with the grid's own weights.
 
-    Its columns are every source_step-th node (step a multiple of it), with the grid's
-    own weights. The diagonal carries the limiting kernel value kappa(x)/2, so entries
-    are kappa_i w_i /(4 pi) there; on a circle every entry is w_j/(4 pi).
+    The diagonal carries the limiting kernel value kappa(x)/2, so entries are
+    kappa_i w_i /(4 pi) there; on a circle every entry is w_j/(4 pi).
     """
-    kern = _plain_kernel(src, src.nodes[::step], src.normals[::step], step, source_step)
+    kern = _plain_kernel(src, src, step, True)
     rows = np.arange(len(kern))
-    kern[rows, step // source_step * rows] = _kstar_diagonal(src)[::step]
+    kern[rows, rows] = _kstar_diagonal(src)[::step]
     return kern
 
 
@@ -285,21 +284,20 @@ def kstar_tangent(src: Discretization, dsrc: GridTangent, density) -> np.ndarray
 
 
 def normal_derivative_coupling(src: Discretization, tgt: Discretization,
-                               step: int = 1, source_step: int = 1) -> np.ndarray:
-    """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes, its rows at every step-th one.
+                               step: int = 1) -> np.ndarray:
+    """Matrix of d/dnu_tgt S_src[.] sampled at the target nodes, its entries at every step-th
+    target and source node with the grid's own weights.
 
     Plain trapezoid weights outside the source's near zone. When target nodes
     lie inside it (a thin shell), the same kernel is formed on the grid refined
     for the smallest target distance and reduced to the n source columns
-    (`_near_rows`); a target on the source curve is refused. With source_step > 1
-    the columns are every source_step-th source node, with the grid's own weights,
-    and None is returned where the plain kernel could not serve every source node.
+    (`_near_rows`); a target on the source curve is refused. With step > 1, None is
+    returned where the plain kernel could not serve every source node.
     """
-    pts, normals = tgt.nodes[::step], tgt.normals[::step]
-    kern = _plain_kernel(src, pts, normals, source_step=source_step)
-    if kern is not None or source_step > 1:
+    kern = _plain_kernel(src, tgt, step, False)
+    if kern is not None or step > 1:
         return kern
-    return _near_rows(src, pts, normals, min_target_distance(src, pts))
+    return _near_rows(src, tgt.nodes, tgt.normals, min_target_distance(src, tgt.nodes))
 
 
 def coupling_tangent(src: Discretization, dsrc: GridTangent, tgt: Discretization,

@@ -16,15 +16,15 @@ perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
 at the extreme contrasts. From 512 nodes each block is held as Fourier factors in its target
-variable, its coefficient rows on the source nodes of its sample at every fourth (or second)
-target and source node where that resolves it, or else its rows at those targets against every
-source node do (a product reduces its operand to those nodes first); any other block is formed
-densely (`_block`). Below 256 nodes the core block, which does not depend on mu, is
-eliminated, and per axis the N x N coating Schur complement mu I + S, a compact perturbation
-of mu I, is solved by one LU (`_Elimination`, for the solve and its derivative). From 256
-nodes GMRES solves each right side (`_Krylov`): on that complement, applied unformed, where
-K*_inner is factored (`_core_factor`), else on the whole system; several right sides or a
-give-up form the elimination once. A product one stage forms is handed on, never formed twice.
+variable where its sample at every fourth (or second) target and source node resolves it, its
+coefficient rows on the sample's source nodes (a product reduces its operand to those nodes
+first); any other block is formed densely (`_block`). Below 256 nodes the core block, which
+does not depend on mu, is eliminated densely, and per axis the N x N coating Schur complement
+mu I + S, a compact perturbation of mu I, is solved by one LU (`_Elimination`, for the solve
+and its derivative). From 256 nodes GMRES solves each right side (`_Krylov`): on that
+complement, applied unformed, where K*_inner is factored (`_core_factor`), else on the whole
+system; several right sides or a give-up form the same dense elimination once, from every
+block formed densely. A product one stage forms is handed on, never formed twice.
 The kept state, one of those two immutable values, is held by a one-slot memo keyed on both
 curves' coefficients, N, lam and the backgrounds for the public calls and the search's
 evaluations (a sigma_m sweep eliminates once, and `eval_u` forms its kernels once); the last
@@ -245,17 +245,15 @@ class _Elimination:
     With A11 = lam I - K*_in, x_oi = A11^-1 C_oi and S = -K*_out - C_io x_oi, psi solves
     (mu I + S) psi = b by one LU and phi = y + x_oi psi; sides holds (dh/dnu on the core, y,
     b) per background, y = A11^-1 b1 and b the coating right side plus C_io y. parts holds
-    (K*_in, K*_out, C_oi, C_io), each dense or, from 512 nodes, `_Factored` (`_block`); A11 is
-    solved by core, K*_in's Woodbury factors, or by one LU where core is None, and x_oi keeps
-    C_oi's G. With the four blocks, x_oi and S that is up to six N x N arrays, 3 MB at N = 256
-    and 48 MB at N = 1024. `solve_tangent` differentiates `solve`'s densities only.
+    (K*_in, K*_out, C_oi, C_io) as dense arrays, and A11 is solved by one LU. With the four
+    blocks, x_oi and S that is six N x N arrays, 3 MB at N = 256 and 48 MB at N = 1024.
+    `solve_tangent` differentiates `solve`'s densities only.
     """
 
     d_in: Discretization
     d_out: Discretization
     lam: float
     parts: tuple
-    core: tuple | None
     x_oi: np.ndarray
     schur: np.ndarray
     sides: tuple
@@ -296,7 +294,7 @@ class _Elimination:
                 fi -= (_mean_tangent(d.normals, dnu, d, t)
                        + (contrast >= 0) * _mean_tangent(own, None, d, t))[:, None, :]
                 f.append(fi)
-            v1, = _core_solve(self.parts[0], lam, d_in, self.core,
+            v1, = _core_solve(self.parts[0], lam, d_in, None,
                               f[0].transpose(1, 0, 2).reshape(n, -1))
             v1 = v1.reshape(n, dim, 2).transpose(2, 0, 1)
             dphi[:, :, :dim] = v1
@@ -309,15 +307,17 @@ class _Elimination:
 
 @dataclass(frozen=True, eq=False)
 class _Krylov:
-    """From _GMRES_NODES nodes: `_Elimination`'s grids, lam, parts and core, and rhs, (dh/dnu
-    on the core, on the coating) per background; read-only. `_gmres` solves each right side:
-    with core, `_Elimination`'s coating system with S applied unformed (`_schur`), where a
+    """From _GMRES_NODES nodes: `_Elimination`'s grids and lam, the blocks (`_block`) as parts,
+    `_core_factor`'s core, and rhs, (dh/dnu on the core, on the coating) per background;
+    read-only. `_gmres` solves each right side: with core, `_Elimination`'s coating system,
+    A11 solved by core (`_woodbury`) and S applied unformed (`_schur`), where a
     one-step solve makes 7 block products (3 Arnoldi, 3 check, K*_in phi), each (N + N/4) r
     multiply-adds for a factored block of rank r, and with every block factored (N = 1024,
     ranks up to 249) no N x N array is held, 3 to 9 MB in all; else the coupled system
     [lam I - K*_in, -C_oi; -C_io, mu I - K*_out], each diagonal block `_shift`ed (`_coupled`).
     The check that accepts gives the products phi and the core flux need. Several right sides
-    (`solve_tangent`), or GMRES giving up on any case, take `dense`."""
+    (`solve_tangent`), or GMRES giving up on any case, take `dense`, the elimination that is
+    kept below _GMRES_NODES."""
 
     d_in: Discretization
     d_out: Discretization
@@ -367,8 +367,9 @@ class _Krylov:
 
     @cached_property
     def dense(self) -> _Elimination:
-        """The `_Elimination` of these blocks, formed at the first read; GMRES never reads it."""
-        return _eliminate(self.d_in, self.d_out, self.lam, self.parts, self.core, self.rhs)
+        """The `_Elimination` of these blocks, formed densely at the first read; GMRES never
+        reads it."""
+        return _eliminate(self.d_in, self.d_out, self.lam, self.parts, self.rhs)
 
     solve_tangent = property(lambda self: self.dense.solve_tangent)
 
@@ -389,14 +390,15 @@ def _sides(d_in, d_out, lam: float, parts, core, rhs, *blocks):
     return sides, *solved
 
 
-def _eliminate(d_in, d_out, lam: float, parts, core, rhs) -> _Elimination:
-    """The `_Elimination` of the assembled blocks, core contrast lam, core and rhs."""
-    sides, x_oi = _sides(d_in, d_out, lam, parts, core, rhs, parts[2])
-    schur = -_dense(parts[1]) - parts[3] @ x_oi
-    if isinstance(x_oi, np.ndarray):  # the dense solve's N x (N + 2) y fragmented the heap
-        x_oi = np.ascontiguousarray(x_oi)
-    _read_only(schur, x_oi)
-    return _Elimination(d_in, d_out, lam, parts, core, x_oi, schur, sides)
+def _eliminate(d_in, d_out, lam: float, parts, rhs) -> _Elimination:
+    """The `_Elimination` of the assembled blocks, each formed by `_dense`, core contrast lam
+    and rhs."""
+    parts = tuple(map(_dense, parts))
+    sides, x_oi = _sides(d_in, d_out, lam, parts, None, rhs, parts[2])
+    schur = -parts[1] - parts[3] @ x_oi
+    x_oi = np.ascontiguousarray(x_oi)  # the solve's N x (N + 2) y fragmented the heap
+    _read_only(schur, x_oi, *parts)
+    return _Elimination(d_in, d_out, lam, parts, x_oi, schur, sides)
 
 
 def _read_only(*arrays) -> None:
@@ -418,8 +420,8 @@ def _elimination(inc: CoatedInclusion, n: int, lam: float, backgrounds):
         core = _core_factor(parts[0], lam, d_in)
         _read_only(*parts, *(core or ()), *(r for side in rhs for r in side),
                    *vars(d_in).values(), *vars(d_out).values())
-        route = _Krylov if n >= _GMRES_NODES else _eliminate
-        entry = _kept[key] = route(d_in, d_out, lam, parts, core, rhs)
+        entry = _kept[key] = (_Krylov(d_in, d_out, lam, parts, core, rhs) if n >= _GMRES_NODES
+                              else _eliminate(d_in, d_out, lam, parts, rhs))
     return entry
 
 
@@ -446,22 +448,16 @@ def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
 class _Factored:
     """An operator block held as U G R: U = [1, cos kt, sin kt] (k = 1..m-1) at its N target
     nodes t, G the (2m - 1) x n Fourier coefficient rows at every (N/n)-th source node and R
-    `_reduced`'s map to them; read-only. `@` applies it from either side."""
+    `_reduced`'s map to them; read-only. `block @ x` applies it."""
 
     u: np.ndarray
     g: np.ndarray
-    __array_ufunc__ = None  # array @ block defers to __rmatmul__
 
     def __post_init__(self):
         self.u.flags.writeable = self.g.flags.writeable = False
 
     def __matmul__(self, x):
-        if isinstance(x, _Factored):  # the formed Schur part's C_io A11^-1 C_oi
-            return x.__rmatmul__(self)
         return self.u @ (self.g @ _reduced(x, self.g.shape[1]))
-
-    def __rmatmul__(self, x):  # G R is G interpolated to all N source nodes
-        return (x @ self.u) @ _interpolated(self.g.T, len(self.u)).T
 
 
 def _products(v: np.ndarray, *blocks) -> list:
@@ -472,7 +468,7 @@ def _products(v: np.ndarray, *blocks) -> list:
 
 
 def _dense(block) -> np.ndarray:
-    """A block as one N x N array."""
+    """A block as one N x N array; G R is G interpolated to all N source nodes."""
     if isinstance(block, _Factored):
         return block.u @ _interpolated(block.g.T, len(block.u)).T
     return block
@@ -481,60 +477,50 @@ def _dense(block) -> np.ndarray:
 def _block(src: Discretization, tgt: Discretization):
     """The block from src's nodes to tgt's: K* on src's grid when tgt is src, else the coupling.
 
-    From _SAMPLE_NODES nodes it is first sampled at every s-th target node and every s-th
-    source node, s = gcd(N, 4), with the grid's own weights (`kstar_matrix`'s and the
-    coupling's steps), so each entry is one of the N x N block; those (N/s)^2 entries
-    resolve the modes below N/8 in both variables. The real FFT of the sample over the
-    target nodes is cut after mode m - 1 < N/8, past which each mode's coefficients,
-    transformed over the source nodes as well, are within _GMRES_TOL of the largest, so
-    what the cut drops stays below GMRES's acceptance. The block is held as `_Factored`,
-    rank 2m - 1 < N/4, its kept coefficient rows G on the N/s sampled source nodes and U
-    built by one inverse real FFT. Two guards read the whole grid, each
-    for content from mode N/8 on, which would fold onto the kept modes:
-    - the largest-norm column, formed at all N targets, above _FOURIER_TOL of the
-      sample's largest target coefficient: the block is formed densely at once, one
-      N x N array, with the sample and its transform freed first;
-    - the largest-norm row, formed against all N sources, above _FOURIER_TOL of its own
-      largest coefficient: the same steps run again on the rows at every s-th target
-      node against every source node, where only the column guard applies. So do
-      couplings whose targets a source node between the sampled ones could put in the
-      near zone; the refinement of those rows stays as it was.
+    From _SAMPLE_NODES nodes it is first sampled, once, at every s-th target and source node,
+    s = gcd(N, 4), with the grid's own weights (`kstar_matrix`'s and the coupling's step), so
+    each entry is one of the N x N block; those (N/s)^2 entries resolve the modes below N/8
+    in both variables. The real FFT of the sample over the target nodes is cut after mode
+    m - 1 < N/8, past which each mode's coefficients, transformed over the source nodes as
+    well, are within _GMRES_TOL of the largest, so what the cut drops stays below GMRES's
+    acceptance. The block is held as `_Factored`, rank 2m - 1 < N/4, its kept coefficient
+    rows G on the N/s sampled source nodes and U built by one inverse real FFT. It is formed
+    densely instead, one N x N array with the sample and its transform freed first, where
+    the coupling's sample is refused (a source node between the sampled ones could put a
+    target in the near zone; the dense coupling refines those rows), or where either of two
+    guards finds content from mode N/8 on, which would fold onto the kept modes:
+    - the largest-norm column, formed at all N targets, above _FOURIER_TOL of the sample's
+      largest target coefficient;
+    - then the largest-norm row, formed against all N sources, above _FOURIER_TOL of its
+      own largest coefficient.
     A smaller grid forms the block densely. At N = 1024 the sample and each of its
-    transforms take about 0.5 MB, U up to 2.1 MB and G up to 0.5 MB (rank 150: 1.2 MB
-    and 0.3 MB); the rows against every source node, their transforms and G take 2.1 MB each.
+    transforms take about 0.5 MB, U up to 2.1 MB and G up to 0.5 MB (rank 150: 1.2 MB and
+    0.3 MB).
     """
     own, n = tgt is src, tgt.n
     if n >= _SAMPLE_NODES:
         step = math.gcd(n, 4)
-        for source in (step, 1):
-            sample = (kstar_matrix(src, step, source) if own
-                      else normal_derivative_coupling(src, tgt, step, source))
-            if sample is None:
-                continue
+        sample = kstar_matrix(src, step) if own else normal_derivative_coupling(src, tgt, step)
+        if sample is not None:
             i, j = (int(np.argmax(np.einsum("ij,ij->" + a, sample, sample))) for a in "ij")
             f, scale = np.fft.rfft(sample, axis=0), len(sample)  # f / scale: the coefficients
             del sample
             top = np.max(np.abs(f[: n // 8]))
-            if np.max(np.abs(np.fft.rfft(_kernel_line(src, tgt, source * j, 0))[n // 8 :])) > (
-                    _FOURIER_TOL * top * n / scale):
+            line = lambda k, axis: np.abs(np.fft.rfft(_kernel_line(src, tgt, step * k, axis)))
+            if (np.max(line(j, 0)[n // 8 :]) <= _FOURIER_TOL * top * n / scale
+                    and np.max((row := line(i, 1))[n // 8 :]) <= _FOURIER_TOL * np.max(row)):
+                size = np.max(np.abs(np.fft.fft(f[: n // 8], axis=1)), axis=1)
+                m = len(size) - int(np.argmax(size[::-1] > _GMRES_TOL * np.max(size)))
+                g = np.empty((2 * m - 1, f.shape[1]))
+                g[0] = f[0].real / scale
+                np.multiply(f[1:m].real, 2.0 / scale, out=g[1:m])
+                np.multiply(f[1:m].imag, -2.0 / scale, out=g[m:])
                 del f
-                break
-            if source > 1:
-                row = np.abs(np.fft.rfft(_kernel_line(src, tgt, step * i, 1)))
-                if np.max(row[n // 8 :]) > _FOURIER_TOL * np.max(row):
-                    del f
-                    continue
-            size = np.max(np.abs(np.fft.fft(f[: n // 8], axis=1)), axis=1)
-            m = len(size) - int(np.argmax(size[::-1] > _GMRES_TOL * np.max(size)))
-            g = np.empty((2 * m - 1, f.shape[1]))
-            g[0] = f[0].real / scale
-            np.multiply(f[1:m].real, 2.0 / scale, out=g[1:m])
-            np.multiply(f[1:m].imag, -2.0 / scale, out=g[m:])
+                # U's columns are the inverse real FFTs of unit spectra: 1, cos kt and sin kt
+                spec, k = np.zeros((m, 2 * m - 1), complex), np.arange(1, m)
+                spec[0, 0], spec[k, k], spec[k, k + m - 1] = n, n / 2, -0.5j * n
+                return _Factored(np.fft.irfft(spec, n, axis=0), g)
             del f
-            # U's columns are the inverse real FFTs of unit spectra: 1, cos kt and sin kt
-            spec, k = np.zeros((m, 2 * m - 1), complex), np.arange(1, m)
-            spec[0, 0], spec[k, k], spec[k, k + m - 1] = n, n / 2, -0.5j * n
-            return _Factored(np.fft.irfft(spec, n, axis=0), g)
     return kstar_matrix(src) if own else normal_derivative_coupling(src, tgt)
 
 
@@ -562,17 +548,12 @@ def _woodbury(u, g, a, mean, lam: float, b: np.ndarray) -> np.ndarray:
 
 
 def _core_solve(k_in, lam: float, d: Discretization, core, *blocks) -> list:
-    """A11^-1 applied to each block: by `_core_factor`'s factors core, or densely if None.
-
-    Of a `_Factored` block only U is solved; the result keeps its G.
-    """
-    cols = [b.u if isinstance(b, _Factored) else b for b in blocks]
+    """A11^-1 applied to each array block: by `_core_factor`'s factors core, or, if None, by
+    one LU of the dense K*_in's A11 for all blocks."""
     if core:
-        out = [_woodbury(*core, lam, b) for b in cols]
-    else:
-        y = _solve(_augment(-k_in, lam, d), np.hstack(cols), f"transmission core block (lam={lam})")
-        out = np.split(y, np.cumsum([b.shape[1] for b in cols[:-1]]), axis=1)
-    return [_Factored(x, b.g) if isinstance(b, _Factored) else x for x, b in zip(out, blocks)]
+        return [_woodbury(*core, lam, b) for b in blocks]
+    y = _solve(_augment(-k_in, lam, d), np.hstack(blocks), f"transmission core block (lam={lam})")
+    return np.split(y, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)
 
 
 def _gmres(product, b: np.ndarray):

@@ -528,10 +528,11 @@ def test_a_low_rank_elimination_forms_neither_x_oi_nor_the_schur_part():
     assert not any(a.flags.writeable for a in arrays)
 
 
-def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch):
+def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch, core_solves):
     # the stall test's geometry and matrix, scaled twice: the coating GMRES of the first
-    # axis gives up in every call, and the first call forms the elimination (A11^-1 C_oi
-    # and the Schur part) that solves both axes of it and of the later calls
+    # axis gives up in every call, and the first call forms the dense elimination (A11^-1
+    # C_oi by one LU, and the Schur part) that solves both axes of it and of the later calls;
+    # the core is solved twice, by the rank-r Woodbury system GMRES uses and by that LU
     inc = confocal_pair(1.0, 0.2, 1.01)
     gave_up, formed, gmres, eliminate = [], [], transmission._gmres, transmission._eliminate
 
@@ -550,8 +551,9 @@ def test_a_stalling_sigma_m_sweep_forms_the_schur_part_once(monkeypatch):
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
         kept.extend(transmission._kept.values())
     assert gave_up == [True] * 3
-    assert len(formed) == 1
-    assert kept[0] is kept[1] is kept[2] and kept[0].dense.core is kept[0].core
+    assert len(formed) == 1 and core_solves[1:] == [512] and core_solves[0] <= 512 // 4
+    assert kept[0] is kept[1] is kept[2]
+    assert all(isinstance(a, np.ndarray) for a in kept[0].dense.parts)
     assert not kept[0].dense.schur.flags.writeable
 
 
@@ -560,18 +562,21 @@ def test_the_gmres_route_forms_the_elimination_once_and_only_when_asked(n, core,
     # from 256 nodes each right side runs GMRES through the four read-only blocks: on the
     # coupled system where K*_in is dense, which solves no core system, and on the coating
     # system where K*_in is factored, which solves the rank-107 Woodbury system once. The
-    # elimination is formed at most once, by a dense core solve or by those factors, and a
-    # solve gives the same bytes before and after it is formed
+    # elimination is formed at most once, from the blocks formed by `_dense` (the same
+    # arrays below 512 nodes) and one LU of the core block, and a solve gives the same bytes
+    # before and after it is formed
     inc, p = laurent_domain(LAURENT), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     elim, cold = transmission._solved(inc, p, n)
     assert isinstance(elim, transmission._Krylov) and core_solves == core
     assert (elim.core is None) == (n == 256) and "dense" not in vars(elim)
     assert not any(a.flags.writeable for a in _arrays(elim.parts))
     formed = elim.dense
-    assert elim.dense is formed and core_solves == (core or [256])
-    assert formed.parts is elim.parts and formed.core is elim.core
+    assert elim.dense is formed and core_solves == core + [n]
+    for a, b in zip(formed.parts, elim.parts):
+        assert isinstance(a, np.ndarray) and (a is b) == (n < 512)
+        assert np.array_equal(a, transmission._dense(b)) and not a.flags.writeable
     again, warm = transmission._solved(inc, p, n)
-    assert again is elim and elim.dense is formed and core_solves == (core or [256])
+    assert again is elim and elim.dense is formed and core_solves == core + [n]
     assert _same_densities(warm, cold)
 
 
@@ -594,8 +599,8 @@ def test_the_coupled_gmres_solves_the_augmented_full_system(sigma_c):
                          ids=["confocal-coupled-n256", "laurent-coupled-n256",
                               "laurent-schur-n512"])
 def test_a_solve_that_gmres_gives_up_is_the_eager_dense_solve(am1, n, monkeypatch):
-    # with _GMRES_NODES past n the elimination is formed at once (at 512 nodes by K*_in's
-    # Woodbury factors) and each coating system solved by LU. A cap of one GMRES step gives
+    # with _GMRES_NODES past n the dense elimination is formed at once (at 512 nodes from
+    # the factored blocks) and each coating system solved by LU. A cap of one GMRES step gives
     # up on every right side (a confocal pair's coupled system takes two steps, the Laurent
     # map's coating system six), and the elimination formed then solves both axes, with
     # the same bytes
@@ -623,7 +628,7 @@ HIGH_RANK = {"confocal-0.8": lambda: confocal_pair(1.0, 0.8, 1.5),
 def test_a_high_rank_core_goes_dense_before_the_whole_transform(name, monkeypatch, core_solves):
     # the largest-norm column, formed at all 512 nodes, has coefficients past mode N/8,
     # so K*_in is formed densely with only its sample at every fourth target and source
-    # node and that one column transformed: no rows against every source node are formed
+    # node and that one column transformed: the row guard's row is not formed
     inc = HIGH_RANK[name]()
     shapes, rfft = [], np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kw: shapes.append(a.shape)
@@ -708,84 +713,78 @@ ROUTE_CASES = [(*shape, n) for n in (512, 1024) for shape in ROUTE_SHAPES] + [
 @pytest.mark.parametrize("kind, am1, r0, n", ROUTE_CASES,
                          ids=["-".join(map(str, c)) for c in ROUTE_CASES])
 def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch):
-    # each block held as Fourier factors, applied from either side to 4 seeded vectors (one
-    # alone, the four, and stacked twice), formed by `_dense` and multiplied by the factored
-    # block before it, against the dense blocks, relative to the largest column norms (at
-    # most the 2-norms)
+    # each block held as Fourier factors, applied to 4 seeded vectors (one alone, the four,
+    # and stacked twice) and formed by `_dense`, against the dense blocks, relative to the
+    # largest column norms (at most the 2-norms); every block tries its sample once
     inc = BLOCKS[kind](am1, r0)
     d_in, d_out = discretize(inc.inner, n), discretize(inc.outer, n)
     names = ("K*_in", "K*_out", "C_oi", "C_io")
     pairs = ((d_in, d_in), (d_out, d_out), (d_out, d_in), (d_in, d_out))
     v = np.random.default_rng(11).standard_normal((n, 4))
-    formed = []  # the arguments of each array `_block` forms: the steps come last
+    formed, lines = [], []  # the arguments of each array `_block` forms, the axis of each line
     for fn in ("kstar_matrix", "normal_derivative_coupling"):
         monkeypatch.setattr(transmission, fn, lambda *a, form=getattr(transmission, fn):
                             formed.append(a) or form(*a))
-    factored, every_source, last = set(), set(), None
+    line = transmission._kernel_line
+    monkeypatch.setattr(transmission, "_kernel_line", lambda *a: lines.append(a[-1]) or line(*a))
+    factored, at_row_guard, step = set(), set(), math.gcd(n, 4)
     for name, (src, tgt) in zip(names, pairs):
         formed.clear()
+        lines.clear()
         block = transmission._block(src, tgt)
         dense = (layerpot.kstar_matrix(src) if src is tgt
                  else layerpot.normal_derivative_coupling(src, tgt))
-        if isinstance(block, np.ndarray):
+        if isinstance(block, np.ndarray):  # the sample, then the dense block
+            assert len(formed) == 2 and formed[0][-1] == step
             assert np.array_equal(block, dense)
+            if lines == [0, 1]:
+                at_row_guard.add(name)
             continue
         factored.add(name)
-        step, source_step = formed[-1][-2:]  # the sample the factors come from
-        assert step == math.gcd(n, 4) and source_step in (step, 1)
-        if source_step == 1:
-            every_source.add(name)
-        assert block.u.shape[1] < n // 4 and block.g.shape[1] == n // source_step
+        assert len(formed) == 1 and formed[0][-1] == step  # the sample the factors come from
+        assert block.u.shape[1] < n // 4 and block.g.shape[1] == n // step
         norm, stacked = np.max(np.linalg.norm(dense, axis=0)), np.stack([v, -2.0 * v])
-        # (got, want, operand, its node axis, scale): error within 1e-12 scale |operand|
-        cases = [(block @ v, dense @ v, v, 0, norm), (v.T @ block, v.T @ dense, v.T, 1, norm),
-                 (block @ v[:, 0], dense @ v[:, 0], v[:, 0], 0, norm),
-                 (v[:, 0] @ block, v[:, 0] @ dense, v[:, 0], 0, norm),
-                 (block @ stacked, dense @ stacked, stacked, 1, norm),
-                 (transmission._dense(block), dense, np.eye(n), 0, norm)]
-        if last:  # the factored block before it times this one, formed, then applied: the
-            # error is at most the first's Frobenius norm (at least its 2-norm) times the
-            # second's
-            cases.append(((last[0] @ block) @ v, last[1] @ (dense @ v), v, 0, last[2] * norm))
-        for got, want, x, axis, scale in cases:
+        # (got, want, operand, its node axis): error within 1e-12 norm |operand|
+        cases = [(block @ v, dense @ v, v, 0), (block @ v[:, 0], dense @ v[:, 0], v[:, 0], 0),
+                 (block @ stacked, dense @ stacked, stacked, 1),
+                 (transmission._dense(block), dense, np.eye(n), 0)]
+        for got, want, x, axis in cases:
             err = np.linalg.norm(got - want, axis=axis)
-            assert np.all(err <= 1e-12 * scale * np.linalg.norm(x, axis=axis)), name
-        last = block, dense, np.linalg.norm(dense)
+            assert np.all(err <= 1e-12 * norm * np.linalg.norm(x, axis=axis)), name
+    # the full-grid row of C_io shows source content from mode N/8 on where the core has a
+    # ripple past it or is flat (a-1 = 0.8 at 1024 nodes, a-1 = 0.6 at 512): the row guard
+    # sends it dense
+    rows = (kind == "ripple" or am1 == 0.8) and n == 1024 or (am1, r0, n) == (0.6, 2.5, 512)
+    assert at_row_guard == ({"C_io"} if rows else set())
     if n % 4:  # the routes the same shell takes at 512 and 1024 nodes
         assert factored == (set(names) if n > 1000 else {"K*_in", "K*_out"})
-    elif kind == "ripple":  # the ripple sends the blocks with core targets dense
-        assert factored == ({"K*_out", "C_io"} if n == 1024 else {"K*_out"})
-    elif am1 == 0.8:  # a flat core: K*_in has rank 489 at 512 nodes
-        assert "K*_in" not in factored and "K*_out" in factored
+    elif kind == "ripple" or am1 == 0.8:  # the ripple, and a flat core (K*_in of rank 489
+        # at 512 nodes), send every block with core targets or sources dense
+        assert factored == {"K*_out"}
     elif n == 1024 and r0 == 1.25:  # couplings of rank past N/4
         assert factored == {"K*_in", "K*_out"}
     elif n == 1024 or r0 == 2.5:
-        assert factored >= {"K*_out", "C_io"} and ("K*_in" in factored) == (n == 1024 or am1 < 0.6)
-    # the full-grid row of C_io shows source content from mode N/8 on where the core has a
-    # ripple past it or is flat (a-1 = 0.8 at 1024 nodes, a-1 = 0.6 at 512): those factors
-    # come from the rows against every source node, all others from the sample at every
-    # fourth (second) source node
-    rows = (kind == "ripple" or am1 == 0.8) and n == 1024 or (am1, r0, n) == (0.6, 2.5, 512)
-    assert every_source == ({"C_io"} if rows else set())
+        assert factored | at_row_guard >= {"K*_out", "C_io"}
+        assert ("K*_in" in factored) == (n == 1024 or am1 < 0.6)
 
 
 def test_a_coupling_whose_unsampled_source_nodes_reach_the_near_zone_is_refined(monkeypatch):
     # every fourth target lies 0.1995 off the unit circle, radially above a source node
     # that is not sampled: the sampled nodes two spacings away lie outside the near zone
-    # (0.2), the node between them inside it. The sample is refused, and the rows at every
-    # fourth target against every source node are refined, then the dense block
+    # (0.2), the node between them inside it. The sample is refused, and the dense block
+    # is refined at every target
     n = 512
     src = discretize(Curve(np.array([1.0 + 0j]), 1), n)
     tgt = discretize(Curve(np.array([1.1995 * np.exp(4j * math.pi / n)]), 1), n)
     pts, limit = tgt.nodes[::4], layerpot._near_zone(src, 0.0)[1]
     sampled = math.sqrt(layerpot._offsets(pts, src.nodes[::4])[2].min())
     assert layerpot.min_target_distance(src, pts) < limit < sampled
-    assert layerpot.normal_derivative_coupling(src, tgt, 4, 4) is None
+    assert layerpot.normal_derivative_coupling(src, tgt, 4) is None
     refined, near_rows = [], layerpot._near_rows
     monkeypatch.setattr(layerpot, "_near_rows",
                         lambda s, p, *a: refined.append(len(p)) or near_rows(s, p, *a))
     block = transmission._block(src, tgt)
-    assert refined == [n // 4, n]
+    assert refined == [n]
     assert np.array_equal(block, layerpot.normal_derivative_coupling(src, tgt))
 
 
@@ -953,14 +952,16 @@ def test_gmres_gives_up_once_its_true_residual_stops_falling(monkeypatch, core_s
     p = ConductivityProfile(0.0, 1.0, (1e-8, 1e-12))
     elim, stalled = transmission._solved(inc, p, 512)
     assert elim.core is not None and "dense" in vars(elim)
+    assert all(isinstance(a, np.ndarray) for a in elim.dense.parts)
     products = []
     for mu, (_, _, b) in zip(contrasts(p).mu, elim.sides):
         shifts = None, transmission._shift(mu, elim.d_out)
         products.append(0)
         assert transmission._gmres(_Counting(lambda v: elim._schur(v, shifts), products), b) is None
     assert max(products) <= 20, products
-    # the solve that gave up is the eager elimination by the same low-rank core factors
-    assert len(core_solves) == 1 and core_solves[0] <= 512 // 4
+    # the solve that gave up is the eager dense elimination: the core is solved by the
+    # rank-r Woodbury system GMRES uses, then by one LU
+    assert core_solves[1:] == [512] and core_solves[0] <= 512 // 4
     transmission._kept.clear()
     monkeypatch.setattr(transmission, "_GMRES_NODES", math.inf)
     assert _same_densities(stalled, solve_both_axes(inc, p, n=512))
@@ -1065,7 +1066,7 @@ SOLVE_TANGENT_CASES = {  # (map, sigma_c, N): lam = 3/4, -1/2, -1/2, 1/2 and 3/4
     # GMRES on the coupled system; the derivative forms the elimination, as below 256 nodes
     "coupled-n256": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 0.0, 256),
     "low-rank-core-n512": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), math.inf, 512),
-    # every block held as Fourier factors: the derivative applies C_io through them
+    # every block held as Fourier factors, which the derivative's elimination forms densely
     "factored-blocks-n1024": (LaurentMap({1: 1.0, -1: 0.2, 2: 0.03, -2: 0.02}, 1.5), 5.0, 1024),
 }
 
@@ -1093,10 +1094,10 @@ def test_solve_tangent_matches_central_differences_of_the_densities(name, monkey
     dphi, dpsi = elim.solve_tangent(pairs, contrasts(p).mu, t_in, t_out,
                                     np.diag(ss * sm / (ss - sm) ** 2))
     assert len(refined) == (2 if name.startswith("refined") else 0) and assembled == []
-    # below 512 nodes the elimination (formed for the derivative from 256) and the
-    # derivative each solve the core densely; from 512 the derivative applies the
-    # evaluation's low-rank factors and solves no core system of its own
-    assert core_solves == ([core_solves[0]] if n >= 512 else [n, n])
+    # the elimination (formed for the derivative from 256 nodes) and the derivative each
+    # solve the core densely; from 512 the evaluation's GMRES solved the rank-r Woodbury
+    # system first
+    assert core_solves[-2:] == [n, n] and len(core_solves) == 2 + (n >= 512)
     assert (core_solves[0] <= n // 4) == (n >= 512)
     fd = []
     for inner, outer in TANGENT_DIRECTIONS:

@@ -18,7 +18,7 @@ def test_star_import_binds_every_public_name():
 def test_package_use_loads_no_scipy():
     # scipy.linalg and scipy.sparse.linalg each add tens of MB of resident memory; the
     # solves use numpy's LU, QR and FFT, so only the shape search's optimizer loads scipy.
-    # The 512-node report runs the low-rank core solve and several GMRES steps per axis
+    # The 512-node report runs several GMRES steps per axis through the factored blocks
     code = (
         "import sys, neutral_lab as nl\n"
         "inc = nl.laurent_domain(nl.LaurentMap({1: 1, -1: 0.2, 2: 0.1, -2: 0.05}, 1.5))\n"

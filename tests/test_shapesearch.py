@@ -371,18 +371,18 @@ def test_jacobian_matches_central_differences(name, monkeypatch):
 
 
 def test_jacobian_at_512_nodes_forms_the_dense_elimination_once(monkeypatch, core_solves):
-    # from 512 nodes the evaluation's GMRES solves the core block through K*_in's low
-    # Fourier modes (rank 105 at the first criterion-9 start) and forms no elimination; the
-    # Jacobian forms the dense elimination of the evaluation's blocks once, and the core
-    # block is solved by one LU there and again in the derivative
+    # from 512 nodes the evaluation's GMRES runs on the coupled system through the factored
+    # blocks, solving no core system and forming no elimination; the Jacobian forms the
+    # dense elimination of the evaluation's blocks once, and the core block is solved by one
+    # LU there and again in the derivative
     params, cfg = JACOBIAN_POINTS["criterion-9-sc5"]
     cfg = dataclasses.replace(cfg, nodes=512)
     formed, eliminate = [], transmission._eliminate
     monkeypatch.setattr(transmission, "_eliminate", lambda *a: formed.append(a) or eliminate(*a))
     _, evaluation = shapesearch._deviations(params, cfg)
-    assert formed == [] and len(core_solves) == 1 and core_solves[0] <= 512 // 4
+    assert formed == [] and core_solves == []
     exact = shapesearch._jacobian(evaluation, cfg, range(cfg.dim))
-    assert len(formed) == 1 and core_solves[1:] == [512, 512]
+    assert len(formed) == 1 and core_solves == [512, 512]
     fd = _central_differences(params, cfg)
     err = np.linalg.norm(exact - fd, axis=0) / np.linalg.norm(fd, axis=0)
     assert np.all(err <= 1e-6), err

@@ -692,6 +692,26 @@ CORES = {"disk": lambda: confocal_pair(1.0, 0.0, 1.5),
          "laurent": lambda: laurent_domain(LAURENT)}
 
 
+@pytest.mark.parametrize("lam", [0.75, -0.5])
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("name", CORES)
+def test_the_core_factors_from_coarse_rows_match_the_whole_transforms(name, n, lam):
+    # A11^-1 b by GMRES on K*_in's factors from its sample at every fourth node against
+    # A11^-1 b by the LU of the whole dense K*_in, for 4 seeded sides less their weighted
+    # mean; the normwise backward-error stop accepts every one. a-1 = 0.6 has content past
+    # mode N/8 at 512 nodes, so that K*_in is formed densely and GMRES runs on it
+    d = discretize(CORES[name]().inner, n)
+    k_in, shift = transmission._block(d, d), transmission._shift(lam, d)
+    assert isinstance(k_in, np.ndarray) == (name == "confocal-0.6" and n == 512)
+    a11 = transmission._augment(-layerpot.kstar_matrix(d), lam, d)
+    for b in np.random.default_rng(5).standard_normal((4, n)):
+        b -= d.weights @ b / np.sum(d.weights)
+        got = transmission._gmres(lambda v: (shift(-(k_in @ v), v), None), b)
+        assert got is not None
+        want = np.linalg.solve(a11, b)
+        assert np.linalg.norm(got[0] - want) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("name", CORES)
 def test_the_factored_core_assembly_holds_less_than_the_whole_transform(name):
     # K*_in from its sample at every fourth node to its Fourier factors, at ranks 1 to 229;

@@ -15,16 +15,17 @@ The representation stays valid in the perfectly insulating (sigma_c = 0) and
 perfectly conducting (sigma_c = inf) limits, where lam = -1/2 and +1/2. Both
 densities live in the mean-zero subspace; a rank-one weighted-mean term is
 added to each diagonal block so the discrete system stays uniquely solvable
-at the extreme contrasts. From 512 nodes each block is held as Fourier factors in its target
+at the extreme contrasts. From 512 nodes each block is held as its spectrum in the target
 variable where its sample at every fourth (or second) target and source node resolves it, its
-coefficient rows on the sample's source nodes (a product reduces its operand to those nodes
-first); any other block is formed densely (`_block`). Below 256 nodes the core block, which
-does not depend on mu, is eliminated densely, and per axis the N x N coating Schur complement
-mu I + S, a compact perturbation of mu I, is solved by one LU (`_Elimination`, for the solve
-and its derivative). From 256 nodes GMRES solves each right side on the whole system, applied
-unformed through the four blocks, and accepts on a normwise backward error (`_Krylov`);
-several right sides or a give-up form the same dense elimination once, from every block
-formed densely. A product one stage forms is handed on, never formed twice.
+low real-FFT rows on the sample's source nodes (a product reduces its operand to those nodes,
+then takes one inverse FFT); any other block is formed densely (`_block`). Below 256 nodes the
+core block, which does not depend on mu, is eliminated densely, and per axis the N x N coating
+Schur complement mu I + S, a compact perturbation of mu I, is solved by one LU (`_Elimination`,
+for the solve and its derivative). From 256 nodes GMRES solves each right side on the whole
+system, applied unformed through the four blocks (a row's two held blocks share one inverse
+FFT), and accepts on a normwise backward error (`_Krylov`); several right sides or a give-up
+form the same dense elimination once, from every block formed densely. A product one stage
+forms is handed on, never formed twice.
 The kept state, one of those two immutable values, is held by a one-slot memo keyed on both
 curves' coefficients, N, lam and the backgrounds for the public calls and the search's
 evaluations (a sigma_m sweep eliminates once, and `eval_u` forms its kernels once); the last
@@ -227,13 +228,12 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         raise SolverError(f"{what} singular", cond=float(np.linalg.cond(a))) from exc
 
 
-def _pair(value, case, r1, phi, psi, k_phi, c_psi) -> DensityPair:
-    """case (mu, h, axis)'s DensityPair on value's grids, core flux r1 + K*_in phi - phi / 2 +
-    C_oi psi from k_phi = K*_in phi and c_psi = C_oi psi; non-finite densities are a
-    SolverError."""
+def _pair(value, case, r1, phi, psi, terms) -> DensityPair:
+    """case (mu, h, axis)'s DensityPair on value's grids, core flux r1 + terms - phi / 2 from
+    the core row's terms (`_row`); non-finite densities are a SolverError."""
     if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))):
         raise SolverError("transmission solve produced non-finite densities")
-    flux = r1 + (k_phi - 0.5 * phi) + c_psi
+    flux = sum(terms[1:], r1 + (terms[0] - 0.5 * phi))
     return DensityPair(phi, psi, case[2], case[1], value.d_in, value.d_out, flux)
 
 
@@ -263,7 +263,7 @@ class _Elimination:
         pairs = []
         for case, (r1, y1, b2) in zip(cases, self.sides):
             phi, psi = self._coating(case[0], y1, b2)
-            pairs.append(_pair(self, case, r1, phi, psi, k_in @ phi, c_oi @ psi))
+            pairs.append(_pair(self, case, r1, phi, psi, [k_in @ phi, c_oi @ psi]))
         return pairs
 
     def _coating(self, mu: float, y: np.ndarray, b: np.ndarray):
@@ -313,11 +313,12 @@ class _Krylov:
     and rhs, (dh/dnu on the core, on the coating) per background; read-only. `_gmres` solves
     each right side on the coupled system [lam I - K*_in, -C_oi; -C_io, mu I - K*_out], each
     diagonal block `_shift`ed (`_coupled`), applied unformed through the four blocks: a
-    factored one of rank r takes (N + N/4) r multiply-adds, and with every block factored
-    (N = 1024, ranks up to 249) no N x N array is held, 3 to 9 MB in all. The check that
-    accepts gives the products the core flux needs. Several right sides (`solve_tangent`), or
-    GMRES giving up on any case, take `dense`, the elimination that is kept below
-    _GMRES_NODES."""
+    factored one of m modes takes m N/4 complex multiply-adds on its operand, reduced once to
+    the N/4 source nodes, and a row's factored blocks one inverse FFT of length N, their
+    spectra summed. Then (N = 1024, up to 125 modes) no N x N array is held, 0.7 to 2.2 MB.
+    The check that accepts gives the core row's terms, which the core flux reads. Several right
+    sides (`solve_tangent`), or GMRES giving up on any case, take `dense`, the elimination that
+    is kept below _GMRES_NODES."""
 
     d_in: Discretization
     d_out: Discretization
@@ -332,16 +333,19 @@ class _Krylov:
             shifts = _shift(self.lam, self.d_in), _shift(case[0], self.d_out)
             if (solved := _gmres(lambda v: self._coupled(v, shifts), b)) is None:
                 return self.dense.solve(cases)
-            x, aux = solved  # x is (phi, psi); the check gave K*_in phi and C_oi psi
-            pairs.append(_pair(self, case, r1, x[:n], x[n:], *(aux or (0.0, 0.0))))
+            x, aux = solved  # x is (phi, psi); the check gave the core row's terms
+            pairs.append(_pair(self, case, r1, x[:n], x[n:], aux or [0.0]))
         return pairs
 
     def _coupled(self, v: np.ndarray, shifts):
-        """(A v, (K*_in phi, C_oi psi)) for v = (phi, psi), A the coupled system."""
+        """(A v, the core row's terms (`_row`), which sum to K*_in phi + C_oi psi) for v =
+        (phi, psi), A the coupled system."""
         (k_in, k_out, c_oi, c_io), n = self.parts, self.d_in.n
-        (k_phi, c_phi), (c_psi, k_psi) = _products(v[:n], k_in, c_io), _products(v[n:], c_oi, k_out)
-        return np.concatenate([shifts[0](-(k_phi + c_psi), v[:n]),
-                               shifts[1](-(c_phi + k_psi), v[n:])]), (k_phi, c_psi)
+        x, width = (v[:n], v[n:]), {b.f.shape[1] for b in self.parts if isinstance(b, _Factored)}
+        r = [_reduced(xi, *width) for xi in x] if width else x  # the factored blocks' one width
+        core, coat = _row((k_in, c_oi), x, r), _row((c_io, k_out), x, r)
+        return np.concatenate([shifts[0](-sum(core[1:], core[0]), x[0]),
+                               shifts[1](-sum(coat[1:], coat[0]), x[1])]), core
 
     @cached_property
     def sides(self) -> tuple:
@@ -426,31 +430,36 @@ def _augment(a: np.ndarray, contrast: float, d: Discretization) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Factored:
-    """An operator block held as U G R: U = [1, cos kt, sin kt] (k = 1..m-1) at its N target
-    nodes t, G the (2m - 1) x n Fourier coefficient rows at every (N/n)-th source node and R
-    `_reduced`'s map to them; read-only. `block @ x` applies it."""
+    """An operator block held as its target spectrum F R, read-only: F the m x n complex rows
+    of modes 0 to m - 1 of its real FFT over the N target nodes, at every (N/n)-th source node,
+    and R `_reduced`'s map to them. `block @ x` is F R x's inverse real FFT of length N."""
 
-    u: np.ndarray
-    g: np.ndarray
+    f: np.ndarray
+    n: int
 
     def __post_init__(self):
-        self.u.flags.writeable = self.g.flags.writeable = False
+        self.f.flags.writeable = False
 
     def __matmul__(self, x):
-        return self.u @ (self.g @ _reduced(x, self.g.shape[1]))
+        spectrum = self.f @ _reduced(x, self.f.shape[1])
+        return np.fft.irfft(spectrum, self.n, axis=0 if spectrum.ndim == 1 else -2)
 
 
-def _products(v: np.ndarray, *blocks) -> list:
-    """block @ v for each block; the `_Factored` ones of one G width share one `_reduced` v."""
-    r = {b.g.shape[1]: None for b in blocks if isinstance(b, _Factored)}
-    r = {w: _reduced(v, w) for w in r}
-    return [b.u @ (b.g @ r[b.g.shape[1]]) if isinstance(b, _Factored) else b @ v for b in blocks]
+def _row(blocks, x, r) -> list:
+    """The terms of blocks[0] @ x[0] + blocks[1] @ x[1], blocks on one target grid, r holding
+    each x reduced to the factored blocks' source nodes: each dense block's product, then one
+    inverse FFT of the factored blocks' spectra F r summed (the shorter added into the longer)."""
+    terms = [b @ xi for b, xi in zip(blocks, x) if not isinstance(b, _Factored)]
+    spectra = sorted((b.f @ ri for b, ri in zip(blocks, r) if isinstance(b, _Factored)), key=len)
+    for short in spectra[:-1]:
+        spectra[-1][: len(short)] += short
+    return terms + [np.fft.irfft(spectra[-1], len(x[0]), axis=0)] if spectra else terms
 
 
 def _dense(block) -> np.ndarray:
-    """A block as one N x N array; G R is G interpolated to all N source nodes."""
+    """A block as one N x N array; F's inverse FFT interpolated to all N source nodes."""
     if isinstance(block, _Factored):
-        return block.u @ _interpolated(block.g.T, len(block.u)).T
+        return _interpolated(np.fft.irfft(block.f, block.n, axis=0).T, block.n).T
     return block
 
 
@@ -463,19 +472,18 @@ def _block(src: Discretization, tgt: Discretization):
     in both variables. The real FFT of the sample over the target nodes is cut after mode
     m - 1 < N/8, past which each mode's coefficients, transformed over the source nodes as
     well, are within _GMRES_TOL of the largest, so what the cut drops stays below GMRES's
-    acceptance. The block is held as `_Factored`, rank 2m - 1 < N/4, its kept coefficient
-    rows G on the N/s sampled source nodes and U built by one inverse real FFT. It is formed
-    densely instead, one N x N array with the sample and its transform freed first, where
-    the coupling's sample is refused (a source node between the sampled ones could put a
-    target in the near zone; the dense coupling refines those rows), or where either of two
-    guards finds content from mode N/8 on, which would fold onto the kept modes:
+    acceptance. The block is held as `_Factored`, its m < N/8 kept spectrum rows F on the N/s
+    sampled source nodes. It is formed densely instead, one N x N array with the sample and
+    its transform freed first, where the coupling's sample is refused (a source node between
+    the sampled ones could put a target in the near zone; the dense coupling refines those
+    rows), or where either of two guards finds content from mode N/8 on, which would fold onto
+    the kept modes:
     - the largest-norm column, formed at all N targets, above _FOURIER_TOL of the sample's
       largest target coefficient;
     - then the largest-norm row, formed against all N sources, above _FOURIER_TOL of its
       own largest coefficient.
     A smaller grid forms the block densely. At N = 1024 the sample and each of its
-    transforms take about 0.5 MB, U up to 2.1 MB and G up to 0.5 MB (rank 150: 1.2 MB and
-    0.3 MB).
+    transforms take about 0.5 MB, and F up to 0.5 MB (75 modes: 0.3 MB).
     """
     own, n = tgt is src, tgt.n
     if n >= _SAMPLE_NODES:
@@ -491,15 +499,7 @@ def _block(src: Discretization, tgt: Discretization):
                     and np.max((row := line(i, 1))[n // 8 :]) <= _FOURIER_TOL * np.max(row)):
                 size = np.max(np.abs(np.fft.fft(f[: n // 8], axis=1)), axis=1)
                 m = len(size) - int(np.argmax(size[::-1] > _GMRES_TOL * np.max(size)))
-                g = np.empty((2 * m - 1, f.shape[1]))
-                g[0] = f[0].real / scale
-                np.multiply(f[1:m].real, 2.0 / scale, out=g[1:m])
-                np.multiply(f[1:m].imag, -2.0 / scale, out=g[m:])
-                del f
-                # U's columns are the inverse real FFTs of unit spectra: 1, cos kt and sin kt
-                spec, k = np.zeros((m, 2 * m - 1), complex), np.arange(1, m)
-                spec[0, 0], spec[k, k], spec[k, k + m - 1] = n, n / 2, -0.5j * n
-                return _Factored(np.fft.irfft(spec, n, axis=0), g)
+                return _Factored(f[:m] * (n / scale), n)
             del f
     return kstar_matrix(src) if own else normal_derivative_coupling(src, tgt)
 

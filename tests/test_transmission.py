@@ -533,15 +533,15 @@ def _arrays(value):
     if isinstance(value, np.ndarray):
         return [value]
     if isinstance(value, transmission._Factored):
-        value = (value.u, value.g)
+        value = (value.f,)
     if isinstance(value, (tuple, list)):
         return [a for v in value for a in _arrays(v)]
     return []
 
 
 def test_a_low_rank_elimination_forms_neither_x_oi_nor_the_schur_part():
-    # every block is held as Fourier factors and GMRES forms no elimination: no N x N array
-    # is held. K*_in has rank 107
+    # every block is held as its target spectrum and GMRES forms no elimination: no N x N
+    # array is held. K*_in has rank 107: 54 spectrum rows on every fourth source node
     inc, n = laurent_domain(LAURENT), 1024
     solve_both_axes(inc, ConductivityProfile(5.0, 1.0, (0.5, 3.0)), n=n)
     (kept,) = transmission._kept.values()
@@ -549,7 +549,7 @@ def test_a_low_rank_elimination_forms_neither_x_oi_nor_the_schur_part():
     arrays = _arrays(list(vars(kept).values()))
     assert all(a.ndim == 1 or min(a.shape) < n // 4 for a in arrays)
     assert all(isinstance(b, transmission._Factored) for b in kept.parts)
-    assert kept.parts[0].u.shape == (n, 107) and kept.parts[0].g.shape == (107, n // 4)
+    assert kept.parts[0].f.shape == (54, n // 4) and kept.parts[0].f.dtype == complex
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -744,8 +744,8 @@ ROUTE_CASES = [(*shape, n) for n in (512, 1024) for shape in ROUTE_SHAPES] + [
 @pytest.mark.parametrize("kind, am1, r0, n", ROUTE_CASES,
                          ids=["-".join(map(str, c)) for c in ROUTE_CASES])
 def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch):
-    # each block held as Fourier factors, applied to 4 seeded vectors (one alone, the four,
-    # and stacked twice) and formed by `_dense`, against the dense blocks, relative to the
+    # each block held as its target spectrum, applied to 4 seeded vectors (one alone, the
+    # four, and stacked twice) and formed by `_dense`, against the dense blocks, relative to the
     # largest column norms (at most the 2-norms); every block tries its sample once
     inc = BLOCKS[kind](am1, r0)
     d_in, d_out = discretize(inc.inner, n), discretize(inc.outer, n)
@@ -773,7 +773,7 @@ def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch
             continue
         factored.add(name)
         assert len(formed) == 1 and formed[0][-1] == step  # the sample the factors come from
-        assert block.u.shape[1] < n // 4 and block.g.shape[1] == n // step
+        assert 2 * len(block.f) - 1 < n // 4 and block.f.shape[1] == n // step
         norm, stacked = np.max(np.linalg.norm(dense, axis=0)), np.stack([v, -2.0 * v])
         # (got, want, operand, its node axis): error within 1e-12 norm |operand|
         cases = [(block @ v, dense @ v, v, 0), (block @ v[:, 0], dense @ v[:, 0], v[:, 0], 0),
@@ -799,6 +799,47 @@ def test_factored_blocks_apply_as_the_dense_blocks(kind, am1, r0, n, monkeypatch
         assert ("K*_in" in factored) == (n == 1024 or am1 < 0.6)
 
 
+# every route shape at the four sampled grids, and the mixed route at r0 = 1.26, where C_oi
+# alone is formed densely: its core row is a product of each block, its coating row merged
+ROW_CASES = [(*shape, n) for n in (512, 514, 1022, 1024) for shape in ROUTE_SHAPES] + [
+    ("confocal", 0.3, 1.26, 1024)]
+
+
+@pytest.mark.parametrize("kind, am1, r0, n", ROW_CASES,
+                         ids=["-".join(map(str, c)) for c in ROW_CASES])
+def test_the_coupled_product_sums_each_rows_spectra_as_the_dense_blocks(kind, am1, r0, n):
+    # each row of the coupled product, K*_in phi + C_oi psi and C_io phi + K*_out psi, against
+    # the products of the four blocks formed by `_dense`, on 3 seeded (phi, psi), within 1e-12
+    # of the row's largest column norm times |(phi, psi)|; the handed-on core terms sum to the
+    # core row. Two factored blocks of a row give one term, whose spectra differ in length on
+    # some rows; a row with a dense block gives two terms
+    d_in, d_out, parts = transmission._assembled(BLOCKS[kind](am1, r0), n)
+    k_in, k_out, c_oi, c_io = parts
+    factored = [isinstance(b, transmission._Factored) for b in parts]
+    for b in (b for b, f in zip(parts, factored) if f):  # no array of N rows or columns
+        assert all(n not in a.shape for a in _arrays(b)) and 2 * len(b.f) - 1 < n // 4
+    rows = ((k_in, c_oi), (c_io, k_out))
+    merged = [isinstance(a, transmission._Factored) and isinstance(b, transmission._Factored)
+              for a, b in rows]
+    if (kind, am1, r0) == ("confocal", 0.3, 1.5) and n > 1000:  # odd 511 nodes at 1022
+        # both rows merged, each from spectra of different lengths: 49 and 81, 78 and 31
+        assert merged == [True, True] and len(k_in.f) != len(c_oi.f) != len(k_out.f)
+    if (kind, am1, r0, n) == ("confocal", 0.3, 1.26, 1024):
+        assert factored == [True, True, False, True] and merged == [False, True]
+    krylov = transmission._Krylov(d_in, d_out, 0.75, parts, [])
+    shifts = (lambda bv, v: bv,) * 2  # the product of the blocks alone, negated
+    dense = [[transmission._dense(b) for b in row] for row in rows]
+    norms = [max(np.max(np.linalg.norm(b, axis=0)) for b in row) for row in dense]
+    for v in np.random.default_rng(13).standard_normal((3, 2 * n)):
+        got, core = krylov._coupled(v, shifts)
+        assert len(core) == (1 if merged[0] else 2)
+        want = [a @ v[:n] + b @ v[n:] for a, b in dense]
+        for i, norm in enumerate(norms):
+            err = np.linalg.norm(-got[i * n:(i + 1) * n] - want[i])
+            assert err <= 1e-12 * norm * np.linalg.norm(v)
+        assert np.linalg.norm(sum(core) - want[0]) <= 1e-12 * norms[0] * np.linalg.norm(v)
+
+
 def test_a_coupling_whose_unsampled_source_nodes_reach_the_near_zone_is_refined(monkeypatch):
     # every fourth target lies 0.1995 off the unit circle, radially above a source node
     # that is not sampled: the sampled nodes two spacings away lie outside the near zone
@@ -820,16 +861,36 @@ def test_a_coupling_whose_unsampled_source_nodes_reach_the_near_zone_is_refined(
 
 
 class _CountedMatmul:
-    """A block that appends "C" to `events` per product taken with it."""
+    """A dense block that appends its name to `events` per product taken with it."""
 
     events: list = []
 
-    def __init__(self, block):
-        self.block = block
+    def __init__(self, block, name):
+        self.block, self.name = block, name
 
     def __matmul__(self, other):
-        self.events.append("C")
+        self.events.append(self.name)
         return self.block @ other
+
+
+class _CountedSpectrum(np.ndarray):
+    """A factored block's spectrum F that appends its block's name to `events` per product F r."""
+
+    events: list = []
+
+    def __matmul__(self, other):
+        self.events.append(self.name)
+        return self.view(np.ndarray) @ other
+
+
+def _counted(block, name):
+    """The block with its products counted: a factored block keeps its type, so the route
+    the solve takes is unchanged."""
+    if isinstance(block, np.ndarray):
+        return _CountedMatmul(block, name)
+    f = block.f.view(_CountedSpectrum)
+    f.name = name
+    return dataclasses.replace(block, f=f)
 
 
 @pytest.mark.parametrize("am1, n", [(0.2, 512), (0.0, 512), (0.2, 1024)],
@@ -838,21 +899,34 @@ def test_a_two_step_coupled_solve_multiplies_by_c_oi_only_inside_its_products(
         am1, n, monkeypatch):
     # on a confocal pair or concentric disks GMRES takes two steps per axis on the coupled
     # system: two Arnoldi products and one true-residual check; the core flux reuses the
-    # K*_in phi and C_oi psi of that check. K*_in is factored at 512 and 1024 nodes, and at
-    # 1024 every block is, C_oi included
+    # core row's terms of that check. K*_in and K*_out are factored at 512 and 1024 nodes,
+    # the couplings only at 1024. A row of two factored blocks sums their spectra F R x
+    # (K*_in's 37 rows padded to C_oi's 81) and takes one inverse FFT; a row with a dense
+    # block takes its product, then the factored block's F product and one inverse FFT. C_oi
+    # is applied only inside the coupled products
     inc, p = confocal_pair(1.0, am1, 1.5), ConductivityProfile(5.0, 1.0, (0.5, 3.0))
     elim, want = transmission._solved(inc, p, n)
-    k_in, k_out, c_oi, c_io = elim.parts
-    assert isinstance(k_in, transmission._Factored)
-    assert isinstance(c_oi, transmission._Factored) == (n == 1024)
+    names = ("K*_in", "K*_out", "C_oi", "C_io")
+    factored = {name for name, b in zip(names, elim.parts) if isinstance(b, transmission._Factored)}
+    assert factored == ({"K*_in", "K*_out"} if n == 512 else set(names))
     events, product, gmres = [], transmission._Krylov._coupled, transmission._gmres
+    irfft = np.fft.irfft
     monkeypatch.setattr(transmission._Krylov, "_coupled",
                         lambda self, *a: events.append("A") or product(self, *a))
     monkeypatch.setattr(transmission, "_gmres", lambda *a: events.append("gmres") or gmres(*a))
+    # an inverse FFT to the N targets; the reductions to the sampled nodes are not counted
+    monkeypatch.setattr(np.fft, "irfft", lambda a, m, *args, **kw:
+                        (m == n and events.append("irfft")) or irfft(a, m, *args, **kw))
     monkeypatch.setattr(_CountedMatmul, "events", events)
-    counted = dataclasses.replace(elim, parts=(k_in, k_out, _CountedMatmul(c_oi), c_io))
+    monkeypatch.setattr(_CountedSpectrum, "events", events)
+    counted = dataclasses.replace(elim, parts=tuple(map(_counted, elim.parts, names)))
     got = counted.solve(zip(contrasts(p).mu, (pair.h for pair in want), (1, 2)))
-    assert events == ["gmres", "A", "C", "A", "C", "A", "C"] * 2
+    if n == 1024:
+        step = ["A", "K*_in", "C_oi", "irfft", "C_io", "K*_out", "irfft"]
+        assert len(elim.parts[0].f) == 37 and len(elim.parts[2].f) == 81
+    else:
+        step = ["A", "C_oi", "K*_in", "irfft", "C_io", "K*_out", "irfft"]
+    assert events == (["gmres"] + step * 3) * 2
     for a, b in zip(got, want):
         assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("phi", "psi", "core_flux"))
 

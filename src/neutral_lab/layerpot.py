@@ -90,26 +90,28 @@ def _refuse_near(src: Discretization, pts: np.ndarray) -> None:
         )
 
 
-def _kernel_rows(pts: np.ndarray, src: Discretization, *kernels, far=False) -> list:
+def _kernel_rows(pts: np.ndarray, src: Discretization, *kernels, far=True) -> list | None:
     """An (m, n) array per kernel, formed in place by kernel(dx, dy, r2, out) from row blocks of
-    about _ROW_ENTRIES entries of the targets' `_offsets`; far refuses first."""
+    about _ROW_ENTRIES entries of the targets' `_offsets`, each block's r2 checked first: far
+    refuses the near zone, far=False gives None inside the `_plain_reach`, far=None passes."""
     out = [np.empty((len(pts), src.n)) for _ in kernels]
-    rows, limit = max(1, _ROW_ENTRIES // src.n), _near_zone(src, 0.0)[1] if far else -math.inf
+    limit = -math.inf if far is None else _near_zone(src, 0.0)[1] if far else _plain_reach(src)
+    rows = max(1, _ROW_ENTRIES // src.n)
     for lo in range(0, len(pts), rows):
         dx, dy, r2 = _offsets(pts[lo : lo + rows], src.nodes)
         if math.sqrt(float(r2.min())) < limit:
-            _refuse_near(src, pts)
+            return _refuse_near(src, pts) if far else None
         for a, kernel in zip(out, kernels):
             kernel(dx, dy, r2, a[lo : lo + rows])
     return out
 
 
-def _layer_kernels(src: Discretization, pts: np.ndarray, value=True, grad=True, far=True):
+def _layer_kernels(src: Discretization, pts: np.ndarray, value=True, grad=True):
     """The single layer's [ln r] if value, then [dx/r2, dy/r2] if grad, by `_kernel_rows`."""
     forms = [lambda dx, dy, r2, out: np.multiply(np.log(r2, out=out), 0.5, out=out)] * value
     forms += [lambda dx, dy, r2, out: np.divide(dx, r2, out=out),
               lambda dx, dy, r2, out: np.divide(dy, r2, out=out)] * grad
-    return _kernel_rows(pts, src, *forms, far=far)
+    return _kernel_rows(pts, src, *forms)
 
 
 def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
@@ -118,7 +120,8 @@ def single_layer_off(src: Discretization, density, targets) -> np.ndarray:
 
 
 def _off_fields(src: Discretization, density, targets, value=False, grad=False, kernels=None):
-    """(S[density], grad S[density]) by `_layer_kernels` (or the given ones); None if unasked."""
+    """(S[density], grad S[density]) by `_layer_kernels`, or by the given kernels (value from
+    the first, gradient from the last two, each at its points); None if unasked."""
     rho = _check_density(src, density)
     kern = _layer_kernels(src, _targets_xy(targets), value, grad) if kernels is None else kernels
     rw = (rho.T * src.weights).T
@@ -310,8 +313,8 @@ def coupling_tangent(src: Discretization, dsrc: GridTangent, tgt: Discretization
     the reduction in `_near_rows`.
     """
     dist = min_target_distance(src, tgt.nodes)
-    if _near_zone(src, dist)[0]:
-        fine = _refined_grid(src, dist)
+    fine = _refined_grid(src, dist) if _near_zone(src, dist)[0] else src
+    if fine is not src:
         src, dsrc = fine, discretize_tangent(fine, dsrc.curves)
         density = _interpolated(density, fine.n)
     return _tangent_product(src, dsrc, tgt.nodes, tgt.normals, dtgt.nodes, dtgt.normals, density)
@@ -348,7 +351,8 @@ def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
     goes through the trapezoid rule with diagonal limit ln|z'(t)|. Off the diagonal
     the smooth part is (1/2) ln r^2 less ln|2 sin((t-s)/2)|, a circulant whose
     trapezoid sum joins the multipliers as the DFT of -ln(2 sin(pi j/n)) / n (0 at
-    j = 0), so one n x n log is formed: of r^2, its diagonal set to |z'|^2 first.
+    j = 0), so only the log of r^2, its diagonal set to |z'|^2 first, is formed, in row
+    blocks of about _ROW_ENTRIES entries, each multiplied into its rows of the result.
     """
     rho = _check_density(src, density)
     n = src.n
@@ -361,22 +365,33 @@ def single_layer_on_boundary(src: Discretization, density) -> np.ndarray:
     if np.isrealobj(rho):
         log_part = log_part.real
 
-    r2 = _offsets(src.nodes, src.nodes)[2]
-    r2.flat[:: n + 1] = src.speed * src.speed
-    return np.log(r2, out=r2) @ g * (0.5 / n) + log_part
+    smooth = np.empty(g.shape, np.result_type(g, 0.0))
+    rows = max(1, _ROW_ENTRIES // n)
+    for lo in range(0, n, rows):
+        r2 = _offsets(src.nodes[lo : lo + rows], src.nodes)[2]
+        r2[np.arange(len(r2)), np.arange(lo, lo + len(r2))] = src.speed[lo : lo + rows] ** 2
+        np.matmul(np.log(r2, out=r2), g, out=smooth[lo : lo + rows])
+    return smooth * (0.5 / n) + log_part
+
+
+def _plain_reach(src: Discretization) -> float:
+    """The distance _REFINE_DECADES max|z'| / N from which the trapezoid tail is negligible."""
+    return _REFINE_DECADES * float(np.max(src.speed)) / src.n
 
 
 def _refined_grid(src: Discretization, dist: float) -> Discretization:
-    """Upsample the source grid until the trapezoid tail is negligible at distance dist.
+    """The grid that holds the trapezoid tail below exp(-_REFINE_DECADES) at distance dist:
+    src itself from its `_plain_reach`, else 2^k >= max(2N, _REFINE_DECADES max|z'| / dist) nodes.
 
     The one refinement rule of the package: the near layer potentials here
     and the near Newtonian potentials both use it.
     """
     if dist <= 0:
         raise NearEvaluationError("target lies on the source curve", distance=dist, limit=0.0)
-    smax = float(np.max(src.speed))
-    need = max(2 * src.n, int(math.ceil(_REFINE_DECADES * smax / dist)))
-    m = 1 << int(math.ceil(math.log2(need)))
+    need = _REFINE_DECADES * float(np.max(src.speed)) / dist
+    if need <= src.n:
+        return src
+    m = 1 << int(math.ceil(math.log2(max(2 * src.n, math.ceil(need)))))
     if m > _REFINE_CAP:
         raise NearEvaluationError(
             f"target at distance {dist:.3e} needs {m} nodes (> cap {_REFINE_CAP})",
@@ -388,8 +403,8 @@ def _refined_grid(src: Discretization, dist: float) -> Discretization:
 def _near_rows(src: Discretization, pts: np.ndarray, normals: np.ndarray, dist: float):
     """n.grad S rows, shape (m, n), at targets as close as dist to the curve.
 
-    `_normal_kernel` is formed on the refined grid in blocks of about 4e6
-    entries, and each block is reduced to the n coarse columns by `_reduced`.
+    `_normal_kernel` is formed on the `_refined_grid` for dist in blocks of about
+    4e6 entries, and each block is reduced to the n coarse columns by `_reduced`.
     """
     fine = _refined_grid(src, dist)
     rows = np.empty((len(pts), src.n))

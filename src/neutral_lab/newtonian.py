@@ -27,7 +27,6 @@ from .errors import ValidationError
 from .geometry import CoatedInclusion, Discretization, discretize
 from .layerpot import (
     _kernel_rows,
-    _layer_kernels,
     _refined_grid,
     _targets_xy,
     min_target_distance,
@@ -41,17 +40,26 @@ _SHELL_POINTS = 32  # mid-shell points of the harmonicity check
 _STEP_FACTOR = 2e-4  # five-point Laplacian step, in outer diameters
 
 
-def _boundary_reduction(src: Discretization, pts: np.ndarray, far=False) -> np.ndarray:
+def _boundary_reduction(src: Discretization, pts: np.ndarray, far=True, grad=False):
+    """N_D at pts, or its gradient -(S[n_1], S[n_2]) if grad, by `_kernel_rows` (far as there);
+    once far=False finds a target inside the plain reach, on the grid refined for the nearest."""
     def integrand(dx, dy, r2, out):
-        flux = -(dx * src.normals[None, :, 0] + dy * src.normals[None, :, 1])
-        out[...] = flux * (np.log(r2) - 1.0) * 0.25
+        if grad:  # single layer values with the normals as density columns
+            np.multiply(np.log(r2, out=out), -0.5, out=out)
+        else:
+            flux = -(dx * src.normals[None, :, 0] + dy * src.normals[None, :, 1])
+            out[...] = flux * (np.log(r2) - 1.0) * 0.25
 
-    return _kernel_rows(pts, src, integrand, far=far)[0] @ src.weights / (2 * math.pi)
+    kern = _kernel_rows(pts, src, integrand, far=far)
+    if kern is None:
+        fine = _refined_grid(src, min_target_distance(src, pts))
+        return _boundary_reduction(fine, pts, None, grad)
+    return kern[0] @ (src.normals * src.weights[:, None] if grad else src.weights) / (2 * math.pi)
 
 
 def newtonian_potential(src: Discretization, targets) -> np.ndarray:
     """N_D at targets (either side of the curve, outside the near zone)."""
-    return _boundary_reduction(src, _targets_xy(targets), far=True)
+    return _boundary_reduction(src, _targets_xy(targets))
 
 
 def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
@@ -64,18 +72,15 @@ def newtonian_gradient(src: Discretization, targets) -> np.ndarray:
 
 
 def newtonian_potential_near(src: Discretization, targets) -> np.ndarray:
-    """N_D at targets that may sit close to the curve (adaptive upsampling)."""
-    pts = _targets_xy(targets)
-    return _boundary_reduction(_refined_grid(src, min_target_distance(src, pts)), pts)
+    """N_D at targets that may sit close to the curve: on the plain grid while every row block
+    of targets keeps its `_plain_reach`, else upsampled by `_refined_grid`, with no separate
+    distance pass unless a block fails."""
+    return _boundary_reduction(src, _targets_xy(targets), far=False)
 
 
 def newtonian_gradient_near(src: Discretization, targets) -> np.ndarray:
-    """grad N_D near the curve (adaptive upsampling; never on it)."""
-    pts = _targets_xy(targets)
-    fine = _refined_grid(src, min_target_distance(src, pts))
-    logr, = _layer_kernels(fine, pts, grad=False, far=False)
-    # grad N = -(S[n1], S[n2]): single layer *values* with the normals as density columns
-    return -(logr @ (fine.normals * fine.weights[:, None])) / (2 * math.pi)
+    """grad N_D near the curve (never on it), plain or refined as `newtonian_potential_near`."""
+    return _boundary_reduction(src, _targets_xy(targets), far=False, grad=True)
 
 
 def newtonian_gradient_on_boundary(src: Discretization) -> np.ndarray:

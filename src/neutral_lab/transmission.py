@@ -70,7 +70,7 @@ from .layerpot import (
     kstar_tangent,
     normal_derivative_coupling,
     single_layer_grad_near,  # no caller here: bench/spans.py traces this name
-    single_layer_grad_off,
+    single_layer_grad_off,  # no caller here: bench/spans.py traces this name
     single_layer_off,
 )
 from .report import Report
@@ -625,12 +625,6 @@ def eval_u(
     return pair.h.value(pts) + s_in + s_out, pair.h.gradient(pts) + g_in + g_out
 
 
-def _gradient(pair: DensityPair, pts: np.ndarray) -> np.ndarray:
-    """grad u at (m, 2) points outside both near zones."""
-    return (pair.h.gradient(pts) + single_layer_grad_off(pair.disc_inner, pair.phi, pts)
-            + single_layer_grad_off(pair.disc_outer, pair.psi, pts))
-
-
 def _probe_radius(radius) -> float:
     """A probe radius as a float; an integer beyond the float range is refused."""
     try:
@@ -757,23 +751,29 @@ def neutrality_report(
     n: int = DEFAULT_NODES,
     probe_radius: float | None = None,
 ) -> NeutralityReport:
-    """Solve both axes and measure how invisible the inclusion is."""
+    """Solve both axes and measure how invisible the inclusion is; each grid's kernels, values
+    at the probe and gradients at the core points, are formed once for both axes."""
     probe_radius, probe = _far_probe(inc, probe_radius)
     cp = contrasts(p)
     pairs = solve_both_axes(inc, p, n)
-    core = _core_grid(inc, pairs[0].disc_inner, pairs[0].disc_outer)
+    grids = (pairs[0].disc_inner, pairs[0].disc_outer)
+    core = _core_grid(inc, *grids)
+    kern = [_layer_kernels(d, probe, grad=False) + _layer_kernels(d, core, value=False)
+            for d in grids]
     axes = []
     for pair in pairs:
         j = pair.axis - 1
+        (s_in, g_in), (s_out, g_out) = (_off_fields(d, rho, None, True, True, k) for d, rho, k
+                                        in zip(grids, (pair.phi, pair.psi), kern))
 
-        residual = float(np.max(np.abs(_scattered_values(pair, probe))))
+        residual = float(np.max(np.abs(s_in + s_out)))
 
         moment = (
             pair.disc_inner.nodes.T @ (pair.phi * pair.disc_inner.weights)
             + pair.disc_outer.nodes.T @ (pair.psi * pair.disc_outer.weights)
         )
 
-        grads = _gradient(pair, core)
+        grads = pair.h.gradient(core) + g_in + g_out
         gmean = grads.mean(axis=0)
         gdev = float(np.max(np.linalg.norm(grads - gmean, axis=1)))
         slope_measured = float(gmean[j])

@@ -201,6 +201,31 @@ def test_on_boundary_single_layer_folds_the_circulant_log_into_its_multipliers(n
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _whole_grid_single_layer(src, density):
+    """`single_layer_on_boundary` with ln r^2 formed as one N x N array."""
+    n, g = src.n, (density.T * src.speed).T
+    k = np.arange(1, n)
+    mult = np.fft.fft(np.append(0.0, -np.log(2.0 * np.sin(math.pi / n * k)))).real / n
+    mult[1:] -= 0.5 / np.minimum(k, n - k)
+    log_part = np.fft.ifft((np.fft.fft(g, axis=0).T * mult).T, axis=0)
+    if np.isrealobj(density):
+        log_part = log_part.real
+    r2 = np.abs(src.nodes_z[:, None] - src.nodes_z[None, :]) ** 2
+    np.fill_diagonal(r2, src.speed * src.speed)
+    return np.log(r2) @ g * (0.5 / n) + log_part
+
+
+@pytest.mark.parametrize("n", [16, 30, 64, 256, 1022])
+def test_on_boundary_single_layer_row_blocks_give_the_whole_grid_sum(n):
+    # 8192-entry row blocks; at 1022 nodes the last block has 6 rows
+    d = discretize(confocal_pair(1.0, 0.3, 1.5).outer, n)
+    smooth = np.exp(2 * np.cos(d.t))
+    for density in (smooth, np.column_stack([smooth, d.normals]), smooth * np.exp(1j * d.t)):
+        got, want = single_layer_on_boundary(d, density), _whole_grid_single_layer(d, density)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_near_zone_refused(circle):
     target = np.array([[RADIUS + 0.01, 0.0]])
     with pytest.raises(NearEvaluationError) as info:

@@ -16,8 +16,9 @@ from neutral_lab.geometry import (
     laurent_domain,
     make_ellipse,
 )
+from neutral_lab import layerpot, newtonian
 from neutral_lab.designer import confocal_design
-from neutral_lab.layerpot import _refined_grid, min_target_distance
+from neutral_lab.layerpot import _REFINE_DECADES, _refined_grid, min_target_distance
 from neutral_lab.newtonian import (
     combined_identity_check,
     fit_quadratic,
@@ -213,3 +214,88 @@ def test_row_blocks_give_the_whole_grid_kernels_bit_for_bit(ellipse21):
     logr = 0.5 * np.log(whole(fine, near)[2])
     assert np.array_equal(newtonian_gradient_near(ellipse21, near),
                           -(logr @ (fine.normals * fine.weights[:, None])) / (2 * math.pi))
+
+
+# confocal (a-1, r0) pairs of the plain-grid rule's calibration
+RULE_PAIRS = [(0.3, 1.8), (0.6, 1.25), (0.0, 1.5), (0.5, 2.4)]
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_refined_grid_keeps_the_plain_grid_exactly_where_the_rule_holds(n):
+    # src itself when 40 max|z'| / d <= N, else a power of two >= max(2N, 40 max|z'| / d)
+    src = discretize(confocal_pair(1.0, 0.3, 1.8).outer, n)
+    reach = _REFINE_DECADES * float(np.max(src.speed)) / n
+    for factor in (0.3, 0.99, 0.999999, 1.0, 1.000001, 1.01, 3.0):
+        fine = _refined_grid(src, factor * reach)
+        need = _REFINE_DECADES * float(np.max(src.speed)) / (factor * reach)
+        if need <= n:
+            assert fine is src
+        else:
+            assert fine.n >= max(2 * n, need) and fine.n & (fine.n - 1) == 0
+            assert fine.n < 2 * max(2 * n, need)
+    assert _refined_grid(src, reach) is src
+    with pytest.raises(NearEvaluationError):
+        _refined_grid(src, 0.0)
+
+
+def _normal_offsets(src, factor):
+    """Targets factor x the plain reach from each node along its outward and inward normal,
+    kept where no node is nearer than that."""
+    dist = factor * _REFINE_DECADES * float(np.max(src.speed)) / src.n
+    pts = np.concatenate([src.nodes + dist * src.normals, src.nodes - dist * src.normals])
+    keep = [min_target_distance(src, [p]) >= 0.999999 * dist for p in pts]
+    return pts[np.array(keep)]
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("am1, r0", RULE_PAIRS)
+def test_near_newtonian_stays_plain_past_the_reach_and_refines_inside_it(am1, r0, n,
+                                                                        monkeypatch):
+    # 1.01 x the reach: the plain grid, as accurate as an 8N-node one; 0.99 x: refined
+    grids = []
+    refined = layerpot._refined_grid
+    monkeypatch.setattr(newtonian, "_refined_grid",
+                        lambda src, d: grids.append(refined(src, d)) or grids[-1])
+    inc = confocal_pair(1.0, am1, r0)
+    for curve in (inc.inner, inc.outer):
+        src, ref = discretize(curve, n), discretize(curve, 8 * n)
+        pts = _normal_offsets(src, 1.01)
+        assert len(pts) >= n
+        for evaluate in (newtonian_potential_near, newtonian_gradient_near):
+            got, want = evaluate(src, pts), evaluate(ref, pts)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert grids == []
+        close = _normal_offsets(src, 0.99)
+        for evaluate in (newtonian_potential_near, newtonian_gradient_near):
+            evaluate(src, close)
+            assert grids.pop().n >= 2 * n
+
+
+def _recorded_passes(monkeypatch):
+    """The node counts of every discretize call and the count of min_target_distance calls."""
+    nodes, dists = [], []
+    for module in (layerpot, newtonian):
+        grid, dist = module.discretize, module.min_target_distance
+        monkeypatch.setattr(module, "discretize",
+                            lambda c, n, grid=grid: nodes.append(n) or grid(c, n))
+        monkeypatch.setattr(module, "min_target_distance",
+                            lambda *a, dist=dist: dists.append(1) or dist(*a))
+    return nodes, dists
+
+
+def test_free_bvp_stays_on_the_plain_grid_in_the_main_band(monkeypatch):
+    # every target keeps the 256-node grids' reach: no refined grid and no distance pass
+    dr = confocal_design(1.0, 0.3, 1.8, 5.0, 1.0)
+    nodes, dists = _recorded_passes(monkeypatch)
+    free_bvp_residual(confocal_pair(1.0, 0.3, 1.8), dr.f, dr.shear, n=256)
+    assert nodes and max(nodes) == 256
+    assert dists == []
+
+
+def test_free_bvp_refines_a_thin_shell(monkeypatch):
+    # the r0 = 1.05 shell's mid-shell stencil needs 2048-node grids
+    dr = confocal_design(1.0, 0.0, 1.05, 5.0, 1.0)
+    nodes, dists = _recorded_passes(monkeypatch)
+    rep = free_bvp_residual(confocal_pair(1.0, 0.0, 1.05), dr.f, dr.shear, n=256)
+    assert max(nodes) == 2048 and dists
+    assert rep.outer_bc_residual < 1e-12 and rep.inner_bc_residual < 1e-12

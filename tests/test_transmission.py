@@ -844,7 +844,7 @@ def test_a_coupling_whose_unsampled_source_nodes_reach_the_near_zone_is_refined(
     # every fourth target lies 0.1995 off the unit circle, radially above a source node
     # that is not sampled: the sampled nodes two spacings away lie outside the near zone
     # (0.2), the node between them inside it. The sample is refused, and the dense block
-    # is refined at every target
+    # takes the near path at every target (on the plain grid, which 0.1995 >= 40/512 allows)
     n = 512
     src = discretize(Curve(np.array([1.0 + 0j]), 1), n)
     tgt = discretize(Curve(np.array([1.1995 * np.exp(4j * math.pi / n)]), 1), n)
@@ -1129,6 +1129,17 @@ def test_neutrality_report_reads_core_points_only():
     assert len(transmission._core_grid(inc, d_in, d_out)) == 15
     rep = neutrality_report(inc, ConductivityProfile(5.0, 1.0, (2.0, 3.0)), n=128)
     assert max(ax.core_gradient_deviation for ax in rep.axes) < 0.5
+
+
+def test_neutrality_report_forms_each_grids_kernels_once(monkeypatch):
+    # probe and core kernels per grid, applied to both axes' densities: 4 formations
+    formed = []
+    kernels = layerpot._layer_kernels
+    counted = lambda d, pts, *a, **kw: formed.append((d.n, len(pts))) or kernels(d, pts, *a, **kw)
+    for module in (layerpot, transmission):
+        monkeypatch.setattr(module, "_layer_kernels", counted)
+    neutrality_report(confocal_pair(1.0, 0.3, 1.8), ConductivityProfile(5.0, 1.0, (2.0, 3.0)))
+    assert len(formed) == 4
 
 
 @pytest.mark.parametrize("scale", [0.999, 1.2])
